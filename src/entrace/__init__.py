@@ -2,9 +2,9 @@
 
 The package estimates -tr(A log A) for a real symmetric positive semidefinite
 matrix A without eigendecomposition: a closed-form Chebyshev approximation of
-x*log(x) is pushed through a matrix Clenshaw recurrence, and the trace of the
-resulting polynomial is sampled with Rademacher probe vectors under an
-explicit Hoeffding-style confidence radius.
+x*log(x) is applied to A through forward Chebyshev moments, ceil(n/2) sparse
+products per probe, and the trace of the resulting polynomial is sampled with
+Rademacher probe vectors under an explicit Hoeffding-style confidence radius.
 """
 
 from .sparse import (
@@ -25,7 +25,7 @@ from .chebyshev import (
     spread_function,
     truncation_error_bound,
 )
-from .clenshaw import ClenshawWorkspace, quadratic_form
+from .clenshaw import quadratic_form
 from .cli import RunConfig, main, run
 from .estimator import (
     EntropyEstimate,
@@ -57,7 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChebyshevExpansion",
-    "ClenshawWorkspace",
     "Dispersion",
     "EntropyEstimate",
     "MatrixMarketError",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -69,6 +70,12 @@ class RunConfig:
             raise UsageError("degree must be at least 1")
         if self.samples is not None and self.samples < 1:
             raise UsageError("--samples must be at least 1")
+        if not (math.isfinite(self.x0) and self.x0 > 0.0):
+            raise UsageError(f"--x0 must be a positive finite number, got {self.x0!r}")
+        if self.threads < 0:
+            raise UsageError(
+                f"--threads must be nonnegative (0 picks the default), got {self.threads}"
+            )
         if len(self.sizes) != len(self.degrees):
             raise UsageError("--sizes and --degrees must have the same length")
 

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chebyshev import coefficients
-from .clenshaw import ClenshawWorkspace, quadratic_form
+from .clenshaw import quadratic_form
 from .sparse import SpectralBound
 
 DEFAULT_N_MAX = 10_000
@@ -193,25 +194,23 @@ def _check_hoeffding_args(n, p, m, x0, gamma0):
         raise ValueError("x0 and gamma0 must be positive")
 
 
-def _xi_batch(A, expansion, gamma0, sampler, first, last, threads, workspace=None):
+def _xi_batch(A, expansion, gamma0, sampler, first, last, threads):
     """Probe forms xi_first..xi_last in index order.
 
     With threads its a deterministic map: sample i never depends on any other
     sample, and the reduction below consumes results in index order, so the
-    outcome is independent of the worker count.
+    outcome is independent of the worker count. The pool never holds more
+    workers than there are probes in the batch or cores to run them.
     """
     indices = range(first, last + 1)
-    if threads <= 1:
-        ws = workspace if workspace is not None else ClenshawWorkspace(A.dim)
-        return [
-            quadratic_form(A, sampler.sample_vector(A.dim, i), expansion, gamma0, workspace=ws)
-            for i in indices
-        ]
 
     def one(i):
         return quadratic_form(A, sampler.sample_vector(A.dim, i), expansion, gamma0)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(indices), os.cpu_count() or 1)
+    if workers <= 1:
+        return [one(i) for i in indices]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(one, indices))
 
 
@@ -241,7 +240,7 @@ def _setup(A, n, scaling, normalize):
     With normalize=True the estimated state is A / tr(A) (the entropy of a
     density matrix handed in unnormalized) and ``scaling`` must be valid for
     that state: x0 * gamma0 >= lambda_max(A) / tr(A). The stored entries are
-    never rescaled; the Clenshaw recurrence consumes A with the widened
+    never rescaled; the Chebyshev moments consume A with the widened
     parameter gamma0 * tr(A), because (A/t) / gamma0 = A / (gamma0 t), and
     each probe form is divided by tr(A) afterwards. All Hoeffding quantities
     use the state's own (x0, gamma0) unchanged.
@@ -332,10 +331,8 @@ def estimate_adaptive(A, n, p, scaling, sampler, n_max=DEFAULT_N_MAX,
     drawn = 0
     needed = 1
     capped = False
-    ws = ClenshawWorkspace(m) if threads <= 1 else None
     while drawn < needed:
-        batch = _xi_batch(A, expansion, gamma_clenshaw, sampler,
-                          drawn + 1, needed, threads, workspace=ws)
+        batch = _xi_batch(A, expansion, gamma_clenshaw, sampler, drawn + 1, needed, threads)
         for xi_raw in batch:
             drawn += 1
             xi = xi_raw / norm_scale

@@ -125,7 +125,10 @@ class SymmetricSparseMatrix:
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.dim,):
             raise ValueError(f"vector length {v.shape} does not match dimension {self.dim}")
-        return np.bincount(self._row, weights=self.val * v[self.col], minlength=self.dim)
+        # one nnz-sized temporary: gather, then scale it in place
+        w = v[self.col]
+        w *= self.val
+        return np.bincount(self._row, weights=w, minlength=self.dim)
 
     def trace(self):
         return float(self._diag.sum())

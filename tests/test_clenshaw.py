@@ -1,10 +1,10 @@
-"""Matrix Clenshaw recurrence for probe quadratic forms."""
+"""Forward Chebyshev moments for probe quadratic forms."""
 
 import numpy as np
 import pytest
 
 from entrace.chebyshev import coefficients, evaluate_scalar
-from entrace.clenshaw import ClenshawWorkspace, quadratic_form
+from entrace.clenshaw import quadratic_form
 from entrace.generators import random_psd
 from entrace.sparse import SymmetricSparseMatrix
 from support import dense_quadratic_form
@@ -56,24 +56,30 @@ class TestAgainstDenseOracle:
         assert got == pytest.approx(dense_quadratic_form(A, v, exp, 1.0), rel=1e-12)
 
 
-class TestWorkspace:
-    def test_reuse_gives_identical_results(self):
+class TestCost:
+    def test_matvecs_per_form(self, monkeypatch):
+        # the doubling identities need T_j(B) v only up to j = ceil(n/2)
+        A = random_psd(10, 4, np.linspace(0.0, 1.0, 10))
+        calls = []
+        inner = SymmetricSparseMatrix.matvec
+
+        def counting(self, x):
+            calls.append(1)
+            return inner(self, x)
+
+        monkeypatch.setattr(SymmetricSparseMatrix, "matvec", counting)
+        for n in range(1, 10):
+            calls.clear()
+            quadratic_form(A, signs(10, n), coefficients(n, 1.0), 1.0)
+            assert len(calls) == (n + 1) // 2
+
+
+class TestDeterminism:
+    def test_same_probe_twice_identical(self):
         A = random_psd(15, 9, np.linspace(0.0, 1.0, 15))
         exp = coefficients(8, 1.0)
-        ws = ClenshawWorkspace(15)
-        v1, v2 = signs(15, 1), signs(15, 2)
-        a1 = quadratic_form(A, v1, exp, 1.0, workspace=ws)
-        b = quadratic_form(A, v2, exp, 1.0, workspace=ws)
-        a2 = quadratic_form(A, v1, exp, 1.0, workspace=ws)
-        assert a1 == a2
-        assert a1 != b
-        assert a1 == quadratic_form(A, v1, exp, 1.0)
-
-    def test_wrong_dimension_workspace(self):
-        A = random_psd(4, 0, np.ones(4))
-        exp = coefficients(2, 1.0)
-        with pytest.raises(ValueError):
-            quadratic_form(A, signs(4, 0), exp, 1.0, workspace=ClenshawWorkspace(5))
+        v = signs(15, 1)
+        assert quadratic_form(A, v, exp, 1.0) == quadratic_form(A, v, exp, 1.0)
 
 
 class TestValidation:

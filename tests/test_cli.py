@@ -206,6 +206,20 @@ class TestErrorHandling:
         assert code == 2
         assert "usage error" in err
 
+    @pytest.mark.parametrize("x0", ["0", "-1", "nan", "inf"])
+    def test_bad_x0(self, capsys, x0):
+        code, out, err = run_cli(capsys, "entropy", "--generate", "fem:5", "--x0", x0)
+        assert code == 2
+        assert "usage error" in err and "--x0" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("sub", [["entropy", "--generate", "fem:5"], ["table1"]])
+    def test_negative_threads(self, capsys, sub):
+        code, out, err = run_cli(capsys, *sub, "--threads", "-3")
+        assert code == 2
+        assert "usage error" in err and "--threads" in err
+        assert out == ""
+
     def test_run_config_direct(self, capsys):
         # the config object is usable without the argument parser
         code = run(RunConfig(subcommand="oracle", generate_spec="fem:10"))

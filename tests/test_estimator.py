@@ -221,6 +221,38 @@ class TestEstimateFixed:
         for k in (2, 4):
             assert estimate_fixed(A, 3, 16, sp, RademacherSampler(3), threads=k) == serial
 
+    def test_pool_workers_bounded(self, monkeypatch):
+        # an absurd thread count never reaches the pool: workers are capped by
+        # the batch size and the core count, and the fake pool starts no thread
+        import os
+
+        import entrace.estimator as estimator
+
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(estimator, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        A = fem_matrix(30)
+        sp = ScalingParams.from_bound(gershgorin_upper_bound(A))
+        serial = estimate_fixed(A, 3, 16, sp, RademacherSampler(3), threads=1)
+        assert seen == []
+        assert estimate_fixed(A, 3, 16, sp, RademacherSampler(3), threads=10**6) == serial
+        estimate_fixed(A, 3, 3, sp, RademacherSampler(3), threads=10**6)
+        assert seen == [4, 3]
+
 
 class TestEstimateAdaptive:
     def test_scaled_identity_uses_eight_samples(self):
