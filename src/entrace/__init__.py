@@ -35,12 +35,10 @@ from .estimator import (
     error_tolerance,
     estimate_adaptive,
     estimate_fixed,
-    hutchinson_trace,
     sample_count,
 )
 from .oracle import (
     Spectrum,
-    dense_eigh,
     dense_spectrum,
     exact_entropy,
     fem_exact_entropy,
@@ -68,7 +66,6 @@ __all__ = [
     "Spectrum",
     "SymmetricSparseMatrix",
     "coefficients",
-    "dense_eigh",
     "dense_spectrum",
     "entropy_function",
     "entropy_with_normalization",
@@ -80,7 +77,6 @@ __all__ = [
     "fem_exact_entropy",
     "fem_matrix",
     "gershgorin_upper_bound",
-    "hutchinson_trace",
     "main",
     "power_iteration_bound",
     "run",

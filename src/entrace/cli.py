@@ -24,7 +24,7 @@ from .estimator import (
     estimate_fixed,
 )
 from .generators import SpdcParams, fem_matrix, random_psd, spdc_density_matrix
-from .oracle import DENSE_CAP, NEG_EIG_RTOL, dense_spectrum, exact_entropy, fem_exact_entropy
+from .oracle import DENSE_CAP, dense_spectrum, exact_entropy, fem_exact_entropy
 from .sparse import (
     SpectralBound,
     gershgorin_upper_bound,
@@ -72,6 +72,12 @@ class RunConfig:
             raise UsageError("--samples must be at least 1")
         if not (math.isfinite(self.x0) and self.x0 > 0.0):
             raise UsageError(f"--x0 must be a positive finite number, got {self.x0!r}")
+        if self.gamma0 is not None and not (math.isfinite(self.gamma0) and self.gamma0 > 0.0):
+            raise UsageError(f"--gamma0 must be a positive finite number, got {self.gamma0!r}")
+        if self.n_max < 8:
+            raise UsageError(
+                f"--n-max must be at least 8, the zero-spread sample count, got {self.n_max}"
+            )
         if self.threads < 0:
             raise UsageError(
                 f"--threads must be nonnegative (0 picks the default), got {self.threads}"
@@ -133,11 +139,8 @@ def _verify_psd(mat, cap):
             f"--verify-psd needs the dense oracle, which is capped at {cap}; "
             f"matrix has dimension {mat.dim}"
         )
-    spec = dense_spectrum(mat, cap=cap)
-    lam = spec.eigenvalues
-    floor = -NEG_EIG_RTOL * float(np.max(np.abs(lam)))
-    if lam[0] < floor:
-        raise ValueError(f"matrix is not PSD: smallest eigenvalue {lam[0]}")
+    # exact_entropy rejects eigenvalues negative beyond rounding
+    exact_entropy(dense_spectrum(mat, cap=cap))
 
 
 def _spectral_bound(mat, config):
@@ -217,7 +220,7 @@ def _run_oracle(config):
         "max_eig": float(lam[-1]),
         "trace": mat.trace(),
         "method": {
-            "route": "dense-jacobi",
+            "route": "dense-lapack",
             "normalized": config.normalize,
             "matrix": source,
             "dim": mat.dim,
@@ -307,100 +310,80 @@ def _int_list(text):
 
 
 def build_parser():
+    """Parser whose every dest is a RunConfig field; absent flags keep its defaults."""
     parser = argparse.ArgumentParser(
         prog="entrace",
         description="Stochastic von Neumann entropy of sparse symmetric PSD matrices.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
+    def command(name, summary):
+        return sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+
     def add_input(p):
         group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--input", help="Matrix Market file to read")
+        group.add_argument("--input", dest="input_path", metavar="PATH",
+                           help="Matrix Market file to read")
         group.add_argument(
             "--generate",
+            dest="generate_spec",
+            metavar="SPEC",
             help="synthesize the input: fem:<m>, spdc:default, spdc:<config>, "
             "random:<m>:<seed>",
         )
 
-    p_ent = sub.add_parser("entropy", help="estimate -tr(A log A) by sampling")
+    def add_sampling(p):
+        p.add_argument("-p", "--confidence", type=float,
+                       help=f"confidence level in (0,1) (default {RunConfig.confidence})")
+        p.add_argument("--seed", type=int,
+                       help=f"probe stream seed (default {RunConfig.seed})")
+        p.add_argument("--x0", type=float,
+                       help=f"approximation interval endpoint (default {RunConfig.x0:g})")
+        p.add_argument("--n-max", type=int,
+                       help=f"adaptive sample cap (default {RunConfig.n_max})")
+        p.add_argument("--threads", type=int,
+                       help=f"worker threads (default: ${THREADS_ENV} or all cores)")
+        p.add_argument("-o", "--output", help="also write the JSON here")
+
+    p_ent = command("entropy", "estimate -tr(A log A) by sampling")
     add_input(p_ent)
-    p_ent.add_argument("-n", "--degree", type=int, default=3,
-                       help="Chebyshev degree (default 3)")
-    p_ent.add_argument("-p", "--confidence", type=float, default=0.95,
-                       help="confidence level in (0,1) (default 0.95)")
-    p_ent.add_argument("--samples", type=int, default=None,
+    p_ent.add_argument("-n", "--degree", type=int,
+                       help=f"Chebyshev degree (default {RunConfig.degree})")
+    p_ent.add_argument("--samples", type=int,
                        help="fixed sample count; omit for the adaptive loop")
-    p_ent.add_argument("--seed", type=int, default=0, help="probe stream seed (default 0)")
-    p_ent.add_argument("--x0", type=float, default=1.0,
-                       help="approximation interval endpoint (default 1)")
-    p_ent.add_argument("--gamma0", type=float, default=None,
+    p_ent.add_argument("--gamma0", type=float,
                        help="user spectral scaling; overrides --bound")
-    p_ent.add_argument("--bound", dest="bound_method", default="gershgorin",
+    p_ent.add_argument("--bound", dest="bound_method",
                        choices=("gershgorin", "power-iteration"),
-                       help="how to bound lambda_max (default gershgorin)")
+                       help=f"how to bound lambda_max (default {RunConfig.bound_method})")
     p_ent.add_argument("--normalize", action="store_true",
                        help="estimate the entropy of A / tr(A)")
-    p_ent.add_argument("--n-max", type=int, default=DEFAULT_N_MAX,
-                       help="adaptive sample cap (default 10000)")
     p_ent.add_argument("--verify-psd", action="store_true",
                        help="check PSD via the dense oracle first (small matrices only)")
-    p_ent.add_argument("--threads", type=int, default=0,
-                       help=f"worker threads (default: ${THREADS_ENV} or all cores)")
-    p_ent.add_argument("-o", "--output", default=None, help="also write the JSON here")
+    add_sampling(p_ent)
 
-    p_or = sub.add_parser("oracle", help="exact entropy via dense eigendecomposition")
+    p_or = command("oracle", "exact entropy via dense eigendecomposition")
     add_input(p_or)
-    p_or.add_argument("--cap", type=int, default=DENSE_CAP,
-                      help=f"dense size cap (default {DENSE_CAP})")
+    p_or.add_argument("--cap", type=int, help=f"dense size cap (default {RunConfig.cap})")
     p_or.add_argument("--normalize", action="store_true",
                       help="entropy of A / tr(A) instead of A")
-    p_or.add_argument("-o", "--output", default=None, help="also write the JSON here")
+    p_or.add_argument("-o", "--output", help="also write the JSON here")
 
-    p_gen = sub.add_parser("generate", help="write a generated matrix as Matrix Market")
+    p_gen = command("generate", "write a generated matrix as Matrix Market")
     add_input(p_gen)
     p_gen.add_argument("-o", "--output", required=True, help="target .mtx path")
 
-    p_t1 = sub.add_parser("table1", help="reference table: estimate vs closed form")
-    p_t1.add_argument("--sizes", type=_int_list, default=TABLE1_SIZES,
-                      help="comma-separated matrix sizes")
-    p_t1.add_argument("--degrees", type=_int_list, default=TABLE1_DEGREES,
+    p_t1 = command("table1", "reference table: estimate vs closed form")
+    p_t1.add_argument("--sizes", type=_int_list, help="comma-separated matrix sizes")
+    p_t1.add_argument("--degrees", type=_int_list,
                       help="comma-separated Chebyshev degrees, one per size")
-    p_t1.add_argument("-p", "--confidence", type=float, default=0.95)
-    p_t1.add_argument("--seed", type=int, default=0)
-    p_t1.add_argument("--x0", type=float, default=1.0)
-    p_t1.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
-    p_t1.add_argument("--threads", type=int, default=0)
-    p_t1.add_argument("-o", "--output", default=None, help="also write the JSON here")
+    add_sampling(p_t1)
     return parser
-
-
-def config_from_args(args):
-    fields = {
-        "subcommand": args.subcommand,
-        "input_path": getattr(args, "input", None),
-        "generate_spec": getattr(args, "generate", None),
-        "degree": getattr(args, "degree", 3),
-        "confidence": getattr(args, "confidence", 0.95),
-        "samples": getattr(args, "samples", None),
-        "seed": getattr(args, "seed", 0),
-        "x0": getattr(args, "x0", 1.0),
-        "gamma0": getattr(args, "gamma0", None),
-        "bound_method": getattr(args, "bound_method", "gershgorin"),
-        "normalize": getattr(args, "normalize", False),
-        "n_max": getattr(args, "n_max", DEFAULT_N_MAX),
-        "verify_psd": getattr(args, "verify_psd", False),
-        "cap": getattr(args, "cap", DENSE_CAP),
-        "threads": getattr(args, "threads", 0),
-        "sizes": tuple(getattr(args, "sizes", TABLE1_SIZES)),
-        "degrees": tuple(getattr(args, "degrees", TABLE1_DEGREES)),
-        "output": getattr(args, "output", None),
-    }
-    return RunConfig(**fields)
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return run(config_from_args(args))
+    return run(RunConfig(**vars(args)))
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ reproducible regardless of thread count or early stopping.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -143,17 +144,6 @@ class EntropyEstimate:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def hutchinson_trace(A, sampler, num_samples):
-    """Plain stochastic trace (1/N) sum w_i^T A w_i; unbiased for tr(A)."""
-    if num_samples < 1:
-        raise ValueError("need at least one sample")
-    total = 0.0
-    for i in range(1, num_samples + 1):
-        w = sampler.sample_vector(A.dim, i)
-        total += float(w @ A.matvec(w))
-    return total / num_samples
-
-
 def sample_count(delta, n, p, m, x0, gamma0):
     """Samples needed so the confidence radius hits the truncation floor.
 
@@ -214,28 +204,13 @@ def _xi_batch(A, expansion, gamma0, sampler, first, last, threads):
         return list(pool.map(one, indices))
 
 
-def _zero_trace_estimate(n, p, scaling, sampler, normalize, estimator):
-    return EntropyEstimate(
-        value=0.0,
-        tau=0.0,
-        confidence=p,
-        samples_used=0,
-        degree=n,
-        delta=0.0,
-        xi_min=0.0,
-        xi_max=0.0,
-        trace=0.0,
-        scaling=scaling,
-        seed=sampler.seed,
-        capped=False,
-        normalized=normalize,
-        zero_trace=True,
-        estimator=estimator,
-    )
+def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
+    """The sampling loop behind estimate_fixed and estimate_adaptive.
 
-
-def _setup(A, n, scaling, normalize):
-    """Common wiring; returns (trace, norm_scale, gamma_clenshaw, trace_eff, expansion).
+    Consumes probe forms in index order until ``needed`` samples are drawn.
+    With ``n_max=None`` the count stays frozen; otherwise it is re-derived
+    from the running extreme probe forms after every sample and capped at
+    ``n_max``.
 
     With normalize=True the estimated state is A / tr(A) (the entropy of a
     density matrix handed in unnormalized) and ``scaling`` must be valid for
@@ -245,12 +220,50 @@ def _setup(A, n, scaling, normalize):
     each probe form is divided by tr(A) afterwards. All Hoeffding quantities
     use the state's own (x0, gamma0) unchanged.
     """
+    m = A.dim
+    _check_hoeffding_args(n, p, m, scaling.x0, scaling.gamma0)
     tr = A.trace()
+    if normalize and tr == 0.0:
+        raise ValueError("cannot normalize a matrix with zero trace")
+    result = functools.partial(EntropyEstimate, confidence=p, degree=n, scaling=scaling,
+                               seed=sampler.seed, normalized=normalize,
+                               estimator="fixed" if n_max is None else "adaptive")
+    if tr == 0.0:
+        return result(value=0.0, tau=0.0, samples_used=0, delta=0.0, xi_min=0.0,
+                      xi_max=0.0, trace=0.0, capped=False, zero_trace=True)
+
     norm_scale = tr if normalize else 1.0
-    gamma_clenshaw = scaling.gamma0 * norm_scale
-    trace_eff = 1.0 if normalize else tr
     expansion = coefficients(n, scaling.x0)
-    return tr, norm_scale, gamma_clenshaw, trace_eff, expansion
+    floor_width = m * scaling.x0 * scaling.gamma0 / (n * (n + 1.0))
+    xi_min = math.inf
+    xi_max = -math.inf
+    xi_sum = 0.0
+    drawn = 0
+    capped = False
+    while drawn < needed:
+        batch = _xi_batch(A, expansion, scaling.gamma0 * norm_scale, sampler,
+                          drawn + 1, needed, threads)
+        for xi_raw in batch:
+            drawn += 1
+            xi = xi_raw / norm_scale
+            xi_sum += xi
+            if xi < xi_min:
+                xi_min = xi
+            if xi > xi_max:
+                xi_max = xi
+            delta = (xi_max - xi_min) + floor_width
+            if n_max is not None:
+                want = sample_count(delta, n, p, m, scaling.x0, scaling.gamma0)
+                if want > n_max:
+                    capped = True
+                # the requirement is nondecreasing in delta, so never below drawn
+                needed = min(n_max, max(want, needed))
+
+    trace_eff = 1.0 if normalize else tr
+    value = -xi_sum / needed - math.log(scaling.gamma0) * trace_eff
+    tau = error_tolerance(delta, n, needed, p, m, scaling.x0, scaling.gamma0)
+    return result(value=value, tau=tau, samples_used=needed, delta=delta, xi_min=xi_min,
+                  xi_max=xi_max, trace=tr, capped=capped)
 
 
 def estimate_fixed(A, n, num_samples, scaling, sampler, p=0.95, normalize=False, threads=1):
@@ -262,40 +275,8 @@ def estimate_fixed(A, n, num_samples, scaling, sampler, p=0.95, normalize=False,
     """
     if num_samples < 1:
         raise ValueError("need at least one sample")
-    _check_hoeffding_args(n, p, A.dim, scaling.x0, scaling.gamma0)
-    tr = A.trace()
-    if normalize and tr == 0.0:
-        raise ValueError("cannot normalize a matrix with zero trace")
-    if tr == 0.0:
-        return _zero_trace_estimate(n, p, scaling, sampler, normalize, "fixed")
-    _, norm_scale, gamma_clenshaw, trace_eff, expansion = _setup(A, n, scaling, normalize)
-
-    xis_raw = _xi_batch(A, expansion, gamma_clenshaw, sampler, 1, num_samples, threads)
-    xis = [x / norm_scale for x in xis_raw]
-    xi_min = min(xis)
-    xi_max = max(xis)
-    m = A.dim
-    floor_width = m * scaling.x0 * scaling.gamma0 / (n * (n + 1.0))
-    delta = (xi_max - xi_min) + floor_width
-    value = -sum(xis) / num_samples - math.log(scaling.gamma0) * trace_eff
-    tau = error_tolerance(delta, n, num_samples, p, m, scaling.x0, scaling.gamma0)
-    return EntropyEstimate(
-        value=value,
-        tau=tau,
-        confidence=p,
-        samples_used=num_samples,
-        degree=n,
-        delta=delta,
-        xi_min=xi_min,
-        xi_max=xi_max,
-        trace=tr,
-        scaling=scaling,
-        seed=sampler.seed,
-        capped=False,
-        normalized=normalize,
-        zero_trace=False,
-        estimator="fixed",
-    )
+    return _estimate(A, n, p, scaling, sampler, normalize, threads,
+                     needed=num_samples, n_max=None)
 
 
 def estimate_adaptive(A, n, p, scaling, sampler, n_max=DEFAULT_N_MAX,
@@ -312,61 +293,9 @@ def estimate_adaptive(A, n, p, scaling, sampler, n_max=DEFAULT_N_MAX,
     consumes samples in index order even when a batch was computed in
     parallel, so the result is identical for any ``threads``.
     """
-    _check_hoeffding_args(n, p, A.dim, scaling.x0, scaling.gamma0)
     if n_max < 8:
         raise ValueError("n_max below 8 cannot cover the zero-spread sample count")
-    tr = A.trace()
-    if normalize and tr == 0.0:
-        raise ValueError("cannot normalize a matrix with zero trace")
-    if tr == 0.0:
-        return _zero_trace_estimate(n, p, scaling, sampler, normalize, "adaptive")
-    _, norm_scale, gamma_clenshaw, trace_eff, expansion = _setup(A, n, scaling, normalize)
-
-    m = A.dim
-    floor_width = m * scaling.x0 * scaling.gamma0 / (n * (n + 1.0))
-    xi_min = math.inf
-    xi_max = -math.inf
-    xi_sum = 0.0
-    delta = floor_width
-    drawn = 0
-    needed = 1
-    capped = False
-    while drawn < needed:
-        batch = _xi_batch(A, expansion, gamma_clenshaw, sampler, drawn + 1, needed, threads)
-        for xi_raw in batch:
-            drawn += 1
-            xi = xi_raw / norm_scale
-            xi_sum += xi
-            if xi < xi_min:
-                xi_min = xi
-            if xi > xi_max:
-                xi_max = xi
-            delta = (xi_max - xi_min) + floor_width
-            want = sample_count(delta, n, p, m, scaling.x0, scaling.gamma0)
-            if want > n_max:
-                capped = True
-            # the requirement is nondecreasing in delta, so never below drawn
-            needed = min(n_max, max(want, needed))
-
-    value = -xi_sum / needed - math.log(scaling.gamma0) * trace_eff
-    tau = error_tolerance(delta, n, needed, p, m, scaling.x0, scaling.gamma0)
-    return EntropyEstimate(
-        value=value,
-        tau=tau,
-        confidence=p,
-        samples_used=needed,
-        degree=n,
-        delta=delta,
-        xi_min=xi_min,
-        xi_max=xi_max,
-        trace=tr,
-        scaling=scaling,
-        seed=sampler.seed,
-        capped=capped,
-        normalized=normalize,
-        zero_trace=False,
-        estimator="adaptive",
-    )
+    return _estimate(A, n, p, scaling, sampler, normalize, threads, needed=1, n_max=n_max)
 
 
 def entropy_with_normalization(A, n, p, scaling, sampler, n_max=DEFAULT_N_MAX,

@@ -1,10 +1,10 @@
-"""Dense ground truth at desk scale: Jacobi eigensolver and exact entropies.
+"""Dense ground truth at desk scale: LAPACK eigenvalues and exact entropies.
 
 Everything here is for validating the stochastic estimator on matrices small
 enough to decompose, plus closed-form references that need no matrix at all.
-The eigensolver is a cyclic Jacobi sweep; it is independent of the Chebyshev
-and sampling machinery by construction, so agreement between the two routes
-is evidence, not circularity.
+The eigenvalues come from LAPACK's symmetric solver (``np.linalg.eigvalsh``);
+it shares nothing with the Chebyshev and sampling machinery, so agreement
+between the two routes is evidence, not circularity.
 """
 
 from __future__ import annotations
@@ -39,85 +39,19 @@ class Spectrum:
         object.__setattr__(self, "eigenvalues", arr)
 
 
-def _jacobi(a, want_vectors, tol_factor=1e-12, max_sweeps=60):
-    """Cyclic Jacobi with a threshold skip; returns (diag, V or None).
-
-    Rotations zero one off-diagonal pair at a time; sweeps repeat until the
-    off-diagonal Frobenius norm falls below tol_factor times the full norm.
-    """
-    a = np.array(a, dtype=np.float64)
-    m = a.shape[0]
-    vec = np.eye(m) if want_vectors else None
-    fro = float(np.linalg.norm(a))
-    if m == 1 or fro == 0.0:
-        return np.diag(a).copy(), vec
-    target = tol_factor * fro
-    # once every pivot is below target / (2m), the off-norm is below target
-    skip = target / (2.0 * m)
-    od = np.empty_like(a)
-    for _ in range(max_sweeps):
-        # off-norm from the off-diagonal entries themselves; the difference
-        # of squared norms cancels catastrophically once nearly converged
-        np.copyto(od, a)
-        np.fill_diagonal(od, 0.0)
-        off = float(np.linalg.norm(od))
-        if off <= target:
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(1.0 + theta * theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                if want_vectors:
-                    vp = vec[:, p].copy()
-                    vec[:, p] = c * vp - s * vec[:, q]
-                    vec[:, q] = s * vp + c * vec[:, q]
-    diag = np.diag(a).copy()
-    order = np.argsort(diag, kind="stable")
-    if want_vectors:
-        vec = vec[:, order]
-    return diag[order], vec
-
-
-def dense_eigh(A, cap=DENSE_CAP):
-    """Full eigendecomposition (eigenvalues ascending, eigenvector columns).
-
-    Refuses matrices with dimension above ``cap``: the dense transform costs
-    O(m^3) time and O(m^2) memory, which is the regime the stochastic
-    estimator exists to avoid.
-    """
-    if A.dim > cap:
-        raise ValueError(
-            f"dimension {A.dim} exceeds the dense oracle cap {cap}; "
-            "use the stochastic estimator for matrices this large"
-        )
-    w, v = _jacobi(A.to_dense(), want_vectors=True)
-    return w, v
-
-
 def dense_spectrum(A, cap=DENSE_CAP):
-    """Eigenvalues only, for matrices of dimension at most ``cap``."""
+    """Eigenvalues of A, ascending, for matrices of dimension at most ``cap``.
+
+    Refuses larger matrices: the dense transform costs O(m^3) time and
+    O(m^2) memory, which is the regime the stochastic estimator exists to
+    avoid.
+    """
     if A.dim > cap:
         raise ValueError(
             f"dimension {A.dim} exceeds the dense oracle cap {cap}; "
             "use the stochastic estimator for matrices this large"
         )
-    w, _ = _jacobi(A.to_dense(), want_vectors=False)
-    return Spectrum(eigenvalues=w)
+    return Spectrum(eigenvalues=np.linalg.eigvalsh(A.to_dense()))
 
 
 def exact_entropy(spectrum):

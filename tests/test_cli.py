@@ -213,6 +213,20 @@ class TestErrorHandling:
         assert "usage error" in err and "--x0" in err
         assert out == ""
 
+    @pytest.mark.parametrize("gamma0", ["0", "-1", "nan", "inf"])
+    def test_bad_gamma0(self, capsys, gamma0):
+        code, out, err = run_cli(capsys, "entropy", "--generate", "fem:5", "--gamma0", gamma0)
+        assert code == 2
+        assert "usage error" in err and "--gamma0" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("sub", [["entropy", "--generate", "fem:5"], ["table1"]])
+    def test_n_max_below_eight(self, capsys, sub):
+        code, out, err = run_cli(capsys, *sub, "--n-max", "5")
+        assert code == 2
+        assert "usage error" in err and "--n-max" in err
+        assert out == ""
+
     @pytest.mark.parametrize("sub", [["entropy", "--generate", "fem:5"], ["table1"]])
     def test_negative_threads(self, capsys, sub):
         code, out, err = run_cli(capsys, *sub, "--threads", "-3")
@@ -226,6 +240,25 @@ class TestErrorHandling:
         out, _ = capsys.readouterr()
         assert code == 0
         assert json.loads(out)["trace"] == 20.0
+
+
+class TestEstimatorDispatch:
+    def test_samples_flag_selects_the_estimator(self, capsys, monkeypatch):
+        # the command reaches the estimators through entrace.cli's globals,
+        # where callers such as a profiler may wrap them
+        import entrace.cli as cli
+
+        calls = []
+        for name in ("estimate_fixed", "estimate_adaptive"):
+            def recorder(*args, _name=name, _real=getattr(cli, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, recorder)
+        base = ("entropy", "--generate", "fem:10", "--threads", "1")
+        assert run_cli(capsys, *base, "--samples", "4")[0] == 0
+        assert run_cli(capsys, *base)[0] == 0
+        assert calls == ["estimate_fixed", "estimate_adaptive"]
 
 
 class TestThreadsDefault:
@@ -257,9 +290,15 @@ class TestThreadsDefault:
 
 
 def test_parser_covers_all_subcommands():
+    # parsing only the required arguments leaves every other RunConfig field
+    # at its dataclass default
     parser = build_parser()
-    for argv in (["entropy", "--generate", "fem:3"],
-                 ["oracle", "--input", "x"],
-                 ["generate", "--generate", "fem:3", "-o", "y"],
-                 ["table1"]):
-        assert parser.parse_args(argv).subcommand == argv[0]
+    for argv, required in (
+        (["entropy", "--generate", "fem:3"], {"generate_spec": "fem:3"}),
+        (["oracle", "--input", "x"], {"input_path": "x"}),
+        (["generate", "--generate", "fem:3", "-o", "y"],
+         {"generate_spec": "fem:3", "output": "y"}),
+        (["table1"], {}),
+    ):
+        config = RunConfig(**vars(parser.parse_args(argv)))
+        assert config == RunConfig(subcommand=argv[0], **required)

@@ -15,7 +15,6 @@ from entrace.estimator import (
     error_tolerance,
     estimate_adaptive,
     estimate_fixed,
-    hutchinson_trace,
     sample_count,
 )
 from entrace.generators import fem_matrix, random_psd
@@ -64,24 +63,6 @@ class TestSampler:
     def test_seed_validation(self):
         with pytest.raises(ValueError):
             RademacherSampler(-1)
-
-
-class TestHutchinson:
-    def test_diagonal_is_exact_any_sample(self):
-        A = SymmetricSparseMatrix.from_dense(np.diag([0.5, 1.5, 2.0]))
-        for num in (1, 3, 10):
-            assert hutchinson_trace(A, RademacherSampler(4), num) == pytest.approx(
-                4.0, rel=1e-15)
-
-    def test_zero_matrix(self):
-        A = SymmetricSparseMatrix(5, [], [], [])
-        assert hutchinson_trace(A, RademacherSampler(0), 4) == 0.0
-
-    def test_brute_force_mean_is_trace(self):
-        m = 6
-        A = random_psd(m, 2, np.random.default_rng(2).uniform(0.0, 1.0, m))
-        total = sum(float(v @ A.matvec(v)) for v in all_sign_vectors(m))
-        assert total / 2 ** m == pytest.approx(A.trace(), rel=1e-12)
 
 
 class TestSampleCount:
@@ -289,6 +270,24 @@ class TestEstimateAdaptive:
         # tau recomputed with the actual sample count, not the wish
         assert est.tau == pytest.approx(
             error_tolerance(est.delta, 3, 10, 0.95, 100, sp.x0, sp.gamma0), rel=1e-14)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_fixed_run_at_adaptive_count_is_bit_identical(self, normalize):
+        # a fixed run is the adaptive loop with its count frozen, so at the
+        # adaptive run's final N both reduce the same forms in the same order
+        m = 40
+        A = random_psd(m, 5, np.random.default_rng(5).uniform(0.0, 1.0, m))
+        bound = gershgorin_upper_bound(A).lambda_max_upper
+        if normalize:
+            bound /= A.trace()
+        sp = ScalingParams(x0=1.0, gamma0=bound, provenance="user")
+        adaptive = estimate_adaptive(A, 5, 0.9, sp, RademacherSampler(7),
+                                     normalize=normalize, threads=2)
+        assert adaptive.samples_used > 8
+        fixed = estimate_fixed(A, 5, adaptive.samples_used, sp, RademacherSampler(7),
+                               p=0.9, normalize=normalize)
+        for field in ("value", "tau", "delta", "xi_min", "xi_max"):
+            assert getattr(fixed, field) == getattr(adaptive, field), field
 
     def test_rejects_tiny_cap(self):
         A = fem_matrix(10)

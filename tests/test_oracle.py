@@ -9,7 +9,6 @@ from entrace.generators import fem_matrix, random_psd
 from entrace.oracle import (
     DENSE_CAP,
     Spectrum,
-    dense_eigh,
     dense_spectrum,
     exact_entropy,
     fem_exact_entropy,
@@ -33,13 +32,6 @@ class TestJacobiRoute:
             A = random_psd(m, seed, np.random.default_rng(seed).uniform(0.0, 2.0, m))
             lam = dense_spectrum(A).eigenvalues
             assert float(np.sum(lam)) == pytest.approx(A.trace(), rel=1e-8)
-
-    def test_eigh_reconstructs(self):
-        A = random_psd(25, 7, np.random.default_rng(7).uniform(0.0, 1.0, 25))
-        w, v = dense_eigh(A)
-        a = A.to_dense()
-        np.testing.assert_allclose(v.T @ v, np.eye(25), atol=1e-12)
-        np.testing.assert_allclose(v.T @ a @ v, np.diag(w), atol=1e-10)
 
     def test_matches_numpy_eigenvalues(self):
         A = random_psd(60, 3, np.random.default_rng(3).uniform(0.0, 1.0, 60))
