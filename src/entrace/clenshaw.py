@@ -12,23 +12,46 @@ Fehske, Rev. Mod. Phys. 78, 275 (2006), Sec. II)
 
 give every moment up to n from the vectors T_j(B) v with j <= ceil(n/2), so
 a form costs ceil(n/2) matrix-vector products and no similarity transform
-of A.
+of A. A block of probe rows shares each of those products.
+
+Every reduction is an ``np.einsum`` over one probe row, never BLAS: a
+threaded BLAS dot product splits its sum by thread count, and a reduction
+across rows would sum in an order set by the block height. So a form is the
+same number whatever the block, the worker count or the BLAS threads.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+# np.einsum sums a reduction in pieces of its fixed internal buffer size. A
+# row no longer than that is summed in one piece in a block as well; a
+# longer row is summed alone, so that its pieces start at its first entry.
+_EINSUM_PIECE = 8192
+
+
+def _row_dots(x, y):
+    """<x_i, y_i> for each row i, each summed as np.einsum sums one vector.
+
+    y is a block of rows like x, or one row shared by all of them.
+    """
+    if x.shape[1] <= _EINSUM_PIECE:
+        return np.einsum("ij,ij->i" if y.ndim == 2 else "ij,j->i", x, y)
+    return np.array([np.einsum("i,i->", xi, yi)
+                     for xi, yi in zip(x, np.broadcast_to(y, x.shape))])
+
 
 def quadratic_form(A, v, expansion, gamma0):
     """gamma0 * v^T p_n(A / gamma0) v for a +-1 probe vector v.
 
-    The argument matrix B is never formed: each t_j+1 = 2 B t_j - t_j-1 is
+    v may also be a (b, dim) block of probe rows; the result is then an
+    array of b forms, each bit-identical to the form of its row alone. The
+    argument matrix B is never formed: each t_j+1 = 2 B t_j - t_j-1 is
     built in place on the array the matvec returns. The constant term a_0
     enters the result only through the closed form v^T (a_0/2) v = m a_0 / 2.
     """
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != (A.dim,):
+    if v.ndim not in (1, 2) or v.shape[-1] != A.dim:
         raise ValueError(f"probe vector length {v.shape} does not match dimension {A.dim}")
     if not np.all(np.abs(v) == 1.0):
         raise ValueError("probe vector entries must be +-1")
@@ -42,27 +65,38 @@ def quadratic_form(A, v, expansion, gamma0):
     a = expansion.coeffs
     c = 2.0 / (expansion.x0 * gamma0)
     m = A.dim
-    mu = np.empty(n + 1)
+    block = v.reshape(-1, m)
+    b = block.shape[0]
+    mu = np.empty((b, n + 1))
+    # one buffer for the gathered products of all the block's matvecs; a
+    # single probe is gathered faster without one
+    work = np.empty(A.nnz * b) if b > 1 else None
 
     # t_0 = v, t_1 = B v
-    t_prev = v
-    t = A.matvec(v)
+    t_prev = block
+    t = A.matvec(block, work=work)
     t *= c
-    t -= v
-    mu[0] = m
-    mu[1] = v @ t
+    t -= block
+    mu[:, 0] = m
+    mu[:, 1] = _row_dots(block, t)
     last = (n + 1) // 2
     for j in range(1, last + 1):
-        # here t = t_j and t_prev = t_j-1
+        # here t = t_j and t_prev = t_j-1; the doubling identities are
+        # applied to the stored inner products after the loop
         if 2 * j <= n:
-            mu[2 * j] = 2.0 * (t @ t) - mu[0]
+            mu[:, 2 * j] = _row_dots(t, t)
         if j < last:
-            t_next = A.matvec(t)
+            t_next = A.matvec(t, work=work)
             t_next *= c
             t_next -= t
             t_next *= 2.0
             t_next -= t_prev
             t_prev, t = t, t_next
-            mu[2 * j + 1] = 2.0 * (t @ t_prev) - mu[1]
+            mu[:, 2 * j + 1] = _row_dots(t, t_prev)
+    mu[:, 2::2] *= 2.0
+    mu[:, 2::2] -= mu[:, :1]
+    mu[:, 3::2] *= 2.0
+    mu[:, 3::2] -= mu[:, 1:2]
 
-    return gamma0 * (m * a[0] / 2.0 + float(a[1:] @ mu[1:]))
+    forms = gamma0 * (m * a[0] / 2.0 + _row_dots(mu[:, 1:], a[1:]))
+    return forms if v.ndim == 2 else float(forms[0])

@@ -8,7 +8,8 @@ number of samples needed for a target confidence and an a-posteriori radius
 tau such that |estimate - E(A)| <= tau with probability at least p.
 
 Every sample is a pure function of (seed, sample index), so runs are
-reproducible regardless of thread count or early stopping.
+reproducible regardless of thread count, probe block width or early
+stopping.
 """
 
 from __future__ import annotations
@@ -187,21 +188,30 @@ def _check_hoeffding_args(n, p, m, x0, gamma0):
 def _xi_batch(A, expansion, gamma0, sampler, first, last, threads):
     """Probe forms xi_first..xi_last in index order.
 
-    With threads its a deterministic map: sample i never depends on any other
-    sample, and the reduction below consumes results in index order, so the
-    outcome is independent of the worker count. The pool never holds more
-    workers than there are probes in the batch or cores to run them.
+    The probes are cut into blocks of ``A.block_width`` rows, and each block
+    shares its matrix-vector products. With threads it is a deterministic
+    map over blocks: sample i never depends on any other sample or on the
+    block it lands in, and the reduction below consumes results in index
+    order, so the outcome is independent of the worker count. The pool never
+    holds more workers than there are blocks in the batch or cores to run
+    them.
     """
-    indices = range(first, last + 1)
+    starts = range(first, last + 1, A.block_width)
 
-    def one(i):
-        return quadratic_form(A, sampler.sample_vector(A.dim, i), expansion, gamma0)
+    def block(start):
+        indices = range(start, min(start + A.block_width, last + 1))
+        probes = np.empty((len(indices), A.dim))
+        for row, i in zip(probes, indices):
+            row[:] = sampler.sample_vector(A.dim, i)
+        return quadratic_form(A, probes, expansion, gamma0)
 
-    workers = min(threads, len(indices), os.cpu_count() or 1)
+    workers = min(threads, len(starts), os.cpu_count() or 1)
     if workers <= 1:
-        return [one(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, indices))
+        forms = [block(s) for s in starts]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            forms = list(pool.map(block, starts))
+    return np.concatenate(forms).tolist()
 
 
 def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):

@@ -2,7 +2,10 @@
 
 The estimator touches a matrix only through ``matvec`` and ``trace``.
 Everything in this module exists to make those two operations cheap,
-deterministic, and safe to share across threads.
+deterministic, and safe to share across threads. ``matvec`` takes one
+vector or a block of probe rows; a block shares the per-call cost of a
+product among its rows, and each row comes out bit-identical to its
+single-vector product.
 """
 
 from __future__ import annotations
@@ -13,6 +16,10 @@ import numpy as np
 
 # relative tolerance for |A_ij - A_ji| at construction time
 SYMMETRY_RTOL = 1e-12
+
+# bytes of gathered products (or of probe rows, if there are more of those)
+# that one block product may hold; the block width follows from it
+BLOCK_BYTES = 2**20
 
 _BOUND_METHODS = ("gershgorin", "power-iteration", "user-supplied")
 
@@ -47,7 +54,8 @@ class SymmetricSparseMatrix:
     entries, which makes repeated products bit-for-bit reproducible.
     """
 
-    __slots__ = ("dim", "indptr", "col", "val", "_row", "_diag", "build_warnings")
+    __slots__ = ("dim", "indptr", "col", "val", "_row", "_width", "_layout", "_diag",
+                 "build_warnings")
 
     def __init__(self, dim, rows, cols, values):
         dim = int(dim)
@@ -80,13 +88,21 @@ class SymmetricSparseMatrix:
         on_diag = rows == cols
         diag[rows[on_diag]] = values[on_diag]
 
-        for arr in (indptr, cols, values, rows, diag):
+        width = max(1, BLOCK_BYTES // (8 * max(rows.size, dim)))
+        layout = _block_layout(rows, cols, values, dim, width)
+
+        # the row indices and the block layout stay writable, though nothing
+        # writes to them: np.bincount and np.take copy a read-only index
+        # array on every call
+        for arr in (indptr, cols, values, diag):
             arr.setflags(write=False)
         self.dim = dim
         self.indptr = indptr
         self.col = cols
         self.val = values
         self._row = rows
+        self._width = width
+        self._layout = layout
         self._diag = diag
         self.build_warnings = []
 
@@ -115,20 +131,46 @@ class SymmetricSparseMatrix:
     def nnz(self):
         return int(self.val.size)
 
-    def matvec(self, v):
-        """Return A @ v.
+    @property
+    def block_width(self):
+        """Probe rows one product should take at a time.
+
+        As many as keep the gathered products and the probe rows each within
+        ``BLOCK_BYTES``, and at least one.
+        """
+        return self._width
+
+    def matvec(self, v, work=None):
+        """Return A @ v, or for a (b, dim) block v the block with rows A @ v[i].
 
         The products val[k] * v[col[k]] are accumulated strictly in storage
         order (row-major, columns ascending), so the result is identical
-        across calls, processes, and thread counts.
+        across calls, processes, and thread counts, and each row of a block
+        product equals the product of that row alone. ``work``, a float64
+        array of nnz * b entries, receives the products; a caller that
+        passes the same one to every product of a block spares the
+        allocator a fresh nnz * b array, and its page faults, per product.
         """
         v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.dim,):
+        if v.ndim not in (1, 2) or v.shape[-1] != self.dim:
             raise ValueError(f"vector length {v.shape} does not match dimension {self.dim}")
-        # one nnz-sized temporary: gather, then scale it in place
-        w = v[self.col]
-        w *= self.val
-        return np.bincount(self._row, weights=w, minlength=self.dim)
+        b = 1 if v.ndim == 1 else v.shape[0]
+        gather, bins, scale = (self._layout if b == self._width
+                               else _block_layout(self._row, self.col, self.val, self.dim, b))
+        # products in storage order, the b products of entry k side by side:
+        # product (k, j) = val[k] * v[j, col[k]] is added to bin
+        # j * dim + row[k], so every bin sums its products in storage order
+        # and the bins already form the (b, dim) result
+        x = v.reshape(-1)
+        if work is None:
+            # fancy indexing gathers faster than take, but cannot fill a given array
+            w = x[gather]
+        else:
+            # the indices were checked at construction: "wrap" never wraps,
+            # it only spares take a buffer of its own
+            w = np.take(x, gather, out=work, mode="wrap")
+        w *= scale
+        return np.bincount(bins, weights=w, minlength=self.dim * b).reshape(v.shape)
 
     def trace(self):
         return float(self._diag.sum())
@@ -137,8 +179,10 @@ class SymmetricSparseMatrix:
         return self._diag
 
     def coo(self):
-        """Stored entries as (rows, cols, values), row-major sorted."""
-        return self._row, self.col, self.val
+        """Stored entries as read-only (rows, cols, values), row-major sorted."""
+        rows = self._row.view()
+        rows.setflags(write=False)
+        return rows, self.col, self.val
 
     def to_dense(self):
         out = np.zeros((self.dim, self.dim))
@@ -162,6 +206,19 @@ class SymmetricSparseMatrix:
         mask = (np.abs(arr) > thresh) | (np.abs(arr.T) > thresh)
         rows, cols = np.nonzero(mask)
         return cls(arr.shape[0], rows, cols, arr[rows, cols])
+
+
+def _block_layout(rows, cols, values, dim, b):
+    """Gather indices, bincount bins and scale factors of a width-b block product.
+
+    Entry k's b products sit side by side at k * b + j: product j gathers
+    flat probe index j * dim + col[k] and lands in bin j * dim + row[k].
+    """
+    if b == 1:
+        return cols, rows, values
+    offsets = np.arange(b) * dim
+    return ((cols[:, None] + offsets).reshape(-1), (rows[:, None] + offsets).reshape(-1),
+            np.repeat(values, b))
 
 
 def gershgorin_upper_bound(A):

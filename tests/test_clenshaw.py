@@ -1,12 +1,18 @@
 """Forward Chebyshev moments for probe quadratic forms."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import entrace
 from entrace.chebyshev import coefficients, evaluate_scalar
 from entrace.clenshaw import quadratic_form
-from entrace.generators import random_psd
-from entrace.sparse import SymmetricSparseMatrix
+from entrace.generators import SpdcParams, fem_matrix, random_psd, spdc_density_matrix
+from entrace.sparse import SymmetricSparseMatrix, gershgorin_upper_bound
 from support import dense_quadratic_form
 
 
@@ -63,9 +69,9 @@ class TestCost:
         calls = []
         inner = SymmetricSparseMatrix.matvec
 
-        def counting(self, x):
+        def counting(self, x, **kwargs):
             calls.append(1)
-            return inner(self, x)
+            return inner(self, x, **kwargs)
 
         monkeypatch.setattr(SymmetricSparseMatrix, "matvec", counting)
         for n in range(1, 10):
@@ -80,6 +86,51 @@ class TestDeterminism:
         exp = coefficients(8, 1.0)
         v = signs(15, 1)
         assert quadratic_form(A, v, exp, 1.0) == quadratic_form(A, v, exp, 1.0)
+
+    @pytest.mark.parametrize("A", [
+        fem_matrix(60),
+        # rows longer than one einsum buffer, at block width 2
+        fem_matrix(20000),
+        spdc_density_matrix(SpdcParams()),
+        random_psd(200, 1, np.random.default_rng(1).uniform(0.0, 1.0, 200)),
+    ], ids=["fem-60", "fem-20000", "spdc", "random-200"])
+    def test_block_forms_match_single_forms(self, A):
+        width = A.block_width
+        # a widened bound, so that no moment is a sum of dyadic rationals,
+        # which any summation order gets exactly
+        gamma0 = 1.075 * gershgorin_upper_bound(A).lambda_max_upper
+        probes = np.array([signs(A.dim, 50 + i) for i in range(min(2 * width + 1, 65))])
+        for n in (1, 8, 9, 14):
+            exp = coefficients(n, 1.0)
+            single = np.array([quadratic_form(A, v, exp, gamma0) for v in probes])
+            for b in sorted({2, 3, 7, width}):
+                blocks = [quadratic_form(A, probes[s:s + b], exp, gamma0)
+                          for s in range(0, len(probes), b)]
+                np.testing.assert_array_equal(np.concatenate(blocks), single, err_msg=f"{n} {b}")
+
+    def test_form_does_not_depend_on_blas_threads(self):
+        # a threaded BLAS dot product splits its sum by thread count, so no
+        # moment may be reduced through BLAS
+        code = (
+            "from entrace.chebyshev import coefficients\n"
+            "from entrace.clenshaw import quadratic_form\n"
+            "from entrace.estimator import RademacherSampler\n"
+            "from entrace.generators import fem_matrix\n"
+            "A = fem_matrix(50000)\n"
+            "v = RademacherSampler(0).sample_vector(A.dim, 1)\n"
+            "print(float(quadratic_form(A, v, coefficients(8, 1.0), 4.3)).hex())\n"
+        )
+        src = str(Path(entrace.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        forms = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            forms.append(run.stdout)
+        assert forms[0] == forms[1]
 
 
 class TestValidation:

@@ -196,7 +196,9 @@ class TestEstimateFixed:
         assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
 
     def test_thread_count_does_not_change_bits(self):
-        A = fem_matrix(60)
+        # width 3: 16 probes make six blocks, the last of them partial
+        A = random_psd(200, 3, np.random.default_rng(3).uniform(0.0, 1.0, 200))
+        assert A.block_width == 3
         sp = ScalingParams.from_bound(gershgorin_upper_bound(A))
         serial = estimate_fixed(A, 3, 16, sp, RademacherSampler(3), threads=1)
         for k in (2, 4):
@@ -204,7 +206,8 @@ class TestEstimateFixed:
 
     def test_pool_workers_bounded(self, monkeypatch):
         # an absurd thread count never reaches the pool: workers are capped by
-        # the batch size and the core count, and the fake pool starts no thread
+        # the blocks in the batch and the core count, and the fake pool
+        # starts no thread
         import os
 
         import entrace.estimator as estimator
@@ -226,11 +229,15 @@ class TestEstimateFixed:
 
         monkeypatch.setattr(estimator, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        A = fem_matrix(30)
+        A = random_psd(200, 3, np.random.default_rng(3).uniform(0.0, 1.0, 200))
         sp = ScalingParams.from_bound(gershgorin_upper_bound(A))
         serial = estimate_fixed(A, 3, 16, sp, RademacherSampler(3), threads=1)
         assert seen == []
+        # six blocks, four cores
         assert estimate_fixed(A, 3, 16, sp, RademacherSampler(3), threads=10**6) == serial
+        # three blocks
+        estimate_fixed(A, 3, 7, sp, RademacherSampler(3), threads=10**6)
+        # one block runs without a pool
         estimate_fixed(A, 3, 3, sp, RademacherSampler(3), threads=10**6)
         assert seen == [4, 3]
 

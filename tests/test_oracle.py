@@ -39,6 +39,13 @@ class TestJacobiRoute:
         ref = np.linalg.eigvalsh(A.to_dense())
         np.testing.assert_allclose(lam, ref, atol=1e-11)
 
+    def test_recovers_constructed_spectrum(self):
+        # random_psd rotates diag(spectrum), so its eigenvalues are known
+        # without any eigensolver
+        spectrum = np.random.default_rng(3).uniform(0.0, 1.0, 60)
+        lam = dense_spectrum(random_psd(60, 3, spectrum)).eigenvalues
+        np.testing.assert_allclose(lam, np.sort(spectrum), rtol=0.0, atol=1e-13)
+
     def test_cap_refuses_large(self):
         A = SymmetricSparseMatrix(DENSE_CAP + 1, [], [], [])
         with pytest.raises(ValueError, match="stochastic estimator"):

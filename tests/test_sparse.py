@@ -79,6 +79,9 @@ class TestConstruction:
         mat = tridiag(3)
         with pytest.raises(ValueError):
             mat.val[0] = 99.0
+        rows, _, _ = mat.coo()
+        with pytest.raises(ValueError):
+            rows[0] = 1
 
     def test_from_dense_droptol(self):
         a = np.array([[1.0, 1e-15], [1e-15, 1.0]])
@@ -111,7 +114,40 @@ class TestMatvec:
     def test_zero_matrix(self):
         mat = SymmetricSparseMatrix(3, [], [], [])
         np.testing.assert_array_equal(mat.matvec(np.ones(3)), np.zeros(3))
+        np.testing.assert_array_equal(mat.matvec(np.ones((2, 3))), np.zeros((2, 3)))
         assert mat.trace() == 0.0
+
+    @pytest.mark.parametrize("mat", [random_symmetric(50, 3)[0], tridiag(20000),
+                                     tridiag(30000)], ids=["dense-ish", "width-2", "width-1"])
+    def test_block_rows_match_single_products(self, mat):
+        # at b = 1, at the full block width and for a partial block, every
+        # row of a block product is bit-identical to that row's own product
+        width = mat.block_width
+        block = np.random.default_rng(8).normal(size=(width + 1, mat.dim))
+        single = np.array([mat.matvec(v) for v in block])
+        for b in sorted({1, width, max(1, width - 1), width + 1}):
+            got = mat.matvec(block[:b])
+            assert got.shape == (b, mat.dim) and got.flags.c_contiguous
+            np.testing.assert_array_equal(got, single[:b])
+        work = np.empty(mat.nnz * width)
+        for _ in range(2):
+            np.testing.assert_array_equal(mat.matvec(block[:width], work=work), single[:width])
+
+    def test_block_width_from_entries_and_dimension(self):
+        # about 1 MiB of gathered products, and of probe rows when rows
+        # outnumber the stored entries
+        mat, _ = random_symmetric(50, 3)
+        assert mat.block_width == 2**17 // mat.nnz
+        assert tridiag(20000).block_width == 2
+        assert tridiag(30000).block_width == 1
+        assert SymmetricSparseMatrix(10**6, [0], [0], [1.0]).block_width == 1
+        assert SymmetricSparseMatrix(4, [], [], []).block_width == 2**17 // 4
+
+    def test_rejects_bad_shapes(self):
+        mat = tridiag(4)
+        for bad in (np.ones(5), np.ones((2, 5)), np.ones((1, 2, 4))):
+            with pytest.raises(ValueError):
+                mat.matvec(bad)
 
 
 class TestSpectralBounds:
