@@ -10,6 +10,8 @@ single-vector product.
 
 from __future__ import annotations
 
+import itertools
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,6 +243,8 @@ def power_iteration_bound(A, max_iters=1000, rel_tol=1e-8, safety=1.05, seed=0):
     PSD input, so the multiplicative safety margin (default 5%) is what makes
     the result usable as an upper bound. Iteration stops when the quotient's
     relative change drops below ``rel_tol`` or after ``max_iters`` products.
+    Norms and quotients are summed by ``np.einsum``, not BLAS, so the bound
+    does not depend on the BLAS thread count.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
@@ -250,17 +254,17 @@ def power_iteration_bound(A, max_iters=1000, rel_tol=1e-8, safety=1.05, seed=0):
         raise ValueError("safety factor must be at least 1")
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(A.dim)
-    v /= np.linalg.norm(v)
+    v /= np.sqrt(np.einsum("i,i->", v, v))
     rho_prev = None
     rho = 0.0
     for _ in range(max_iters):
         w = A.matvec(v)
-        norm_w = np.linalg.norm(w)
+        norm_w = np.sqrt(np.einsum("i,i->", w, w))
         if norm_w == 0.0:
             # v is in the kernel; for PSD A a random restart would land here
             # again only if A = 0
             return SpectralBound(0.0, "power-iteration")
-        rho = float(v @ w)
+        rho = float(np.einsum("i,i->", v, w))
         if rho_prev is not None and abs(rho - rho_prev) <= rel_tol * max(abs(rho), 1e-300):
             break
         rho_prev = rho
@@ -287,96 +291,175 @@ def _header_error(lineno, text):
     raise MatrixMarketError(f"line {lineno}: {text}")
 
 
+def _open_text(path):
+    return open(path, "r", encoding="ascii", errors="replace")
+
+
+def _numbered_entry_lines(path):
+    """Yield (line number, text) of each entry line of a Matrix Market file.
+
+    A line counts if anything but whitespace precedes its first '%', as
+    np.loadtxt counts it; the first such line after the header is the size
+    line, and is skipped.
+    """
+    with _open_text(path) as fh:
+        lines = ((lineno, raw) for lineno, raw in enumerate(fh, start=1)
+                 if lineno > 1 and raw.partition("%")[0].strip())
+        next(lines, None)
+        yield from lines
+
+
+def _entry_line(path, k):
+    """Line number of entry k (from 0), found by reading the file again."""
+    return next(itertools.islice(_numbered_entry_lines(path), k, None))[0]
+
+
+def _raise_at_first_bad_entry(path, nrows, nnz, symmetric, cause):
+    """Raise the error of the first entry line that fails a line check.
+
+    The checks run in file order, and on each line in this order: an entry
+    beyond the declared count, the token count, the parse, the index range,
+    the lower triangle of a symmetric file, and a repeat of an earlier
+    entry. ``cause`` is reported if every line passes.
+    """
+    seen = set()
+    for k, (lineno, raw) in enumerate(_numbered_entry_lines(path)):
+        if k == nnz:
+            _header_error(lineno, f"unexpected extra entry, header declared {nnz}")
+        body = raw.partition("%")[0]
+        tok = body.split()
+        if len(tok) != 3:
+            _header_error(lineno, "entry must be 'row col value'")
+        try:
+            # np.loadtxt, unlike int() and float(), takes no digit separators
+            if "_" in body:
+                raise ValueError
+            i, j, v = int(tok[0]), int(tok[1]), float(tok[2])
+        except ValueError:
+            _header_error(lineno, f"cannot parse entry {raw.strip()!r}")
+        if not (1 <= i <= nrows and 1 <= j <= nrows):
+            _header_error(lineno, f"index ({i}, {j}) outside 1..{nrows}")
+        if symmetric and i < j:
+            _header_error(lineno, "symmetric files must store the lower triangle (row >= col)")
+        if (i, j) in seen:
+            _header_error(lineno, f"duplicate entry for ({i}, {j})")
+        seen.add((i, j))
+    raise MatrixMarketError(f"cannot read the entries: {cause}")
+
+
+def _mirror_index(i, j):
+    """Index of the entry (j_k, i_k) for each entry k, or -1 where there is none.
+
+    Entries and the mirrors they want are sorted together by (row, col) with
+    the entries first, so a mirror that exists sorts just before its query.
+    Entries must not repeat.
+    """
+    n = i.size
+    rows, cols = np.concatenate((i, j)), np.concatenate((j, i))
+    query = np.arange(2 * n) >= n
+    order = np.lexsort((query, cols, rows))
+    rows, cols, query = rows[order], cols[order], query[order]
+    pos = np.flatnonzero(query[1:]) + 1
+    hit = ~query[pos - 1] & (rows[pos - 1] == rows[pos]) & (cols[pos - 1] == cols[pos])
+    mirror = np.full(n, -1, dtype=np.int64)
+    mirror[order[pos] - n] = np.where(hit, order[pos - 1], -1)
+    return mirror
+
+
 def read_matrix_market(path):
     """Read a coordinate real matrix, symmetric or general symmetry.
 
-    Symmetric files must store the lower triangle (row >= column); general
-    files must contain both halves with matching values. Any malformed or
-    inconsistent line is reported by number.
+    The file is a '%%MatrixMarket matrix coordinate real symmetric' (or
+    'general') header, a 'rows cols nnz' size line and nnz 'row col value'
+    entry lines. Fields are separated by any whitespace, indices are
+    1-based, and numbers take Python's int and float syntax without '_'
+    separators. Lines
+    whose first non-blank character is '%' are comments, and so is the rest
+    of an entry line from a '%' on. Symmetric files must store the lower
+    triangle (row >= column); general files must contain both halves with
+    matching values. Any malformed or inconsistent line is reported by
+    number.
+
+    The entries are parsed in one np.loadtxt pass and checked as arrays; a
+    line number is only looked up, by reading the file again, to report an
+    error.
     """
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        lines = fh.readlines()
-    if not lines:
-        _header_error(1, "empty file, expected a MatrixMarket header")
+    with _open_text(path) as fh:
+        first = fh.readline()
+        if not first:
+            _header_error(1, "empty file, expected a MatrixMarket header")
 
-    header = lines[0].split()
-    if len(header) != 5 or header[0].lower() != "%%matrixmarket":
-        _header_error(1, "expected '%%MatrixMarket matrix coordinate real <symmetry>'")
-    obj, fmt, field, symmetry = (tok.lower() for tok in header[1:])
-    if obj != "matrix" or fmt != "coordinate" or field != "real":
-        _header_error(1, f"unsupported header '{obj} {fmt} {field}', "
-                         "only 'matrix coordinate real' is accepted")
-    if symmetry not in ("symmetric", "general"):
-        _header_error(1, f"unsupported symmetry {symmetry!r}")
+        header = first.split()
+        if len(header) != 5 or header[0].lower() != "%%matrixmarket":
+            _header_error(1, "expected '%%MatrixMarket matrix coordinate real <symmetry>'")
+        obj, fmt, field, symmetry = (tok.lower() for tok in header[1:])
+        if obj != "matrix" or fmt != "coordinate" or field != "real":
+            _header_error(1, f"unsupported header '{obj} {fmt} {field}', "
+                             "only 'matrix coordinate real' is accepted")
+        if symmetry not in ("symmetric", "general"):
+            _header_error(1, f"unsupported symmetry {symmetry!r}")
 
-    lineno = 1
-    size = None
-    for lineno, raw in enumerate(lines[1:], start=2):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        size = stripped.split()
-        break
-    if size is None:
-        _header_error(lineno, "missing size line")
-    if len(size) != 3:
-        _header_error(lineno, "size line must be 'rows cols nnz'")
-    try:
-        nrows, ncols, nnz = (int(tok) for tok in size)
-    except ValueError:
-        _header_error(lineno, f"size line is not three integers: {' '.join(size)!r}")
-    if nrows != ncols:
-        _header_error(lineno, f"matrix must be square, got {nrows} x {ncols}")
-    if nrows < 1 or nnz < 0:
-        _header_error(lineno, "size line entries out of range")
-
-    entries = {}
-    seen = 0
-    for entry_lineno, raw in enumerate(lines[lineno:], start=lineno + 1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("%"):
-            continue
-        if seen == nnz:
-            _header_error(entry_lineno, f"unexpected extra entry, header declared {nnz}")
-        tok = stripped.split()
-        if len(tok) != 3:
-            _header_error(entry_lineno, "entry must be 'row col value'")
-        try:
-            i, j, v = int(tok[0]), int(tok[1]), float(tok[2])
-        except ValueError:
-            _header_error(entry_lineno, f"cannot parse entry {stripped!r}")
-        if not (1 <= i <= nrows and 1 <= j <= nrows):
-            _header_error(entry_lineno,
-                          f"index ({i}, {j}) outside 1..{nrows}")
-        if symmetry == "symmetric" and i < j:
-            _header_error(entry_lineno,
-                          "symmetric files must store the lower triangle (row >= col)")
-        if (i, j) in entries:
-            _header_error(entry_lineno, f"duplicate entry for ({i}, {j})")
-        entries[(i, j)] = (v, entry_lineno)
-        seen += 1
-    if seen != nnz:
-        _header_error(len(lines), f"header declared {nnz} entries, found {seen}")
-
-    if symmetry == "general":
-        for (i, j), (v, ln) in entries.items():
-            if i == j:
+        lineno = 1
+        size = None
+        for lineno, raw in enumerate(iter(fh.readline, ""), start=2):
+            stripped = raw.strip()
+            if not stripped or stripped.startswith("%"):
                 continue
-            mirror = entries.get((j, i))
-            if mirror is None:
-                _header_error(ln, f"entry ({i}, {j}) has no mirrored ({j}, {i}) entry")
-            vm = mirror[0]
-            if abs(v - vm) > SYMMETRY_RTOL * max(1.0, abs(v)):
-                _header_error(ln, f"entry ({i}, {j}) = {v!r} does not match "
-                                  f"({j}, {i}) = {vm!r} from line {mirror[1]}")
+            size = stripped.split()
+            break
+        if size is None:
+            _header_error(lineno, "missing size line")
+        if len(size) != 3:
+            _header_error(lineno, "size line must be 'rows cols nnz'")
+        try:
+            nrows, ncols, nnz = (int(tok) for tok in size)
+        except ValueError:
+            _header_error(lineno, f"size line is not three integers: {' '.join(size)!r}")
+        if nrows != ncols:
+            _header_error(lineno, f"matrix must be square, got {nrows} x {ncols}")
+        if nrows < 1 or nnz < 0:
+            _header_error(lineno, "size line entries out of range")
 
-    rows, cols, vals = [], [], []
-    for (i, j), (v, _) in entries.items():
-        rows.append(i - 1)
-        cols.append(j - 1)
-        vals.append(v)
-        if symmetry == "symmetric" and i != j:
-            rows.append(j - 1)
-            cols.append(i - 1)
-            vals.append(v)
-    return SymmetricSparseMatrix(nrows, rows, cols, vals)
+        symmetric = symmetry == "symmetric"
+        try:
+            with warnings.catch_warnings():
+                # a file without entries is checked below, like any other
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                entries = np.loadtxt(fh, comments="%", ndmin=1, dtype=[
+                    ("i", np.int64), ("j", np.int64), ("v", np.float64)])
+        except ValueError as exc:
+            _raise_at_first_bad_entry(path, nrows, nnz, symmetric, exc)
+
+    n = min(entries.size, nnz)
+    i, j, v = entries["i"][:n], entries["j"][:n], entries["v"][:n]
+    order = np.lexsort((j, i))
+    if (entries.size > nnz
+            or ((i < 1) | (i > nrows) | (j < 1) | (j > nrows)).any()
+            or (symmetric and (i < j).any())
+            or ((np.diff(i[order]) == 0) & (np.diff(j[order]) == 0)).any()):
+        _raise_at_first_bad_entry(path, nrows, nnz, symmetric, "no line fails its checks")
+    if n != nnz:
+        with _open_text(path) as fh:
+            last = sum(1 for _ in fh)
+        _header_error(last, f"header declared {nnz} entries, found {n}")
+
+    off = i != j
+    if symmetric:
+        return SymmetricSparseMatrix(nrows, np.concatenate((i, j[off])) - 1,
+                                     np.concatenate((j, i[off])) - 1,
+                                     np.concatenate((v, v[off])))
+    mirror = _mirror_index(i, j)
+    vm = v[mirror]
+    bad = off & ((mirror < 0)
+                 | (np.abs(v - vm) > SYMMETRY_RTOL * np.maximum(1.0, np.abs(v))))
+    if bad.any():
+        k = int(np.argmax(bad))
+        ik, jk = int(i[k]), int(j[k])
+        if mirror[k] < 0:
+            _header_error(_entry_line(path, k),
+                          f"entry ({ik}, {jk}) has no mirrored ({jk}, {ik}) entry")
+        _header_error(_entry_line(path, k),
+                      f"entry ({ik}, {jk}) = {float(v[k])!r} does not match "
+                      f"({jk}, {ik}) = {float(vm[k])!r} "
+                      f"from line {_entry_line(path, int(mirror[k]))}")
+    return SymmetricSparseMatrix(nrows, i - 1, j - 1, v)

@@ -1,10 +1,18 @@
 """Sparse storage, matvec, spectral bounds, and Matrix Market round-trips."""
 
 import math
+import os
+import random
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entrace
+from entrace.generators import random_psd
 from entrace.sparse import (
     MatrixMarketError,
     SpectralBound,
@@ -13,6 +21,7 @@ from entrace.sparse import (
     power_iteration_bound,
     read_matrix_market,
     write_matrix_market,
+    _raise_at_first_bad_entry,
 )
 
 
@@ -178,6 +187,26 @@ class TestSpectralBounds:
             assert bound.method == "power-iteration"
             assert lam_max - 1e-6 * lam_max <= bound.lambda_max_upper <= 1.10 * lam_max
 
+    def test_power_iteration_does_not_depend_on_blas_threads(self):
+        # a threaded BLAS dot product splits its sum by thread count, so the
+        # norms and quotients must not go through BLAS
+        code = (
+            "from entrace.generators import fem_matrix\n"
+            "from entrace.sparse import power_iteration_bound\n"
+            "print(power_iteration_bound(fem_matrix(200000)).lambda_max_upper.hex())\n"
+        )
+        src = str(Path(entrace.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        bounds = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            bounds.append(run.stdout)
+        assert bounds[0] == bounds[1]
+
     def test_power_iteration_zero_matrix(self):
         mat = SymmetricSparseMatrix(4, [], [], [])
         assert power_iteration_bound(mat).lambda_max_upper == 0.0
@@ -187,6 +216,42 @@ class TestSpectralBounds:
             SpectralBound(-1.0, "gershgorin")
         with pytest.raises(ValueError):
             SpectralBound(1.0, "made-up")
+
+
+# One malformed file per error kind: (symmetry, size line, entry lines, the
+# 1-based position of the failing line among the entry lines, message).
+# Comment and blank lines are placed before every entry line, so each
+# reported line number counts them.
+_MALFORMED = {
+    "two-tokens": ("symmetric", "2 2 2", ["1 1 1.0", "2 1"], 2,
+                   "entry must be 'row col value'"),
+    "float-index": ("symmetric", "2 2 2", ["1 1 1.0", "1.5 1 1.0"], 2,
+                    "cannot parse entry '1.5 1 1.0'"),
+    "bad-value": ("symmetric", "2 2 1", ["1 1 x"], 1, "cannot parse entry '1 1 x'"),
+    "out-of-range": ("symmetric", "2 2 2", ["1 1 1.0", "3 1 1.0"], 2,
+                     "index (3, 1) outside 1..2"),
+    "upper-triangle": ("symmetric", "2 2 2", ["1 1 1.0", "1 2 1.0"], 2,
+                       "symmetric files must store the lower triangle (row >= col)"),
+    "duplicate": ("symmetric", "2 2 3", ["2 1 1.0", "1 1 1.0", "2 1 1.0"], 3,
+                  "duplicate entry for (2, 1)"),
+    "extra": ("symmetric", "2 2 1", ["1 1 1.0", "2 2 1.0"], 2,
+              "unexpected extra entry, header declared 1"),
+    "beyond-int64": ("symmetric", "2 2 2", ["1 1 1.0", "99999999999999999999 1 1.0"], 2,
+                     "index (99999999999999999999, 1) outside 1..2"),
+    "missing-mirror": ("general", "2 2 3", ["1 1 1.0", "2 1 1.0", "2 2 1.0"], 2,
+                       "entry (2, 1) has no mirrored (1, 2) entry"),
+    "mirror-mismatch": ("general", "2 2 2", ["2 1 1.0", "1 2 2.0"], 1,
+                        "entry (2, 1) = 1.0 does not match (1, 2) = 2.0 from line 10"),
+}
+
+
+def _write_malformed(tmp_path, symmetry, size, entries):
+    lines = [f"%%MatrixMarket matrix coordinate real {symmetry}", "% about", "", size]
+    for entry in entries:
+        lines += ["% note", "   ", entry]
+    path = tmp_path / "bad.mtx"
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 class TestMatrixMarket:
@@ -264,3 +329,107 @@ class TestMatrixMarket:
         path = tmp_path / "p.mtx"
         write_matrix_market(mat, path)
         assert read_matrix_market(path).val[0] == val
+
+    def test_inline_comment_after_an_entry(self, tmp_path):
+        path = tmp_path / "inline.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                        "2 2 2\n1 1 2.0 % diagonal\n2 1 -1.0%off\n")
+        np.testing.assert_array_equal(read_matrix_market(path).to_dense(),
+                                      [[2.0, -1.0], [-1.0, 0.0]])
+
+    def test_rejects_digit_separators(self, tmp_path):
+        path = tmp_path / "sep.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real symmetric\n1 1 1\n1 1 1_0.5\n")
+        with pytest.raises(MatrixMarketError, match=r"^line 3: cannot parse entry '1 1 1_0.5'$"):
+            read_matrix_market(path)
+
+    @pytest.mark.parametrize("kind", sorted(_MALFORMED))
+    def test_names_the_line(self, tmp_path, kind):
+        symmetry, size, entries, bad, message = _MALFORMED[kind]
+        path = _write_malformed(tmp_path, symmetry, size, entries)
+        with pytest.raises(MatrixMarketError) as err:
+            read_matrix_market(path)
+        assert str(err.value) == f"line {4 + 3 * bad}: {message}"
+
+    def test_short_count_names_the_last_line(self, tmp_path):
+        path = _write_malformed(tmp_path, "symmetric", "2 2 3", ["1 1 1.0", "2 2 1.0"])
+        with path.open("a") as fh:
+            fh.write("% trailing\n\n")
+        with pytest.raises(MatrixMarketError) as err:
+            read_matrix_market(path)
+        assert str(err.value) == "line 12: header declared 3 entries, found 2"
+
+    def test_earlier_line_wins(self, tmp_path):
+        # a duplicate comes before a line that cannot be parsed at all
+        path = _write_malformed(tmp_path, "symmetric", "2 2 3", ["1 1 1.0", "1 1 2.0", "x"])
+        with pytest.raises(MatrixMarketError) as err:
+            read_matrix_market(path)
+        assert str(err.value) == "line 10: duplicate entry for (1, 1)"
+
+    def test_array_checks_agree_with_the_line_scan(self, tmp_path):
+        # the line-by-line scan is the reference: the reader fails on an
+        # entry line exactly when the scan does, and with the same message
+        rng = random.Random(5)
+        tokens = ["1", "2", "3", "0", "-1", "1.5", "x", "2.5", "1e0", "99999999999999999999"]
+        path = tmp_path / "r.mtx"
+
+        def message(read):
+            try:
+                read()
+            except MatrixMarketError as exc:
+                return str(exc)
+            return None
+
+        for _ in range(300):
+            nnz = rng.randint(0, 5)
+            entries = [" ".join(rng.choice(tokens) for _ in range(rng.choice((2, 3, 3, 3, 4))))
+                       if rng.random() < 0.2 else
+                       f"{rng.randint(1, 3)} {rng.randint(1, 3)} {rng.choice(tokens)}"
+                       for _ in range(rng.randint(0, 6))]
+            path.write_text("\n".join(["%%MatrixMarket matrix coordinate real symmetric",
+                                       f"3 3 {nnz}", *entries]) + "\n")
+            scanned = message(lambda: _raise_at_first_bad_entry(path, 3, nnz, True, "none"))
+            read = message(lambda: read_matrix_market(path))
+            if scanned == "cannot read the entries: none":
+                assert read is None or "header declared" in read
+            else:
+                assert read == scanned
+
+    def test_tabs_crlf_and_no_final_newline(self, tmp_path):
+        path = tmp_path / "crlf.mtx"
+        path.write_bytes(b"%%MatrixMarket matrix coordinate real symmetric\r\n"
+                         b"% c\r\n2\t2\t3\r\n1\t1\t2.0\r\n2 \t1\t-1.0\r\n2\t2\t3.5")
+        np.testing.assert_array_equal(read_matrix_market(path).to_dense(),
+                                      [[2.0, -1.0], [-1.0, 3.5]])
+
+    def test_no_entries_reads_without_warning(self, tmp_path):
+        path = tmp_path / "empty.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real symmetric\n3 3 0\n% none\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mat = read_matrix_market(path)
+        assert mat.dim == 3 and mat.nnz == 0
+
+    def test_shuffled_entries_with_comments_read_back_exactly(self, tmp_path):
+        mat = random_psd(200, 3, np.linspace(0.0, 2.0, 200))
+        path = tmp_path / "psd.mtx"
+        write_matrix_market(mat, path)
+        header, size, *entries = path.read_text().splitlines()
+        rng = random.Random(0)
+        rng.shuffle(entries)
+        for k in range(0, len(entries), 97):
+            entries.insert(k, "% inserted")
+        path.write_text("\n".join([header, "% before the size line", size, *entries]) + "\n")
+        back = read_matrix_market(path)
+        for name in ("val", "col", "indptr"):
+            assert getattr(back, name).tobytes() == getattr(mat, name).tobytes()
+
+    def test_values_equal_python_float(self, tmp_path):
+        tokens = ["0.1", "-2.5e-300", "1.7976931348623157e308", "4.9e-324", "-0",
+                  "123456789.123456789", "3.3333333333333335", ".5", "7.", "1E+22"]
+        path = tmp_path / "diag.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                        f"{len(tokens)} {len(tokens)} {len(tokens)}\n"
+                        + "".join(f"{k + 1} {k + 1} {tok}\n" for k, tok in enumerate(tokens)))
+        assert read_matrix_market(path).val.tobytes() == np.array(
+            [float(tok) for tok in tokens]).tobytes()
