@@ -68,9 +68,8 @@ def quadratic_form(A, v, expansion, gamma0):
     block = v.reshape(-1, m)
     b = block.shape[0]
     mu = np.empty((b, n + 1))
-    # one buffer for the gathered products of all the block's matvecs; a
-    # single probe is gathered faster without one
-    work = np.empty(A.nnz * b) if b > 1 else None
+    # one layout and one buffer for all the block's matvecs
+    work = A.workspace(b)
 
     # t_0 = v, t_1 = B v
     t_prev = block

@@ -30,11 +30,16 @@ def fem_matrix(m):
     m = int(m)
     if m < 1:
         raise ValueError("dimension must be at least 1")
+    # in storage order: entry 3i is (i, i), 3i + 1 is (i, i + 1) and 3i + 2
+    # is (i + 1, i), so row i reads (i, i - 1), (i, i), (i, i + 1)
     i = np.arange(m)
-    j = np.arange(m - 1)
-    rows = np.concatenate([i, j, j + 1])
-    cols = np.concatenate([i, j + 1, j])
-    vals = np.concatenate([np.full(m, 2.0), np.full(m - 1, -1.0), np.full(m - 1, -1.0)])
+    rows = np.empty(3 * m - 2, dtype=np.int64)
+    cols = np.empty_like(rows)
+    rows[0::3] = cols[0::3] = i
+    rows[1::3] = cols[2::3] = i[:-1]
+    rows[2::3] = cols[1::3] = i[1:]
+    vals = np.full(rows.size, -1.0)
+    vals[0::3] = 2.0
     return SymmetricSparseMatrix(m, rows, cols, vals)
 
 

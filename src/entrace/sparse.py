@@ -6,13 +6,22 @@ deterministic, and safe to share across threads. ``matvec`` takes one
 vector or a block of probe rows; a block shares the per-call cost of a
 product among its rows, and each row comes out bit-identical to its
 single-vector product.
+
+A product takes one of two paths, chosen once from the sparsity pattern.
+A matrix whose entries fill few diagonals is also stored by diagonal and
+multiplied one shifted diagonal at a time; any other matrix gathers its
+products in storage order and sums them with ``np.bincount``. Both paths add
+each row's products to 0.0 in ascending column order, so they give the same
+bits.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +31,24 @@ SYMMETRY_RTOL = 1e-12
 # bytes of gathered products (or of probe rows, if there are more of those)
 # that one block product may hold; the block width follows from it
 BLOCK_BYTES = 2**20
+
+# largest fill, padded diagonal slots ndiag * dim over stored entries, at
+# which a matrix is also stored by diagonal and multiplied that way. Set from
+# the measured crossover of the two paths on banded matrices with random
+# holes, at the block width, on a 2-vCPU x86 guest: at dim 1000 the diagonal
+# path takes 0.94 of the gather time at fill 1.18 and 1.09-1.37 at fill 1.41,
+# so the two break even near 1.3. From dim 3000 up it wins at every fill
+# measured, up to 1.8 (0.2-0.7 of the time; fem(10^6), fill 1.0: 5.8 ms
+# against 17.8 ms). Below dim 1000 a call per diagonal costs more than the
+# products: dim 300 with 21 diagonals breaks even near fill 1.1, and the
+# 64 x 64 spdc matrix (fill 1.74) takes 2.3 times as long by diagonal.
+DIA_FILL = 1.3
+
+# largest dimension whose keys row * dim + col all fit in an int64
+_KEY_DIM_MAX = math.isqrt(np.iinfo(np.int64).max)
+
+# entries write_matrix_market formats per write
+_WRITE_CHUNK = 2**16
 
 _BOUND_METHODS = ("gershgorin", "power-iteration", "user-supplied")
 
@@ -44,6 +71,14 @@ class SpectralBound:
             raise ValueError(f"unknown bound method {self.method!r}")
 
 
+class BlockWork(NamedTuple):
+    """Scratch for one caller's products of b-row blocks; see ``workspace``."""
+
+    rows: int
+    layout: tuple | None
+    buffer: np.ndarray | None
+
+
 class SymmetricSparseMatrix:
     """Real symmetric matrix in CSR form with both triangles stored explicitly.
 
@@ -52,12 +87,17 @@ class SymmetricSparseMatrix:
     Positive semidefiniteness is the caller's contract and is not checked
     here; use the dense oracle to verify it for matrices of modest size.
 
-    The matrix-vector product is a single ordered pass over the stored
-    entries, which makes repeated products bit-for-bit reproducible.
+    When the stored entries fill few diagonals, padded diagonal slots
+    ndiag * dim at most ``DIA_FILL`` times nnz, they are also kept as a
+    read-only (ndiag, dim) array of diagonals, and the matrix-vector product
+    adds one shifted diagonal at a time. Otherwise the product is one ordered
+    pass over the stored entries. Either way every row sums its products from
+    0.0 in ascending column order, so repeated products, and the two paths,
+    agree bit for bit.
     """
 
-    __slots__ = ("dim", "indptr", "col", "val", "_row", "_width", "_layout", "_diag",
-                 "build_warnings")
+    __slots__ = ("dim", "indptr", "col", "val", "_row", "_width", "_layout", "_diagonals",
+                 "_diag", "build_warnings")
 
     def __init__(self, dim, rows, cols, values):
         dim = int(dim)
@@ -75,13 +115,21 @@ class SymmetricSparseMatrix:
         if not np.all(np.isfinite(values)):
             raise ValueError("matrix entries must be finite")
 
-        order = np.lexsort((cols, rows))
-        rows, cols, values = rows[order], cols[order], values[order]
-        if rows.size > 1:
-            same = (np.diff(rows) == 0) & (np.diff(cols) == 0)
-            if same.any():
-                k = int(np.flatnonzero(same)[0])
-                raise ValueError(f"duplicate entry at ({rows[k]}, {cols[k]})")
+        key = rows * dim + cols if dim <= _KEY_DIM_MAX else None
+        if key is not None and np.all(key[1:] > key[:-1]):
+            # already in storage order, and free of repeats; copied, as the
+            # sort's permutation would copy them, so that the caller's
+            # arrays never become the matrix's
+            rows, cols, values = rows.copy(), cols.copy(), values.copy()
+        else:
+            order = np.lexsort((cols, rows))
+            rows, cols, values = rows[order], cols[order], values[order]
+            if rows.size > 1:
+                same = (np.diff(rows) == 0) & (np.diff(cols) == 0)
+                if same.any():
+                    k = int(np.flatnonzero(same)[0])
+                    raise ValueError(f"duplicate entry at ({rows[k]}, {cols[k]})")
+        del key
         self._check_symmetry(rows, cols, values)
 
         counts = np.bincount(rows, minlength=dim) if rows.size else np.zeros(dim, np.int64)
@@ -91,7 +139,8 @@ class SymmetricSparseMatrix:
         diag[rows[on_diag]] = values[on_diag]
 
         width = max(1, BLOCK_BYTES // (8 * max(rows.size, dim)))
-        layout = _block_layout(rows, cols, values, dim, width)
+        diagonals = _diagonals(rows, cols, values, dim)
+        layout = None if diagonals is not None else _block_layout(rows, cols, values, dim, width)
 
         # the row indices and the block layout stay writable, though nothing
         # writes to them: np.bincount and np.take copy a read-only index
@@ -105,6 +154,7 @@ class SymmetricSparseMatrix:
         self._row = rows
         self._width = width
         self._layout = layout
+        self._diagonals = diagonals
         self._diag = diag
         self.build_warnings = []
 
@@ -142,35 +192,63 @@ class SymmetricSparseMatrix:
         """
         return self._width
 
+    def workspace(self, b):
+        """Scratch for products of b-row blocks, to pass to ``matvec`` as ``work``.
+
+        A caller that runs many products on blocks of one height makes it
+        once. It holds the block layout, so a block narrower than
+        ``block_width`` builds its layout once rather than once per product,
+        and a buffer for the gathered products, which spares the allocator a
+        fresh nnz * b array, and its page faults, per product. It belongs to
+        the caller: the matrix keeps no reference to it, and two threads must
+        not share one. A product by diagonal needs neither.
+        """
+        b = int(b)
+        if self._diagonals is not None:
+            return BlockWork(b, None, None)
+        layout = (self._layout if b == self._width
+                  else _block_layout(self._row, self.col, self.val, self.dim, b))
+        # a single probe is gathered faster by fancy indexing, which cannot
+        # fill a given array
+        return BlockWork(b, layout, np.empty(self.nnz * b) if b > 1 else None)
+
     def matvec(self, v, work=None):
         """Return A @ v, or for a (b, dim) block v the block with rows A @ v[i].
 
-        The products val[k] * v[col[k]] are accumulated strictly in storage
-        order (row-major, columns ascending), so the result is identical
-        across calls, processes, and thread counts, and each row of a block
-        product equals the product of that row alone. ``work``, a float64
-        array of nnz * b entries, receives the products; a caller that
-        passes the same one to every product of a block spares the
-        allocator a fresh nnz * b array, and its page faults, per product.
+        Each row adds its products val[k] * v[col[k]] to 0.0 in storage order
+        (columns ascending), so the result is identical across calls,
+        processes, and thread counts, and each row of a block product equals
+        the product of that row alone. A matrix stored by diagonal adds
+        diagonal d, shifted by d, for each d in ascending order; a hole in a
+        diagonal adds a +-0 product, which leaves a sum that starts at +0.0
+        unchanged, so the bits are those of the ordered pass for any finite
+        v. ``work`` is scratch from ``workspace(b)``.
         """
         v = np.asarray(v, dtype=np.float64)
         if v.ndim not in (1, 2) or v.shape[-1] != self.dim:
             raise ValueError(f"vector length {v.shape} does not match dimension {self.dim}")
         b = 1 if v.ndim == 1 else v.shape[0]
-        gather, bins, scale = (self._layout if b == self._width
-                               else _block_layout(self._row, self.col, self.val, self.dim, b))
+        if work is None:
+            work = self.workspace(b)
+        elif work.rows != b:
+            raise ValueError(f"workspace is for blocks of {work.rows} rows, got {b}")
+        if self._diagonals is not None:
+            y = np.zeros(v.shape)
+            for rows, cols, a in self._diagonals:
+                y[..., rows] += a * v[..., cols]
+            return y
         # products in storage order, the b products of entry k side by side:
         # product (k, j) = val[k] * v[j, col[k]] is added to bin
         # j * dim + row[k], so every bin sums its products in storage order
         # and the bins already form the (b, dim) result
+        gather, bins, scale = work.layout
         x = v.reshape(-1)
-        if work is None:
-            # fancy indexing gathers faster than take, but cannot fill a given array
+        if work.buffer is None:
             w = x[gather]
         else:
             # the indices were checked at construction: "wrap" never wraps,
             # it only spares take a buffer of its own
-            w = np.take(x, gather, out=work, mode="wrap")
+            w = np.take(x, gather, out=work.buffer, mode="wrap")
         w *= scale
         return np.bincount(bins, weights=w, minlength=self.dim * b).reshape(v.shape)
 
@@ -208,6 +286,37 @@ class SymmetricSparseMatrix:
         mask = (np.abs(arr) > thresh) | (np.abs(arr.T) > thresh)
         rows, cols = np.nonzero(mask)
         return cls(arr.shape[0], rows, cols, arr[rows, cols])
+
+
+def _diagonals(rows, cols, values, dim):
+    """(rows, columns, entries) slices of each stored diagonal, by ascending offset.
+
+    Diagonal d holds A[i, i + d]; a missing entry on it is stored as 0.0.
+    None when the padded slots, ndiag * dim, exceed ``DIA_FILL`` times the
+    stored entries. The offsets are counted by one np.bincount over
+    -(dim - 1)..dim - 1.
+    """
+    if rows.size and dim > DIA_FILL * rows.size:
+        # even one diagonal would be too empty
+        return None
+    shifted = cols - rows
+    shifted += dim - 1
+    index = np.bincount(shifted, minlength=2 * dim - 1)
+    present = np.flatnonzero(index)
+    if present.size * dim > DIA_FILL * rows.size:
+        return None
+    # entry (i, i + d) goes to flat slot k * dim + i of the k-th diagonal
+    index[present] = np.arange(present.size) * dim
+    slot = index[shifted]
+    slot += rows
+    data = np.zeros((present.size, dim))
+    data.reshape(-1)[slot] = values
+    data.setflags(write=False)
+    out = []
+    for a, d in zip(data, (present - (dim - 1)).tolist()):
+        lo, hi = max(0, -d), dim - max(0, d)
+        out.append((slice(lo, hi), slice(lo + d, hi + d), a[lo:hi]))
+    return tuple(out)
 
 
 def _block_layout(rows, cols, values, dim, b):
@@ -276,15 +385,20 @@ def write_matrix_market(A, path):
     """Write the lower triangle in coordinate real symmetric format.
 
     Values are printed with 17 significant digits so that read_matrix_market
-    round-trips float64 exactly.
+    round-trips float64 exactly. Lines are formatted from Python ints and
+    floats, a chunk of entries per write.
     """
     rows, cols, vals = A.coo()
     keep = rows >= cols
+    rows, cols, vals = rows[keep] + 1, cols[keep] + 1, vals[keep]
     with open(path, "w", encoding="ascii") as fh:
         fh.write("%%MatrixMarket matrix coordinate real symmetric\n")
-        fh.write(f"{A.dim} {A.dim} {int(keep.sum())}\n")
-        for i, j, v in zip(rows[keep], cols[keep], vals[keep]):
-            fh.write(f"{i + 1} {j + 1} {v:.17g}\n")
+        fh.write(f"{A.dim} {A.dim} {rows.size}\n")
+        for s in range(0, rows.size, _WRITE_CHUNK):
+            part = slice(s, s + _WRITE_CHUNK)
+            fh.write("".join(map("%d %d %.17g\n".__mod__,
+                                 zip(rows[part].tolist(), cols[part].tolist(),
+                                     vals[part].tolist()))))
 
 
 def _header_error(lineno, text):

@@ -79,6 +79,28 @@ class TestCost:
             quadratic_form(A, signs(10, n), coefficients(n, 1.0), 1.0)
             assert len(calls) == (n + 1) // 2
 
+    def test_partial_block_builds_its_layout_once(self, monkeypatch):
+        # a block narrower than the block width needs a layout of its own,
+        # built once per form and not once per product
+        import entrace.sparse as sparse
+
+        A = random_psd(200, 3, np.random.default_rng(3).uniform(0.0, 1.0, 200))
+        assert A.block_width == 3
+        exp = coefficients(9, 1.0)
+        probes = np.array([signs(200, 7), signs(200, 8)])
+        single = [quadratic_form(A, v, exp, 1.3) for v in probes]
+        calls = []
+        inner = sparse._block_layout
+
+        def counting(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(sparse, "_block_layout", counting)
+        forms = quadratic_form(A, probes, exp, 1.3)
+        assert len(calls) <= 1
+        assert forms.tobytes() == np.array(single).tobytes()
+
 
 class TestDeterminism:
     def test_same_probe_twice_identical(self):
@@ -119,6 +141,10 @@ class TestDeterminism:
             "A = fem_matrix(50000)\n"
             "v = RademacherSampler(0).sample_vector(A.dim, 1)\n"
             "print(float(quadratic_form(A, v, coefficients(8, 1.0), 4.3)).hex())\n"
+            "# a block of 3 on the width-2 fem(20000), which is stored by diagonal\n"
+            "A = fem_matrix(20000)\n"
+            "v = [RademacherSampler(0).sample_vector(A.dim, k) for k in (1, 2, 3)]\n"
+            "print([float(f).hex() for f in quadratic_form(A, v, coefficients(9, 1.0), 4.3)])\n"
         )
         src = str(Path(entrace.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -196,13 +196,18 @@ class TestEstimateFixed:
         assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
 
     def test_thread_count_does_not_change_bits(self):
-        # width 3: 16 probes make six blocks, the last of them partial
+        # width 3: 16 probes make six blocks, the last of them partial; on
+        # the width-2 fem(20000), stored by diagonal, eight full blocks and a
+        # partial one, with a bound widened so that no moment is exact
         A = random_psd(200, 3, np.random.default_rng(3).uniform(0.0, 1.0, 200))
         assert A.block_width == 3
-        sp = ScalingParams.from_bound(gershgorin_upper_bound(A))
-        serial = estimate_fixed(A, 3, 16, sp, RademacherSampler(3), threads=1)
-        for k in (2, 4):
-            assert estimate_fixed(A, 3, 16, sp, RademacherSampler(3), threads=k) == serial
+        fem = fem_matrix(20000)
+        assert fem.block_width == 2 and fem._diagonals is not None
+        for A, num, sp in ((A, 16, ScalingParams.from_bound(gershgorin_upper_bound(A))),
+                           (fem, 17, ScalingParams(x0=1.0, gamma0=4.3))):
+            serial = estimate_fixed(A, 3, num, sp, RademacherSampler(3), threads=1)
+            for k in (2, 4):
+                assert estimate_fixed(A, 3, num, sp, RademacherSampler(3), threads=k) == serial
 
     def test_pool_workers_bounded(self, monkeypatch):
         # an absurd thread count never reaches the pool: workers are capped by

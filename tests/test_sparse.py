@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import entrace
-from entrace.generators import random_psd
+from entrace.generators import SpdcParams, fem_matrix, random_psd, spdc_density_matrix
 from entrace.sparse import (
+    DIA_FILL,
     MatrixMarketError,
     SpectralBound,
     SymmetricSparseMatrix,
@@ -41,6 +42,34 @@ def random_symmetric(m, seed, density=0.3):
     np.fill_diagonal(mask, True)
     a = np.where(mask, a, 0.0)
     return SymmetricSparseMatrix.from_dense(a), a
+
+
+def banded(m, half, seed, holes=0.2):
+    """Symmetric matrix on diagonals -half..half with random holes off the main one.
+
+    A few of the kept off-diagonal pairs store an explicit 0.0 or -0.0.
+    """
+    rng = np.random.default_rng(seed)
+    rows, cols = [np.arange(m)], [np.arange(m)]
+    for d in range(1, half + 1):
+        i = np.arange(m - d)
+        i = i[rng.uniform(size=i.size) >= holes]
+        rows += [i + d, i]
+        cols += [i, i + d]
+    vals = [rng.normal(size=m)]
+    for r in rows[1::2]:
+        v = rng.normal(size=r.size)
+        v[rng.uniform(size=v.size) < 0.05] = rng.choice([0.0, -0.0])
+        vals += [v, v]
+    return SymmetricSparseMatrix(m, np.concatenate(rows), np.concatenate(cols),
+                                 np.concatenate(vals))
+
+
+def ordered_pass(mat, v):
+    """The product as one bincount over the stored entries in storage order."""
+    rows, cols, vals = mat.coo()
+    return np.array([np.bincount(rows, weights=vals * x[cols], minlength=mat.dim)
+                     for x in np.atleast_2d(v)]).reshape(np.shape(v))
 
 
 class TestConstruction:
@@ -92,6 +121,29 @@ class TestConstruction:
         with pytest.raises(ValueError):
             rows[0] = 1
 
+    def test_ordered_and_shuffled_entries_build_the_same_matrix(self):
+        rows, cols, vals = fem_matrix(500).coo()
+        order = np.random.default_rng(4).permutation(rows.size)
+        shuffled = SymmetricSparseMatrix(500, rows[order], cols[order], vals[order])
+        ordered = SymmetricSparseMatrix(500, rows.copy(), cols.copy(), vals.copy())
+        for name in ("indptr", "col", "val"):
+            assert getattr(ordered, name).tobytes() == getattr(shuffled, name).tobytes()
+
+    def test_ordered_input_is_copied(self):
+        # entries already in storage order are kept without a sort, but the
+        # caller's arrays stay the caller's: writable, and not the matrix's
+        rows, cols = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+        vals = np.array([2.0, -1.0, -1.0, 2.0])
+        mat = SymmetricSparseMatrix(2, rows, cols, vals)
+        vals[0] = 99.0
+        rows[1] = 1
+        assert vals.flags.writeable and cols.flags.writeable
+        np.testing.assert_array_equal(mat.to_dense(), [[2.0, -1.0], [-1.0, 2.0]])
+
+    def test_ordered_looking_repeat_is_a_duplicate(self):
+        with pytest.raises(ValueError, match=r"^duplicate entry at \(1, 2\)$"):
+            SymmetricSparseMatrix(3, [0, 1, 1, 2], [0, 2, 2, 1], [1.0, 1.0, 1.0, 1.0])
+
     def test_from_dense_droptol(self):
         a = np.array([[1.0, 1e-15], [1e-15, 1.0]])
         mat = SymmetricSparseMatrix.from_dense(a, droptol=1e-12)
@@ -138,7 +190,7 @@ class TestMatvec:
             got = mat.matvec(block[:b])
             assert got.shape == (b, mat.dim) and got.flags.c_contiguous
             np.testing.assert_array_equal(got, single[:b])
-        work = np.empty(mat.nnz * width)
+        work = mat.workspace(width)
         for _ in range(2):
             np.testing.assert_array_equal(mat.matvec(block[:width], work=work), single[:width])
 
@@ -157,6 +209,66 @@ class TestMatvec:
         for bad in (np.ones(5), np.ones((2, 5)), np.ones((1, 2, 4))):
             with pytest.raises(ValueError):
                 mat.matvec(bad)
+
+
+class TestDiagonalPath:
+    @pytest.mark.parametrize("mat", [
+        fem_matrix(1), fem_matrix(3), fem_matrix(1000),
+        banded(300, 3, 0), banded(2000, 5, 1), banded(50, 2, 2, holes=0.1),
+        SymmetricSparseMatrix(40, np.arange(40), np.arange(40),
+                              np.random.default_rng(3).normal(size=40)),
+        SymmetricSparseMatrix(1, [0], [0], [0.7]),
+        SymmetricSparseMatrix(5, [], [], []),
+    ], ids=["fem-1", "fem-3", "fem-1000", "banded-300", "banded-2000", "banded-50",
+            "diagonal-only", "dim-1", "nnz-0"])
+    def test_products_equal_the_ordered_pass(self, mat):
+        # bit for bit, for a vector, a full block and a partial block
+        assert mat._diagonals is not None
+        width = mat.block_width
+        rng = np.random.default_rng(mat.dim)
+        for shape in {(mat.dim,), (width, mat.dim), (max(1, width - 1), mat.dim)}:
+            v = rng.normal(size=shape)
+            want = ordered_pass(mat, v)
+            assert mat.matvec(v).tobytes() == want.tobytes()
+            b = 1 if len(shape) == 1 else shape[0]
+            assert mat.matvec(v, work=mat.workspace(b)).tobytes() == want.tobytes()
+
+    def test_holes_and_signed_zeros_give_the_ordered_pass(self):
+        # row 0 stores only a -0.0 and has a hole at (0, 1): its sum is +0.0
+        # on both paths
+        i = np.arange(1, 5)
+        mat = SymmetricSparseMatrix(
+            6, np.concatenate((np.arange(6), i, i + 1)), np.concatenate((np.arange(6), i + 1, i)),
+            [-0.0, 1.0, 2.0, 3.0, 4.0, 5.0] + [0.5, -0.0, 0.25, 0.3] * 2)
+        assert mat._diagonals is not None
+        v = np.array([1.0, -2.0, 0.0, 0.1, -0.0, 3.0])
+        assert mat.matvec(v)[0].tobytes() == np.float64(0.0).tobytes()
+        assert mat.matvec(v).tobytes() == ordered_pass(mat, v).tobytes()
+
+    def test_diagonals_are_read_only(self):
+        _, _, entries = fem_matrix(4)._diagonals[0]
+        with pytest.raises(ValueError):
+            entries[0] = 1.0
+
+    def test_path_follows_the_fill(self):
+        # fill is ndiag * dim / nnz: 1.0 on fem, 1.74 on spdc, 2.0 on a dense matrix
+        assert fem_matrix(10**5)._diagonals is not None
+        assert spdc_density_matrix(SpdcParams())._diagonals is None
+        assert random_psd(1000, 0, np.linspace(0.0, 1.0, 1000))._diagonals is None
+        # five diagonals of dim 10: 44 entries when full (fill 1.14), too
+        # few once three pairs leave the outer ones (38 entries, fill 1.32)
+        full = banded(10, 2, 5, holes=0.0)
+        assert full.nnz == 44 and full._diagonals is not None
+        rows, cols, vals = full.coo()
+        outer = np.abs(rows - cols) == 2
+        drop = outer & (np.minimum(rows, cols) < 3)
+        sparse = SymmetricSparseMatrix(10, rows[~drop], cols[~drop], vals[~drop])
+        assert sparse.nnz == 38 and 50 > DIA_FILL * 38 and sparse._diagonals is None
+
+    def test_workspace_must_match_the_block(self):
+        mat = random_psd(50, 0, np.ones(50))
+        with pytest.raises(ValueError, match="blocks of 2 rows, got 3"):
+            mat.matvec(np.ones((3, 50)), work=mat.workspace(2))
 
 
 class TestSpectralBounds:
@@ -272,6 +384,23 @@ class TestMatrixMarket:
         entries = [tuple(map(int, ln.split()[:2])) for ln in lines[2:]]
         assert all(i >= j for i, j in entries)
         assert len(entries) == 3 + 2  # diagonal + one off-diagonal band
+
+    def test_writes_the_per_line_format(self, tmp_path):
+        # byte for byte the text of one f-string per entry
+        mat = SymmetricSparseMatrix(
+            4, [0, 1, 1, 2, 2, 3, 3, 0], [0, 1, 2, 1, 3, 2, 0, 3],
+            [1.0 / 3.0, -0.0, 5e-324, 5e-324, 1.7976931348623157e308,
+             1.7976931348623157e308, 0.1, 0.1])
+        for m in (mat, random_psd(60, 2, np.linspace(0.0, 3.0, 60))):
+            rows, cols, vals = m.coo()
+            keep = rows >= cols
+            want = "%%MatrixMarket matrix coordinate real symmetric\n"
+            want += f"{m.dim} {m.dim} {int(keep.sum())}\n"
+            for i, j, v in zip(rows[keep], cols[keep], vals[keep]):
+                want += f"{i + 1} {j + 1} {v:.17g}\n"
+            path = tmp_path / "w.mtx"
+            write_matrix_market(m, path)
+            assert path.read_bytes() == want.encode("ascii")
 
     def test_read_general_format_with_mirror_pairs(self, tmp_path):
         text = (
