@@ -163,20 +163,8 @@ def _run_entropy(config):
     mat, source, warnings = _load_matrix(config)
     if config.verify_psd:
         _verify_psd(mat, config.cap)
-    bound = _spectral_bound(mat, config)
-    tr = mat.trace()
-    lam_upper = bound.lambda_max_upper
-    if config.normalize:
-        # scaling must describe the normalized state A / tr(A)
-        lam_upper = lam_upper / tr if tr != 0.0 else lam_upper
-    if lam_upper <= 0.0 and tr != 0.0:
-        raise ValueError("spectral bound is zero but the trace is not; matrix is not PSD")
-    prov = "user" if bound.method == "user-supplied" else bound.method
-    scaling = ScalingParams(
-        x0=config.x0,
-        gamma0=lam_upper / config.x0 if lam_upper > 0.0 else 1.0,
-        provenance=prov,
-    )
+    scaling = ScalingParams.for_matrix(_spectral_bound(mat, config), mat.trace(),
+                                       x0=config.x0, normalize=config.normalize)
     sampler = RademacherSampler(config.seed)
     threads = config.threads or default_threads()
     if config.samples is not None:
@@ -256,7 +244,8 @@ def _run_table1(config):
     rows = []
     for m, n in zip(config.sizes, config.degrees):
         mat = fem_matrix(m)
-        scaling = ScalingParams.from_bound(gershgorin_upper_bound(mat), x0=config.x0)
+        scaling = ScalingParams.for_matrix(gershgorin_upper_bound(mat), mat.trace(),
+                                           x0=config.x0)
         est = estimate_adaptive(mat, n, config.confidence, scaling, sampler,
                                 n_max=config.n_max, threads=threads)
         exact = fem_exact_entropy(m)

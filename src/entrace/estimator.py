@@ -88,8 +88,30 @@ class ScalingParams:
                 "spectral bound must be positive to derive a scaling; "
                 "a bound of zero means the matrix is zero and its entropy is 0"
             )
-        prov = "user" if bound.method == "user-supplied" else bound.method
-        return cls(x0=float(x0), gamma0=bound.lambda_max_upper / float(x0), provenance=prov)
+        # the bound is positive, so any nonzero trace leaves it as it is
+        return cls.for_matrix(bound, bound.lambda_max_upper, x0)
+
+    @classmethod
+    def for_matrix(cls, bound: SpectralBound, trace, x0=1.0, normalize=False):
+        """Scaling for a run on a matrix with this eigenvalue bound and trace.
+
+        With normalize the scaling describes the state A / tr(A), so the
+        bound is divided by a nonzero trace. A bound that is not positive
+        (zero, or negative after division by a negative trace) means a
+        matrix that is not PSD, unless the trace is zero too; the estimate is
+        then 0 and never reads gamma0, which is set to 1.
+        """
+        lam = bound.lambda_max_upper
+        if normalize and trace != 0.0:
+            lam = lam / trace
+        if lam <= 0.0 and trace != 0.0:
+            raise ValueError("spectral bound is zero but the trace is not; matrix is not PSD")
+        return cls(x0=float(x0), gamma0=lam / float(x0) if lam > 0.0 else 1.0,
+                   provenance=_provenance(bound))
+
+
+def _provenance(bound):
+    return "user" if bound.method == "user-supplied" else bound.method
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,13 @@ vector or a block of probe rows; a block shares the per-call cost of a
 product among its rows, and each row comes out bit-identical to its
 single-vector product.
 
-A product takes one of two paths, chosen once from the sparsity pattern.
-A matrix whose entries fill few diagonals is also stored by diagonal and
-multiplied one shifted diagonal at a time; any other matrix gathers its
-products in storage order and sums them with ``np.bincount``. Both paths add
-each row's products to 0.0 in ascending column order, so they give the same
-bits.
+A product takes one of three layouts, chosen once from the sparsity
+pattern. Two of them store the matrix a second time as strips, and multiply
+it one strip at a time with no gather: a matrix whose entries fill few
+diagonals is stored by diagonal, and one whose entries nearly fill
+dim x dim is stored by column. Any other matrix gathers its products in
+storage order and sums them with ``np.bincount``. All three add each row's
+products to 0.0 in ascending column order, so they give the same bits.
 """
 
 from __future__ import annotations
@@ -28,20 +29,23 @@ import numpy as np
 # relative tolerance for |A_ij - A_ji| at construction time
 SYMMETRY_RTOL = 1e-12
 
-# bytes of gathered products (or of probe rows, if there are more of those)
-# that one block product may hold; the block width follows from it
+# bytes that one block product may hold: of gathered products (or of probe
+# rows, if there are more of those) on the gather path, and of all the
+# (b, dim) arrays of one form on a strip path; the block width follows from it
 BLOCK_BYTES = 2**20
 
-# largest fill, padded diagonal slots ndiag * dim over stored entries, at
-# which a matrix is also stored by diagonal and multiplied that way. Set from
-# the measured crossover of the two paths on banded matrices with random
-# holes, at the block width, on a 2-vCPU x86 guest: at dim 1000 the diagonal
-# path takes 0.94 of the gather time at fill 1.18 and 1.09-1.37 at fill 1.41,
-# so the two break even near 1.3. From dim 3000 up it wins at every fill
-# measured, up to 1.8 (0.2-0.7 of the time; fem(10^6), fill 1.0: 5.8 ms
-# against 17.8 ms). Below dim 1000 a call per diagonal costs more than the
-# products: dim 300 with 21 diagonals breaks even near fill 1.1, and the
-# 64 x 64 spdc matrix (fill 1.74) takes 2.3 times as long by diagonal.
+# largest fill, padded strip slots over stored entries, at which a matrix is
+# also stored as strips: by diagonal (ndiag * dim slots) or by column
+# (dim * dim slots), whichever has fewer, diagonals on a tie. Measured on a
+# 2-vCPU x86 guest, per probe row, each path at its own block width. By
+# diagonal the two break even near 1.3: banded matrices with random holes at
+# dim 1000 take 13.6 us against 19.4 us gathered at fill 1.16, and 15.7
+# against 16.3 at fill 1.39; at dim 300, 9.2 against 10.6 at fill 1.18, and
+# 9.3 against 8.8 at fill 1.44; fem(10^6), fill 1.0, takes 5.8 ms against
+# 17.8 ms. By column the threshold is cautious: symmetric matrices with random
+# holes still win at fill 1.7 on dim 64 (4.3 us against 5.1), 2.2 on dim 300
+# and 4 on dim 1000. The dense 1000 x 1000 matrix, fill 1.0, takes 0.98 ms
+# against 4.1 ms, and spdc, fill 1.02, 4.3 us against 7.9 us.
 DIA_FILL = 1.3
 
 # largest dimension whose keys row * dim + col all fit in an int64
@@ -90,13 +94,16 @@ class SymmetricSparseMatrix:
     When the stored entries fill few diagonals, padded diagonal slots
     ndiag * dim at most ``DIA_FILL`` times nnz, they are also kept as a
     read-only (ndiag, dim) array of diagonals, and the matrix-vector product
-    adds one shifted diagonal at a time. Otherwise the product is one ordered
-    pass over the stored entries. Either way every row sums its products from
-    0.0 in ascending column order, so repeated products, and the two paths,
-    agree bit for bit.
+    adds one shifted diagonal at a time. When they nearly fill the matrix,
+    with more than dim diagonals and dim * dim slots at most ``DIA_FILL``
+    times nnz, they are kept as a read-only (dim, dim) array of columns
+    instead, and the product adds column j times v[j] for each j in turn. Otherwise the product is one
+    ordered pass over the stored entries. In each layout every row sums its
+    products from 0.0 in ascending column order, so repeated products, and
+    the three layouts, agree bit for bit.
     """
 
-    __slots__ = ("dim", "indptr", "col", "val", "_row", "_width", "_layout", "_diagonals",
+    __slots__ = ("dim", "indptr", "col", "val", "_row", "_width", "_layout", "_strips",
                  "_diag", "build_warnings")
 
     def __init__(self, dim, rows, cols, values):
@@ -138,9 +145,17 @@ class SymmetricSparseMatrix:
         on_diag = rows == cols
         diag[rows[on_diag]] = values[on_diag]
 
-        width = max(1, BLOCK_BYTES // (8 * max(rows.size, dim)))
-        diagonals = _diagonals(rows, cols, values, dim)
-        layout = None if diagonals is not None else _block_layout(rows, cols, values, dim, width)
+        strips = _strips(rows, cols, values, dim)
+        if strips is None:
+            width = max(1, BLOCK_BYTES // (8 * max(rows.size, dim)))
+            layout = _block_layout(rows, cols, values, dim, width)
+        else:
+            # a form holds five (b, dim) arrays, the probes, t_prev, t, t_next
+            # and a product's temporary; at an eighth of BLOCK_BYTES each, the
+            # five fit within it on each worker. Wider blocks gain little per
+            # row (dim 1000: 0.98 ms at 16 rows, 0.94 ms at 26)
+            width = max(1, BLOCK_BYTES // 8 // (8 * dim))
+            layout = None
 
         # the row indices and the block layout stay writable, though nothing
         # writes to them: np.bincount and np.take copy a read-only index
@@ -154,7 +169,7 @@ class SymmetricSparseMatrix:
         self._row = rows
         self._width = width
         self._layout = layout
-        self._diagonals = diagonals
+        self._strips = strips
         self._diag = diag
         self.build_warnings = []
 
@@ -187,8 +202,9 @@ class SymmetricSparseMatrix:
     def block_width(self):
         """Probe rows one product should take at a time.
 
-        As many as keep the gathered products and the probe rows each within
-        ``BLOCK_BYTES``, and at least one.
+        On the gather path, as many as keep the gathered products and the
+        probe rows each within ``BLOCK_BYTES``; stored as strips, as many as
+        keep the five (b, dim) arrays of one form within it. At least one.
         """
         return self._width
 
@@ -201,10 +217,10 @@ class SymmetricSparseMatrix:
         and a buffer for the gathered products, which spares the allocator a
         fresh nnz * b array, and its page faults, per product. It belongs to
         the caller: the matrix keeps no reference to it, and two threads must
-        not share one. A product by diagonal needs neither.
+        not share one. A product by strips needs neither.
         """
         b = int(b)
-        if self._diagonals is not None:
+        if self._strips is not None:
             return BlockWork(b, None, None)
         layout = (self._layout if b == self._width
                   else _block_layout(self._row, self.col, self.val, self.dim, b))
@@ -219,10 +235,11 @@ class SymmetricSparseMatrix:
         (columns ascending), so the result is identical across calls,
         processes, and thread counts, and each row of a block product equals
         the product of that row alone. A matrix stored by diagonal adds
-        diagonal d, shifted by d, for each d in ascending order; a hole in a
-        diagonal adds a +-0 product, which leaves a sum that starts at +0.0
-        unchanged, so the bits are those of the ordered pass for any finite
-        v. ``work`` is scratch from ``workspace(b)``.
+        diagonal d, shifted by d, for each d in ascending order; one stored by
+        column adds column j, as stored, times v[j] for each j in ascending
+        order. A hole in a strip adds a +-0 product, which leaves a sum that
+        starts at +0.0 unchanged, so the bits are those of the ordered pass
+        for any finite v. ``work`` is scratch from ``workspace(b)``.
         """
         v = np.asarray(v, dtype=np.float64)
         if v.ndim not in (1, 2) or v.shape[-1] != self.dim:
@@ -232,9 +249,9 @@ class SymmetricSparseMatrix:
             work = self.workspace(b)
         elif work.rows != b:
             raise ValueError(f"workspace is for blocks of {work.rows} rows, got {b}")
-        if self._diagonals is not None:
+        if self._strips is not None:
             y = np.zeros(v.shape)
-            for rows, cols, a in self._diagonals:
+            for rows, cols, a in self._strips:
                 y[..., rows] += a * v[..., cols]
             return y
         # products in storage order, the b products of entry k side by side:
@@ -288,13 +305,17 @@ class SymmetricSparseMatrix:
         return cls(arr.shape[0], rows, cols, arr[rows, cols])
 
 
-def _diagonals(rows, cols, values, dim):
-    """(rows, columns, entries) slices of each stored diagonal, by ascending offset.
+def _strips(rows, cols, values, dim):
+    """(rows, columns, entries) slices of each strip of a product without a gather.
 
-    Diagonal d holds A[i, i + d]; a missing entry on it is stored as 0.0.
-    None when the padded slots, ndiag * dim, exceed ``DIA_FILL`` times the
-    stored entries. The offsets are counted by one np.bincount over
-    -(dim - 1)..dim - 1.
+    A product adds entries * v[..., columns] to y[..., rows] for each strip
+    in turn. Stored by diagonal, strip k is the k-th stored diagonal by
+    ascending offset d, holding A[i, i + d]. Stored by column, strip j is
+    (:, j:j+1, A[:, j]). A missing entry is stored as 0.0. Of the two, the
+    layout with fewer padded slots, ndiag * dim or dim * dim, is taken if it
+    has at most ``DIA_FILL`` times the stored entries, diagonals on a tie;
+    otherwise the result is None. The offsets are counted by one np.bincount
+    over -(dim - 1)..dim - 1.
     """
     if rows.size and dim > DIA_FILL * rows.size:
         # even one diagonal would be too empty
@@ -303,6 +324,8 @@ def _diagonals(rows, cols, values, dim):
     shifted += dim - 1
     index = np.bincount(shifted, minlength=2 * dim - 1)
     present = np.flatnonzero(index)
+    if present.size > dim:
+        return _column_strips(rows, cols, values, dim)
     if present.size * dim > DIA_FILL * rows.size:
         return None
     # entry (i, i + d) goes to flat slot k * dim + i of the k-th diagonal
@@ -317,6 +340,18 @@ def _diagonals(rows, cols, values, dim):
         lo, hi = max(0, -d), dim - max(0, d)
         out.append((slice(lo, hi), slice(lo + d, hi + d), a[lo:hi]))
     return tuple(out)
+
+
+def _column_strips(rows, cols, values, dim):
+    """Column strips (:, j:j+1, A[:, j]), or None when dim * dim is too many slots."""
+    if dim * dim > DIA_FILL * rows.size:
+        return None
+    # strip j must hold column j as stored: its mirror, row j, may differ
+    # from it within SYMMETRY_RTOL
+    data = np.zeros((dim, dim))
+    data[cols, rows] = values
+    data.setflags(write=False)
+    return tuple((slice(None), slice(j, j + 1), a) for j, a in enumerate(data))
 
 
 def _block_layout(rows, cols, values, dim, b):

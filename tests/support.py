@@ -1,6 +1,6 @@
-"""Shared test oracles.
+"""Shared test oracles, and a scattered test matrix.
 
-Everything here recomputes quantities through routes independent of the code
+The oracles recompute quantities through routes independent of the code
 under test: adaptive quadrature for expansion coefficients, direct cosine
 series (no Clenshaw) for polynomial values, numpy's eigendecomposition for
 matrix functions, and exhaustive sign-vector enumeration for expectations.
@@ -12,6 +12,23 @@ import math
 import numpy as np
 
 from entrace.chebyshev import entropy_function
+from entrace.sparse import SymmetricSparseMatrix
+
+
+def random_symmetric(m, seed, density=0.3):
+    """Scattered symmetric matrix and its dense array.
+
+    About half its entries are stored, so it is too empty for storage by
+    diagonal or by column, and its products take the gather path.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(m, m))
+    a = (a + a.T) / 2.0
+    mask = rng.uniform(size=(m, m)) < density
+    mask = mask | mask.T
+    np.fill_diagonal(mask, True)
+    a = np.where(mask, a, 0.0)
+    return SymmetricSparseMatrix.from_dense(a), a
 
 
 def coeff_quadrature(k, x0):

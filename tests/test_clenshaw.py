@@ -13,7 +13,7 @@ from entrace.chebyshev import coefficients, evaluate_scalar
 from entrace.clenshaw import quadratic_form
 from entrace.generators import SpdcParams, fem_matrix, random_psd, spdc_density_matrix
 from entrace.sparse import SymmetricSparseMatrix, gershgorin_upper_bound
-from support import dense_quadratic_form
+from support import dense_quadratic_form, random_symmetric
 
 
 def signs(m, seed):
@@ -80,14 +80,14 @@ class TestCost:
             assert len(calls) == (n + 1) // 2
 
     def test_partial_block_builds_its_layout_once(self, monkeypatch):
-        # a block narrower than the block width needs a layout of its own,
-        # built once per form and not once per product
+        # on the gather path, a block narrower than the block width needs a
+        # layout of its own, built once per form and not once per product
         import entrace.sparse as sparse
 
-        A = random_psd(200, 3, np.random.default_rng(3).uniform(0.0, 1.0, 200))
-        assert A.block_width == 3
+        A, _ = random_symmetric(280, 3)
+        assert A.block_width == 3 and A._strips is None
         exp = coefficients(9, 1.0)
-        probes = np.array([signs(200, 7), signs(200, 8)])
+        probes = np.array([signs(280, 7), signs(280, 8)])
         single = [quadratic_form(A, v, exp, 1.3) for v in probes]
         calls = []
         inner = sparse._block_layout
@@ -111,11 +111,13 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("A", [
         fem_matrix(60),
-        # rows longer than one einsum buffer, at block width 2
+        # rows longer than one einsum buffer
         fem_matrix(20000),
         spdc_density_matrix(SpdcParams()),
         random_psd(200, 1, np.random.default_rng(1).uniform(0.0, 1.0, 200)),
-    ], ids=["fem-60", "fem-20000", "spdc", "random-200"])
+        # scattered entries: the gather path, width 3
+        random_symmetric(280, 3)[0],
+    ], ids=["fem-60", "fem-20000", "spdc", "random-200", "gathered-280"])
     def test_block_forms_match_single_forms(self, A):
         width = A.block_width
         # a widened bound, so that no moment is a sum of dyadic rationals,
@@ -141,7 +143,7 @@ class TestDeterminism:
             "A = fem_matrix(50000)\n"
             "v = RademacherSampler(0).sample_vector(A.dim, 1)\n"
             "print(float(quadratic_form(A, v, coefficients(8, 1.0), 4.3)).hex())\n"
-            "# a block of 3 on the width-2 fem(20000), which is stored by diagonal\n"
+            "# a block of 3 on fem(20000), which is stored by diagonal\n"
             "A = fem_matrix(20000)\n"
             "v = [RademacherSampler(0).sample_vector(A.dim, k) for k in (1, 2, 3)]\n"
             "print([float(f).hex() for f in quadratic_form(A, v, coefficients(9, 1.0), 4.3)])\n"

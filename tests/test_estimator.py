@@ -19,8 +19,8 @@ from entrace.estimator import (
 )
 from entrace.generators import fem_matrix, random_psd
 from entrace.oracle import fem_exact_entropy
-from entrace.sparse import SymmetricSparseMatrix, gershgorin_upper_bound
-from support import all_sign_vectors, dense_poly_trace
+from entrace.sparse import SpectralBound, SymmetricSparseMatrix, gershgorin_upper_bound
+from support import all_sign_vectors, dense_poly_trace, random_symmetric
 
 
 def identity(m, c=1.0):
@@ -130,6 +130,30 @@ class TestScalingParams:
         with pytest.raises(ValueError):
             ScalingParams.from_bound(gershgorin_upper_bound(A))
 
+    def test_for_matrix(self):
+        fem = fem_matrix(10)
+        bound = gershgorin_upper_bound(fem)
+        assert ScalingParams.for_matrix(bound, fem.trace()) == ScalingParams.from_bound(bound)
+        # normalized: the bound of A / tr(A), split by x0
+        sp = ScalingParams.for_matrix(bound, 20.0, x0=2.0, normalize=True)
+        assert sp == ScalingParams(x0=2.0, gamma0=4.0 / 20.0 / 2.0, provenance="gershgorin")
+        user = ScalingParams.for_matrix(SpectralBound(3.0, "user-supplied"), 1.0)
+        assert user.provenance == "user" and user.gamma0 == 3.0
+
+    def test_for_matrix_zero_bound(self):
+        # a zero matrix gets gamma0 = 1, which its estimate never reads; a
+        # zero bound with a nonzero trace, or a negative trace to normalize
+        # by, is a matrix that is not PSD
+        zero = SpectralBound(0.0, "gershgorin")
+        for normalize in (False, True):
+            sp = ScalingParams.for_matrix(zero, 0.0, x0=2.0, normalize=normalize)
+            assert sp == ScalingParams(x0=2.0, gamma0=1.0, provenance="gershgorin")
+        for bound, trace, normalize in ((zero, 1.0, False), (zero, -1.0, True),
+                                        (SpectralBound(1.0, "gershgorin"), -2.0, True)):
+            with pytest.raises(ValueError, match="^spectral bound is zero but the trace is "
+                                                 "not; matrix is not PSD$"):
+                ScalingParams.for_matrix(bound, trace, normalize=normalize)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ScalingParams(x0=0.0, gamma0=1.0, provenance="user")
@@ -196,15 +220,20 @@ class TestEstimateFixed:
         assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
 
     def test_thread_count_does_not_change_bits(self):
-        # width 3: 16 probes make six blocks, the last of them partial; on
-        # the width-2 fem(20000), stored by diagonal, eight full blocks and a
-        # partial one, with a bound widened so that no moment is exact
-        A = random_psd(200, 3, np.random.default_rng(3).uniform(0.0, 1.0, 200))
-        assert A.block_width == 3
-        fem = fem_matrix(20000)
-        assert fem.block_width == 2 and fem._diagonals is not None
+        # gathered at width 3: 16 probes make six blocks, the last of them
+        # partial; on the width-2 fem(8000), stored by diagonal, eight full
+        # blocks and a partial one, with a bound widened so that no moment is
+        # exact; stored by column at width 81, two full blocks and a partial
+        # one
+        A, _ = random_symmetric(280, 3)
+        assert A.block_width == 3 and A._strips is None
+        fem = fem_matrix(8000)
+        assert fem.block_width == 2 and fem._strips is not None
+        dense = random_psd(200, 3, np.random.default_rng(3).uniform(0.0, 1.0, 200))
+        assert dense.block_width == 81 and dense._strips[0][0] == slice(None)
         for A, num, sp in ((A, 16, ScalingParams.from_bound(gershgorin_upper_bound(A))),
-                           (fem, 17, ScalingParams(x0=1.0, gamma0=4.3))):
+                           (fem, 17, ScalingParams(x0=1.0, gamma0=4.3)),
+                           (dense, 170, ScalingParams.from_bound(gershgorin_upper_bound(dense)))):
             serial = estimate_fixed(A, 3, num, sp, RademacherSampler(3), threads=1)
             for k in (2, 4):
                 assert estimate_fixed(A, 3, num, sp, RademacherSampler(3), threads=k) == serial
@@ -234,7 +263,8 @@ class TestEstimateFixed:
 
         monkeypatch.setattr(estimator, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        A = random_psd(200, 3, np.random.default_rng(3).uniform(0.0, 1.0, 200))
+        A, _ = random_symmetric(280, 3)
+        assert A.block_width == 3
         sp = ScalingParams.from_bound(gershgorin_upper_bound(A))
         serial = estimate_fixed(A, 3, 16, sp, RademacherSampler(3), threads=1)
         assert seen == []

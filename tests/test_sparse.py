@@ -24,6 +24,7 @@ from entrace.sparse import (
     write_matrix_market,
     _raise_at_first_bad_entry,
 )
+from support import random_symmetric
 
 
 def tridiag(m):
@@ -31,17 +32,6 @@ def tridiag(m):
     cols = list(range(m)) + list(range(1, m)) + list(range(m - 1))
     vals = [2.0] * m + [-1.0] * (2 * (m - 1))
     return SymmetricSparseMatrix(m, rows, cols, vals)
-
-
-def random_symmetric(m, seed, density=0.3):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(m, m))
-    a = (a + a.T) / 2.0
-    mask = rng.uniform(size=(m, m)) < density
-    mask = mask | mask.T
-    np.fill_diagonal(mask, True)
-    a = np.where(mask, a, 0.0)
-    return SymmetricSparseMatrix.from_dense(a), a
 
 
 def banded(m, half, seed, holes=0.2):
@@ -63,6 +53,29 @@ def banded(m, half, seed, holes=0.2):
         vals += [v, v]
     return SymmetricSparseMatrix(m, np.concatenate(rows), np.concatenate(cols),
                                  np.concatenate(vals))
+
+
+def holed(m, seed):
+    """Full symmetric matrix without a few mirrored pairs; four pairs store +-0.0."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(m, m))
+    a = (a + a.T) / 2.0
+    i, j = np.triu_indices(m, 1)
+    pick = rng.permutation(i.size)
+    zero, hole = pick[:4], pick[4:4 + m]
+    a[i[zero], j[zero]] = a[j[zero], i[zero]] = [0.0, -0.0, -0.0, 0.0]
+    keep = np.ones((m, m), dtype=bool)
+    keep[i[hole], j[hole]] = keep[j[hole], i[hole]] = False
+    rows, cols = np.nonzero(keep)
+    return SymmetricSparseMatrix(m, rows, cols, a[rows, cols])
+
+
+def layout(mat):
+    """How the matrix's products run: "diagonals", "columns" or "gather"."""
+    if mat._strips is None:
+        return "gather"
+    full = bool(mat._strips) and mat._strips[0][0] == slice(None)
+    return "columns" if full else "diagonals"
 
 
 def ordered_pass(mat, v):
@@ -178,7 +191,7 @@ class TestMatvec:
         np.testing.assert_array_equal(mat.matvec(np.ones((2, 3))), np.zeros((2, 3)))
         assert mat.trace() == 0.0
 
-    @pytest.mark.parametrize("mat", [random_symmetric(50, 3)[0], tridiag(20000),
+    @pytest.mark.parametrize("mat", [random_symmetric(50, 3)[0], tridiag(8000),
                                      tridiag(30000)], ids=["dense-ish", "width-2", "width-1"])
     def test_block_rows_match_single_products(self, mat):
         # at b = 1, at the full block width and for a partial block, every
@@ -195,14 +208,21 @@ class TestMatvec:
             np.testing.assert_array_equal(mat.matvec(block[:width], work=work), single[:width])
 
     def test_block_width_from_entries_and_dimension(self):
-        # about 1 MiB of gathered products, and of probe rows when rows
-        # outnumber the stored entries
+        # gathered: about 1 MiB of gathered products, and of probe rows when
+        # rows outnumber the stored entries
         mat, _ = random_symmetric(50, 3)
-        assert mat.block_width == 2**17 // mat.nnz
-        assert tridiag(20000).block_width == 2
-        assert tridiag(30000).block_width == 1
+        assert layout(mat) == "gather" and mat.block_width == 2**17 // mat.nnz
+        assert SymmetricSparseMatrix(50000, [0], [0], [1.0]).block_width == 2
         assert SymmetricSparseMatrix(10**6, [0], [0], [1.0]).block_width == 1
-        assert SymmetricSparseMatrix(4, [], [], []).block_width == 2**17 // 4
+        # stored as strips: 128 KiB of each of a form's (b, dim) arrays,
+        # whatever the stored entries
+        assert tridiag(8000).block_width == 2
+        assert tridiag(30000).block_width == 1
+        assert SymmetricSparseMatrix(4, [], [], []).block_width == 2**14 // 4
+        spdc = spdc_density_matrix(SpdcParams())
+        assert layout(spdc) == "columns" and spdc.block_width == 256
+        dense = random_psd(1000, 0, np.linspace(0.0, 1.0, 1000))
+        assert layout(dense) == "columns" and dense.block_width == 16
 
     def test_rejects_bad_shapes(self):
         mat = tridiag(4)
@@ -219,11 +239,19 @@ class TestDiagonalPath:
                               np.random.default_rng(3).normal(size=40)),
         SymmetricSparseMatrix(1, [0], [0], [0.7]),
         SymmetricSparseMatrix(5, [], [], []),
+        spdc_density_matrix(SpdcParams()),
+        random_psd(200, 3, np.random.default_rng(3).uniform(0.0, 1.0, 200)),
+        holed(30, 4),
+        # the mirrors differ by 1e-13, so a strip that took row j for column
+        # j would change the bits
+        SymmetricSparseMatrix.from_dense([[1.0, 0.5], [0.5 + 1e-13, 2.0]]),
     ], ids=["fem-1", "fem-3", "fem-1000", "banded-300", "banded-2000", "banded-50",
-            "diagonal-only", "dim-1", "nnz-0"])
+            "diagonal-only", "dim-1", "nnz-0", "columns-spdc", "columns-random-200",
+            "columns-holed", "columns-mirrors"])
     def test_products_equal_the_ordered_pass(self, mat):
-        # bit for bit, for a vector, a full block and a partial block
-        assert mat._diagonals is not None
+        # bit for bit, for a vector, a full block and a partial block, by
+        # diagonal and by column
+        assert mat._strips is not None
         width = mat.block_width
         rng = np.random.default_rng(mat.dim)
         for shape in {(mat.dim,), (width, mat.dim), (max(1, width - 1), mat.dim)}:
@@ -240,30 +268,45 @@ class TestDiagonalPath:
         mat = SymmetricSparseMatrix(
             6, np.concatenate((np.arange(6), i, i + 1)), np.concatenate((np.arange(6), i + 1, i)),
             [-0.0, 1.0, 2.0, 3.0, 4.0, 5.0] + [0.5, -0.0, 0.25, 0.3] * 2)
-        assert mat._diagonals is not None
+        assert layout(mat) == "diagonals"
         v = np.array([1.0, -2.0, 0.0, 0.1, -0.0, 3.0])
         assert mat.matvec(v)[0].tobytes() == np.float64(0.0).tobytes()
         assert mat.matvec(v).tobytes() == ordered_pass(mat, v).tobytes()
 
     def test_diagonals_are_read_only(self):
-        _, _, entries = fem_matrix(4)._diagonals[0]
-        with pytest.raises(ValueError):
-            entries[0] = 1.0
+        for mat, kind in ((fem_matrix(4), "diagonals"), (holed(10, 0), "columns")):
+            assert layout(mat) == kind
+            _, _, entries = mat._strips[0]
+            with pytest.raises(ValueError):
+                entries[0] = 1.0
 
     def test_path_follows_the_fill(self):
-        # fill is ndiag * dim / nnz: 1.0 on fem, 1.74 on spdc, 2.0 on a dense matrix
-        assert fem_matrix(10**5)._diagonals is not None
-        assert spdc_density_matrix(SpdcParams())._diagonals is None
-        assert random_psd(1000, 0, np.linspace(0.0, 1.0, 1000))._diagonals is None
+        # fill is the fewer padded slots, ndiag * dim or dim * dim, over nnz:
+        # by diagonal 1.0 on fem, by column 1.02 on spdc and 1.0 on a dense
+        # matrix; about 2 on both layouts for a scattered one
+        assert layout(fem_matrix(10**5)) == "diagonals"
+        assert layout(spdc_density_matrix(SpdcParams())) == "columns"
+        assert layout(random_psd(1000, 0, np.linspace(0.0, 1.0, 1000))) == "columns"
+        assert layout(random_symmetric(50, 3)[0]) == "gather"
         # five diagonals of dim 10: 44 entries when full (fill 1.14), too
         # few once three pairs leave the outer ones (38 entries, fill 1.32)
         full = banded(10, 2, 5, holes=0.0)
-        assert full.nnz == 44 and full._diagonals is not None
+        assert full.nnz == 44 and layout(full) == "diagonals"
         rows, cols, vals = full.coo()
         outer = np.abs(rows - cols) == 2
         drop = outer & (np.minimum(rows, cols) < 3)
         sparse = SymmetricSparseMatrix(10, rows[~drop], cols[~drop], vals[~drop])
-        assert sparse.nnz == 38 and 50 > DIA_FILL * 38 and sparse._diagonals is None
+        assert sparse.nnz == 38 and 50 > DIA_FILL * 38 and layout(sparse) == "gather"
+        # a full 10 x 10 matrix keeps its columns with 78 of its 100 slots
+        # stored (fill 1.28), and loses them at 76 (fill 1.32)
+        dense = np.arange(1.0, 101.0).reshape(10, 10)
+        dense += dense.T
+        i, j = np.triu_indices(10, 1)
+        for pairs, want in ((11, "columns"), (12, "gather")):
+            a = dense.copy()
+            a[i[:pairs], j[:pairs]] = a[j[:pairs], i[:pairs]] = 0.0
+            mat = SymmetricSparseMatrix.from_dense(a)
+            assert mat.nnz == 100 - 2 * pairs and layout(mat) == want
 
     def test_workspace_must_match_the_block(self):
         mat = random_psd(50, 0, np.ones(50))
