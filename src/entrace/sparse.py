@@ -14,6 +14,11 @@ diagonals is stored by diagonal, and one whose entries nearly fill
 dim x dim is stored by column. Any other matrix gathers its products in
 storage order and sums them with ``np.bincount``. All three add each row's
 products to 0.0 in ascending column order, so they give the same bits.
+
+Symmetry is checked where the entries already are: a matrix stored as
+strips compares its strips with their mirror images, and only a matrix
+that gathers its products sorts its entries a second time, by (col, row).
+Either way a matrix is accepted or refused, and an error worded, alike.
 """
 
 from __future__ import annotations
@@ -84,12 +89,16 @@ class BlockWork(NamedTuple):
 
 
 class SymmetricSparseMatrix:
-    """Real symmetric matrix in CSR form with both triangles stored explicitly.
+    """Real symmetric matrix with both triangles stored explicitly.
 
-    Entries are validated, sorted by (row, column), and frozen at
+    Entries are validated, sorted by (row, column) with one stable sort on
+    the fused key row * dim + col (none if they arrive so), and frozen at
     construction, so instances can be shared across threads without locking.
-    Positive semidefiniteness is the caller's contract and is not checked
-    here; use the dense oracle to verify it for matrices of modest size.
+    Each entry must have a mirror that equals it within ``SYMMETRY_RTOL``;
+    a matrix stored as strips checks this on its strips, any other by a
+    sort on (column, row). Positive semidefiniteness is the caller's
+    contract and is not checked here; use the dense oracle to verify it for
+    matrices of modest size.
 
     When the stored entries fill few diagonals, padded diagonal slots
     ndiag * dim at most ``DIA_FILL`` times nnz, they are also kept as a
@@ -103,8 +112,8 @@ class SymmetricSparseMatrix:
     the three layouts, agree bit for bit.
     """
 
-    __slots__ = ("dim", "indptr", "col", "val", "_row", "_width", "_layout", "_strips",
-                 "_diag", "build_warnings")
+    __slots__ = ("dim", "col", "val", "_row", "_width", "_layout", "_strips", "_diag",
+                 "build_warnings")
 
     def __init__(self, dim, rows, cols, values):
         dim = int(dim)
@@ -123,33 +132,40 @@ class SymmetricSparseMatrix:
             raise ValueError("matrix entries must be finite")
 
         key = rows * dim + cols if dim <= _KEY_DIM_MAX else None
-        if key is not None and np.all(key[1:] > key[:-1]):
-            # already in storage order, and free of repeats; copied, as the
-            # sort's permutation would copy them, so that the caller's
-            # arrays never become the matrix's
-            rows, cols, values = rows.copy(), cols.copy(), values.copy()
-        else:
-            order = np.lexsort((cols, rows))
+        ordered = key is not None and bool(np.all(key[1:] > key[:-1]))
+        del key
+        if not ordered:
+            order = _row_major(rows, cols, dim)
             rows, cols, values = rows[order], cols[order], values[order]
+            del order
             if rows.size > 1:
                 same = (np.diff(rows) == 0) & (np.diff(cols) == 0)
                 if same.any():
                     k = int(np.flatnonzero(same)[0])
                     raise ValueError(f"duplicate entry at ({rows[k]}, {cols[k]})")
-        del key
-        self._check_symmetry(rows, cols, values)
 
-        counts = np.bincount(rows, minlength=dim) if rows.size else np.zeros(dim, np.int64)
-        indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        diag = np.zeros(dim)
-        on_diag = rows == cols
-        diag[rows[on_diag]] = values[on_diag]
+        # entries in storage order and free of repeats; ordered input is
+        # still the caller's, and only read until it is copied below
+        found = _strips(rows, cols, values, dim)
+        if found is None or not found.symmetric:
+            # the gather path's check, which also words the error of a
+            # failed strip check
+            self._check_symmetry(rows, cols, values, dim)
+        if ordered:
+            # copied, as the sort's permutation would copy them, so that the
+            # caller's arrays never become the matrix's; last, once the
+            # strips' scratch is freed
+            rows, cols, values = rows.copy(), cols.copy(), values.copy()
 
-        strips = _strips(rows, cols, values, dim)
-        if strips is None:
+        if found is None:
+            strips = None
+            diag = np.zeros(dim)
+            on_diag = rows == cols
+            diag[rows[on_diag]] = values[on_diag]
             width = max(1, BLOCK_BYTES // (8 * max(rows.size, dim)))
             layout = _block_layout(rows, cols, values, dim, width)
         else:
+            strips, diag = found.strips, found.diagonal
             # a form holds five (b, dim) arrays, the probes, t_prev, t, t_next
             # and a product's temporary; at an eighth of BLOCK_BYTES each, the
             # five fit within it on each worker. Wider blocks gain little per
@@ -160,10 +176,9 @@ class SymmetricSparseMatrix:
         # the row indices and the block layout stay writable, though nothing
         # writes to them: np.bincount and np.take copy a read-only index
         # array on every call
-        for arr in (indptr, cols, values, diag):
+        for arr in (cols, values, diag):
             arr.setflags(write=False)
         self.dim = dim
-        self.indptr = indptr
         self.col = cols
         self.val = values
         self._row = rows
@@ -174,10 +189,10 @@ class SymmetricSparseMatrix:
         self.build_warnings = []
 
     @staticmethod
-    def _check_symmetry(rows, cols, values):
+    def _check_symmetry(rows, cols, values, dim):
         # sorting the entry list by (col, row) must reproduce the (row, col)
         # order with the roles swapped, otherwise some A_ij has no mirror
-        mirror = np.lexsort((rows, cols))
+        mirror = _row_major(cols, rows, dim)
         if not (np.array_equal(rows[mirror], cols) and np.array_equal(cols[mirror], rows)):
             miss = np.flatnonzero((rows[mirror] != cols) | (cols[mirror] != rows))
             k = int(miss[0])
@@ -305,17 +320,30 @@ class SymmetricSparseMatrix:
         return cls(arr.shape[0], rows, cols, arr[rows, cols])
 
 
-def _strips(rows, cols, values, dim):
-    """(rows, columns, entries) slices of each strip of a product without a gather.
+class _Strips(NamedTuple):
+    """A matrix stored as strips, as ``_strips`` finds it."""
 
-    A product adds entries * v[..., columns] to y[..., rows] for each strip
-    in turn. Stored by diagonal, strip k is the k-th stored diagonal by
-    ascending offset d, holding A[i, i + d]. Stored by column, strip j is
-    (:, j:j+1, A[:, j]). A missing entry is stored as 0.0. Of the two, the
-    layout with fewer padded slots, ndiag * dim or dim * dim, is taken if it
-    has at most ``DIA_FILL`` times the stored entries, diagonals on a tie;
-    otherwise the result is None. The offsets are counted by one np.bincount
-    over -(dim - 1)..dim - 1.
+    strips: tuple
+    diagonal: np.ndarray
+    symmetric: bool
+
+
+def _strips(rows, cols, values, dim):
+    """The strips of a product without a gather, or None; see ``_Strips``.
+
+    A product adds entries * v[..., columns] to y[..., rows] for each
+    (rows, columns, entries) strip in turn. Stored by diagonal, strip k is
+    the k-th stored diagonal by ascending offset d, holding A[i, i + d].
+    Stored by column, strip j is (:, j:j+1, A[:, j]). A missing entry is
+    stored as 0.0. Of the two, the layout with fewer padded slots, ndiag *
+    dim or dim * dim, is taken if it has at most ``DIA_FILL`` times the
+    stored entries, diagonals on a tie; otherwise the result is None. The
+    offsets are counted by one np.bincount over -(dim - 1)..dim - 1.
+
+    The entries, in storage order, are only read. Symmetry is checked on the
+    strips: a mask of the slots that hold an entry must equal its mirror
+    image, and so must the entries, within ``SYMMETRY_RTOL``; see
+    ``_mirrors_agree``. The diagonal is read off the strips.
     """
     if rows.size and dim > DIA_FILL * rows.size:
         # even one diagonal would be too empty
@@ -325,21 +353,34 @@ def _strips(rows, cols, values, dim):
     index = np.bincount(shifted, minlength=2 * dim - 1)
     present = np.flatnonzero(index)
     if present.size > dim:
+        del shifted, index
         return _column_strips(rows, cols, values, dim)
     if present.size * dim > DIA_FILL * rows.size:
         return None
     # entry (i, i + d) goes to flat slot k * dim + i of the k-th diagonal
     index[present] = np.arange(present.size) * dim
     slot = index[shifted]
+    del shifted, index
     slot += rows
     data = np.zeros((present.size, dim))
+    held = np.zeros(data.shape, dtype=bool)
     data.reshape(-1)[slot] = values
+    held.reshape(-1)[slot] = True
+    del slot
     data.setflags(write=False)
+    offsets = (present - (dim - 1)).tolist()
+    # A[i, i + d], slot i of diagonal d, faces A[i + d, i], slot i + d of
+    # diagonal -d, which is as many diagonals from the last as d is from the
+    # first
+    symmetric = offsets == [-d for d in reversed(offsets)] and all(
+        _mirrors_agree(held[k, :dim - d], held[-1 - k, d:], data[k, :dim - d], data[-1 - k, d:])
+        for k, d in enumerate(offsets) if d > 0)
     out = []
-    for a, d in zip(data, (present - (dim - 1)).tolist()):
+    for a, d in zip(data, offsets):
         lo, hi = max(0, -d), dim - max(0, d)
         out.append((slice(lo, hi), slice(lo + d, hi + d), a[lo:hi]))
-    return tuple(out)
+    diagonal = data[offsets.index(0)] if 0 in offsets else np.zeros(dim)
+    return _Strips(tuple(out), diagonal, symmetric)
 
 
 def _column_strips(rows, cols, values, dim):
@@ -348,10 +389,47 @@ def _column_strips(rows, cols, values, dim):
         return None
     # strip j must hold column j as stored: its mirror, row j, may differ
     # from it within SYMMETRY_RTOL
+    slot = cols * dim + rows
     data = np.zeros((dim, dim))
-    data[cols, rows] = values
+    held = np.zeros((dim, dim), dtype=bool)
+    data.reshape(-1)[slot] = values
+    held.reshape(-1)[slot] = True
+    del slot
     data.setflags(write=False)
-    return tuple((slice(None), slice(j, j + 1), a) for j, a in enumerate(data))
+    symmetric = _mirrors_agree(held, held.T, data, data.T)
+    return _Strips(tuple((slice(None), slice(j, j + 1), a) for j, a in enumerate(data)),
+                   np.diagonal(data).copy(), symmetric)
+
+
+def _mirrors_agree(held, held_mirror, a, b):
+    """Whether each slot and its mirror slot agree, in the entries they hold.
+
+    Both must hold an entry or both a hole, and an entry a with mirror b
+    must satisfy |a - b| <= SYMMETRY_RTOL * max(1, min(|a|, |b|)): the
+    test of ``SymmetricSparseMatrix._check_symmetry``, applied to both
+    entries of the pair. A hole holds 0.0, and passes against a hole.
+    """
+    if not np.array_equal(held, held_mirror):
+        return False
+    tol = np.abs(a)
+    np.minimum(tol, np.abs(b), out=tol)
+    np.maximum(tol, 1.0, out=tol)
+    tol *= SYMMETRY_RTOL
+    diff = a - b
+    np.abs(diff, out=diff)
+    return not np.any(diff > tol)
+
+
+def _row_major(rows, cols, dim):
+    """Stable permutation that sorts entries by (row, col).
+
+    It sorts the fused key row * dim + col, or, above ``_KEY_DIM_MAX``,
+    where the key could overflow, both keys with np.lexsort. Both sorts are
+    stable, so they give the same permutation.
+    """
+    if dim > _KEY_DIM_MAX:
+        return np.lexsort((cols, rows))
+    return np.argsort(rows * dim + cols, kind="stable")
 
 
 def _block_layout(rows, cols, values, dim, b):
@@ -496,6 +574,13 @@ def _raise_at_first_bad_entry(path, nrows, nnz, symmetric, cause):
     raise MatrixMarketError(f"cannot read the entries: {cause}")
 
 
+def _has_repeats(i, j, n):
+    """Whether any entry (i_k, j_k), with indices in 0..n - 1, repeats."""
+    order = _row_major(i, j, n)
+    i, j = i[order], j[order]
+    return bool(((np.diff(i) == 0) & (np.diff(j) == 0)).any())
+
+
 def _mirror_index(i, j):
     """Index of the entry (j_k, i_k) for each entry k, or -1 where there is none.
 
@@ -581,11 +666,10 @@ def read_matrix_market(path):
 
     n = min(entries.size, nnz)
     i, j, v = entries["i"][:n], entries["j"][:n], entries["v"][:n]
-    order = np.lexsort((j, i))
     if (entries.size > nnz
             or ((i < 1) | (i > nrows) | (j < 1) | (j > nrows)).any()
             or (symmetric and (i < j).any())
-            or ((np.diff(i[order]) == 0) & (np.diff(j[order]) == 0)).any()):
+            or _has_repeats(i - 1, j - 1, nrows)):
         _raise_at_first_bad_entry(path, nrows, nnz, symmetric, "no line fails its checks")
     if n != nnz:
         with _open_text(path) as fh:

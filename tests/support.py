@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from entrace.chebyshev import entropy_function
-from entrace.sparse import SymmetricSparseMatrix
+from entrace.sparse import SYMMETRY_RTOL, SymmetricSparseMatrix
 
 
 def random_symmetric(m, seed, density=0.3):
@@ -29,6 +29,29 @@ def random_symmetric(m, seed, density=0.3):
     np.fill_diagonal(mask, True)
     a = np.where(mask, a, 0.0)
     return SymmetricSparseMatrix.from_dense(a), a
+
+
+def symmetry_error(rows, cols, values):
+    """The message of the constructor's symmetry error, or None if there is none.
+
+    The reference check for entries free of repeats: it sorts them by (row,
+    col) and then by (col, row) with np.lexsort, and compares each entry
+    with the one that lands in its place, pattern first and then values;
+    the first failing entry in (row, col) order is named.
+    """
+    order = np.lexsort((cols, rows))
+    rows, cols, values = (np.asarray(x)[order] for x in (rows, cols, values))
+    mirror = np.lexsort((rows, cols))
+    miss = np.flatnonzero((rows[mirror] != cols) | (cols[mirror] != rows))
+    if miss.size:
+        k = int(miss[0])
+        return f"sparsity pattern is not symmetric near entry ({rows[k]}, {cols[k]})"
+    vt = values[mirror]
+    bad = np.flatnonzero(np.abs(values - vt) > SYMMETRY_RTOL * np.maximum(1.0, np.abs(values)))
+    if bad.size:
+        k = int(bad[0])
+        return f"asymmetric values at ({rows[k]}, {cols[k]}): {values[k]!r} vs {vt[k]!r}"
+    return None
 
 
 def coeff_quadrature(k, x0):

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entrace
 from entrace.cli import RunConfig, build_parser, main, run
 from entrace.generators import fem_matrix
 from entrace.sparse import SymmetricSparseMatrix, write_matrix_market
@@ -240,6 +245,27 @@ class TestErrorHandling:
         out, _ = capsys.readouterr()
         assert code == 0
         assert json.loads(out)["trace"] == 20.0
+
+
+class TestModuleEntryPoint:
+    """``python -m entrace`` is the command line."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = str(Path(entrace.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "entrace", *argv],
+                              env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=120)
+
+    def test_matches_main(self, capsys):
+        argv = ["entropy", "--generate", "fem:50", "-n", "4", "--samples", "2"]
+        code, out, _ = run_cli(capsys, *argv)
+        child = self.run_module(*argv)
+        assert (child.returncode, child.stdout) == (code, out)
+
+    def test_no_arguments_is_a_usage_error(self):
+        assert self.run_module().returncode == 2
 
 
 class TestEstimatorDispatch:

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import entrace
 from entrace.generators import SpdcParams, fem_matrix, random_psd, spdc_density_matrix
 from entrace.sparse import (
     DIA_FILL,
+    SYMMETRY_RTOL,
     MatrixMarketError,
     SpectralBound,
     SymmetricSparseMatrix,
@@ -23,8 +25,9 @@ from entrace.sparse import (
     read_matrix_market,
     write_matrix_market,
     _raise_at_first_bad_entry,
+    _strips,
 )
-from support import random_symmetric
+from support import random_symmetric, symmetry_error
 
 
 def tridiag(m):
@@ -139,8 +142,8 @@ class TestConstruction:
         order = np.random.default_rng(4).permutation(rows.size)
         shuffled = SymmetricSparseMatrix(500, rows[order], cols[order], vals[order])
         ordered = SymmetricSparseMatrix(500, rows.copy(), cols.copy(), vals.copy())
-        for name in ("indptr", "col", "val"):
-            assert getattr(ordered, name).tobytes() == getattr(shuffled, name).tobytes()
+        for a, b in zip(ordered.coo(), shuffled.coo()):
+            assert a.tobytes() == b.tobytes()
 
     def test_ordered_input_is_copied(self):
         # entries already in storage order are kept without a sort, but the
@@ -312,6 +315,140 @@ class TestDiagonalPath:
         mat = random_psd(50, 0, np.ones(50))
         with pytest.raises(ValueError, match="blocks of 2 rows, got 3"):
             mat.matvec(np.ones((3, 50)), work=mat.workspace(2))
+
+
+class TestSymmetryCheck:
+    """Strip layouts check symmetry on their strips, and agree with the sort."""
+
+    @staticmethod
+    def entries(rng, kind):
+        """Entries of a symmetric matrix meant for one layout, in storage order."""
+        if kind == "diagonals":
+            m = int(rng.integers(20, 41))
+            i, j = np.indices((m, m))
+            mask = np.abs(i - j) <= rng.integers(1, 4)
+        elif kind == "columns":
+            m = int(rng.integers(5, 21))
+            mask = np.ones((m, m), dtype=bool)
+        else:
+            m = int(rng.integers(10, 31))
+            mask = rng.uniform(size=(m, m)) < 0.3
+        holes = np.triu(rng.uniform(size=(m, m)) < (0.0 if kind == "gather" else 0.05), 1)
+        mask = (mask | mask.T) & ~(holes | holes.T)
+        np.fill_diagonal(mask, True)
+        a = rng.normal(size=(m, m)) * rng.choice([1e-3, 1.0, 100.0])
+        zeros = np.triu(rng.uniform(size=(m, m)) < 0.03, 1)
+        a[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+        a = np.triu(a) + np.triu(a, 1).T
+        rows, cols = np.nonzero(mask)
+        return m, rows, cols, a[rows, cols]
+
+    @staticmethod
+    def perturb(rng, how, m, rows, cols, vals):
+        """The entries with one change made to an off-diagonal pair, re-sorted."""
+        off = np.flatnonzero(rows != cols)
+        k = int(rng.choice(off))
+        if how == "missing":
+            keep = np.arange(rows.size) != k
+            return rows[keep], cols[keep], vals[keep]
+        vals = vals.copy()
+        if how == "value":
+            # just inside or just outside the tolerance, the entry made
+            # larger or smaller than its mirror
+            step = rng.choice([-1.0, 1.0]) * rng.choice([0.5, 1 - 1e-3, 1 + 1e-3, 2.0])
+            v = vals[k]
+            vals[k] = v * (1.0 + step * SYMMETRY_RTOL) if abs(v) >= 1.0 else v + step * SYMMETRY_RTOL
+        elif how == "zero":
+            # a stored +-0.0 facing a hole
+            free = np.ones((m, m), dtype=bool)
+            free[rows, cols] = False
+            i, j = np.nonzero(free)
+            if i.size:
+                h = int(rng.integers(i.size))
+                rows, cols = np.append(rows, i[h]), np.append(cols, j[h])
+                vals = np.append(vals, rng.choice([0.0, -0.0]))
+        order = np.lexsort((cols, rows))
+        return rows[order], cols[order], vals[order]
+
+    @staticmethod
+    def route(m, rows, cols, vals):
+        found = _strips(rows, cols, vals, m)
+        if found is None:
+            return "gather", None
+        return ("columns" if found.strips[0][0] == slice(None) else "diagonals"), found.symmetric
+
+    @staticmethod
+    def stored(mat):
+        strips = None if mat._strips is None else [
+            (r, c, a.tobytes()) for r, c, a in mat._strips]
+        return ([a.tobytes() for a in mat.coo()], strips, mat.diagonal().tobytes(),
+                mat.block_width)
+
+    def test_strip_checks_agree_with_the_sort(self):
+        rng = np.random.default_rng(8)
+        seen = set()
+        for case in range(300):
+            kind = ("diagonals", "columns", "gather")[case % 3]
+            how = ("none", "missing", "value", "zero")[case // 3 % 4]
+            m, rows, cols, vals = self.entries(rng, kind)
+            if how != "none":
+                rows, cols, vals = self.perturb(rng, how, m, rows, cols, vals)
+            want = symmetry_error(rows, cols, vals)
+            path, symmetric = self.route(m, rows, cols, vals)
+            if symmetric is not None:
+                assert symmetric == (want is None)
+            seen.add((path, how, want is None))
+            shuffle = rng.permutation(rows.size)
+            builds = []
+            for order in (np.arange(rows.size), shuffle):
+                args = (m, rows[order], cols[order], vals[order])
+                if want is None:
+                    builds.append(self.stored(SymmetricSparseMatrix(*args)))
+                else:
+                    with pytest.raises(ValueError) as err:
+                        SymmetricSparseMatrix(*args)
+                    assert str(err.value) == want
+            if builds:
+                assert builds[0] == builds[1]
+        for path in ("diagonals", "columns", "gather"):
+            assert {(path, "none", True), (path, "missing", False), (path, "value", True),
+                    (path, "value", False), (path, "zero", False)} <= seen
+
+    def test_the_smaller_entry_sets_the_tolerance(self):
+        # a - b, 5000 ulps of 1.0, is above SYMMETRY_RTOL * b but not above
+        # SYMMETRY_RTOL * a: a pair that only the smaller entry's test refuses
+        ulp = 2.0**-52
+        b = 5000 * ulp / SYMMETRY_RTOL - 1000 * ulp
+        a = b + 5000 * ulp
+        assert SYMMETRY_RTOL * b < a - b <= SYMMETRY_RTOL * a
+        tridiagonal = 2.0 * np.eye(12) - np.eye(12, k=1) - np.eye(12, k=-1)
+        for dense, path in ((tridiagonal, "diagonals"), (np.full((4, 4), 0.5), "columns"),
+                            (random_symmetric(20, 0)[1], "gather")):
+            dense = dense.copy()
+            dense[1, 2], dense[2, 1] = a, b
+            rows, cols = np.nonzero(dense)
+            vals = dense[rows, cols]
+            assert self.route(dense.shape[0], rows, cols, vals) in ((path, False), (path, None))
+            want = symmetry_error(rows, cols, vals)
+            assert want.startswith("asymmetric values at (2, 1): ")
+            with pytest.raises(ValueError) as err:
+                SymmetricSparseMatrix(dense.shape[0], rows, cols, vals)
+            assert str(err.value) == want
+
+    def test_build_peak_memory_per_entry(self):
+        # traced peak while fem(2 * 10^5) is built from ordered entries; the
+        # matrix it keeps is 32 B an entry: rows, columns, values, and three
+        # diagonals. A mirror sort, or the copies made before the strips'
+        # scratch is freed, take the peak above 48
+        dim = 2 * 10**5
+        rows, cols, vals = (a.copy() for a in fem_matrix(dim).coo())
+        tracemalloc.start()
+        try:
+            SymmetricSparseMatrix(dim, rows, cols, vals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / rows.size < 48
 
 
 class TestSpectralBounds:
@@ -593,8 +730,8 @@ class TestMatrixMarket:
             entries.insert(k, "% inserted")
         path.write_text("\n".join([header, "% before the size line", size, *entries]) + "\n")
         back = read_matrix_market(path)
-        for name in ("val", "col", "indptr"):
-            assert getattr(back, name).tobytes() == getattr(mat, name).tobytes()
+        for a, b in zip(back.coo(), mat.coo()):
+            assert a.tobytes() == b.tobytes()
 
     def test_values_equal_python_float(self, tmp_path):
         tokens = ["0.1", "-2.5e-300", "1.7976931348623157e308", "4.9e-324", "-0",
