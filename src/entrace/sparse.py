@@ -1,11 +1,12 @@
 """Sparse symmetric storage, Matrix Market I/O, and spectral upper bounds.
 
-The estimator touches a matrix only through ``matvec`` and ``trace``.
-Everything in this module exists to make those two operations cheap,
-deterministic, and safe to share across threads. ``matvec`` takes one
-vector or a block of probe rows; a block shares the per-call cost of a
-product among its rows, and each row comes out bit-identical to its
-single-vector product.
+The estimator touches a matrix only through ``trace``, ``block_width``,
+``workspace`` and ``matvec``. Everything in this module exists to make its
+products cheap, deterministic, and safe to share across threads.
+``matvec`` takes one vector or a block of probe rows (the estimator sends
+``block_width`` rows at most, with scratch from ``workspace``); a block
+shares the per-call cost of a product among its rows, and each row comes
+out bit-identical to its single-vector product.
 
 A product takes one of three layouts, chosen once from the sparsity
 pattern. Two of them store the matrix a second time as strips, and multiply
@@ -23,7 +24,6 @@ Either way a matrix is accepted or refused, and an error worded, alike.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -106,10 +106,10 @@ class SymmetricSparseMatrix:
     adds one shifted diagonal at a time. When they nearly fill the matrix,
     with more than dim diagonals and dim * dim slots at most ``DIA_FILL``
     times nnz, they are kept as a read-only (dim, dim) array of columns
-    instead, and the product adds column j times v[j] for each j in turn. Otherwise the product is one
-    ordered pass over the stored entries. In each layout every row sums its
-    products from 0.0 in ascending column order, so repeated products, and
-    the three layouts, agree bit for bit.
+    instead, and the product adds column j times v[j] for each j in turn.
+    Otherwise the product is one ordered pass over the stored entries. In
+    each layout every row sums its products from 0.0 in ascending column
+    order, so repeated products, and the three layouts, agree bit for bit.
     """
 
     __slots__ = ("dim", "col", "val", "_row", "_width", "_layout", "_strips", "_diag",
@@ -522,82 +522,59 @@ def _open_text(path):
     return open(path, "r", encoding="ascii", errors="replace")
 
 
-def _numbered_entry_lines(path):
-    """Yield (line number, text) of each entry line of a Matrix Market file.
+def _raise_at_first_bad_entry(path, nrows, nnz, symmetric, cause):
+    """Raise the error of the first check that a Matrix Market file fails.
 
-    A line counts if anything but whitespace precedes its first '%', as
-    np.loadtxt counts it; the first such line after the header is the size
-    line, and is skipped.
+    Entry lines are the lines after the size line with anything but
+    whitespace before their first '%', as np.loadtxt counts them. They are
+    checked in file order, and each in this order: an entry beyond the
+    declared count, the token count, the parse, a finite value, the index
+    range, the lower triangle of a symmetric file, and a repeat of an
+    earlier entry. Then a short entry count is reported at the file's last
+    line, and then, in a general file, the first entry in file order whose
+    mirror is missing or differs from it by more than ``SYMMETRY_RTOL``
+    times max(1, |entry|). ``cause`` is reported if every check passes.
     """
+    seen = {}
     with _open_text(path) as fh:
         lines = ((lineno, raw) for lineno, raw in enumerate(fh, start=1)
                  if lineno > 1 and raw.partition("%")[0].strip())
         next(lines, None)
-        yield from lines
-
-
-def _entry_line(path, k):
-    """Line number of entry k (from 0), found by reading the file again."""
-    return next(itertools.islice(_numbered_entry_lines(path), k, None))[0]
-
-
-def _raise_at_first_bad_entry(path, nrows, nnz, symmetric, cause):
-    """Raise the error of the first entry line that fails a line check.
-
-    The checks run in file order, and on each line in this order: an entry
-    beyond the declared count, the token count, the parse, the index range,
-    the lower triangle of a symmetric file, and a repeat of an earlier
-    entry. ``cause`` is reported if every line passes.
-    """
-    seen = set()
-    for k, (lineno, raw) in enumerate(_numbered_entry_lines(path)):
-        if k == nnz:
-            _header_error(lineno, f"unexpected extra entry, header declared {nnz}")
-        body = raw.partition("%")[0]
-        tok = body.split()
-        if len(tok) != 3:
-            _header_error(lineno, "entry must be 'row col value'")
-        try:
-            # np.loadtxt, unlike int() and float(), takes no digit separators
-            if "_" in body:
-                raise ValueError
-            i, j, v = int(tok[0]), int(tok[1]), float(tok[2])
-        except ValueError:
-            _header_error(lineno, f"cannot parse entry {raw.strip()!r}")
-        if not (1 <= i <= nrows and 1 <= j <= nrows):
-            _header_error(lineno, f"index ({i}, {j}) outside 1..{nrows}")
-        if symmetric and i < j:
-            _header_error(lineno, "symmetric files must store the lower triangle (row >= col)")
-        if (i, j) in seen:
-            _header_error(lineno, f"duplicate entry for ({i}, {j})")
-        seen.add((i, j))
+        for lineno, raw in lines:
+            if len(seen) == nnz:
+                _header_error(lineno, f"unexpected extra entry, header declared {nnz}")
+            body = raw.partition("%")[0]
+            tok = body.split()
+            if len(tok) != 3:
+                _header_error(lineno, "entry must be 'row col value'")
+            try:
+                # np.loadtxt, unlike int() and float(), takes no digit separators
+                if "_" in body:
+                    raise ValueError
+                i, j, v = int(tok[0]), int(tok[1]), float(tok[2])
+            except ValueError:
+                _header_error(lineno, f"cannot parse entry {raw.strip()!r}")
+            if not math.isfinite(v):
+                _header_error(lineno, f"value must be finite in entry {raw.strip()!r}")
+            if not (1 <= i <= nrows and 1 <= j <= nrows):
+                _header_error(lineno, f"index ({i}, {j}) outside 1..{nrows}")
+            if symmetric and i < j:
+                _header_error(lineno, "symmetric files must store the lower triangle (row >= col)")
+            if (i, j) in seen:
+                _header_error(lineno, f"duplicate entry for ({i}, {j})")
+            seen[i, j] = lineno, v
+        if len(seen) < nnz:
+            fh.seek(0)
+            _header_error(sum(1 for _ in fh), f"header declared {nnz} entries, found {len(seen)}")
+    if not symmetric:
+        for (i, j), (lineno, v) in seen.items():
+            if (j, i) not in seen:
+                _header_error(lineno, f"entry ({i}, {j}) has no mirrored ({j}, {i}) entry")
+            mirror_line, vm = seen[j, i]
+            if abs(v - vm) > SYMMETRY_RTOL * max(1.0, abs(v)):
+                _header_error(lineno, f"entry ({i}, {j}) = {v!r} does not match "
+                                      f"({j}, {i}) = {vm!r} from line {mirror_line}")
     raise MatrixMarketError(f"cannot read the entries: {cause}")
-
-
-def _has_repeats(i, j, n):
-    """Whether any entry (i_k, j_k), with indices in 0..n - 1, repeats."""
-    order = _row_major(i, j, n)
-    i, j = i[order], j[order]
-    return bool(((np.diff(i) == 0) & (np.diff(j) == 0)).any())
-
-
-def _mirror_index(i, j):
-    """Index of the entry (j_k, i_k) for each entry k, or -1 where there is none.
-
-    Entries and the mirrors they want are sorted together by (row, col) with
-    the entries first, so a mirror that exists sorts just before its query.
-    Entries must not repeat.
-    """
-    n = i.size
-    rows, cols = np.concatenate((i, j)), np.concatenate((j, i))
-    query = np.arange(2 * n) >= n
-    order = np.lexsort((query, cols, rows))
-    rows, cols, query = rows[order], cols[order], query[order]
-    pos = np.flatnonzero(query[1:]) + 1
-    hit = ~query[pos - 1] & (rows[pos - 1] == rows[pos]) & (cols[pos - 1] == cols[pos])
-    mirror = np.full(n, -1, dtype=np.int64)
-    mirror[order[pos] - n] = np.where(hit, order[pos - 1], -1)
-    return mirror
 
 
 def read_matrix_market(path):
@@ -607,16 +584,16 @@ def read_matrix_market(path):
     'general') header, a 'rows cols nnz' size line and nnz 'row col value'
     entry lines. Fields are separated by any whitespace, indices are
     1-based, and numbers take Python's int and float syntax without '_'
-    separators. Lines
-    whose first non-blank character is '%' are comments, and so is the rest
-    of an entry line from a '%' on. Symmetric files must store the lower
-    triangle (row >= column); general files must contain both halves with
-    matching values. Any malformed or inconsistent line is reported by
-    number.
+    separators. Lines whose first non-blank character is '%' are comments,
+    and so is the rest of an entry line from a '%' on. Symmetric files must
+    store the lower triangle (row >= column); general files must contain
+    both halves with matching values. Values must be finite.
 
-    The entries are parsed in one np.loadtxt pass and checked as arrays; a
-    line number is only looked up, by reading the file again, to report an
-    error.
+    The entries are parsed in one np.loadtxt pass; the reader checks their
+    count, index range and triangle as arrays, and the matrix's constructor
+    checks the rest, repeats and mirrors among them. Any failure is worded
+    by a second, line-by-line reading of the file, so that the message
+    names the offending line.
     """
     with _open_text(path) as fh:
         first = fh.readline()
@@ -664,35 +641,18 @@ def read_matrix_market(path):
         except ValueError as exc:
             _raise_at_first_bad_entry(path, nrows, nnz, symmetric, exc)
 
-    n = min(entries.size, nnz)
-    i, j, v = entries["i"][:n], entries["j"][:n], entries["v"][:n]
-    if (entries.size > nnz
+    i, j, v = entries["i"], entries["j"], entries["v"]
+    if (entries.size != nnz
             or ((i < 1) | (i > nrows) | (j < 1) | (j > nrows)).any()
-            or (symmetric and (i < j).any())
-            or _has_repeats(i - 1, j - 1, nrows)):
+            or (symmetric and (i < j).any())):
         _raise_at_first_bad_entry(path, nrows, nnz, symmetric, "no line fails its checks")
-    if n != nnz:
-        with _open_text(path) as fh:
-            last = sum(1 for _ in fh)
-        _header_error(last, f"header declared {nnz} entries, found {n}")
-
-    off = i != j
     if symmetric:
-        return SymmetricSparseMatrix(nrows, np.concatenate((i, j[off])) - 1,
-                                     np.concatenate((j, i[off])) - 1,
-                                     np.concatenate((v, v[off])))
-    mirror = _mirror_index(i, j)
-    vm = v[mirror]
-    bad = off & ((mirror < 0)
-                 | (np.abs(v - vm) > SYMMETRY_RTOL * np.maximum(1.0, np.abs(v))))
-    if bad.any():
-        k = int(np.argmax(bad))
-        ik, jk = int(i[k]), int(j[k])
-        if mirror[k] < 0:
-            _header_error(_entry_line(path, k),
-                          f"entry ({ik}, {jk}) has no mirrored ({jk}, {ik}) entry")
-        _header_error(_entry_line(path, k),
-                      f"entry ({ik}, {jk}) = {float(v[k])!r} does not match "
-                      f"({jk}, {ik}) = {float(vm[k])!r} "
-                      f"from line {_entry_line(path, int(mirror[k]))}")
-    return SymmetricSparseMatrix(nrows, i - 1, j - 1, v)
+        off = i != j
+        i, j, v = (np.concatenate((i, j[off])), np.concatenate((j, i[off])),
+                   np.concatenate((v, v[off])))
+    i -= 1
+    j -= 1
+    try:
+        return SymmetricSparseMatrix(nrows, i, j, v)
+    except ValueError as exc:
+        _raise_at_first_bad_entry(path, nrows, nnz, symmetric, exc)

@@ -534,6 +534,16 @@ _MALFORMED = {
                        "entry (2, 1) has no mirrored (1, 2) entry"),
     "mirror-mismatch": ("general", "2 2 2", ["2 1 1.0", "1 2 2.0"], 1,
                         "entry (2, 1) = 1.0 does not match (1, 2) = 2.0 from line 10"),
+    "non-finite-symmetric": ("symmetric", "2 2 2", ["1 1 1.0", "2 2 inf"], 2,
+                             "value must be finite in entry '2 2 inf'"),
+    "non-finite-general": ("general", "2 2 3", ["2 1 1.0", "1 2 1.0", "2 2 nan % x"], 3,
+                           "value must be finite in entry '2 2 nan % x'"),
+    # a failing line beats a short count, and a short count, reported at the
+    # file's last line, beats a mirror error
+    "duplicate-and-short": ("symmetric", "2 2 4", ["1 1 1.0", "1 1 2.0"], 2,
+                            "duplicate entry for (1, 1)"),
+    "short-and-mismatch": ("general", "2 2 3", ["2 1 1.0", "1 2 2.0"], 2,
+                           "header declared 3 entries, found 2"),
 }
 
 
@@ -675,11 +685,24 @@ class TestMatrixMarket:
             read_matrix_market(path)
         assert str(err.value) == "line 10: duplicate entry for (1, 1)"
 
+    def test_mirror_error_names_the_smaller_entry(self, tmp_path):
+        # a pair that only the smaller entry's test refuses, as in
+        # TestSymmetryCheck; the larger entry comes first in the file
+        ulp = 2.0**-52
+        b = 5000 * ulp / SYMMETRY_RTOL - 1000 * ulp
+        a = b + 5000 * ulp
+        path = _write_malformed(tmp_path, "general", "2 2 2", [f"2 1 {a!r}", f"1 2 {b!r}"])
+        with pytest.raises(MatrixMarketError) as err:
+            read_matrix_market(path)
+        assert str(err.value) == (f"line 10: entry (1, 2) = {b!r} does not match "
+                                  f"(2, 1) = {a!r} from line 7")
+
     def test_array_checks_agree_with_the_line_scan(self, tmp_path):
-        # the line-by-line scan is the reference: the reader fails on an
-        # entry line exactly when the scan does, and with the same message
+        # the line-by-line scan is the reference: the reader refuses a file
+        # exactly when the scan does, and with the same message
         rng = random.Random(5)
-        tokens = ["1", "2", "3", "0", "-1", "1.5", "x", "2.5", "1e0", "99999999999999999999"]
+        tokens = ["1", "2", "3", "0", "-1", "1.5", "x", "2.5", "1e0", "99999999999999999999",
+                  "inf", "nan"]
         path = tmp_path / "r.mtx"
 
         def message(read):
@@ -689,20 +712,35 @@ class TestMatrixMarket:
                 return str(exc)
             return None
 
-        for _ in range(300):
-            nnz = rng.randint(0, 5)
-            entries = [" ".join(rng.choice(tokens) for _ in range(rng.choice((2, 3, 3, 3, 4))))
-                       if rng.random() < 0.2 else
-                       f"{rng.randint(1, 3)} {rng.randint(1, 3)} {rng.choice(tokens)}"
-                       for _ in range(rng.randint(0, 6))]
-            path.write_text("\n".join(["%%MatrixMarket matrix coordinate real symmetric",
-                                       f"3 3 {nnz}", *entries]) + "\n")
-            scanned = message(lambda: _raise_at_first_bad_entry(path, 3, nnz, True, "none"))
-            read = message(lambda: read_matrix_market(path))
-            if scanned == "cannot read the entries: none":
-                assert read is None or "header declared" in read
-            else:
-                assert read == scanned
+        for symmetry in ("symmetric", "general"):
+            # every error a file of this symmetry can have
+            kinds = ["'row col value'", "cannot parse", "must be finite", "outside",
+                     "duplicate", "unexpected extra", "header declared"]
+            kinds += (["lower triangle"] if symmetry == "symmetric"
+                      else ["no mirrored", "does not match"])
+            found = set()
+            for _ in range(300):
+                entries = [" ".join(rng.choice(tokens)
+                                    for _ in range(rng.choice((2, 3, 3, 3, 4))))
+                           if rng.random() < 0.2 else
+                           f"{rng.randint(1, 3)} {rng.randint(1, 3)} {rng.choice(tokens)}"
+                           for _ in range(rng.randint(0, 6))]
+                if symmetry == "general":
+                    # most entries get a mirror, some of them with another value
+                    entries += [f"{e.split()[1]} {e.split()[0]} "
+                                f"{e.split()[2] if rng.random() < 0.7 else rng.choice(tokens)}"
+                                for e in entries if len(e.split()) == 3 and rng.random() < 0.8]
+                    rng.shuffle(entries)
+                nnz = max(0, len(entries) + rng.choice((-1, 0, 0, 1)))
+                path.write_text("\n".join([f"%%MatrixMarket matrix coordinate real {symmetry}",
+                                           f"3 3 {nnz}", *entries]) + "\n")
+                scanned = message(lambda: _raise_at_first_bad_entry(
+                    path, 3, nnz, symmetry == "symmetric", "none"))
+                read = message(lambda: read_matrix_market(path))
+                assert read == (None if scanned == "cannot read the entries: none" else scanned)
+                found.add(read and next((kind for kind in kinds if kind in read), read))
+            # each kind occurs, and so do files that read
+            assert found == {None, *kinds}
 
     def test_tabs_crlf_and_no_final_newline(self, tmp_path):
         path = tmp_path / "crlf.mtx"
@@ -729,6 +767,20 @@ class TestMatrixMarket:
         for k in range(0, len(entries), 97):
             entries.insert(k, "% inserted")
         path.write_text("\n".join([header, "% before the size line", size, *entries]) + "\n")
+        back = read_matrix_market(path)
+        for a, b in zip(back.coo(), mat.coo()):
+            assert a.tobytes() == b.tobytes()
+
+    def test_general_file_reads_back_exactly(self, tmp_path):
+        # both triangles, shuffled, at 17 significant digits
+        mat = random_psd(120, 4, np.linspace(0.0, 2.0, 120))
+        rows, cols, vals = mat.coo()
+        order = np.random.default_rng(1).permutation(mat.nnz)
+        path = tmp_path / "general.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        f"{mat.dim} {mat.dim} {mat.nnz}\n"
+                        + "".join(f"{rows[k] + 1} {cols[k] + 1} {vals[k]:.17g}\n"
+                                  for k in order.tolist()))
         back = read_matrix_market(path)
         for a, b in zip(back.coo(), mat.coo()):
             assert a.tobytes() == b.tobytes()
