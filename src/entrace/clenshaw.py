@@ -68,12 +68,10 @@ def quadratic_form(A, v, expansion, gamma0):
     block = v.reshape(-1, m)
     b = block.shape[0]
     mu = np.empty((b, n + 1))
-    # one layout and one buffer for all the block's matvecs
-    work = A.workspace(b)
 
     # t_0 = v, t_1 = B v
     t_prev = block
-    t = A.matvec(block, work=work)
+    t = A.matvec(block)
     t *= c
     t -= block
     mu[:, 0] = m
@@ -85,7 +83,7 @@ def quadratic_form(A, v, expansion, gamma0):
         if 2 * j <= n:
             mu[:, 2 * j] = _row_dots(t, t)
         if j < last:
-            t_next = A.matvec(t, work=work)
+            t_next = A.matvec(t)
             t_next *= c
             t_next -= t
             t_next *= 2.0

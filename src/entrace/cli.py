@@ -84,6 +84,12 @@ class RunConfig:
             )
         if len(self.sizes) != len(self.degrees):
             raise UsageError("--sizes and --degrees must have the same length")
+        if min(self.sizes, default=1) < 1:
+            raise UsageError(f"--sizes must all be at least 1, got {min(self.sizes)}")
+        if min(self.degrees, default=1) < 1:
+            raise UsageError(f"--degrees must all be at least 1, got {min(self.degrees)}")
+        if self.cap < 1:
+            raise UsageError(f"--cap must be at least 1, got {self.cap}")
 
 
 class UsageError(Exception):
@@ -115,6 +121,8 @@ def _load_matrix(config):
             m = int(rest)
         except ValueError:
             raise UsageError(f"fem spec needs a size, e.g. fem:100, got {spec!r}")
+        if m < 1:
+            raise UsageError(f"fem size must be at least 1, got {spec!r}")
         return fem_matrix(m), spec, []
     if kind == "spdc":
         params = SpdcParams() if rest in ("", "default") else SpdcParams.from_config(rest)
@@ -128,6 +136,8 @@ def _load_matrix(config):
             m, seed = int(parts[0]), int(parts[1])
         except ValueError:
             raise UsageError(f"random spec is random:<m>:<seed>, got {spec!r}")
+        if m < 1:
+            raise UsageError(f"random size must be at least 1, got {spec!r}")
         spectrum = np.random.default_rng(seed).uniform(0.0, 1.0, size=m)
         return random_psd(m, seed, spectrum), spec, []
     raise UsageError(f"unknown generator kind {kind!r}; use fem:, spdc:, or random:")

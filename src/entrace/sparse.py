@@ -1,12 +1,11 @@
 """Sparse symmetric storage, Matrix Market I/O, and spectral upper bounds.
 
-The estimator touches a matrix only through ``trace``, ``block_width``,
-``workspace`` and ``matvec``. Everything in this module exists to make its
-products cheap, deterministic, and safe to share across threads.
-``matvec`` takes one vector or a block of probe rows (the estimator sends
-``block_width`` rows at most, with scratch from ``workspace``); a block
-shares the per-call cost of a product among its rows, and each row comes
-out bit-identical to its single-vector product.
+The estimator touches a matrix only through ``trace``, ``block_width`` and
+``matvec``. Everything in this module exists to make its products cheap,
+deterministic, and safe to share across threads. ``matvec`` takes one
+vector or a block of probe rows (the estimator sends ``block_width`` rows
+at most); a block shares the per-call cost of a product among its rows,
+and each row comes out bit-identical to its single-vector product.
 
 A product takes one of three layouts, chosen once from the sparsity
 pattern. Two of them store the matrix a second time as strips, and multiply
@@ -80,14 +79,6 @@ class SpectralBound:
             raise ValueError(f"unknown bound method {self.method!r}")
 
 
-class BlockWork(NamedTuple):
-    """Scratch for one caller's products of b-row blocks; see ``workspace``."""
-
-    rows: int
-    layout: tuple | None
-    buffer: np.ndarray | None
-
-
 class SymmetricSparseMatrix:
     """Real symmetric matrix with both triangles stored explicitly.
 
@@ -119,8 +110,8 @@ class SymmetricSparseMatrix:
         dim = int(dim)
         if dim < 1:
             raise ValueError("dimension must be at least 1")
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
-        cols = np.ascontiguousarray(cols, dtype=np.int64)
+        rows = _indices(rows, "row")
+        cols = _indices(cols, "column")
         values = np.ascontiguousarray(values, dtype=np.float64)
         if rows.ndim != 1 or rows.shape != cols.shape or rows.shape != values.shape:
             raise ValueError("rows, cols, values must be 1-D arrays of equal length")
@@ -223,27 +214,7 @@ class SymmetricSparseMatrix:
         """
         return self._width
 
-    def workspace(self, b):
-        """Scratch for products of b-row blocks, to pass to ``matvec`` as ``work``.
-
-        A caller that runs many products on blocks of one height makes it
-        once. It holds the block layout, so a block narrower than
-        ``block_width`` builds its layout once rather than once per product,
-        and a buffer for the gathered products, which spares the allocator a
-        fresh nnz * b array, and its page faults, per product. It belongs to
-        the caller: the matrix keeps no reference to it, and two threads must
-        not share one. A product by strips needs neither.
-        """
-        b = int(b)
-        if self._strips is not None:
-            return BlockWork(b, None, None)
-        layout = (self._layout if b == self._width
-                  else _block_layout(self._row, self.col, self.val, self.dim, b))
-        # a single probe is gathered faster by fancy indexing, which cannot
-        # fill a given array
-        return BlockWork(b, layout, np.empty(self.nnz * b) if b > 1 else None)
-
-    def matvec(self, v, work=None):
+    def matvec(self, v):
         """Return A @ v, or for a (b, dim) block v the block with rows A @ v[i].
 
         Each row adds its products val[k] * v[col[k]] to 0.0 in storage order
@@ -254,16 +225,13 @@ class SymmetricSparseMatrix:
         column adds column j, as stored, times v[j] for each j in ascending
         order. A hole in a strip adds a +-0 product, which leaves a sum that
         starts at +0.0 unchanged, so the bits are those of the ordered pass
-        for any finite v. ``work`` is scratch from ``workspace(b)``.
+        for any finite v. A gathered vector or block of ``block_width`` rows
+        reads a layout kept since construction; a narrower block is padded to
+        that width with zero rows, and a taller one builds its own layout.
         """
         v = np.asarray(v, dtype=np.float64)
         if v.ndim not in (1, 2) or v.shape[-1] != self.dim:
             raise ValueError(f"vector length {v.shape} does not match dimension {self.dim}")
-        b = 1 if v.ndim == 1 else v.shape[0]
-        if work is None:
-            work = self.workspace(b)
-        elif work.rows != b:
-            raise ValueError(f"workspace is for blocks of {work.rows} rows, got {b}")
         if self._strips is not None:
             y = np.zeros(v.shape)
             for rows, cols, a in self._strips:
@@ -273,16 +241,20 @@ class SymmetricSparseMatrix:
         # product (k, j) = val[k] * v[j, col[k]] is added to bin
         # j * dim + row[k], so every bin sums its products in storage order
         # and the bins already form the (b, dim) result
-        gather, bins, scale = work.layout
-        x = v.reshape(-1)
-        if work.buffer is None:
-            w = x[gather]
-        else:
-            # the indices were checked at construction: "wrap" never wraps,
-            # it only spares take a buffer of its own
-            w = np.take(x, gather, out=work.buffer, mode="wrap")
+        b = height = 1 if v.ndim == 1 else v.shape[0]
+        if 1 < b < self._width:
+            # gathered as a full block with zero rows below it: each row's bins
+            # hold only its own products, so its bits are those of the row alone
+            v = np.concatenate((v, np.zeros((self._width - b, self.dim))))
+            b = self._width
+        gather, bins, scale = (self._layout if b == self._width
+                               else _block_layout(self._row, self.col, self.val, self.dim, b))
+        # the indices were checked at construction, so "wrap" never wraps;
+        # take gathers faster in this mode than in "raise" or by fancy indexing
+        w = np.take(v.reshape(-1), gather, mode="wrap")
         w *= scale
-        return np.bincount(bins, weights=w, minlength=self.dim * b).reshape(v.shape)
+        y = np.bincount(bins, weights=w, minlength=self.dim * b)
+        return y if v.ndim == 1 else y.reshape(b, self.dim)[:height]
 
     def trace(self):
         return float(self._diag.sum())
@@ -420,6 +392,24 @@ def _mirrors_agree(held, held_mirror, a, b):
     return not np.any(diff > tol)
 
 
+def _indices(x, name):
+    """x as a contiguous int64 array, refusing entries that are not integers.
+
+    Integer input is taken as it is; only input of another dtype, which the
+    cast would truncate, is compared with its cast.
+    """
+    x = np.asarray(x)
+    if x.dtype.kind in "iu":
+        return np.ascontiguousarray(x, dtype=np.int64)
+    # a nan or an infinity casts to some integer, with a warning, and then
+    # fails the comparison
+    with np.errstate(invalid="ignore"):
+        out = np.ascontiguousarray(x, dtype=np.int64)
+    if not np.array_equal(out, x):
+        raise ValueError(f"{name} indices must be integers")
+    return out
+
+
 def _row_major(rows, cols, dim):
     """Stable permutation that sorts entries by (row, col).
 
@@ -535,7 +525,9 @@ def _raise_at_first_bad_entry(path, nrows, nnz, symmetric, cause):
     mirror is missing or differs from it by more than ``SYMMETRY_RTOL``
     times max(1, |entry|). ``cause`` is reported if every check passes.
     """
-    seen = {}
+    # a symmetric file needs only the entries' keys; a general file's mirror
+    # check also needs each entry's line and value
+    seen = set() if symmetric else {}
     with _open_text(path) as fh:
         lines = ((lineno, raw) for lineno, raw in enumerate(fh, start=1)
                  if lineno > 1 and raw.partition("%")[0].strip())
@@ -562,7 +554,10 @@ def _raise_at_first_bad_entry(path, nrows, nnz, symmetric, cause):
                 _header_error(lineno, "symmetric files must store the lower triangle (row >= col)")
             if (i, j) in seen:
                 _header_error(lineno, f"duplicate entry for ({i}, {j})")
-            seen[i, j] = lineno, v
+            if symmetric:
+                seen.add((i, j))
+            else:
+                seen[i, j] = lineno, v
         if len(seen) < nnz:
             fh.seek(0)
             _header_error(sum(1 for _ in fh), f"header declared {nnz} entries, found {len(seen)}")

@@ -79,16 +79,16 @@ class TestCost:
             quadratic_form(A, signs(10, n), coefficients(n, 1.0), 1.0)
             assert len(calls) == (n + 1) // 2
 
-    def test_partial_block_builds_its_layout_once(self, monkeypatch):
-        # on the gather path, a block narrower than the block width needs a
-        # layout of its own, built once per form and not once per product
+    def test_blocks_up_to_the_width_build_no_layout(self, monkeypatch):
+        # on the gather path, every product of a full block reuses the layout
+        # built with the matrix, and a partial block is padded to a full one
         import entrace.sparse as sparse
 
         A, _ = random_symmetric(280, 3)
         assert A.block_width == 3 and A._strips is None
         exp = coefficients(9, 1.0)
-        probes = np.array([signs(280, 7), signs(280, 8)])
-        single = [quadratic_form(A, v, exp, 1.3) for v in probes]
+        probes = np.array([signs(280, seed) for seed in (7, 8, 9)])
+        single = np.array([quadratic_form(A, v, exp, 1.3) for v in probes])
         calls = []
         inner = sparse._block_layout
 
@@ -97,9 +97,10 @@ class TestCost:
             return inner(*args)
 
         monkeypatch.setattr(sparse, "_block_layout", counting)
-        forms = quadratic_form(A, probes, exp, 1.3)
-        assert len(calls) <= 1
-        assert forms.tobytes() == np.array(single).tobytes()
+        for b in (3, 2):
+            forms = quadratic_form(A, probes[:b], exp, 1.3)
+            assert forms.tobytes() == single[:b].tobytes()
+        assert calls == []
 
 
 class TestDeterminism:

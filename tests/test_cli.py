@@ -162,9 +162,11 @@ class TestGenerateCommand:
                                "-o", str(tmp_path / "x.mtx"))
         assert code == 2
         assert "usage error" in err
-        code, _, _ = run_cli(capsys, "generate", "--generate", "nope:1",
-                             "-o", str(tmp_path / "x.mtx"))
-        assert code == 2
+        for spec in ("nope:1", "fem:0", "random:0:1"):
+            code, out, err = run_cli(capsys, "generate", "--generate", spec,
+                                     "-o", str(tmp_path / "x.mtx"))
+            assert code == 2 and out == ""
+            assert "usage error" in err
 
 
 class TestTable1Command:
@@ -237,6 +239,19 @@ class TestErrorHandling:
         code, out, err = run_cli(capsys, *sub, "--threads", "-3")
         assert code == 2
         assert "usage error" in err and "--threads" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["table1", "--sizes", "0", "--degrees", "2"], "--sizes"),
+        (["table1", "--sizes", "10,-5", "--degrees", "2,2"], "--sizes"),
+        (["table1", "--sizes", "10", "--degrees", "0"], "--degrees"),
+        (["oracle", "--generate", "fem:10", "--cap", "0"], "--cap"),
+        (["oracle", "--generate", "fem:10", "--cap", "-1"], "--cap"),
+    ], ids=["size-0", "size-negative", "degree-0", "cap-0", "cap-negative"])
+    def test_counts_below_one(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "usage error" in err and flag in err
         assert out == ""
 
     def test_run_config_direct(self, capsys):
