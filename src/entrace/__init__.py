@@ -21,7 +21,6 @@ from .chebyshev import (
     coefficients,
     entropy_function,
     evaluate_scalar,
-    quadratic_form_envelope,
     spread_function,
     truncation_error_bound,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "power_iteration_bound",
     "run",
     "quadratic_form",
-    "quadratic_form_envelope",
     "random_psd",
     "read_matrix_market",
     "sample_count",

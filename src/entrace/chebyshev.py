@@ -3,11 +3,11 @@
 On [0, x0] the function L(x) = x*log(x) (with L(0) = 0) has an explicitly
 known Chebyshev expansion: the constant and linear coefficients involve
 log(x0/4), and every higher coefficient is the rational (-1)^k x0 / (k(k^2-1)).
-That closed form gives three things the estimator leans on:
+That closed form gives two things the estimator leans on:
 
 * coefficients computable in O(n) time with no quadrature,
-* a sharp truncation bound x0 / (2 n (n+1)) for the degree-n tail,
-* tight envelopes for the quadratic forms the sampler draws.
+* a truncation bound x0 / (2 n (n+1)) for the degree-n tail, attained at
+  x = 0, so it is sharp on a spectrum with near-zero eigenvalues.
 
 All logarithms are natural, so entropies downstream are in nats.
 """
@@ -106,8 +106,10 @@ def evaluate_scalar(expansion, x):
 def truncation_error_bound(n, x0):
     """Uniform bound x0 / (2 n (n+1)) on |L - p_n| over [0, x0], for n >= 1.
 
-    The bound is attained in the limit at the right endpoint, so consumers
-    comparing measured error against it should allow rounding slack.
+    The bound is attained at x = 0, where p_n(0) - L(0) = -x0 / (2 n (n+1)),
+    so consumers comparing measured error against it should allow rounding
+    slack. It is linear in x0: the floor of a form scaled by m * gamma0 is
+    the bound on the interval m * x0 * gamma0.
     """
     n = int(n)
     if n < 1:
@@ -137,22 +139,3 @@ def spread_function(x0):
     lower = min(val, INV_E * _sign(INV_E - x0))
     return (upper - lower) / x0
 
-
-def quadratic_form_envelope(m, x0, gamma0):
-    """Range [lower, upper] containing every exact quadratic form v^T L(A/gamma0) v.
-
-    Scaled by m * gamma0, for +-1 probe vectors v of length m and any
-    symmetric PSD A with spectrum inside [0, x0 * gamma0]. Sampled values may
-    additionally exceed this window by the polynomial truncation error.
-    """
-    m = int(m)
-    if m < 1:
-        raise ValueError("dimension must be at least 1")
-    x0 = float(x0)
-    gamma0 = float(gamma0)
-    if not (x0 > 0.0 and gamma0 > 0.0):
-        raise ValueError("x0 and gamma0 must be positive")
-    val = entropy_function(x0)
-    lower = m * gamma0 * min(val, INV_E * _sign(INV_E - x0))
-    upper = m * gamma0 * max(0.0, val)
-    return lower, upper

@@ -18,6 +18,7 @@ import numpy as np
 
 from .estimator import (
     DEFAULT_N_MAX,
+    MIN_N_MAX,
     RademacherSampler,
     ScalingParams,
     estimate_adaptive,
@@ -74,10 +75,9 @@ class RunConfig:
             raise UsageError(f"--x0 must be a positive finite number, got {self.x0!r}")
         if self.gamma0 is not None and not (math.isfinite(self.gamma0) and self.gamma0 > 0.0):
             raise UsageError(f"--gamma0 must be a positive finite number, got {self.gamma0!r}")
-        if self.n_max < 8:
-            raise UsageError(
-                f"--n-max must be at least 8, the zero-spread sample count, got {self.n_max}"
-            )
+        if self.n_max < MIN_N_MAX:
+            raise UsageError(f"--n-max must be at least {MIN_N_MAX}, the zero-spread "
+                             f"sample count, got {self.n_max}")
         if self.threads < 0:
             raise UsageError(
                 f"--threads must be nonnegative (0 picks the default), got {self.threads}"

@@ -15,7 +15,6 @@ stopping.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -23,11 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import coefficients
+from .chebyshev import coefficients, truncation_error_bound
 from .clenshaw import quadratic_form
 from .sparse import SpectralBound
 
 DEFAULT_N_MAX = 10_000
+# the least adaptive cap: the zero-spread count ceil(2 log 40) at p = 0.95
+MIN_N_MAX = 8
 
 
 @dataclass(frozen=True)
@@ -163,36 +164,34 @@ class EntropyEstimate:
             },
         }
 
-    def to_json(self, indent=None):
-        return json.dumps(self.to_dict(), indent=indent)
-
 
 def sample_count(delta, n, p, m, x0, gamma0):
     """Samples needed so the confidence radius hits the truncation floor.
 
-    N = ceil( 2 n^2 (n+1)^2 delta^2 log(2 / (1-p)) / (m x0 gamma0)^2 ),
-    at least 1. delta is the Hoeffding range of a single probe form,
-    including the polynomial-error widening.
+    N = ceil( (delta / floor)^2 log(2 / (1-p)) / 2 ), at least 1, the count
+    at which the Hoeffding half of tau meets floor =
+    truncation_error_bound(n, m x0 gamma0). delta is the Hoeffding range of
+    a single probe form, including the polynomial-error widening.
     """
     _check_hoeffding_args(n, p, m, x0, gamma0)
     if delta < 0.0:
         raise ValueError("delta must be nonnegative")
-    num = 2.0 * (n * (n + 1.0)) ** 2 * delta * delta * math.log(2.0 / (1.0 - p))
-    den = (m * x0 * gamma0) ** 2
-    return max(1, math.ceil(num / den))
+    floor = truncation_error_bound(n, m * x0 * gamma0)
+    return max(1, math.ceil((delta / floor) ** 2 * math.log(2.0 / (1.0 - p)) / 2.0))
 
 
 def error_tolerance(delta, n, num_samples, p, m, x0, gamma0):
     """A-posteriori radius tau: truncation floor plus the Hoeffding deviation.
 
-    tau = m x0 gamma0 / (2 n (n+1)) + delta * sqrt(log(2/(1-p)) / (2 N)).
+    tau = floor + delta * sqrt(log(2/(1-p)) / (2 N)), with floor =
+    truncation_error_bound(n, m x0 gamma0) = m x0 gamma0 / (2 n (n+1)).
     """
     _check_hoeffding_args(n, p, m, x0, gamma0)
     if delta < 0.0:
         raise ValueError("delta must be nonnegative")
     if num_samples < 1:
         raise ValueError("need at least one sample")
-    floor = m * x0 * gamma0 / (2.0 * n * (n + 1.0))
+    floor = truncation_error_bound(n, m * x0 * gamma0)
     return floor + delta * math.sqrt(math.log(2.0 / (1.0 - p)) / (2.0 * num_samples))
 
 
@@ -266,7 +265,7 @@ def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
 
     norm_scale = tr if normalize else 1.0
     expansion = coefficients(n, scaling.x0)
-    floor_width = m * scaling.x0 * scaling.gamma0 / (n * (n + 1.0))
+    floor_width = 2.0 * truncation_error_bound(n, m * scaling.x0 * scaling.gamma0)
     xi_min = math.inf
     xi_max = -math.inf
     xi_sum = 0.0
@@ -325,13 +324,12 @@ def estimate_adaptive(A, n, p, scaling, sampler, n_max=DEFAULT_N_MAX,
     consumes samples in index order even when a batch was computed in
     parallel, so the result is identical for any ``threads``.
     """
-    if n_max < 8:
-        raise ValueError("n_max below 8 cannot cover the zero-spread sample count")
+    if n_max < MIN_N_MAX:
+        raise ValueError(f"n_max below {MIN_N_MAX} cannot cover the zero-spread sample count")
     return _estimate(A, n, p, scaling, sampler, normalize, threads, needed=1, n_max=n_max)
 
 
-def entropy_with_normalization(A, n, p, scaling, sampler, n_max=DEFAULT_N_MAX,
-                               normalize=True, threads=1):
+def entropy_with_normalization(A, n, p, scaling, sampler, n_max=DEFAULT_N_MAX, threads=1):
     """Adaptive estimate of the entropy of the normalized state A / tr(A).
 
     ``scaling`` must be valid for the normalized matrix, i.e.
@@ -339,4 +337,4 @@ def entropy_with_normalization(A, n, p, scaling, sampler, n_max=DEFAULT_N_MAX,
     get one. A zero trace is an error since no normalizable state exists.
     """
     return estimate_adaptive(A, n, p, scaling, sampler, n_max=n_max,
-                             normalize=normalize, threads=threads)
+                             normalize=True, threads=threads)

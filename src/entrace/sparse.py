@@ -627,20 +627,31 @@ def read_matrix_market(path):
             _header_error(lineno, "size line entries out of range")
 
         symmetric = symmetry == "symmetric"
-        try:
-            with warnings.catch_warnings():
-                # a file without entries is checked below, like any other
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                entries = np.loadtxt(fh, comments="%", ndmin=1, dtype=[
-                    ("i", np.int64), ("j", np.int64), ("v", np.float64)])
-        except ValueError as exc:
-            _raise_at_first_bad_entry(path, nrows, nnz, symmetric, exc)
+        matrix = _entries_matrix(fh, nrows, nnz, symmetric)
+    if isinstance(matrix, str):
+        _raise_at_first_bad_entry(path, nrows, nnz, symmetric, matrix)
+    return matrix
 
+
+def _entries_matrix(fh, nrows, nnz, symmetric):
+    """The matrix of the entry lines left in fh, or why it cannot be built.
+
+    The reason is returned as a string, so that no parsed array, and no
+    traceback holding one, stays alive while the file is scanned again.
+    """
+    try:
+        with warnings.catch_warnings():
+            # a file without entries is checked below, like any other
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            entries = np.loadtxt(fh, comments="%", ndmin=1, dtype=[
+                ("i", np.int64), ("j", np.int64), ("v", np.float64)])
+    except ValueError as exc:
+        return str(exc)
     i, j, v = entries["i"], entries["j"], entries["v"]
     if (entries.size != nnz
             or ((i < 1) | (i > nrows) | (j < 1) | (j > nrows)).any()
             or (symmetric and (i < j).any())):
-        _raise_at_first_bad_entry(path, nrows, nnz, symmetric, "no line fails its checks")
+        return "no line fails its checks"
     if symmetric:
         off = i != j
         i, j, v = (np.concatenate((i, j[off])), np.concatenate((j, i[off])),
@@ -650,4 +661,4 @@ def read_matrix_market(path):
     try:
         return SymmetricSparseMatrix(nrows, i, j, v)
     except ValueError as exc:
-        _raise_at_first_bad_entry(path, nrows, nnz, symmetric, exc)
+        return str(exc)

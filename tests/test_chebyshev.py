@@ -11,7 +11,6 @@ from entrace.chebyshev import (
     coefficients,
     entropy_function,
     evaluate_scalar,
-    quadratic_form_envelope,
     spread_function,
     truncation_error_bound,
 )
@@ -107,12 +106,22 @@ class TestTruncationBound:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_nearly_attained(self):
-        # the bound is tight in the limit at the right endpoint
+        # the bound is attained at x = 0, which the grid includes
         n, x0 = 6, 1.0
         exp = coefficients(n, x0)
         x = np.linspace(0.0, x0, 200001)
         err = np.max(np.abs(evaluate_scalar(exp, x) - entropy_function(x)))
         assert err > 0.9 * truncation_error_bound(n, x0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 14, 32])
+    @pytest.mark.parametrize("x0", [0.37, 1.0, 4.0])
+    def test_attained_at_zero(self, n, x0):
+        # p_n(0) - L(0) = -x0 / (2 n (n+1)) exactly; the right endpoint
+        # stays well inside the bound
+        exp = coefficients(n, x0)
+        bound = truncation_error_bound(n, x0)
+        assert evaluate_scalar(exp, 0.0) == pytest.approx(-bound, rel=1e-12)
+        assert abs(evaluate_scalar(exp, x0) - entropy_function(x0)) < 0.6 * bound
 
 
 class TestSpread:
@@ -126,18 +135,3 @@ class TestSpread:
         x0 = 2.0
         expected = (entropy_function(2.0) + INV_E) / 2.0
         assert abs(spread_function(x0) - expected) < 1e-15
-
-    def test_envelope_consistent_with_spread(self):
-        for x0 in (0.3, 1.0, 2.5):
-            lo, hi = quadratic_form_envelope(7, x0, 1.5)
-            assert (hi - lo) / (7 * 1.5 * x0) == pytest.approx(spread_function(x0), rel=1e-13)
-
-    def test_envelope_contains_diagonal_forms(self):
-        # gamma0 v^T L(D/gamma0) v for +-1 v, diagonal D, spectrum in [0, x0 gamma0]
-        rng = np.random.default_rng(5)
-        m, x0, gamma0 = 6, 1.0, 2.0
-        lo, hi = quadratic_form_envelope(m, x0, gamma0)
-        for _ in range(200):
-            d = rng.uniform(0.0, x0 * gamma0, size=m)
-            form = gamma0 * float(np.sum(entropy_function(d / gamma0)))
-            assert lo - 1e-12 <= form <= hi + 1e-12

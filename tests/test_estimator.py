@@ -82,6 +82,20 @@ class TestSampleCount:
     def test_minimum_one(self):
         assert sample_count(0.0, 3, 0.95, 10, 1.0, 1.0) == 1
 
+    def test_least_count_whose_hoeffding_half_meets_the_floor(self):
+        # at any scale, also where (m x0 gamma0)^2 would underflow or overflow
+        rng = np.random.default_rng(12)
+        for _ in range(2000):
+            n, m = int(rng.integers(1, 60)), int(rng.integers(1, 10**6))
+            x0, gamma0 = rng.uniform(0.1, 5.0), 10.0 ** rng.uniform(-150.0, 150.0)
+            p = rng.uniform(0.01, 0.999)
+            floor = truncation_error_bound(n, m * x0 * gamma0)
+            delta = floor * 10.0 ** rng.uniform(0.0, 2.0)
+            want = sample_count(delta, n, p, m, x0, gamma0)
+            assert error_tolerance(delta, n, want, p, m, x0, gamma0) <= 2.0 * floor * (1 + 1e-12)
+            if want > 1:
+                assert error_tolerance(delta, n, want - 1, p, m, x0, gamma0) > 2.0 * floor
+
     def test_validation(self):
         with pytest.raises(ValueError):
             sample_count(1.0, 3, 1.0, 10, 1.0, 1.0)
