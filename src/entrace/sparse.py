@@ -227,7 +227,8 @@ class SymmetricSparseMatrix:
         starts at +0.0 unchanged, so the bits are those of the ordered pass
         for any finite v. A gathered vector or block of ``block_width`` rows
         reads a layout kept since construction; a narrower block is padded to
-        that width with zero rows, and a taller one builds its own layout.
+        that width with zero rows, and a taller one is cut into pieces of that
+        width.
         """
         v = np.asarray(v, dtype=np.float64)
         if v.ndim not in (1, 2) or v.shape[-1] != self.dim:
@@ -237,18 +238,20 @@ class SymmetricSparseMatrix:
             for rows, cols, a in self._strips:
                 y[..., rows] += a * v[..., cols]
             return y
+        b = height = 1 if v.ndim == 1 else v.shape[0]
+        if b > self._width:
+            return np.concatenate([self.matvec(v[k:k + self._width])
+                                   for k in range(0, b, self._width)])
         # products in storage order, the b products of entry k side by side:
         # product (k, j) = val[k] * v[j, col[k]] is added to bin
         # j * dim + row[k], so every bin sums its products in storage order
         # and the bins already form the (b, dim) result
-        b = height = 1 if v.ndim == 1 else v.shape[0]
         if 1 < b < self._width:
             # gathered as a full block with zero rows below it: each row's bins
             # hold only its own products, so its bits are those of the row alone
             v = np.concatenate((v, np.zeros((self._width - b, self.dim))))
             b = self._width
-        gather, bins, scale = (self._layout if b == self._width
-                               else _block_layout(self._row, self.col, self.val, self.dim, b))
+        gather, bins, scale = self._layout if b == self._width else (self.col, self._row, self.val)
         # the indices were checked at construction, so "wrap" never wraps;
         # take gathers faster in this mode than in "raise" or by fancy indexing
         w = np.take(v.reshape(-1), gather, mode="wrap")

@@ -45,13 +45,39 @@ class TestSampler:
         assert not np.array_equal(s.sample_vector(64, 1), s.sample_vector(64, 2))
 
     def test_pinned_stream(self):
-        # regression pin: the (seed, index) -> vector map is part of the
-        # reproducibility contract, so a silent reseeding change must fail
+        # regression pin: the (seed, index, m) -> vector map is part of the
+        # reproducibility contract, so a silent change of stream must fail.
+        # Row 3 at m = 300 reads counter steps 4 and 5 of the Philox stream
         s = RademacherSampler(0)
         np.testing.assert_array_equal(
-            s.sample_vector(8, 1), [1.0, 1.0, -1.0, -1.0, -1.0, 1.0, -1.0, -1.0])
+            s.sample_vector(8, 1), [1.0, -1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0])
         np.testing.assert_array_equal(
-            s.sample_vector(8, 2), [1.0, 1.0, -1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
+            s.sample_vector(8, 2), [-1.0, 1.0, 1.0, -1.0, 1.0, -1.0, -1.0, 1.0])
+        np.testing.assert_array_equal(
+            s.sample_vector(300, 3)[-8:], [-1.0, 1.0, 1.0, -1.0, 1.0, 1.0, 1.0, -1.0])
+
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 256, 257, 1000])
+    def test_block_split_does_not_change_rows(self, m):
+        s = RademacherSampler(4)
+        whole = s.sample_vector(m, 3, 10)
+        assert whole.shape == (10, m)
+        np.testing.assert_array_equal(
+            whole, np.concatenate([s.sample_vector(m, 3, 4), s.sample_vector(m, 7, 6)]))
+        for k, row in enumerate(whole):
+            np.testing.assert_array_equal(s.sample_vector(m, 3 + k), row)
+        np.testing.assert_array_equal(s.sample_vector(m, 5, 1), whole[2:3])
+
+    def test_seed_beyond_the_key_size(self):
+        v = RademacherSampler(2**128 + 5).sample_vector(70, 1, 2)
+        assert v.shape == (2, 70) and set(np.unique(v)) <= {-1.0, 1.0}
+        assert not np.array_equal(v, RademacherSampler(5).sample_vector(70, 1, 2))
+
+    def test_mean_form_matches_dense_trace(self):
+        A = random_psd(12, 3, np.linspace(0.0, 1.0, 12))
+        exp = coefficients(6, 1.0)
+        forms = quadratic_form(A, RademacherSampler(11).sample_vector(12, 1, 2000), exp, 1.1)
+        stderr = float(np.std(forms)) / math.sqrt(forms.size)
+        assert abs(float(np.mean(forms)) - dense_poly_trace(A, exp, 1.1)) < 4.0 * stderr
 
     def test_empirical_mean_near_zero(self):
         s = RademacherSampler(1)
@@ -63,6 +89,10 @@ class TestSampler:
     def test_seed_validation(self):
         with pytest.raises(ValueError):
             RademacherSampler(-1)
+
+    def test_count_validation(self):
+        with pytest.raises(ValueError):
+            RademacherSampler(0).sample_vector(4, 1, 0)
 
 
 class TestSampleCount:
@@ -460,6 +490,6 @@ class TestJsonShape:
         assert list(d.keys()) == ["entropy", "tau", "confidence", "samples", "degree",
                                   "delta", "gamma0", "x0", "trace", "seed", "capped",
                                   "method"]
-        assert list(d["method"].keys()) == ["estimator", "bound", "normalized",
+        assert list(d["method"].keys()) == ["estimator", "stream", "bound", "normalized",
                                             "zero_trace", "xi_min", "xi_max"]
         json.dumps(d)  # everything serializable

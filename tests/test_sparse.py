@@ -219,6 +219,14 @@ class TestMatvec:
             assert got.shape == (b, mat.dim) and got.flags.c_contiguous
             np.testing.assert_array_equal(got, single[:b])
 
+    def test_tall_block_matches_single_products(self):
+        # a gathered block taller than the width is cut into width-row pieces
+        mat, _ = random_symmetric(50, 3)
+        block = np.random.default_rng(9).normal(size=(2 * mat.block_width + 1, mat.dim))
+        got = mat.matvec(block)
+        assert got.shape == block.shape
+        np.testing.assert_array_equal(got, np.array([mat.matvec(v) for v in block]))
+
     def test_block_width_from_entries_and_dimension(self):
         # gathered: about 1 MiB of gathered products, and of probe rows when
         # rows outnumber the stored entries
