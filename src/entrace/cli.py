@@ -71,6 +71,8 @@ class RunConfig:
             raise UsageError("degree must be at least 1")
         if self.samples is not None and self.samples < 1:
             raise UsageError("--samples must be at least 1")
+        if self.seed < 0:
+            raise UsageError(f"--seed must be nonnegative, got {self.seed}")
         if not (math.isfinite(self.x0) and self.x0 > 0.0):
             raise UsageError(f"--x0 must be a positive finite number, got {self.x0!r}")
         if self.gamma0 is not None and not (math.isfinite(self.gamma0) and self.gamma0 > 0.0):

@@ -199,13 +199,19 @@ def sample_count(delta, n, p, m, x0, gamma0):
     N = ceil( (delta / floor)^2 log(2 / (1-p)) / 2 ), at least 1, the count
     at which the Hoeffding half of tau meets floor =
     truncation_error_bound(n, m x0 gamma0). delta is the Hoeffding range of
-    a single probe form, including the polynomial-error widening.
+    a single probe form, including the polynomial-error widening. A count
+    too large for a float means forms that no spectrum inside
+    [0, x0 gamma0] gives, and raises ValueError.
     """
     _check_hoeffding_args(n, p, m, x0, gamma0)
     if delta < 0.0:
         raise ValueError("delta must be nonnegative")
     floor = truncation_error_bound(n, m * x0 * gamma0)
-    return max(1, math.ceil((delta / floor) ** 2 * math.log(2.0 / (1.0 - p)) / 2.0))
+    try:
+        return max(1, math.ceil((delta / floor) ** 2 * math.log(2.0 / (1.0 - p)) / 2.0))
+    except (OverflowError, ValueError):
+        # a count beyond float range, or of a nan delta
+        raise _escaped(f"the probe forms spread over delta = {delta!r}", x0, gamma0) from None
 
 
 def error_tolerance(delta, n, num_samples, p, m, x0, gamma0):
@@ -221,6 +227,12 @@ def error_tolerance(delta, n, num_samples, p, m, x0, gamma0):
         raise ValueError("need at least one sample")
     floor = truncation_error_bound(n, m * x0 * gamma0)
     return floor + delta * math.sqrt(math.log(2.0 / (1.0 - p)) / (2.0 * num_samples))
+
+
+def _escaped(what, x0, gamma0):
+    """The error of probe forms that only an escaped spectrum can give."""
+    return ValueError(f"{what}: the spectrum is not inside [0, x0 * gamma0] = "
+                      f"[0, {x0 * gamma0!r}]")
 
 
 def _check_hoeffding_args(n, p, m, x0, gamma0):
@@ -299,6 +311,8 @@ def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
     while drawn < needed:
         batch = _xi_batch(A, expansion, scaling.gamma0 * norm_scale, sampler,
                           drawn + 1, needed, threads)
+        if not all(map(math.isfinite, batch)):
+            raise _escaped("a probe form is not finite", scaling.x0, scaling.gamma0)
         for xi_raw in batch:
             drawn += 1
             xi = xi_raw / norm_scale

@@ -52,7 +52,7 @@ BLOCK_BYTES = 2**20
 # against 4.1 ms, and spdc, fill 1.02, 4.3 us against 7.9 us.
 DIA_FILL = 1.3
 
-# largest dimension whose keys row * dim + col all fit in an int64
+# largest dimension: the keys row * dim + col that order the entries fit an int64
 _KEY_DIM_MAX = math.isqrt(np.iinfo(np.int64).max)
 
 # entries write_matrix_market formats per write
@@ -85,6 +85,8 @@ class SymmetricSparseMatrix:
     Entries are validated, sorted by (row, column) with one stable sort on
     the fused key row * dim + col (none if they arrive so), and frozen at
     construction, so instances can be shared across threads without locking.
+    The key must fit in an int64, so dim is at most ``_KEY_DIM_MAX`` =
+    3037000499; a larger dim is refused before anything is allocated.
     Each entry must have a mirror that equals it within ``SYMMETRY_RTOL``;
     a matrix stored as strips checks this on its strips, any other by a
     sort on (column, row). Positive semidefiniteness is the caller's
@@ -103,13 +105,16 @@ class SymmetricSparseMatrix:
     order, so repeated products, and the three layouts, agree bit for bit.
     """
 
-    __slots__ = ("dim", "col", "val", "_row", "_width", "_layout", "_strips", "_diag",
-                 "build_warnings")
+    __slots__ = ("dim", "col", "val", "_row", "_col", "_width", "_layout", "_strips",
+                 "_diag", "build_warnings")
 
     def __init__(self, dim, rows, cols, values):
         dim = int(dim)
         if dim < 1:
             raise ValueError("dimension must be at least 1")
+        if dim > _KEY_DIM_MAX:
+            raise ValueError(f"dimension must be at most {_KEY_DIM_MAX}, the largest whose "
+                             "keys row * dim + col fit in an int64")
         rows = _indices(rows, "row")
         cols = _indices(cols, "column")
         values = np.ascontiguousarray(values, dtype=np.float64)
@@ -122,11 +127,11 @@ class SymmetricSparseMatrix:
         if not np.all(np.isfinite(values)):
             raise ValueError("matrix entries must be finite")
 
-        key = rows * dim + cols if dim <= _KEY_DIM_MAX else None
-        ordered = key is not None and bool(np.all(key[1:] > key[:-1]))
+        key = rows * dim + cols
+        ordered = bool(np.all(key[1:] > key[:-1]))
+        order = None if ordered else np.argsort(key, kind="stable")
         del key
         if not ordered:
-            order = _row_major(rows, cols, dim)
             rows, cols, values = rows[order], cols[order], values[order]
             del order
             if rows.size > 1:
@@ -164,15 +169,17 @@ class SymmetricSparseMatrix:
             width = max(1, BLOCK_BYTES // 8 // (8 * dim))
             layout = None
 
-        # the row indices and the block layout stay writable, though nothing
-        # writes to them: np.bincount and np.take copy a read-only index
-        # array on every call
-        for arr in (cols, values, diag):
+        # np.take and np.bincount copy a read-only index array on every call,
+        # so the indices matvec passes them, a width-1 layout's too, stay
+        # writable, though nothing writes to them; col is a read-only view
+        for arr in (values, diag):
             arr.setflags(write=False)
         self.dim = dim
-        self.col = cols
+        self.col = cols.view()
+        self.col.setflags(write=False)
         self.val = values
         self._row = rows
+        self._col = cols
         self._width = width
         self._layout = layout
         self._strips = strips
@@ -183,7 +190,7 @@ class SymmetricSparseMatrix:
     def _check_symmetry(rows, cols, values, dim):
         # sorting the entry list by (col, row) must reproduce the (row, col)
         # order with the roles swapped, otherwise some A_ij has no mirror
-        mirror = _row_major(cols, rows, dim)
+        mirror = np.argsort(cols * dim + rows, kind="stable")
         if not (np.array_equal(rows[mirror], cols) and np.array_equal(cols[mirror], rows)):
             miss = np.flatnonzero((rows[mirror] != cols) | (cols[mirror] != rows))
             k = int(miss[0])
@@ -251,7 +258,7 @@ class SymmetricSparseMatrix:
             # hold only its own products, so its bits are those of the row alone
             v = np.concatenate((v, np.zeros((self._width - b, self.dim))))
             b = self._width
-        gather, bins, scale = self._layout if b == self._width else (self.col, self._row, self.val)
+        gather, bins, scale = self._layout if b == self._width else (self._col, self._row, self.val)
         # the indices were checked at construction, so "wrap" never wraps;
         # take gathers faster in this mode than in "raise" or by fancy indexing
         w = np.take(v.reshape(-1), gather, mode="wrap")
@@ -411,18 +418,6 @@ def _indices(x, name):
     if not np.array_equal(out, x):
         raise ValueError(f"{name} indices must be integers")
     return out
-
-
-def _row_major(rows, cols, dim):
-    """Stable permutation that sorts entries by (row, col).
-
-    It sorts the fused key row * dim + col, or, above ``_KEY_DIM_MAX``,
-    where the key could overflow, both keys with np.lexsort. Both sorts are
-    stable, so they give the same permutation.
-    """
-    if dim > _KEY_DIM_MAX:
-        return np.lexsort((cols, rows))
-    return np.argsort(rows * dim + cols, kind="stable")
 
 
 def _block_layout(rows, cols, values, dim, b):
@@ -588,8 +583,8 @@ def read_matrix_market(path):
     both halves with matching values. Values must be finite.
 
     The entries are parsed in one np.loadtxt pass; the reader checks their
-    count, index range and triangle as arrays, and the matrix's constructor
-    checks the rest, repeats and mirrors among them. Any failure is worded
+    count and triangle as arrays, and the matrix's constructor checks the
+    rest, index range, repeats and mirrors among them. Any failure is worded
     by a second, line-by-line reading of the file, so that the message
     names the offending line.
     """
@@ -651,9 +646,7 @@ def _entries_matrix(fh, nrows, nnz, symmetric):
     except ValueError as exc:
         return str(exc)
     i, j, v = entries["i"], entries["j"], entries["v"]
-    if (entries.size != nnz
-            or ((i < 1) | (i > nrows) | (j < 1) | (j > nrows)).any()
-            or (symmetric and (i < j).any())):
+    if entries.size != nnz or (symmetric and (i < j).any()):
         return "no line fails its checks"
     if symmetric:
         off = i != j

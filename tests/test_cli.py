@@ -254,6 +254,31 @@ class TestErrorHandling:
         assert "usage error" in err and flag in err
         assert out == ""
 
+    @pytest.mark.parametrize("sub", [["entropy", "--generate", "fem:10", "--samples", "4"],
+                                     ["table1", "--sizes", "10", "--degrees", "2"]],
+                             ids=["entropy", "table1"])
+    def test_negative_seed(self, capsys, sub):
+        code, out, err = run_cli(capsys, *sub, "--seed", "-1")
+        assert code == 2
+        assert "usage error" in err and "--seed" in err
+        assert out == ""
+
+    # numpy warns of the overflow in the products before the forms are checked
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("extra", [["-n", "8"], ["-n", "14"], ["-n", "30", "--samples", "4"]],
+                             ids=["overflow", "non-finite", "non-finite-fixed"])
+    def test_escaped_spectrum(self, capsys, extra):
+        # gamma0 far below lambda_max: the forms grow beyond any sample count,
+        # or beyond float range
+        code, out, _ = run_cli(capsys, "entropy", "--generate", "fem:10", "--gamma0", "1e-30",
+                               "--threads", "1", *extra)
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"].endswith(
+            "the spectrum is not inside [0, x0 * gamma0] = [0, 1e-30]")
+
     def test_run_config_direct(self, capsys):
         # the config object is usable without the argument parser
         code = run(RunConfig(subcommand="oracle", generate_spec="fem:10"))

@@ -135,6 +135,14 @@ class TestSampleCount:
             sample_count(1.0, 0, 0.5, 10, 1.0, 1.0)
 
 
+    @pytest.mark.parametrize("delta", [1e200, math.inf, math.nan])
+    def test_count_beyond_float_range_names_the_interval(self, delta):
+        # a range that no spectrum inside [0, x0 gamma0] gives: a ValueError,
+        # not an OverflowError
+        with pytest.raises(ValueError, match=r"not inside \[0, x0 \* gamma0\] = \[0, 2\.5\]"):
+            sample_count(delta, 8, 0.95, 10, 0.5, 5.0)
+
+
 class TestErrorTolerance:
     def test_reference_case(self):
         # delta=12, n=2, N=21, p=0.95, m=10, x0=1, gamma0=4:

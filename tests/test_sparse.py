@@ -149,6 +149,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             rows[0] = 1
 
+    @pytest.mark.parametrize("entries", [([0], [0], [1.0]), ([], [], [])],
+                             ids=["one-entry", "empty"])
+    def test_refuses_dimensions_beyond_the_key(self, entries):
+        # the keys row * dim + col that order the entries fit an int64 up to
+        # dim 3037000499; above it the matrix is refused before anything is
+        # allocated
+        with pytest.raises(ValueError, match="^dimension must be at most 3037000499"):
+            SymmetricSparseMatrix(3037000500, *entries)
+
     def test_ordered_and_shuffled_entries_build_the_same_matrix(self):
         rows, cols, vals = fem_matrix(500).coo()
         order = np.random.default_rng(4).permutation(rows.size)
@@ -243,6 +252,31 @@ class TestMatvec:
         assert layout(spdc) == "columns" and spdc.block_width == 256
         dense = random_psd(1000, 0, np.linspace(0.0, 1.0, 1000))
         assert layout(dense) == "columns" and dense.block_width == 16
+
+    @pytest.mark.parametrize("mat", [random_symmetric(50, 3)[0],
+                                     SymmetricSparseMatrix(10**6, [0], [0], [1.0])],
+                             ids=["gathered", "gathered-width-1"])
+    def test_gather_indices_are_writable(self, mat, monkeypatch):
+        # np.take and np.bincount copy a read-only index array on every call,
+        # so matvec passes them writable ones; col stays read-only
+        take, bincount = np.take, np.bincount
+        writable = []
+
+        def checked_take(a, indices, *args, **kwargs):
+            writable.append(indices.flags.writeable)
+            return take(a, indices, *args, **kwargs)
+
+        def checked_bincount(x, *args, **kwargs):
+            writable.append(x.flags.writeable)
+            return bincount(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "take", checked_take)
+        monkeypatch.setattr(np, "bincount", checked_bincount)
+        for shape in ((mat.dim,), (1, mat.dim), (2, mat.dim), (mat.block_width, mat.dim)):
+            mat.matvec(np.ones(shape))
+        assert writable and all(writable)
+        with pytest.raises(ValueError):
+            mat.col[0] = 1
 
     def test_rejects_bad_shapes(self):
         mat = tridiag(4)
@@ -772,6 +806,14 @@ class TestMatrixMarket:
         finally:
             tracemalloc.stop()
         assert peak / n < 192
+
+    def test_refuses_dimensions_beyond_the_key(self, tmp_path):
+        path = tmp_path / "huge.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                        "3037000500 3037000500 1\n1 1 1.0\n")
+        with pytest.raises(MatrixMarketError, match="^cannot read the entries: "
+                                                    "dimension must be at most 3037000499"):
+            read_matrix_market(path)
 
     def test_tabs_crlf_and_no_final_newline(self, tmp_path):
         path = tmp_path / "crlf.mtx"
