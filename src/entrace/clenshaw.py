@@ -12,7 +12,11 @@ Fehske, Rev. Mod. Phys. 78, 275 (2006), Sec. II)
 
 give every moment up to n from the vectors T_j(B) v with j <= ceil(n/2), so
 a form costs ceil(n/2) matrix-vector products and no similarity transform
-of A. A block of probe rows shares each of those products.
+of A. A block of probe rows shares each of those products. Each step of the
+recurrence t_j+1 = 2 (c A t_j - t_j) - t_j-1, c = 2 / (x0 gamma0), is fused
+into its product: ``matvec`` hands back each row tile of A t_j, which on a
+strip layout is ``sparse.BLOCK_BYTES // 4`` bytes of the block, and the
+step finishes it in place while it is in cache.
 
 Every reduction is an ``np.einsum`` over one probe row, never BLAS: a
 threaded BLAS dot product splits its sum by thread count, and a reduction
@@ -47,8 +51,13 @@ def quadratic_form(A, v, expansion, gamma0):
     v may also be a (b, dim) block of probe rows; the result is then an
     array of b forms, each bit-identical to the form of its row alone. The
     argument matrix B is never formed: each t_j+1 = 2 B t_j - t_j-1 is
-    built in place on the array the matvec returns. The constant term a_0
-    enters the result only through the closed form v^T (a_0/2) v = m a_0 / 2.
+    built in place on the product A t_j, one row tile at a time, as
+    2 (c A t_j - t_j) - t_j-1. The constant term a_0 enters the result only
+    through the closed form v^T (a_0/2) v = m a_0 / 2.
+
+    A spectrum far outside [0, x0 * gamma0] makes the vectors overflow;
+    numpy's warnings of it are silenced, so the caller sees only the
+    non-finite form it returns.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim not in (1, 2) or v.shape[-1] != A.dim:
@@ -69,31 +78,35 @@ def quadratic_form(A, v, expansion, gamma0):
     b = block.shape[0]
     mu = np.empty((b, n + 1))
 
-    # t_0 = v, t_1 = B v
-    t_prev = block
-    t = A.matvec(block)
-    t *= c
-    t -= block
-    mu[:, 0] = m
-    mu[:, 1] = _row_dots(block, t)
-    last = (n + 1) // 2
-    for j in range(1, last + 1):
-        # here t = t_j and t_prev = t_j-1; the doubling identities are
-        # applied to the stored inner products after the loop
-        if 2 * j <= n:
-            mu[:, 2 * j] = _row_dots(t, t)
-        if j < last:
-            t_next = A.matvec(t)
-            t_next *= c
-            t_next -= t
-            t_next *= 2.0
-            t_next -= t_prev
-            t_prev, t = t, t_next
-            mu[:, 2 * j + 1] = _row_dots(t, t_prev)
-    mu[:, 2::2] *= 2.0
-    mu[:, 2::2] -= mu[:, :1]
-    mu[:, 3::2] *= 2.0
-    mu[:, 3::2] -= mu[:, 1:2]
+    def finish(y, lo, hi):
+        # y holds rows lo..hi-1 of A t; t and t_prev are read as matvec
+        # calls this, so they are the step's t_j and t_j-1 (None for t_1)
+        y *= c
+        y -= t[:, lo:hi]
+        if t_prev is not None:
+            y *= 2.0
+            y -= t_prev[:, lo:hi]
 
-    forms = gamma0 * (m * a[0] / 2.0 + _row_dots(mu[:, 1:], a[1:]))
+    # the error state is thread-local, so it is set here, on the worker
+    with np.errstate(over="ignore", invalid="ignore"):
+        # t_0 = v, t_1 = B v
+        t_prev, t = None, block
+        t_prev, t = t, A.matvec(t, finish=finish)
+        mu[:, 0] = m
+        mu[:, 1] = _row_dots(block, t)
+        last = (n + 1) // 2
+        for j in range(1, last + 1):
+            # here t = t_j and t_prev = t_j-1; the doubling identities are
+            # applied to the stored inner products after the loop
+            if 2 * j <= n:
+                mu[:, 2 * j] = _row_dots(t, t)
+            if j < last:
+                t_prev, t = t, A.matvec(t, finish=finish)
+                mu[:, 2 * j + 1] = _row_dots(t, t_prev)
+        mu[:, 2::2] *= 2.0
+        mu[:, 2::2] -= mu[:, :1]
+        mu[:, 3::2] *= 2.0
+        mu[:, 3::2] -= mu[:, 1:2]
+
+        forms = gamma0 * (m * a[0] / 2.0 + _row_dots(mu[:, 1:], a[1:]))
     return forms if v.ndim == 2 else float(forms[0])

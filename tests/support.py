@@ -1,4 +1,4 @@
-"""Shared test oracles, and a scattered test matrix.
+"""Shared test oracles, a scattered test matrix and a wide band.
 
 The oracles recompute quantities through routes independent of the code
 under test: adaptive quadrature for expansion coefficients, direct cosine
@@ -29,6 +29,15 @@ def random_symmetric(m, seed, density=0.3):
     np.fill_diagonal(mask, True)
     a = np.where(mask, a, 0.0)
     return SymmetricSparseMatrix.from_dense(a), a
+
+
+def wide_band(dim, d):
+    """PSD matrix on diagonals 0 and +-d only, stored by diagonal for dim > 3 d."""
+    i = np.arange(dim - d)
+    rows = np.concatenate((np.arange(dim), i + d, i))
+    cols = np.concatenate((np.arange(dim), i, i + d))
+    return SymmetricSparseMatrix(dim, rows, cols,
+                                 np.concatenate((np.full(dim, 3.0), -np.ones(2 * (dim - d)))))
 
 
 def symmetry_error(rows, cols, values):

@@ -1,5 +1,6 @@
 """Forward Chebyshev moments for probe quadratic forms."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from entrace.chebyshev import coefficients, evaluate_scalar
 from entrace.clenshaw import quadratic_form
 from entrace.generators import SpdcParams, fem_matrix, random_psd, spdc_density_matrix
 from entrace.sparse import SymmetricSparseMatrix, gershgorin_upper_bound
-from support import dense_quadratic_form, random_symmetric
+from support import dense_quadratic_form, random_symmetric, wide_band
 
 
 def signs(m, seed):
@@ -101,6 +102,33 @@ class TestCost:
             forms = quadratic_form(A, probes[:b], exp, 1.3)
             assert forms.tobytes() == single[:b].tobytes()
         assert calls == []
+
+
+class TestTiles:
+    """Each step finishes its product one row tile at a time, with the same bits."""
+
+    @pytest.mark.parametrize("build", [
+        *(functools.partial(fem_matrix, dim) for dim in (1, 7, 8, 9, 29)),
+        functools.partial(wide_band, 100, 12),
+        functools.partial(random_psd, 21, 3, np.random.default_rng(3).uniform(0.0, 1.0, 21)),
+    ], ids=["fem-1", "fem-7", "fem-8", "fem-9", "fem-29", "offsets-12", "columns-21"])
+    def test_forms_match_one_tile(self, monkeypatch, build):
+        # tiles of 8 rows at block width 1 against the whole matrix as one tile
+        import entrace.sparse as sparse
+
+        whole = build()
+        assert len(whole._tiles) == 1
+        with monkeypatch.context() as patch:
+            patch.setattr(sparse, "BLOCK_BYTES", 2**8)
+            tiled = build()
+        assert len(tiled._tiles) == -(-whole.dim // 8)
+        gamma0 = 1.075 * gershgorin_upper_bound(whole).lambda_max_upper
+        probes = np.array([signs(whole.dim, 70 + i) for i in range(3)])
+        for n in (1, 2, 9):
+            exp = coefficients(n, 1.0)
+            for b in (1, 2, 3):
+                want = quadratic_form(whole, probes[:b], exp, gamma0)
+                assert quadratic_form(tiled, probes[:b], exp, gamma0).tobytes() == want.tobytes()
 
 
 class TestDeterminism:

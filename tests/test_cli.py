@@ -263,9 +263,8 @@ class TestErrorHandling:
         assert "usage error" in err and "--seed" in err
         assert out == ""
 
-    # numpy warns of the overflow in the products before the forms are checked
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
+    # the suite turns warnings into errors, so numpy's overflow warnings
+    # would fail this test before the forms are checked
     @pytest.mark.parametrize("extra", [["-n", "8"], ["-n", "14"], ["-n", "30", "--samples", "4"]],
                              ids=["overflow", "non-finite", "non-finite-fixed"])
     def test_escaped_spectrum(self, capsys, extra):
@@ -278,6 +277,21 @@ class TestErrorHandling:
         assert error["type"] == "ValueError"
         assert error["message"].endswith(
             "the spectrum is not inside [0, x0 * gamma0] = [0, 1e-30]")
+
+    @pytest.mark.parametrize("matrix, threads", [("fem:10", []), ("fem:20000", ["--threads", "2"])],
+                             ids=["one-block", "pool"])
+    def test_escaped_spectrum_prints_no_numpy_warning(self, matrix, threads):
+        # under Python's default filters, in a fresh process; fem(20000) has
+        # block width 1, so its four probes run on the pool's threads
+        src = str(Path(entrace.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-m", "entrace", "entropy", "--generate", matrix,
+                              "-n", "30", "--gamma0", "1e-30", "--samples", "4", *threads],
+                             env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                             text=True, timeout=120)
+        assert run.returncode == 1
+        assert "a probe form is not finite" in json.loads(run.stdout)["error"]["message"]
+        assert "RuntimeWarning" not in run.stderr
 
     def test_run_config_direct(self, capsys):
         # the config object is usable without the argument parser
@@ -306,6 +320,23 @@ class TestModuleEntryPoint:
 
     def test_no_arguments_is_a_usage_error(self):
         assert self.run_module().returncode == 2
+
+
+class TestPinnedOutput:
+    """stdout of runs that span several row tiles, or one, byte for byte."""
+
+    @pytest.mark.parametrize("argv, name", [
+        (["--generate", "fem:100000", "-n", "8", "--samples", "4", "--seed", "0",
+          "--threads", "1"], "entropy-fem-100000-threads-1.json"),
+        (["--generate", "fem:100000", "-n", "8", "--samples", "4", "--seed", "0",
+          "--threads", "2"], "entropy-fem-100000-threads-2.json"),
+        (["--generate", "spdc:default", "--normalize", "-n", "14", "--samples", "400",
+          "--threads", "2"], "entropy-spdc-normalize-threads-2.json"),
+    ], ids=["fem-threads-1", "fem-threads-2", "spdc"])
+    def test_entropy_stdout(self, capsys, argv, name):
+        code, out, _ = run_cli(capsys, "entropy", *argv)
+        assert code == 0
+        assert out == (Path(__file__).parent / "data" / name).read_text()
 
 
 class TestEstimatorDispatch:

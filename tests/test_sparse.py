@@ -27,7 +27,7 @@ from entrace.sparse import (
     _raise_at_first_bad_entry,
     _strips,
 )
-from support import random_symmetric, symmetry_error
+from support import random_symmetric, symmetry_error, wide_band
 
 
 def tridiag(m):
@@ -359,6 +359,93 @@ class TestDiagonalPath:
             a[i[:pairs], j[:pairs]] = a[j[:pairs], i[:pairs]] = 0.0
             mat = SymmetricSparseMatrix.from_dense(a)
             assert mat.nnz == 100 - 2 * pairs and layout(mat) == want
+
+
+class TestTiles:
+    """Strip products run one row tile at a time; the bits stay the ordered pass's."""
+
+    # tiles of 8 rows at block width 1, the width of every strip matrix of
+    # more than 4 rows at this budget
+    SMALL = 2**8
+    TILE = 8
+
+    @staticmethod
+    def tiled(monkeypatch, build, budget=SMALL):
+        import entrace.sparse as sparse
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sparse, "BLOCK_BYTES", budget)
+            return build()
+
+    @staticmethod
+    def check(mat, seed):
+        # a vector and blocks of 1 to 3 rows: a matrix of several tiles has
+        # block width 1, and a strip product takes a taller block whole
+        rng = np.random.default_rng(seed)
+        for shape in ((mat.dim,), (1, mat.dim), (2, mat.dim), (3, mat.dim)):
+            v = rng.normal(size=shape)
+            seen = []
+
+            def finish(y, lo, hi):
+                assert y.shape == shape[:-1] + (hi - lo,)
+                seen.append((lo, hi))
+
+            got = mat.matvec(v, finish=finish)
+            assert got.tobytes() == ordered_pass(mat, v).tobytes()
+            assert [k for lo, hi in seen for k in range(lo, hi)] == list(range(mat.dim))
+        return seen
+
+    @pytest.mark.parametrize("dim", [1, TILE - 1, TILE, TILE + 1, 3 * TILE + 5])
+    def test_diagonals_at_tile_boundaries(self, monkeypatch, dim):
+        mat = self.tiled(monkeypatch, lambda: banded(dim, 2, dim, holes=0.0))
+        assert layout(mat) == "diagonals" and mat.block_width == (1 if dim > 4 else 4)
+        seen = self.check(mat, dim)
+        assert seen == [(lo, min(lo + self.TILE, dim)) for lo in range(0, dim, self.TILE)]
+
+    def test_offsets_wider_than_a_tile(self, monkeypatch):
+        # diagonals 0 and +-12 over tiles of 8 rows: a tile's rows read
+        # columns of other tiles, and the outer diagonals miss some tiles
+        mat = self.tiled(monkeypatch, lambda: wide_band(100, 12))
+        assert layout(mat) == "diagonals" and len(mat._tiles) == 13
+        assert [len(strips) for _, _, strips in mat._tiles[:3]] == [2, 3, 3]
+        self.check(mat, 100)
+
+    @pytest.mark.parametrize("build", [lambda: holed(30, 4), lambda: random_psd(
+        21, 3, np.random.default_rng(3).uniform(0.0, 1.0, 21))], ids=["holed", "random-psd"])
+    def test_columns_on_several_tiles(self, monkeypatch, build):
+        mat = self.tiled(monkeypatch, build)
+        assert layout(mat) == "columns" and len(mat._tiles) > 1
+        self.check(mat, mat.dim)
+
+    def test_one_row_tiles(self, monkeypatch):
+        # a budget of 32 bytes leaves a tile one row
+        mat = self.tiled(monkeypatch, lambda: banded(12, 3, 0, holes=0.0), budget=32)
+        assert len(mat._tiles) == 12
+        self.check(mat, 12)
+
+    def test_tile_height_follows_the_budget(self):
+        # a (block_width, rows) tile of BLOCK_BYTES // 4 bytes: 2^15 rows at
+        # width 1; the SPDC matrix and a dense 1000-row one are one tile
+        fem = fem_matrix(10**5)
+        assert fem.block_width == 1
+        assert [(lo, hi) for lo, hi, _ in fem._tiles] == [
+            (0, 2**15), (2**15, 2**16), (2**16, 3 * 2**15), (3 * 2**15, 10**5)]
+        for mat in (spdc_density_matrix(SpdcParams()),
+                    random_psd(1000, 0, np.linspace(0.0, 1.0, 1000)), tridiag(2**15)):
+            assert len(mat._tiles) == 1
+
+    def test_gathered_product_finishes_once(self):
+        mat, _ = random_symmetric(50, 3)
+        v = np.random.default_rng(4).normal(size=(2, 50))
+        seen = []
+
+        def finish(y, lo, hi):
+            seen.append((y.shape, lo, hi))
+            y *= 2.0
+
+        got = mat.matvec(v, finish=finish)
+        assert seen == [((2, 50), 0, 50)]
+        assert got.tobytes() == (2.0 * mat.matvec(v)).tobytes()
 
 
 class TestSymmetryCheck:
