@@ -24,7 +24,7 @@ from .chebyshev import (
     spread_function,
     truncation_error_bound,
 )
-from .clenshaw import quadratic_form
+from .clenshaw import SpectrumEscape, quadratic_form
 from .cli import RunConfig, main, run
 from .estimator import (
     EntropyEstimate,
@@ -62,6 +62,7 @@ __all__ = [
     "ScalingParams",
     "SpdcParams",
     "SpectralBound",
+    "SpectrumEscape",
     "Spectrum",
     "SymmetricSparseMatrix",
     "coefficients",

@@ -14,14 +14,20 @@ give every moment up to n from the vectors T_j(B) v with j <= ceil(n/2), so
 a form costs ceil(n/2) matrix-vector products and no similarity transform
 of A. A block of probe rows shares each of those products. Each step of the
 recurrence t_j+1 = 2 (c A t_j - t_j) - t_j-1, c = 2 / (x0 gamma0), is fused
-into its product: ``matvec`` hands back each row tile of A t_j, which on a
-strip layout is ``sparse.BLOCK_BYTES // 4`` bytes of the block, and the
-step finishes it in place while it is in cache.
+into its product: ``matvec`` hands back each row tile of A t_j, which by
+diagonal is ``sparse.BLOCK_BYTES // 4`` bytes of the block and otherwise
+all of it, and the step finishes it in place while it is in cache.
 
 Every reduction is an ``np.einsum`` over one probe row, never BLAS: a
 threaded BLAS dot product splits its sum by thread count, and a reduction
 across rows would sum in an order set by the block height. So a form is the
 same number whatever the block, the worker count or the BLAS threads.
+
+While the spectrum of A lies inside [0, x0 * gamma0], that of B lies inside
+[-1, 1], so every |T_k(B)| <= 1 and |mu_k| <= mu_0 = m. A moment beyond that
+bound shows that the spectrum has escaped, below 0 or above x0 * gamma0, and
+the form is refused. This detects an escape, but does not certify its
+absence: a spectrum a little beyond the bound can keep every moment within it.
 """
 
 from __future__ import annotations
@@ -32,6 +38,10 @@ import numpy as np
 # row no longer than that is summed in one piece in a block as well; a
 # longer row is summed alone, so that its pieces start at its first entry.
 _EINSUM_PIECE = 8192
+
+
+class SpectrumEscape(ValueError):
+    """A probe moment |mu_k| > m, which no spectrum inside [0, x0 * gamma0] gives."""
 
 
 def _row_dots(x, y):
@@ -55,9 +65,11 @@ def quadratic_form(A, v, expansion, gamma0):
     2 (c A t_j - t_j) - t_j-1. The constant term a_0 enters the result only
     through the closed form v^T (a_0/2) v = m a_0 / 2.
 
-    A spectrum far outside [0, x0 * gamma0] makes the vectors overflow;
-    numpy's warnings of it are silenced, so the caller sees only the
-    non-finite form it returns.
+    Raises ``SpectrumEscape`` if some row has max_k |mu_k| > m (1 + 1e-10)
+    + 1e-10; its message names the first such row's largest moment and its
+    ratio to m. A spectrum far outside [0, x0 * gamma0] can make the vectors
+    overflow into nan moments instead; numpy's warnings of it are silenced,
+    so the caller sees only the non-finite form it returns.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim not in (1, 2) or v.shape[-1] != A.dim:
@@ -108,5 +120,14 @@ def quadratic_form(A, v, expansion, gamma0):
         mu[:, 3::2] *= 2.0
         mu[:, 3::2] -= mu[:, 1:2]
 
+        # |mu_k| <= m, up to rounding, while the spectrum is inside the
+        # interval; a row with a nan moment peaks at nan, which passes, and
+        # its non-finite form is left to the caller
+        peak = np.abs(mu).max(axis=1)
+        escaped = np.flatnonzero(peak > m * (1.0 + 1e-10) + 1e-10)
+        if escaped.size:
+            k = int(np.abs(mu[escaped[0]]).argmax())
+            raise SpectrumEscape(f"probe moment |mu_{k}| = {peak[escaped[0]] / m:.6g} m "
+                                 "exceeds mu_0 = m")
         forms = gamma0 * (m * a[0] / 2.0 + _row_dots(mu[:, 1:], a[1:]))
     return forms if v.ndim == 2 else float(forms[0])

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chebyshev import coefficients, truncation_error_bound
-from .clenshaw import quadratic_form
+from .clenshaw import SpectrumEscape, quadratic_form
 from .sparse import SpectralBound
 
 DEFAULT_N_MAX = 10_000
@@ -309,8 +309,12 @@ def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
     drawn = 0
     capped = False
     while drawn < needed:
-        batch = _xi_batch(A, expansion, scaling.gamma0 * norm_scale, sampler,
-                          drawn + 1, needed, threads)
+        try:
+            batch = _xi_batch(A, expansion, scaling.gamma0 * norm_scale, sampler,
+                              drawn + 1, needed, threads)
+        except SpectrumEscape as exc:
+            # worded with the state's interval, as every escape is
+            raise _escaped(str(exc), scaling.x0, scaling.gamma0) from None
         if not all(map(math.isfinite, batch)):
             raise _escaped("a probe form is not finite", scaling.x0, scaling.gamma0)
         for xi_raw in batch:

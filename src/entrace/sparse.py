@@ -8,23 +8,24 @@ at most); a block shares the per-call cost of a product among its rows,
 and each row comes out bit-identical to its single-vector product.
 
 A product takes one of three layouts, chosen once from the sparsity
-pattern. Two of them store the matrix a second time as strips, and multiply
-it one strip at a time with no gather: a matrix whose entries fill few
-diagonals is stored by diagonal, and one whose entries nearly fill
-dim x dim is stored by column. Any other matrix gathers its products in
-storage order and sums them with ``np.bincount``. All three add each row's
-products to 0.0 in ascending column order, so they give the same bits.
+pattern. Two of them store the matrix a second time and need no gather: a
+matrix whose entries fill few diagonals keeps one strip a diagonal, and one
+whose entries nearly fill dim x dim keeps one (dim, dim) array of columns,
+which a single ``np.einsum`` multiplies. Any other matrix gathers its
+products in storage order and sums them with ``np.bincount``. All three add
+each row's products to 0.0 in ascending column order, so they give the same
+bits.
 
-A strip product runs one row tile at a time: it fills rows lo..hi-1 of the
-result from the strips clipped to those rows, and hands the tile to the
-caller's ``finish`` while it is still in cache, so that the recurrence
+A product by diagonal runs one row tile at a time: it fills rows lo..hi-1
+of the result from the strips clipped to those rows, and hands the tile to
+the caller's ``finish`` while it is still in cache, so that the recurrence
 around the product streams the matrix and its vectors once a step. A tile
 of a block of ``block_width`` rows holds ``BLOCK_BYTES // 4`` bytes, 2^15
 rows of a single vector; a matrix of that many rows or fewer is one tile.
 
-Symmetry is checked where the entries already are: a matrix stored as
-strips compares its strips with their mirror images, and only a matrix
-that gathers its products sorts its entries a second time, by (col, row).
+Symmetry is checked where the entries already are: a matrix stored by
+diagonal or by column compares them with their mirror images, and only a
+matrix that gathers its products sorts its entries again, by (col, row).
 Either way a matrix is accepted or refused, and an error worded, alike.
 """
 
@@ -42,25 +43,26 @@ SYMMETRY_RTOL = 1e-12
 
 # bytes that one block product may hold: of gathered products (or of probe
 # rows, if there are more of those) on the gather path, and of all the
-# (b, dim) arrays of one form on a strip path; the block width follows from
-# it, and so does the row tile of a strip product, a quarter of it. On a
+# (b, dim) arrays of one form by diagonal or column; the block width follows
+# from it, and so does the row tile of a product by diagonal, a quarter. On a
 # 2-vCPU x86 guest (2 MiB L2 a core), fem(10^6) at b = 1 samples 8 probes
 # on two threads in 0.41 s untiled, 0.34 s in tiles of 2^14 rows, 0.29 s
 # of 2^15 and 0.28 s of 2^16 (medians of 6 benchmark runs)
 BLOCK_BYTES = 2**20
 
-# largest fill, padded strip slots over stored entries, at which a matrix is
-# also stored as strips: by diagonal (ndiag * dim slots) or by column
-# (dim * dim slots), whichever has fewer, diagonals on a tie. Measured on a
-# 2-vCPU x86 guest, per probe row, each path at its own block width. By
-# diagonal the two break even near 1.3: banded matrices with random holes at
-# dim 1000 take 13.6 us against 19.4 us gathered at fill 1.16, and 15.7
-# against 16.3 at fill 1.39; at dim 300, 9.2 against 10.6 at fill 1.18, and
-# 9.3 against 8.8 at fill 1.44; fem(10^6), fill 1.0, takes 5.8 ms against
-# 17.8 ms. By column the threshold is cautious: symmetric matrices with random
-# holes still win at fill 1.7 on dim 64 (4.3 us against 5.1), 2.2 on dim 300
-# and 4 on dim 1000. The dense 1000 x 1000 matrix, fill 1.0, takes 0.98 ms
-# against 4.1 ms, and spdc, fill 1.02, 4.3 us against 7.9 us.
+# largest fill, padded slots over stored entries, at which a matrix is also
+# stored for a product without a gather: by diagonal (ndiag * dim slots) or
+# by column (dim * dim slots), whichever has fewer, diagonals on a tie.
+# Measured on a 2-vCPU x86 guest, per probe row, each path at its own block
+# width. By diagonal the two break even near 1.3: banded matrices with random
+# holes at dim 1000 take 13.6 us against 19.4 us gathered at fill 1.16, and
+# 15.7 against 16.3 at fill 1.39; at dim 300, 9.2 against 10.6 at fill 1.18,
+# and 9.3 against 8.8 at fill 1.44; fem(10^6), fill 1.0, takes 5.8 ms against
+# 17.8 ms. By column, one einsum, the threshold is cautious: symmetric
+# matrices with random holes break even near fill 11 at dims 300 and 1000
+# (dim 1000: 0.46 ms against 0.59 ms at fill 10, 0.44 against 0.22 at fill
+# 20) and above 15 at dim 64. The dense 1000 x 1000 matrix, fill 1.0, takes
+# 0.44 ms against 8.2 ms, and spdc, fill 1.02, 1.4 us against 14 us.
 DIA_FILL = 1.3
 
 # largest dimension: the keys row * dim + col that order the entries fit an int64
@@ -99,7 +101,7 @@ class SymmetricSparseMatrix:
     The key must fit in an int64, so dim is at most ``_KEY_DIM_MAX`` =
     3037000499; a larger dim is refused before anything is allocated.
     Each entry must have a mirror that equals it within ``SYMMETRY_RTOL``;
-    a matrix stored as strips checks this on its strips, any other by a
+    a matrix stored by diagonal or column checks this there, any other by a
     sort on (column, row). Positive semidefiniteness is the caller's
     contract and is not checked here; use the dense oracle to verify it for
     matrices of modest size.
@@ -107,15 +109,14 @@ class SymmetricSparseMatrix:
     When the stored entries fill few diagonals, padded diagonal slots
     ndiag * dim at most ``DIA_FILL`` times nnz, they are also kept as a
     read-only (ndiag, dim) array of diagonals, and the matrix-vector product
-    adds one shifted diagonal at a time. When they nearly fill the matrix,
-    with more than dim diagonals and dim * dim slots at most ``DIA_FILL``
-    times nnz, they are kept as a read-only (dim, dim) array of columns
-    instead, and the product adds column j times v[j] for each j in turn.
-    Otherwise the product is one ordered pass over the stored entries. In
-    each layout every row sums its products from 0.0 in ascending column
-    order, so repeated products, and the three layouts, agree bit for bit.
-    Strips are also kept cut into the row tiles that ``matvec`` fills one
-    at a time; see ``_tiles``.
+    adds one shifted diagonal at a time, a row tile at a time (``_tiles``).
+    When they nearly fill the matrix, with more than dim diagonals and
+    dim * dim slots at most ``DIA_FILL`` times nnz, they are kept as a
+    read-only (dim, dim) array C instead, C[j, i] = A[i, j], and one
+    ``np.einsum`` adds v[j] * C[j] for each j in turn. Otherwise the product
+    is one ordered pass over the stored entries. In each layout every row
+    sums its products from 0.0 in ascending column order, so repeated
+    products, and the three layouts, agree bit for bit.
     """
 
     __slots__ = ("dim", "col", "val", "_row", "_col", "_width", "_layout", "_strips",
@@ -178,11 +179,12 @@ class SymmetricSparseMatrix:
             # a form holds five (b, dim) arrays, the probes, t_prev, t, t_next
             # and a product's temporary; at an eighth of BLOCK_BYTES each, the
             # five fit within it on each worker. Wider blocks gain little per
-            # row (dim 1000: 0.98 ms at 16 rows, 0.94 ms at 26)
+            # row (by column, dim 1000: 0.48 ms at 16 rows, 0.50 ms at 26)
             width = max(1, BLOCK_BYTES // 8 // (8 * dim))
             # a (width, height) tile of each array a product step touches
-            # stays in a core's L2 cache
-            tiles = _tiles(strips, dim, max(1, BLOCK_BYTES // 4 // (8 * width)))
+            # stays in a core's L2 cache; the columns are one array, no tiles
+            tiles = None if isinstance(strips, np.ndarray) else _tiles(
+                strips, dim, max(1, BLOCK_BYTES // 4 // (8 * width)))
             layout = None
 
         # np.take and np.bincount copy a read-only index array on every call,
@@ -233,8 +235,8 @@ class SymmetricSparseMatrix:
         """Probe rows one product should take at a time.
 
         On the gather path, as many as keep the gathered products and the
-        probe rows each within ``BLOCK_BYTES``; stored as strips, as many as
-        keep the five (b, dim) arrays of one form within it. At least one.
+        probe rows each within ``BLOCK_BYTES``; otherwise as many as keep
+        the five (b, dim) arrays of one form within it. At least one.
         """
         return self._width
 
@@ -246,8 +248,9 @@ class SymmetricSparseMatrix:
         processes, and thread counts, and each row of a block product equals
         the product of that row alone. A matrix stored by diagonal adds
         diagonal d, shifted by d, for each d in ascending order; one stored by
-        column adds column j, as stored, times v[j] for each j in ascending
-        order. A hole in a strip adds a +-0 product, which leaves a sum that
+        column is one ``np.einsum("bj,ji->bi", v, C)``, with no BLAS, which
+        adds v[..., j] * C[j] for each j in ascending order, whatever the
+        strides of v. A hole adds a +-0 product, which leaves a sum that
         starts at +0.0 unchanged, so the bits are those of the ordered pass
         for any finite v. A gathered vector or block of ``block_width`` rows
         reads a layout kept since construction; a narrower block is padded to
@@ -256,16 +259,17 @@ class SymmetricSparseMatrix:
 
         ``finish(y, lo, hi)``, if given, is called in place on y[..., lo:hi]
         once its products are summed, for row tiles that cover every row once
-        in ascending order. A strip product sums one tile of rows at a time,
-        so the tile is still in cache when ``finish`` works on it; a gathered
-        product calls it once, on all rows. The bits of a row do not depend
-        on the tile it lands in.
+        in ascending order. A product by diagonal sums one tile of rows at a
+        time, so the tile is still in cache when ``finish`` works on it; a
+        product by column or gathered calls it once, on all rows. The bits of
+        a row do not depend on the tile it lands in.
         """
         v = np.asarray(v, dtype=np.float64)
         if v.ndim not in (1, 2) or v.shape[-1] != self.dim:
             raise ValueError(f"vector length {v.shape} does not match dimension {self.dim}")
         if self._tiles is None:
-            y = self._gathered(v)
+            y = self._gathered(v) if self._strips is None else np.einsum(
+                "bj,ji->bi" if v.ndim == 2 else "j,ji->i", v, self._strips)
             if finish is not None:
                 finish(y, 0, self.dim)
             return y
@@ -339,24 +343,24 @@ class SymmetricSparseMatrix:
 
 
 class _Strips(NamedTuple):
-    """A matrix stored as strips, as ``_strips`` finds it."""
+    """A matrix stored by diagonal or by column, as ``_strips`` finds it."""
 
-    strips: tuple
+    strips: tuple | np.ndarray
     diagonal: np.ndarray
     symmetric: bool
 
 
 def _strips(rows, cols, values, dim):
-    """The strips of a product without a gather, or None; see ``_Strips``.
+    """The storage of a product without a gather, or None; see ``_Strips``.
 
-    A product adds entries * v[..., columns] to y[..., rows] for each
-    (rows, columns, entries) strip in turn. Stored by diagonal, strip k is
-    the k-th stored diagonal by ascending offset d, holding A[i, i + d].
-    Stored by column, strip j is (:, j:j+1, A[:, j]). A missing entry is
-    stored as 0.0. Of the two, the layout with fewer padded slots, ndiag *
-    dim or dim * dim, is taken if it has at most ``DIA_FILL`` times the
-    stored entries, diagonals on a tie; otherwise the result is None. The
-    offsets are counted by one np.bincount over -(dim - 1)..dim - 1.
+    Stored by diagonal, strip k is the k-th stored diagonal by ascending
+    offset d, (rows, columns, entries) with entries A[i, i + d], and a
+    product adds entries * v[..., columns] to y[..., rows] for each strip.
+    Stored by column, the strips are one read-only (dim, dim) array C,
+    C[j, i] = A[i, j]. A missing entry is stored as 0.0. Of the two, the
+    layout with fewer padded slots, ndiag * dim or dim * dim, is taken if it
+    has at most ``DIA_FILL`` times the stored entries, diagonals on a tie;
+    otherwise the result is None.
 
     The entries, in storage order, are only read. Symmetry is checked on the
     strips: a mask of the slots that hold an entry must equal its mirror
@@ -402,24 +406,20 @@ def _strips(rows, cols, values, dim):
 
 
 def _tiles(strips, dim, height):
-    """The strips cut into tiles of ``height`` rows: a tuple of (lo, hi, strips).
+    """The diagonals cut into tiles of ``height`` rows: a tuple of (lo, hi, strips).
 
     A tile's strips are the strips clipped to rows lo..hi-1, in the same
     order, with rows counted from lo, so they fill y[..., lo:hi] alone and
     add to each of its elements what the strips add. A diagonal keeps the
-    columns that face its clipped rows, and a column, which covers every
-    row, keeps its column; a diagonal that misses the rows is left out. A
-    matrix of at most ``height`` rows is one tile, whose strips equal the
-    strips as stored.
+    columns that face its clipped rows; one that misses the rows is left
+    out. A matrix of at most ``height`` rows is one tile, whose strips equal
+    the strips as stored.
     """
     tiles = []
     for lo in range(0, dim, height):
         hi = min(lo + height, dim)
         tile = []
         for rows, cols, a in strips:
-            if rows == slice(None):
-                tile.append((rows, cols, a[lo:hi]))
-                continue
             r0, r1 = max(rows.start, lo), min(rows.stop, hi)
             if r0 < r1:
                 shift = cols.start - rows.start
@@ -430,11 +430,11 @@ def _tiles(strips, dim, height):
 
 
 def _column_strips(rows, cols, values, dim):
-    """Column strips (:, j:j+1, A[:, j]), or None when dim * dim is too many slots."""
+    """Columns C[j, i] = A[i, j], or None when dim * dim is too many slots."""
     if dim * dim > DIA_FILL * rows.size:
         return None
-    # strip j must hold column j as stored: its mirror, row j, may differ
-    # from it within SYMMETRY_RTOL
+    # C[j] must hold column j as stored: its mirror, row j, may differ from
+    # it within SYMMETRY_RTOL
     slot = cols * dim + rows
     data = np.zeros((dim, dim))
     held = np.zeros((dim, dim), dtype=bool)
@@ -443,8 +443,7 @@ def _column_strips(rows, cols, values, dim):
     del slot
     data.setflags(write=False)
     symmetric = _mirrors_agree(held, held.T, data, data.T)
-    return _Strips(tuple((slice(None), slice(j, j + 1), a) for j, a in enumerate(data)),
-                   np.diagonal(data).copy(), symmetric)
+    return _Strips(data, np.diagonal(data).copy(), symmetric)
 
 
 def _mirrors_agree(held, held_mirror, a, b):

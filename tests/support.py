@@ -31,6 +31,17 @@ def random_symmetric(m, seed, density=0.3):
     return SymmetricSparseMatrix.from_dense(a), a
 
 
+def scattered_psd(m, seed):
+    """``random_symmetric`` made PSD: each diagonal entry is its row's absolute sum.
+
+    Gershgorin's discs then all lie in [0, inf); the stored pattern, and so
+    the gather path and the block width, are those of ``random_symmetric``.
+    """
+    _, a = random_symmetric(m, seed)
+    np.fill_diagonal(a, np.abs(a).sum(axis=1))
+    return SymmetricSparseMatrix.from_dense(a)
+
+
 def wide_band(dim, d):
     """PSD matrix on diagonals 0 and +-d only, stored by diagonal for dim > 3 d."""
     i = np.arange(dim - d)

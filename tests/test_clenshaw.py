@@ -1,7 +1,9 @@
 """Forward Chebyshev moments for probe quadratic forms."""
 
 import functools
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,10 +13,10 @@ import pytest
 
 import entrace
 from entrace.chebyshev import coefficients, evaluate_scalar
-from entrace.clenshaw import quadratic_form
+from entrace.clenshaw import SpectrumEscape, quadratic_form
 from entrace.generators import SpdcParams, fem_matrix, random_psd, spdc_density_matrix
 from entrace.sparse import SymmetricSparseMatrix, gershgorin_upper_bound
-from support import dense_quadratic_form, random_symmetric, wide_band
+from support import dense_quadratic_form, scattered_psd, wide_band
 
 
 def signs(m, seed):
@@ -85,11 +87,12 @@ class TestCost:
         # built with the matrix, and a partial block is padded to a full one
         import entrace.sparse as sparse
 
-        A, _ = random_symmetric(280, 3)
+        A = scattered_psd(280, 3)
         assert A.block_width == 3 and A._strips is None
         exp = coefficients(9, 1.0)
+        gamma0 = gershgorin_upper_bound(A).lambda_max_upper
         probes = np.array([signs(280, seed) for seed in (7, 8, 9)])
-        single = np.array([quadratic_form(A, v, exp, 1.3) for v in probes])
+        single = np.array([quadratic_form(A, v, exp, gamma0) for v in probes])
         calls = []
         inner = sparse._block_layout
 
@@ -99,7 +102,7 @@ class TestCost:
 
         monkeypatch.setattr(sparse, "_block_layout", counting)
         for b in (3, 2):
-            forms = quadratic_form(A, probes[:b], exp, 1.3)
+            forms = quadratic_form(A, probes[:b], exp, gamma0)
             assert forms.tobytes() == single[:b].tobytes()
         assert calls == []
 
@@ -113,15 +116,19 @@ class TestTiles:
         functools.partial(random_psd, 21, 3, np.random.default_rng(3).uniform(0.0, 1.0, 21)),
     ], ids=["fem-1", "fem-7", "fem-8", "fem-9", "fem-29", "offsets-12", "columns-21"])
     def test_forms_match_one_tile(self, monkeypatch, build):
-        # tiles of 8 rows at block width 1 against the whole matrix as one tile
+        # tiles of 8 rows at block width 1 against the whole matrix as one
+        # tile; a matrix stored by column is never tiled, but its block width
+        # drops to 1 as well
         import entrace.sparse as sparse
 
         whole = build()
-        assert len(whole._tiles) == 1
+        by_column = isinstance(whole._strips, np.ndarray)
+        assert whole._tiles is None if by_column else len(whole._tiles) == 1
         with monkeypatch.context() as patch:
             patch.setattr(sparse, "BLOCK_BYTES", 2**8)
             tiled = build()
-        assert len(tiled._tiles) == -(-whole.dim // 8)
+        assert tiled.block_width == (1 if whole.dim > 4 else 4)
+        assert tiled._tiles is None if by_column else len(tiled._tiles) == -(-whole.dim // 8)
         gamma0 = 1.075 * gershgorin_upper_bound(whole).lambda_max_upper
         probes = np.array([signs(whole.dim, 70 + i) for i in range(3)])
         for n in (1, 2, 9):
@@ -145,7 +152,7 @@ class TestDeterminism:
         spdc_density_matrix(SpdcParams()),
         random_psd(200, 1, np.random.default_rng(1).uniform(0.0, 1.0, 200)),
         # scattered entries: the gather path, width 3
-        random_symmetric(280, 3)[0],
+        scattered_psd(280, 3),
     ], ids=["fem-60", "fem-20000", "spdc", "random-200", "gathered-280"])
     def test_block_forms_match_single_forms(self, A):
         width = A.block_width
@@ -176,6 +183,13 @@ class TestDeterminism:
             "A = fem_matrix(20000)\n"
             "v = [RademacherSampler(0).sample_vector(A.dim, k) for k in (1, 2, 3)]\n"
             "print([float(f).hex() for f in quadratic_form(A, v, coefficients(9, 1.0), 4.3)])\n"
+            "# a block of 81 on random_psd(200), which is stored by column\n"
+            "import numpy as np\n"
+            "from entrace.generators import random_psd\n"
+            "A = random_psd(200, 1, np.random.default_rng(1).uniform(0.0, 1.0, 200))\n"
+            "assert isinstance(A._strips, np.ndarray) and A.block_width == 81\n"
+            "v = RademacherSampler(0).sample_vector(A.dim, 1, 81)\n"
+            "print([float(f).hex() for f in quadratic_form(A, v, coefficients(9, 1.0), 1.3)])\n"
         )
         src = str(Path(entrace.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -188,6 +202,57 @@ class TestDeterminism:
             assert run.returncode == 0, run.stderr
             forms.append(run.stdout)
         assert forms[0] == forms[1]
+
+
+class TestSpectrumEscape:
+    """|mu_k| <= m while the spectrum lies inside [0, x0 * gamma0]."""
+
+    @staticmethod
+    def lambda_max(A):
+        return float(np.linalg.eigvalsh(A.to_dense())[-1])
+
+    @pytest.mark.parametrize("A", [
+        fem_matrix(200),
+        spdc_density_matrix(SpdcParams()),
+        random_psd(100, 0, np.linspace(0.0, 1.0, 100)),
+    ], ids=["fem-200", "spdc", "random-100"])
+    def test_spectrum_at_the_bound_passes(self, A):
+        # gamma0 = lambda_max puts an eigenvalue of B at 1, where the
+        # recurrence's rounding grows fastest
+        probes = np.array([signs(A.dim, 30 + i) for i in range(4)])
+        for n in (1, 14, 100, 400):
+            forms = quadratic_form(A, probes, coefficients(n, 1.0), self.lambda_max(A))
+            assert np.all(np.isfinite(forms))
+
+    @pytest.mark.parametrize("A, n", [
+        (fem_matrix(200), 8), (spdc_density_matrix(SpdcParams()), 14),
+        (random_psd(100, 0, np.linspace(0.0, 1.0, 100)), 14),
+    ], ids=["fem-200", "spdc", "random-100"])
+    def test_escape_names_its_moment(self, A, n):
+        # gamma0 = 0.9 lambda_max: four probes show it by degree n
+        probes = np.array([signs(A.dim, 30 + i) for i in range(4)])
+        exp = coefficients(n, 1.0)
+        gamma0 = 0.9 * self.lambda_max(A)
+        with pytest.raises(SpectrumEscape) as err:
+            quadratic_form(A, probes, exp, gamma0)
+        k, ratio = (float(x) for x in re.fullmatch(
+            r"probe moment \|mu_(\d+)\| = (\S+) m exceeds mu_0 = m", str(err.value)).groups())
+        assert 1 <= k <= n and ratio > 1.0
+        # the first refused row names the moment, so a lone probe gives the
+        # same message if it is the block's first escape
+        for v in probes:
+            try:
+                assert math.isfinite(quadratic_form(A, v, exp, gamma0))
+            except SpectrumEscape as lone:
+                assert str(lone) == str(err.value)
+                break
+        else:
+            pytest.fail("no lone probe escaped")
+
+    def test_nan_moments_are_left_to_the_caller(self):
+        # moments that overflow into nan make a non-finite form, not a refusal
+        form = quadratic_form(fem_matrix(10), signs(10, 0), coefficients(30, 1.0), 1e-30)
+        assert not math.isfinite(form)
 
 
 class TestValidation:

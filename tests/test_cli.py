@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 import entrace
 from entrace.cli import RunConfig, build_parser, main, run
 from entrace.generators import fem_matrix
-from entrace.sparse import SymmetricSparseMatrix, write_matrix_market
+from entrace.sparse import SymmetricSparseMatrix, read_matrix_market, write_matrix_market
 
 
 def run_cli(capsys, *argv):
@@ -268,8 +269,8 @@ class TestErrorHandling:
     @pytest.mark.parametrize("extra", [["-n", "8"], ["-n", "14"], ["-n", "30", "--samples", "4"]],
                              ids=["overflow", "non-finite", "non-finite-fixed"])
     def test_escaped_spectrum(self, capsys, extra):
-        # gamma0 far below lambda_max: the forms grow beyond any sample count,
-        # or beyond float range
+        # gamma0 far below lambda_max: a moment far beyond m at n = 8, and
+        # moments that overflow into nan at n = 14 and 30
         code, out, _ = run_cli(capsys, "entropy", "--generate", "fem:10", "--gamma0", "1e-30",
                                "--threads", "1", *extra)
         assert code == 1
@@ -277,6 +278,30 @@ class TestErrorHandling:
         assert error["type"] == "ValueError"
         assert error["message"].endswith(
             "the spectrum is not inside [0, x0 * gamma0] = [0, 1e-30]")
+
+    # gamma0 is a fraction of lambda_max (3.92 on fem:10, 0.997 on the
+    # file); on spdc, a low-rank state, mu_1 = v^T B v stays far below m
+    # at 0.9 lambda_max, and the escape shows from n = 2 on
+    @pytest.mark.parametrize("source, fraction, n", [
+        *(("fem:10", 0.125, n) for n in (1, 2, 3, 14)),
+        *(("random:200:0", 0.5, n) for n in (1, 2, 3, 14)),
+        ("random:200:0", 0.9, 14),
+        *(("spdc:default", 0.9, n) for n in (2, 3, 14)),
+    ])
+    def test_moment_escape(self, capsys, tmp_path, source, fraction, n):
+        path = tmp_path / "matrix.mtx"
+        assert run_cli(capsys, "generate", "--generate", source, "-o", str(path))[0] == 0
+        lam = float(np.linalg.eigvalsh(read_matrix_market(path).to_dense())[-1])
+        extra = ["--normalize"] if source.startswith("spdc") else []
+        code, out, _ = run_cli(capsys, "entropy", "--input", str(path), "-n", str(n),
+                               "--gamma0", repr(fraction * lam), "--samples", "30", *extra)
+        assert code == 1
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValueError"
+        k, ratio = re.match(r"probe moment \|mu_(\d+)\| = (\S+) m exceeds mu_0 = m: the "
+                            r"spectrum is not inside \[0, x0 \* gamma0\] = \[0, ",
+                            error["message"]).groups()
+        assert 1 <= int(k) <= n and float(ratio) > 1.0
 
     @pytest.mark.parametrize("matrix, threads", [("fem:10", []), ("fem:20000", ["--threads", "2"])],
                              ids=["one-block", "pool"])

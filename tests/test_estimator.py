@@ -20,7 +20,7 @@ from entrace.estimator import (
 from entrace.generators import fem_matrix, random_psd
 from entrace.oracle import fem_exact_entropy
 from entrace.sparse import SpectralBound, SymmetricSparseMatrix, gershgorin_upper_bound
-from support import all_sign_vectors, dense_poly_trace, random_symmetric
+from support import all_sign_vectors, dense_poly_trace, scattered_psd
 
 
 def identity(m, c=1.0):
@@ -277,12 +277,12 @@ class TestEstimateFixed:
         # blocks and a partial one, with a bound widened so that no moment is
         # exact; stored by column at width 81, two full blocks and a partial
         # one
-        A, _ = random_symmetric(280, 3)
+        A = scattered_psd(280, 3)
         assert A.block_width == 3 and A._strips is None
         fem = fem_matrix(8000)
         assert fem.block_width == 2 and fem._strips is not None
         dense = random_psd(200, 3, np.random.default_rng(3).uniform(0.0, 1.0, 200))
-        assert dense.block_width == 81 and dense._strips[0][0] == slice(None)
+        assert dense.block_width == 81 and isinstance(dense._strips, np.ndarray)
         for A, num, sp in ((A, 16, ScalingParams.from_bound(gershgorin_upper_bound(A))),
                            (fem, 17, ScalingParams(x0=1.0, gamma0=4.3)),
                            (dense, 170, ScalingParams.from_bound(gershgorin_upper_bound(dense)))):
@@ -315,7 +315,7 @@ class TestEstimateFixed:
 
         monkeypatch.setattr(estimator, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        A, _ = random_symmetric(280, 3)
+        A = scattered_psd(280, 3)
         assert A.block_width == 3
         sp = ScalingParams.from_bound(gershgorin_upper_bound(A))
         serial = estimate_fixed(A, 3, 16, sp, RademacherSampler(3), threads=1)

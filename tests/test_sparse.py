@@ -77,8 +77,7 @@ def layout(mat):
     """How the matrix's products run: "diagonals", "columns" or "gather"."""
     if mat._strips is None:
         return "gather"
-    full = bool(mat._strips) and mat._strips[0][0] == slice(None)
-    return "columns" if full else "diagonals"
+    return "columns" if isinstance(mat._strips, np.ndarray) else "diagonals"
 
 
 def ordered_pass(mat, v):
@@ -313,6 +312,23 @@ class TestDiagonalPath:
             want = ordered_pass(mat, v)
             assert mat.matvec(v).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("dim", [9000, 20000])
+    def test_column_einsum_is_the_ordered_pass_beyond_one_piece(self, dim):
+        # the einsum of a product by column on a thin C whose columns are
+        # longer than einsum's 8192-entry piece, which a (dim, dim) matrix
+        # would need 512 MB for: C-ordered, Fortran-ordered and strided
+        # blocks, and a lone row, all add v[..., j] * C[j] for ascending j
+        rng = np.random.default_rng(dim)
+        C = rng.normal(size=(dim, 3))
+        wide = rng.normal(size=(4, 2 * dim))
+        for v in (np.ascontiguousarray(wide[:, :dim]), np.asfortranarray(wide[:, :dim]),
+                  wide[:, ::2]):
+            want = np.zeros((4, 3))
+            for j in range(dim):
+                want += v[:, j:j + 1] * C[j]
+            assert np.einsum("bj,ji->bi", v, C).tobytes() == want.tobytes()
+            assert np.einsum("j,ji->i", v[1], C).tobytes() == want[1].tobytes()
+
     def test_holes_and_signed_zeros_give_the_ordered_pass(self):
         # row 0 stores only a -0.0 and has a hole at (0, 1): its sum is +0.0
         # on both paths
@@ -326,9 +342,10 @@ class TestDiagonalPath:
         assert mat.matvec(v).tobytes() == ordered_pass(mat, v).tobytes()
 
     def test_diagonals_are_read_only(self):
-        for mat, kind in ((fem_matrix(4), "diagonals"), (holed(10, 0), "columns")):
-            assert layout(mat) == kind
-            _, _, entries = mat._strips[0]
+        # a diagonal's entries, and the (dim, dim) array of columns
+        fem, full = fem_matrix(4), holed(10, 0)
+        assert layout(fem) == "diagonals" and layout(full) == "columns"
+        for entries in (fem._strips[0][2], full._strips[0]):
             with pytest.raises(ValueError):
                 entries[0] = 1.0
 
@@ -412,10 +429,12 @@ class TestTiles:
 
     @pytest.mark.parametrize("build", [lambda: holed(30, 4), lambda: random_psd(
         21, 3, np.random.default_rng(3).uniform(0.0, 1.0, 21))], ids=["holed", "random-psd"])
-    def test_columns_on_several_tiles(self, monkeypatch, build):
+    def test_columns_finish_once_under_a_small_budget(self, monkeypatch, build):
+        # a budget that cuts a diagonal matrix of this size into tiles
+        # leaves a column product one einsum, finished once on all rows
         mat = self.tiled(monkeypatch, build)
-        assert layout(mat) == "columns" and len(mat._tiles) > 1
-        self.check(mat, mat.dim)
+        assert layout(mat) == "columns" and mat._tiles is None and mat.block_width == 1
+        assert self.check(mat, mat.dim) == [(0, mat.dim)]
 
     def test_one_row_tiles(self, monkeypatch):
         # a budget of 32 bytes leaves a tile one row
@@ -425,14 +444,16 @@ class TestTiles:
 
     def test_tile_height_follows_the_budget(self):
         # a (block_width, rows) tile of BLOCK_BYTES // 4 bytes: 2^15 rows at
-        # width 1; the SPDC matrix and a dense 1000-row one are one tile
+        # width 1, and tridiag(2^15) is one tile; the SPDC matrix and a dense
+        # 1000-row one are stored by column, which is never cut into tiles
         fem = fem_matrix(10**5)
         assert fem.block_width == 1
         assert [(lo, hi) for lo, hi, _ in fem._tiles] == [
             (0, 2**15), (2**15, 2**16), (2**16, 3 * 2**15), (3 * 2**15, 10**5)]
+        assert len(tridiag(2**15)._tiles) == 1
         for mat in (spdc_density_matrix(SpdcParams()),
-                    random_psd(1000, 0, np.linspace(0.0, 1.0, 1000)), tridiag(2**15)):
-            assert len(mat._tiles) == 1
+                    random_psd(1000, 0, np.linspace(0.0, 1.0, 1000))):
+            assert layout(mat) == "columns" and mat._tiles is None
 
     def test_gathered_product_finishes_once(self):
         mat, _ = random_symmetric(50, 3)
@@ -506,12 +527,16 @@ class TestSymmetryCheck:
         found = _strips(rows, cols, vals, m)
         if found is None:
             return "gather", None
-        return ("columns" if found.strips[0][0] == slice(None) else "diagonals"), found.symmetric
+        kind = "columns" if isinstance(found.strips, np.ndarray) else "diagonals"
+        return kind, found.symmetric
 
     @staticmethod
     def stored(mat):
-        strips = None if mat._strips is None else [
-            (r, c, a.tobytes()) for r, c, a in mat._strips]
+        strips = mat._strips
+        if layout(mat) == "columns":
+            strips = strips.tobytes()
+        elif strips is not None:
+            strips = [(r, c, a.tobytes()) for r, c, a in strips]
         return ([a.tobytes() for a in mat.coo()], strips, mat.diagonal().tobytes(),
                 mat.block_width)
 
