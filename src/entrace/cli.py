@@ -25,7 +25,7 @@ from .estimator import (
     estimate_fixed,
 )
 from .generators import SpdcParams, fem_matrix, random_psd, spdc_density_matrix
-from .oracle import DENSE_CAP, dense_spectrum, exact_entropy, fem_exact_entropy
+from .oracle import DENSE_CAP, Spectrum, dense_spectrum, exact_entropy, fem_exact_entropy
 from .sparse import (
     SpectralBound,
     gershgorin_upper_bound,
@@ -157,7 +157,7 @@ def _verify_psd(mat, cap):
 
 def _spectral_bound(mat, config):
     if config.gamma0 is not None:
-        return SpectralBound(config.gamma0 * config.x0, "user-supplied")
+        return SpectralBound(config.gamma0 * config.x0, "user")
     if config.bound_method == "power-iteration":
         return power_iteration_bound(mat, seed=config.seed)
     return gershgorin_upper_bound(mat)
@@ -209,8 +209,6 @@ def _run_oracle(config):
         tr = mat.trace()
         if tr == 0.0:
             raise ValueError("cannot normalize a matrix with zero trace")
-        from .oracle import Spectrum
-
         value = exact_entropy(Spectrum(eigenvalues=np.sort(lam / tr)))
     else:
         value = exact_entropy(spec)

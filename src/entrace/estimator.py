@@ -26,7 +26,7 @@ import numpy as np
 
 from .chebyshev import coefficients, truncation_error_bound
 from .clenshaw import SpectrumEscape, quadratic_form
-from .sparse import SpectralBound
+from .sparse import _BOUND_METHODS, SpectralBound
 
 DEFAULT_N_MAX = 10_000
 # the least adaptive cap: the zero-spread count ceil(2 log 40) at p = 0.95
@@ -102,7 +102,7 @@ class ScalingParams:
             raise ValueError("x0 must be positive")
         if not self.gamma0 > 0.0:
             raise ValueError("gamma0 must be positive")
-        if self.provenance not in ("gershgorin", "power-iteration", "user"):
+        if self.provenance not in _BOUND_METHODS:
             raise ValueError(f"unknown provenance {self.provenance!r}")
 
     @classmethod
@@ -135,11 +135,7 @@ class ScalingParams:
         if lam <= 0.0 and trace != 0.0:
             raise ValueError("spectral bound is zero but the trace is not; matrix is not PSD")
         return cls(x0=float(x0), gamma0=lam / float(x0) if lam > 0.0 else 1.0,
-                   provenance=_provenance(bound))
-
-
-def _provenance(bound):
-    return "user" if bound.method == "user-supplied" else bound.method
+                   provenance=bound.method)
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,15 @@ vector or a block of probe rows (the estimator sends ``block_width`` rows
 at most); a block shares the per-call cost of a product among its rows,
 and each row comes out bit-identical to its single-vector product.
 
-A product takes one of three layouts, chosen once from the sparsity
-pattern. Two of them store the matrix a second time and need no gather: a
-matrix whose entries fill few diagonals keeps one strip a diagonal, and one
-whose entries nearly fill dim x dim keeps one (dim, dim) array of columns,
-which a single ``np.einsum`` multiplies. Any other matrix gathers its
-products in storage order and sums them with ``np.bincount``. All three add
-each row's products to 0.0 in ascending column order, so they give the same
-bits.
+A matrix is stored one way, chosen once from its sparsity pattern. Two
+layouts keep strips and need no gather: a matrix whose entries fill few
+diagonals keeps one strip a diagonal, and one whose entries nearly fill dim
+x dim keeps one strip a column, multiplied by a single ``np.einsum``. The
+strips are the matrix's only copy of its entries: ``coo()``, ``nnz`` and
+``to_dense()`` read them off the strips. Any other matrix keeps its entries
+in storage order, gathers its products and sums them with ``np.bincount``.
+All three add each row's products to 0.0 in ascending column order, so they
+give the same bits.
 
 A product by diagonal runs one row tile at a time: it fills rows lo..hi-1
 of the result from the strips clipped to those rows, and hands the tile to
@@ -24,8 +25,8 @@ of a block of ``block_width`` rows holds ``BLOCK_BYTES // 4`` bytes, 2^15
 rows of a single vector; a matrix of that many rows or fewer is one tile.
 
 Symmetry is checked where the entries already are: a matrix stored by
-diagonal or by column compares them with their mirror images, and only a
-matrix that gathers its products sorts its entries again, by (col, row).
+diagonal or by column compares its strips with their mirror images, and only
+a matrix that gathers its products sorts its entries again, by (col, row).
 Either way a matrix is accepted or refused, and an error worded, alike.
 """
 
@@ -71,7 +72,7 @@ _KEY_DIM_MAX = math.isqrt(np.iinfo(np.int64).max)
 # entries write_matrix_market formats per write
 _WRITE_CHUNK = 2**16
 
-_BOUND_METHODS = ("gershgorin", "power-iteration", "user-supplied")
+_BOUND_METHODS = ("gershgorin", "power-iteration", "user")
 
 
 class MatrixMarketError(ValueError):
@@ -106,21 +107,20 @@ class SymmetricSparseMatrix:
     contract and is not checked here; use the dense oracle to verify it for
     matrices of modest size.
 
-    When the stored entries fill few diagonals, padded diagonal slots
-    ndiag * dim at most ``DIA_FILL`` times nnz, they are also kept as a
-    read-only (ndiag, dim) array of diagonals, and the matrix-vector product
-    adds one shifted diagonal at a time, a row tile at a time (``_tiles``).
-    When they nearly fill the matrix, with more than dim diagonals and
-    dim * dim slots at most ``DIA_FILL`` times nnz, they are kept as a
-    read-only (dim, dim) array C instead, C[j, i] = A[i, j], and one
-    ``np.einsum`` adds v[j] * C[j] for each j in turn. Otherwise the product
-    is one ordered pass over the stored entries. In each layout every row
-    sums its products from 0.0 in ascending column order, so repeated
-    products, and the three layouts, agree bit for bit.
+    The matrix keeps either its entries or its strips, never both (see
+    ``_Strips``). When the stored entries fill few diagonals, padded
+    diagonal slots ndiag * dim at most ``DIA_FILL`` times nnz, it keeps one
+    strip a diagonal, and the matrix-vector product adds one shifted
+    diagonal at a time, a row tile at a time. When they nearly fill the
+    matrix, with more than dim diagonals and dim * dim slots at most
+    ``DIA_FILL`` times nnz, it keeps one strip a column, C[j, i] = A[i, j],
+    and one ``np.einsum`` adds v[j] * C[j] for each j in turn. Otherwise it
+    keeps the entries, and the product is one ordered pass over them. In
+    each layout every row sums its products from 0.0 in ascending column
+    order, so repeated products, and the three layouts, agree bit for bit.
     """
 
-    __slots__ = ("dim", "col", "val", "_row", "_col", "_width", "_layout", "_strips",
-                 "_tiles", "_diag", "build_warnings")
+    __slots__ = ("dim", "_width", "_entries", "_layout", "_strips", "_diag", "build_warnings")
 
     def __init__(self, dim, rows, cols, values):
         dim = int(dim)
@@ -155,53 +155,44 @@ class SymmetricSparseMatrix:
                     raise ValueError(f"duplicate entry at ({rows[k]}, {cols[k]})")
 
         # entries in storage order and free of repeats; ordered input is
-        # still the caller's, and only read until it is copied below
-        found = _strips(rows, cols, values, dim)
-        if found is None or not found.symmetric:
+        # still the caller's, and only read: the strips are new arrays, and
+        # the gather path copies it below
+        strips, diag, symmetric = _strips(rows, cols, values, dim)
+        if not symmetric:
             # the gather path's check, which also words the error of a
             # failed strip check
             self._check_symmetry(rows, cols, values, dim)
-        if ordered:
-            # copied, as the sort's permutation would copy them, so that the
-            # caller's arrays never become the matrix's; last, once the
-            # strips' scratch is freed
-            rows, cols, values = rows.copy(), cols.copy(), values.copy()
 
-        if found is None:
-            strips = tiles = None
+        if strips is None:
+            if ordered:
+                # copied, as the sort's permutation would copy them, so that
+                # the caller's arrays never become the matrix's
+                rows, cols, values = rows.copy(), cols.copy(), values.copy()
             diag = np.zeros(dim)
             on_diag = rows == cols
             diag[rows[on_diag]] = values[on_diag]
             width = max(1, BLOCK_BYTES // (8 * max(rows.size, dim)))
+            # np.take and np.bincount copy a read-only index array on every
+            # call, so the indices matvec passes them, a width-1 layout's
+            # too, stay writable, though nothing writes to them; coo() hands
+            # out read-only views
+            values.setflags(write=False)
+            entries = rows, cols, values
             layout = _block_layout(rows, cols, values, dim, width)
         else:
-            strips, diag = found.strips, found.diagonal
             # a form holds five (b, dim) arrays, the probes, t_prev, t, t_next
             # and a product's temporary; at an eighth of BLOCK_BYTES each, the
             # five fit within it on each worker. Wider blocks gain little per
             # row (by column, dim 1000: 0.48 ms at 16 rows, 0.50 ms at 26)
             width = max(1, BLOCK_BYTES // 8 // (8 * dim))
-            # a (width, height) tile of each array a product step touches
-            # stays in a core's L2 cache; the columns are one array, no tiles
-            tiles = None if isinstance(strips, np.ndarray) else _tiles(
-                strips, dim, max(1, BLOCK_BYTES // 4 // (8 * width)))
-            layout = None
+            entries = layout = None
 
-        # np.take and np.bincount copy a read-only index array on every call,
-        # so the indices matvec passes them, a width-1 layout's too, stay
-        # writable, though nothing writes to them; col is a read-only view
-        for arr in (values, diag):
-            arr.setflags(write=False)
+        diag.setflags(write=False)
         self.dim = dim
-        self.col = cols.view()
-        self.col.setflags(write=False)
-        self.val = values
-        self._row = rows
-        self._col = cols
         self._width = width
+        self._entries = entries
         self._layout = layout
         self._strips = strips
-        self._tiles = tiles
         self._diag = diag
         self.build_warnings = []
 
@@ -228,7 +219,9 @@ class SymmetricSparseMatrix:
 
     @property
     def nnz(self):
-        return int(self.val.size)
+        if self._strips is None:
+            return int(self._entries[0].size)
+        return int(np.count_nonzero(self._strips.held))
 
     @property
     def block_width(self):
@@ -243,7 +236,7 @@ class SymmetricSparseMatrix:
     def matvec(self, v, finish=None):
         """Return A @ v, or for a (b, dim) block v the block with rows A @ v[i].
 
-        Each row adds its products val[k] * v[col[k]] to 0.0 in storage order
+        Each row adds its products A[i, j] * v[j] to 0.0 in storage order
         (columns ascending), so the result is identical across calls,
         processes, and thread counts, and each row of a block product equals
         the product of that row alone. A matrix stored by diagonal adds
@@ -259,26 +252,36 @@ class SymmetricSparseMatrix:
 
         ``finish(y, lo, hi)``, if given, is called in place on y[..., lo:hi]
         once its products are summed, for row tiles that cover every row once
-        in ascending order. A product by diagonal sums one tile of rows at a
-        time, so the tile is still in cache when ``finish`` works on it; a
-        product by column or gathered calls it once, on all rows. The bits of
-        a row do not depend on the tile it lands in.
+        in ascending order. A product by diagonal sums one tile of
+        ``BLOCK_BYTES // 4`` bytes of ``block_width`` rows at a time, so the
+        tile is still in cache when ``finish`` works on it; a product by
+        column or gathered calls it once, on all rows. The bits of a row do
+        not depend on the tile it lands in.
         """
         v = np.asarray(v, dtype=np.float64)
         if v.ndim not in (1, 2) or v.shape[-1] != self.dim:
             raise ValueError(f"vector length {v.shape} does not match dimension {self.dim}")
-        if self._tiles is None:
-            y = self._gathered(v) if self._strips is None else np.einsum(
-                "bj,ji->bi" if v.ndim == 2 else "j,ji->i", v, self._strips)
+        strips = self._strips
+        if strips is None or strips.offsets is None:
+            y = self._gathered(v) if strips is None else np.einsum(
+                "bj,ji->bi" if v.ndim == 2 else "j,ji->i", v, strips.data)
             if finish is not None:
                 finish(y, 0, self.dim)
             return y
+        dim = self.dim
+        # a (block_width, height) tile of each array a product step touches
+        # stays in a core's L2 cache
+        height = max(1, BLOCK_BYTES // 4 // (8 * self._width))
         y = np.empty(v.shape)
-        for lo, hi, strips in self._tiles:
+        for lo in range(0, dim, height):
+            hi = min(lo + height, dim)
             tile = y[..., lo:hi]
             tile.fill(0.0)
-            for rows, cols, a in strips:
-                tile[..., rows] += a * v[..., cols]
+            for a, d in zip(strips.data, strips.offsets):
+                # the rows of diagonal d within lo..hi-1, and the columns they face
+                r0, r1 = max(lo, -d), min(hi, dim - d)
+                if r0 < r1:
+                    tile[..., r0 - lo:r1 - lo] += a[r0:r1] * v[..., r0 + d:r1 + d]
             if finish is not None:
                 finish(tile, lo, hi)
         return y
@@ -298,7 +301,8 @@ class SymmetricSparseMatrix:
             # hold only its own products, so its bits are those of the row alone
             v = np.concatenate((v, np.zeros((self._width - b, self.dim))))
             b = self._width
-        gather, bins, scale = self._layout if b == self._width else (self._col, self._row, self.val)
+        rows, cols, values = self._entries
+        gather, bins, scale = self._layout if b == self._width else (cols, rows, values)
         # the indices were checked at construction, so "wrap" never wraps;
         # take gathers faster in this mode than in "raise" or by fancy indexing
         w = np.take(v.reshape(-1), gather, mode="wrap")
@@ -313,14 +317,27 @@ class SymmetricSparseMatrix:
         return self._diag
 
     def coo(self):
-        """Stored entries as read-only (rows, cols, values), row-major sorted."""
-        rows = self._row.view()
-        rows.setflags(write=False)
-        return rows, self.col, self.val
+        """Stored entries as read-only (rows, cols, values), row-major sorted.
+
+        A matrix stored by diagonal or by column reads them off its strips
+        on each call: the slots that hold an entry, row by row, and in each
+        row strip by strip, which is in ascending columns.
+        """
+        if self._strips is None:
+            entries = tuple(a.view() for a in self._entries)
+        else:
+            data, held, offsets = self._strips
+            rows, strip = np.nonzero(held.T)
+            cols = strip if offsets is None else rows + np.array(offsets, dtype=np.int64)[strip]
+            entries = rows, cols, data[strip, rows]
+        for a in entries:
+            a.setflags(write=False)
+        return entries
 
     def to_dense(self):
+        rows, cols, values = self.coo()
         out = np.zeros((self.dim, self.dim))
-        out[self._row, self.col] = self.val
+        out[rows, cols] = values
         return out
 
     @classmethod
@@ -343,107 +360,74 @@ class SymmetricSparseMatrix:
 
 
 class _Strips(NamedTuple):
-    """A matrix stored by diagonal or by column, as ``_strips`` finds it."""
+    """A matrix stored by diagonal or by column: data[s, i] is row i's entry in strip s.
 
-    strips: tuple | np.ndarray
-    diagonal: np.ndarray
-    symmetric: bool
+    By diagonal, strip s is the diagonal of offset offsets[s], offsets
+    ascending, and data[s, i] = A[i, i + offsets[s]]; by column, offsets is
+    None and data[s, i] = A[i, s], column s as stored. ``held`` marks the
+    slots that hold an entry, so that a stored +-0.0 stays apart from a
+    hole, which holds +0.0. Both arrays are (nstrips, dim) and read-only.
+    """
+
+    data: np.ndarray
+    held: np.ndarray
+    offsets: tuple | None
 
 
 def _strips(rows, cols, values, dim):
-    """The storage of a product without a gather, or None; see ``_Strips``.
+    """(strips, diagonal, symmetric) of a product without a gather; see ``_Strips``.
 
-    Stored by diagonal, strip k is the k-th stored diagonal by ascending
-    offset d, (rows, columns, entries) with entries A[i, i + d], and a
-    product adds entries * v[..., columns] to y[..., rows] for each strip.
-    Stored by column, the strips are one read-only (dim, dim) array C,
-    C[j, i] = A[i, j]. A missing entry is stored as 0.0. Of the two, the
-    layout with fewer padded slots, ndiag * dim or dim * dim, is taken if it
-    has at most ``DIA_FILL`` times the stored entries, diagonals on a tie;
-    otherwise the result is None.
+    Of the two layouts, the one with fewer padded slots, ndiag * dim or
+    dim * dim, is taken if it has at most ``DIA_FILL`` times the stored
+    entries, diagonals on a tie; otherwise the result is (None, None,
+    False), and the matrix gathers its products.
 
     The entries, in storage order, are only read. Symmetry is checked on the
-    strips: a mask of the slots that hold an entry must equal its mirror
-    image, and so must the entries, within ``SYMMETRY_RTOL``; see
-    ``_mirrors_agree``. The diagonal is read off the strips.
+    strips: the held mask must equal its mirror image, and so must the
+    entries, within ``SYMMETRY_RTOL``; see ``_mirrors_agree``. The diagonal
+    is read off the strips.
     """
     if rows.size and dim > DIA_FILL * rows.size:
         # even one diagonal would be too empty
-        return None
+        return None, None, False
     shifted = cols - rows
     shifted += dim - 1
     index = np.bincount(shifted, minlength=2 * dim - 1)
     present = np.flatnonzero(index)
     if present.size > dim:
         del shifted, index
-        return _column_strips(rows, cols, values, dim)
-    if present.size * dim > DIA_FILL * rows.size:
-        return None
-    # entry (i, i + d) goes to flat slot k * dim + i of the k-th diagonal
-    index[present] = np.arange(present.size) * dim
-    slot = index[shifted]
-    del shifted, index
-    slot += rows
-    data = np.zeros((present.size, dim))
-    held = np.zeros(data.shape, dtype=bool)
+        if dim * dim > DIA_FILL * rows.size:
+            return None, None, False
+        # strip j holds column j as stored: its mirror, row j, may differ
+        # from it within SYMMETRY_RTOL
+        shape, offsets = (dim, dim), None
+        slot = cols * dim + rows
+    else:
+        if present.size * dim > DIA_FILL * rows.size:
+            return None, None, False
+        shape, offsets = (present.size, dim), tuple((present - (dim - 1)).tolist())
+        # entry (i, i + d) goes to flat slot k * dim + i of the k-th diagonal
+        index[present] = np.arange(present.size) * dim
+        slot = index[shifted]
+        del shifted, index
+        slot += rows
+    data = np.zeros(shape)
+    held = np.zeros(shape, dtype=bool)
     data.reshape(-1)[slot] = values
     held.reshape(-1)[slot] = True
     del slot
     data.setflags(write=False)
-    offsets = (present - (dim - 1)).tolist()
+    held.setflags(write=False)
+    strips = _Strips(data, held, offsets)
+    if offsets is None:
+        return strips, np.diagonal(data).copy(), _mirrors_agree(held, held.T, data, data.T)
     # A[i, i + d], slot i of diagonal d, faces A[i + d, i], slot i + d of
     # diagonal -d, which is as many diagonals from the last as d is from the
     # first
-    symmetric = offsets == [-d for d in reversed(offsets)] and all(
+    symmetric = offsets == tuple(-d for d in reversed(offsets)) and all(
         _mirrors_agree(held[k, :dim - d], held[-1 - k, d:], data[k, :dim - d], data[-1 - k, d:])
         for k, d in enumerate(offsets) if d > 0)
-    out = []
-    for a, d in zip(data, offsets):
-        lo, hi = max(0, -d), dim - max(0, d)
-        out.append((slice(lo, hi), slice(lo + d, hi + d), a[lo:hi]))
-    diagonal = data[offsets.index(0)] if 0 in offsets else np.zeros(dim)
-    return _Strips(tuple(out), diagonal, symmetric)
-
-
-def _tiles(strips, dim, height):
-    """The diagonals cut into tiles of ``height`` rows: a tuple of (lo, hi, strips).
-
-    A tile's strips are the strips clipped to rows lo..hi-1, in the same
-    order, with rows counted from lo, so they fill y[..., lo:hi] alone and
-    add to each of its elements what the strips add. A diagonal keeps the
-    columns that face its clipped rows; one that misses the rows is left
-    out. A matrix of at most ``height`` rows is one tile, whose strips equal
-    the strips as stored.
-    """
-    tiles = []
-    for lo in range(0, dim, height):
-        hi = min(lo + height, dim)
-        tile = []
-        for rows, cols, a in strips:
-            r0, r1 = max(rows.start, lo), min(rows.stop, hi)
-            if r0 < r1:
-                shift = cols.start - rows.start
-                tile.append((slice(r0 - lo, r1 - lo), slice(r0 + shift, r1 + shift),
-                             a[r0 - rows.start:r1 - rows.start]))
-        tiles.append((lo, hi, tuple(tile)))
-    return tuple(tiles)
-
-
-def _column_strips(rows, cols, values, dim):
-    """Columns C[j, i] = A[i, j], or None when dim * dim is too many slots."""
-    if dim * dim > DIA_FILL * rows.size:
-        return None
-    # C[j] must hold column j as stored: its mirror, row j, may differ from
-    # it within SYMMETRY_RTOL
-    slot = cols * dim + rows
-    data = np.zeros((dim, dim))
-    held = np.zeros((dim, dim), dtype=bool)
-    data.reshape(-1)[slot] = values
-    held.reshape(-1)[slot] = True
-    del slot
-    data.setflags(write=False)
-    symmetric = _mirrors_agree(held, held.T, data, data.T)
-    return _Strips(data, np.diagonal(data).copy(), symmetric)
+    return strips, data[offsets.index(0)] if 0 in offsets else np.zeros(dim), symmetric
 
 
 def _mirrors_agree(held, held_mirror, a, b):
@@ -499,11 +483,17 @@ def _block_layout(rows, cols, values, dim, b):
 def gershgorin_upper_bound(A):
     """Largest eigenvalue bound max_i (a_ii + sum_{j != i} |a_ij|), clamped at 0.
 
-    Cost is one pass over the stored entries; for a PSD matrix the bound is
-    never below the true lambda_max.
+    Cost is one pass over the stored entries, or over the strips of a matrix
+    stored by diagonal or by column; for a PSD matrix the bound is never
+    below the true lambda_max.
     """
-    rows, _, vals = A.coo()
-    radius = np.bincount(rows, weights=np.abs(vals), minlength=A.dim)
+    if A._strips is None:
+        rows, _, vals = A.coo()
+        radius = np.bincount(rows, weights=np.abs(vals), minlength=A.dim)
+    else:
+        # row i's entries strip by strip, in ascending columns as bincount
+        # adds them; a hole adds +0.0, which changes no sum
+        radius = np.abs(A._strips.data).sum(axis=0)
     diag = A.diagonal()
     bound = float(np.max(diag + (radius - np.abs(diag)))) if A.dim else 0.0
     return SpectralBound(max(bound, 0.0), "gershgorin")

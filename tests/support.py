@@ -1,4 +1,4 @@
-"""Shared test oracles, a scattered test matrix and a wide band.
+"""Shared test oracles, a scattered test matrix, a wide band and the layout of a product.
 
 The oracles recompute quantities through routes independent of the code
 under test: adaptive quadrature for expansion coefficients, direct cosine
@@ -8,6 +8,7 @@ matrix functions, and exhaustive sign-vector enumeration for expectations.
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 
@@ -49,6 +50,19 @@ def wide_band(dim, d):
     cols = np.concatenate((np.arange(dim), i, i + d))
     return SymmetricSparseMatrix(dim, rows, cols,
                                  np.concatenate((np.full(dim, 3.0), -np.ones(2 * (dim - d)))))
+
+
+def layout(mat):
+    """How the matrix's products run: "diagonals", "columns" or "gather".
+
+    Told apart by the numpy kernel that one product calls: a gathered
+    product sums with np.bincount, a product by column is one np.einsum,
+    and a product by diagonal calls neither.
+    """
+    with mock.patch.object(np, "bincount", wraps=np.bincount) as bincount, \
+            mock.patch.object(np, "einsum", wraps=np.einsum) as einsum:
+        mat.matvec(np.zeros(mat.dim))
+    return "gather" if bincount.called else "columns" if einsum.called else "diagonals"
 
 
 def symmetry_error(rows, cols, values):

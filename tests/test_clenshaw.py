@@ -16,7 +16,7 @@ from entrace.chebyshev import coefficients, evaluate_scalar
 from entrace.clenshaw import SpectrumEscape, quadratic_form
 from entrace.generators import SpdcParams, fem_matrix, random_psd, spdc_density_matrix
 from entrace.sparse import SymmetricSparseMatrix, gershgorin_upper_bound
-from support import dense_quadratic_form, scattered_psd, wide_band
+from support import dense_quadratic_form, layout, scattered_psd, wide_band
 
 
 def signs(m, seed):
@@ -88,7 +88,7 @@ class TestCost:
         import entrace.sparse as sparse
 
         A = scattered_psd(280, 3)
-        assert A.block_width == 3 and A._strips is None
+        assert A.block_width == 3 and layout(A) == "gather"
         exp = coefficients(9, 1.0)
         gamma0 = gershgorin_upper_bound(A).lambda_max_upper
         probes = np.array([signs(280, seed) for seed in (7, 8, 9)])
@@ -121,21 +121,26 @@ class TestTiles:
         # drops to 1 as well
         import entrace.sparse as sparse
 
+        def tiles(mat):
+            seen = []
+            mat.matvec(np.zeros(mat.dim), finish=lambda y, lo, hi: seen.append((lo, hi)))
+            return len(seen)
+
         whole = build()
-        by_column = isinstance(whole._strips, np.ndarray)
-        assert whole._tiles is None if by_column else len(whole._tiles) == 1
-        with monkeypatch.context() as patch:
-            patch.setattr(sparse, "BLOCK_BYTES", 2**8)
-            tiled = build()
-        assert tiled.block_width == (1 if whole.dim > 4 else 4)
-        assert tiled._tiles is None if by_column else len(tiled._tiles) == -(-whole.dim // 8)
+        assert tiles(whole) == 1
         gamma0 = 1.075 * gershgorin_upper_bound(whole).lambda_max_upper
         probes = np.array([signs(whole.dim, 70 + i) for i in range(3)])
-        for n in (1, 2, 9):
-            exp = coefficients(n, 1.0)
-            for b in (1, 2, 3):
-                want = quadratic_form(whole, probes[:b], exp, gamma0)
-                assert quadratic_form(tiled, probes[:b], exp, gamma0).tobytes() == want.tobytes()
+        forms = {(n, b): quadratic_form(whole, probes[:b], coefficients(n, 1.0), gamma0)
+                 for n in (1, 2, 9) for b in (1, 2, 3)}
+        # the budget sets the block width at construction and the tile
+        # height of each product
+        monkeypatch.setattr(sparse, "BLOCK_BYTES", 2**8)
+        tiled = build()
+        assert tiled.block_width == (1 if whole.dim > 4 else 4)
+        assert tiles(tiled) == (1 if layout(whole) == "columns" else -(-whole.dim // 8))
+        for (n, b), want in forms.items():
+            got = quadratic_form(tiled, probes[:b], coefficients(n, 1.0), gamma0)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestDeterminism:
@@ -171,6 +176,8 @@ class TestDeterminism:
     def test_form_does_not_depend_on_blas_threads(self):
         # a threaded BLAS dot product splits its sum by thread count, so no
         # moment may be reduced through BLAS
+        dense = random_psd(200, 1, np.random.default_rng(1).uniform(0.0, 1.0, 200))
+        assert layout(dense) == "columns" and dense.block_width == 81
         code = (
             "from entrace.chebyshev import coefficients\n"
             "from entrace.clenshaw import quadratic_form\n"
@@ -187,7 +194,6 @@ class TestDeterminism:
             "import numpy as np\n"
             "from entrace.generators import random_psd\n"
             "A = random_psd(200, 1, np.random.default_rng(1).uniform(0.0, 1.0, 200))\n"
-            "assert isinstance(A._strips, np.ndarray) and A.block_width == 81\n"
             "v = RademacherSampler(0).sample_vector(A.dim, 1, 81)\n"
             "print([float(f).hex() for f in quadratic_form(A, v, coefficients(9, 1.0), 1.3)])\n"
         )

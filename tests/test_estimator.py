@@ -20,7 +20,7 @@ from entrace.estimator import (
 from entrace.generators import fem_matrix, random_psd
 from entrace.oracle import fem_exact_entropy
 from entrace.sparse import SpectralBound, SymmetricSparseMatrix, gershgorin_upper_bound
-from support import all_sign_vectors, dense_poly_trace, scattered_psd
+from support import all_sign_vectors, dense_poly_trace, layout, scattered_psd
 
 
 def identity(m, c=1.0):
@@ -189,7 +189,7 @@ class TestScalingParams:
         # normalized: the bound of A / tr(A), split by x0
         sp = ScalingParams.for_matrix(bound, 20.0, x0=2.0, normalize=True)
         assert sp == ScalingParams(x0=2.0, gamma0=4.0 / 20.0 / 2.0, provenance="gershgorin")
-        user = ScalingParams.for_matrix(SpectralBound(3.0, "user-supplied"), 1.0)
+        user = ScalingParams.for_matrix(SpectralBound(3.0, "user"), 1.0)
         assert user.provenance == "user" and user.gamma0 == 3.0
 
     def test_for_matrix_zero_bound(self):
@@ -278,11 +278,11 @@ class TestEstimateFixed:
         # exact; stored by column at width 81, two full blocks and a partial
         # one
         A = scattered_psd(280, 3)
-        assert A.block_width == 3 and A._strips is None
+        assert A.block_width == 3 and layout(A) == "gather"
         fem = fem_matrix(8000)
-        assert fem.block_width == 2 and fem._strips is not None
+        assert fem.block_width == 2 and layout(fem) == "diagonals"
         dense = random_psd(200, 3, np.random.default_rng(3).uniform(0.0, 1.0, 200))
-        assert dense.block_width == 81 and isinstance(dense._strips, np.ndarray)
+        assert dense.block_width == 81 and layout(dense) == "columns"
         for A, num, sp in ((A, 16, ScalingParams.from_bound(gershgorin_upper_bound(A))),
                            (fem, 17, ScalingParams(x0=1.0, gamma0=4.3)),
                            (dense, 170, ScalingParams.from_bound(gershgorin_upper_bound(dense)))):

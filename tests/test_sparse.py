@@ -27,7 +27,7 @@ from entrace.sparse import (
     _raise_at_first_bad_entry,
     _strips,
 )
-from support import random_symmetric, symmetry_error, wide_band
+from support import layout, random_symmetric, symmetry_error, wide_band
 
 
 def tridiag(m):
@@ -73,11 +73,12 @@ def holed(m, seed):
     return SymmetricSparseMatrix(m, rows, cols, a[rows, cols])
 
 
-def layout(mat):
-    """How the matrix's products run: "diagonals", "columns" or "gather"."""
-    if mat._strips is None:
-        return "gather"
-    return "columns" if isinstance(mat._strips, np.ndarray) else "diagonals"
+def signed_zeros():
+    """Banded matrix whose row 0 stores only a -0.0 and has a hole at (0, 1)."""
+    i = np.arange(1, 5)
+    return SymmetricSparseMatrix(
+        6, np.concatenate((np.arange(6), i, i + 1)), np.concatenate((np.arange(6), i + 1, i)),
+        [-0.0, 1.0, 2.0, 3.0, 4.0, 5.0] + [0.5, -0.0, 0.25, 0.3] * 2)
 
 
 def ordered_pass(mat, v):
@@ -141,12 +142,13 @@ class TestConstruction:
         assert mat.dim == 2
 
     def test_arrays_are_read_only(self):
-        mat = tridiag(3)
-        with pytest.raises(ValueError):
-            mat.val[0] = 99.0
-        rows, _, _ = mat.coo()
-        with pytest.raises(ValueError):
-            rows[0] = 1
+        # the entries and the diagonal a gathered matrix keeps; a strip
+        # matrix's are checked in TestDiagonalPath
+        mat, _ = random_symmetric(9, 0)
+        assert layout(mat) == "gather"
+        for a in (*mat.coo(), mat.diagonal()):
+            with pytest.raises(ValueError):
+                a[0] = 1
 
     @pytest.mark.parametrize("entries", [([0], [0], [1.0]), ([], [], [])],
                              ids=["one-entry", "empty"])
@@ -156,6 +158,24 @@ class TestConstruction:
         # allocated
         with pytest.raises(ValueError, match="^dimension must be at most 3037000499"):
             SymmetricSparseMatrix(3037000500, *entries)
+
+    @pytest.mark.parametrize("build", [
+        lambda: fem_matrix(10**5), lambda: random_psd(300, 0, np.linspace(0.0, 1.0, 300))],
+        ids=["diagonals", "columns"])
+    def test_strip_matrices_keep_no_entries(self, build):
+        # traced bytes a strip matrix keeps once built: its (nstrips, dim)
+        # strips, their held mask and its diagonal, and a few Python
+        # objects; a copy of the entries beside them takes 24 B an entry
+        build()  # numpy's lazily allocated state, once
+        tracemalloc.start()
+        try:
+            mat = build()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        rows, cols, _ = mat.coo()
+        strips = np.unique(cols - rows).size if layout(mat) == "diagonals" else mat.dim
+        assert kept <= (8 + 1) * strips * mat.dim + 8 * mat.dim + 2**14
 
     def test_ordered_and_shuffled_entries_build_the_same_matrix(self):
         rows, cols, vals = fem_matrix(500).coo()
@@ -257,7 +277,7 @@ class TestMatvec:
                              ids=["gathered", "gathered-width-1"])
     def test_gather_indices_are_writable(self, mat, monkeypatch):
         # np.take and np.bincount copy a read-only index array on every call,
-        # so matvec passes them writable ones; col stays read-only
+        # so matvec passes them writable ones; those of coo() stay read-only
         take, bincount = np.take, np.bincount
         writable = []
 
@@ -275,7 +295,7 @@ class TestMatvec:
             mat.matvec(np.ones(shape))
         assert writable and all(writable)
         with pytest.raises(ValueError):
-            mat.col[0] = 1
+            mat.coo()[1][0] = 1
 
     def test_rejects_bad_shapes(self):
         mat = tridiag(4)
@@ -304,7 +324,7 @@ class TestDiagonalPath:
     def test_products_equal_the_ordered_pass(self, mat):
         # bit for bit, for a vector, a full block and a partial block, by
         # diagonal and by column
-        assert mat._strips is not None
+        assert layout(mat) != "gather"
         width = mat.block_width
         rng = np.random.default_rng(mat.dim)
         for shape in {(mat.dim,), (width, mat.dim), (max(1, width - 1), mat.dim)}:
@@ -332,22 +352,51 @@ class TestDiagonalPath:
     def test_holes_and_signed_zeros_give_the_ordered_pass(self):
         # row 0 stores only a -0.0 and has a hole at (0, 1): its sum is +0.0
         # on both paths
-        i = np.arange(1, 5)
-        mat = SymmetricSparseMatrix(
-            6, np.concatenate((np.arange(6), i, i + 1)), np.concatenate((np.arange(6), i + 1, i)),
-            [-0.0, 1.0, 2.0, 3.0, 4.0, 5.0] + [0.5, -0.0, 0.25, 0.3] * 2)
+        mat = signed_zeros()
         assert layout(mat) == "diagonals"
         v = np.array([1.0, -2.0, 0.0, 0.1, -0.0, 3.0])
         assert mat.matvec(v)[0].tobytes() == np.float64(0.0).tobytes()
         assert mat.matvec(v).tobytes() == ordered_pass(mat, v).tobytes()
 
     def test_diagonals_are_read_only(self):
-        # a diagonal's entries, and the (dim, dim) array of columns
+        # the main diagonal, a view of a diagonal strip, and the entries of
+        # coo(), by diagonal and by column
         fem, full = fem_matrix(4), holed(10, 0)
         assert layout(fem) == "diagonals" and layout(full) == "columns"
-        for entries in (fem._strips[0][2], full._strips[0]):
-            with pytest.raises(ValueError):
-                entries[0] = 1.0
+        for mat in (fem, full):
+            for entries in (mat.diagonal(), *mat.coo()):
+                with pytest.raises(ValueError):
+                    entries[0] = 1
+
+    @pytest.mark.parametrize("build", [
+        lambda: fem_matrix(1000), lambda: banded(300, 3, 0), signed_zeros,
+        lambda: spdc_density_matrix(SpdcParams()),
+        lambda: random_psd(200, 3, np.random.default_rng(3).uniform(0.0, 1.0, 200)),
+        lambda: holed(30, 4),
+    ], ids=["fem-1000", "banded-300", "signed-zeros", "columns-spdc", "columns-random-200",
+            "columns-holed"])
+    def test_strips_answer_as_the_gather_path(self, monkeypatch, tmp_path, build):
+        # the same entries built again with the strips turned off: whatever
+        # a strip matrix reads off its strips, the gathered one reads off the
+        # entries it keeps, byte for byte
+        import entrace.sparse as sparse
+
+        strips = build()
+        monkeypatch.setattr(sparse, "DIA_FILL", 0.0)
+        gathered = build()
+        assert layout(strips) != "gather" and layout(gathered) == "gather"
+        assert strips.nnz == gathered.nnz
+        for a, b in zip(strips.coo(), gathered.coo()):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert strips.to_dense().tobytes() == gathered.to_dense().tobytes()
+        assert strips.diagonal().tobytes() == gathered.diagonal().tobytes()
+        files = []
+        for mat in (strips, gathered):
+            files.append(tmp_path / f"{len(files)}.mtx")
+            write_matrix_market(mat, files[-1])
+        assert files[0].read_bytes() == files[1].read_bytes()
+        assert (gershgorin_upper_bound(strips).lambda_max_upper.hex()
+                == gershgorin_upper_bound(gathered).lambda_max_upper.hex())
 
     def test_path_follows_the_fill(self):
         # fill is the fewer padded slots, ndiag * dim or dim * dim, over nnz:
@@ -388,11 +437,12 @@ class TestTiles:
 
     @staticmethod
     def tiled(monkeypatch, build, budget=SMALL):
+        # the budget sets the block width at construction and the tile
+        # height of each product, so it holds for the rest of the test
         import entrace.sparse as sparse
 
-        with monkeypatch.context() as patch:
-            patch.setattr(sparse, "BLOCK_BYTES", budget)
-            return build()
+        monkeypatch.setattr(sparse, "BLOCK_BYTES", budget)
+        return build()
 
     @staticmethod
     def check(mat, seed):
@@ -423,9 +473,9 @@ class TestTiles:
         # diagonals 0 and +-12 over tiles of 8 rows: a tile's rows read
         # columns of other tiles, and the outer diagonals miss some tiles
         mat = self.tiled(monkeypatch, lambda: wide_band(100, 12))
-        assert layout(mat) == "diagonals" and len(mat._tiles) == 13
-        assert [len(strips) for _, _, strips in mat._tiles[:3]] == [2, 3, 3]
-        self.check(mat, 100)
+        assert layout(mat) == "diagonals"
+        seen = self.check(mat, 100)
+        assert seen == [(lo, min(lo + self.TILE, 100)) for lo in range(0, 100, self.TILE)]
 
     @pytest.mark.parametrize("build", [lambda: holed(30, 4), lambda: random_psd(
         21, 3, np.random.default_rng(3).uniform(0.0, 1.0, 21))], ids=["holed", "random-psd"])
@@ -433,27 +483,31 @@ class TestTiles:
         # a budget that cuts a diagonal matrix of this size into tiles
         # leaves a column product one einsum, finished once on all rows
         mat = self.tiled(monkeypatch, build)
-        assert layout(mat) == "columns" and mat._tiles is None and mat.block_width == 1
+        assert layout(mat) == "columns" and mat.block_width == 1
         assert self.check(mat, mat.dim) == [(0, mat.dim)]
 
     def test_one_row_tiles(self, monkeypatch):
         # a budget of 32 bytes leaves a tile one row
         mat = self.tiled(monkeypatch, lambda: banded(12, 3, 0, holes=0.0), budget=32)
-        assert len(mat._tiles) == 12
-        self.check(mat, 12)
+        assert self.check(mat, 12) == [(k, k + 1) for k in range(12)]
 
     def test_tile_height_follows_the_budget(self):
         # a (block_width, rows) tile of BLOCK_BYTES // 4 bytes: 2^15 rows at
         # width 1, and tridiag(2^15) is one tile; the SPDC matrix and a dense
         # 1000-row one are stored by column, which is never cut into tiles
+        def tiles(mat):
+            seen = []
+            mat.matvec(np.zeros(mat.dim), finish=lambda y, lo, hi: seen.append((lo, hi)))
+            return seen
+
         fem = fem_matrix(10**5)
         assert fem.block_width == 1
-        assert [(lo, hi) for lo, hi, _ in fem._tiles] == [
+        assert tiles(fem) == [
             (0, 2**15), (2**15, 2**16), (2**16, 3 * 2**15), (3 * 2**15, 10**5)]
-        assert len(tridiag(2**15)._tiles) == 1
+        assert tiles(tridiag(2**15)) == [(0, 2**15)]
         for mat in (spdc_density_matrix(SpdcParams()),
                     random_psd(1000, 0, np.linspace(0.0, 1.0, 1000))):
-            assert layout(mat) == "columns" and mat._tiles is None
+            assert layout(mat) == "columns" and tiles(mat) == [(0, mat.dim)]
 
     def test_gathered_product_finishes_once(self):
         mat, _ = random_symmetric(50, 3)
@@ -524,21 +578,16 @@ class TestSymmetryCheck:
 
     @staticmethod
     def route(m, rows, cols, vals):
-        found = _strips(rows, cols, vals, m)
-        if found is None:
+        strips, _, symmetric = _strips(rows, cols, vals, m)
+        if strips is None:
             return "gather", None
-        kind = "columns" if isinstance(found.strips, np.ndarray) else "diagonals"
-        return kind, found.symmetric
+        return ("columns" if strips.offsets is None else "diagonals"), symmetric
 
     @staticmethod
     def stored(mat):
-        strips = mat._strips
-        if layout(mat) == "columns":
-            strips = strips.tobytes()
-        elif strips is not None:
-            strips = [(r, c, a.tobytes()) for r, c, a in strips]
-        return ([a.tobytes() for a in mat.coo()], strips, mat.diagonal().tobytes(),
-                mat.block_width)
+        v = np.random.default_rng(mat.dim).normal(size=(2, mat.dim))
+        return ([a.tobytes() for a in mat.coo()], layout(mat), mat.matvec(v).tobytes(),
+                mat.diagonal().tobytes(), mat.block_width)
 
     def test_strip_checks_agree_with_the_sort(self):
         rng = np.random.default_rng(8)
@@ -593,9 +642,9 @@ class TestSymmetryCheck:
 
     def test_build_peak_memory_per_entry(self):
         # traced peak while fem(2 * 10^5) is built from ordered entries; the
-        # matrix it keeps is 32 B an entry: rows, columns, values, and three
-        # diagonals. A mirror sort, or the copies made before the strips'
-        # scratch is freed, take the peak above 48
+        # matrix it keeps is 9 B an entry: three diagonals and their held
+        # mask. A mirror sort, or a copy of the entries kept beside the
+        # strips, takes the peak above 48
         dim = 2 * 10**5
         rows, cols, vals = (a.copy() for a in fem_matrix(dim).coo())
         tracemalloc.start()
@@ -803,7 +852,7 @@ class TestMatrixMarket:
         mat = SymmetricSparseMatrix(1, [0], [0], [val])
         path = tmp_path / "p.mtx"
         write_matrix_market(mat, path)
-        assert read_matrix_market(path).val[0] == val
+        assert read_matrix_market(path).coo()[2][0] == val
 
     def test_inline_comment_after_an_entry(self, tmp_path):
         path = tmp_path / "inline.mtx"
@@ -977,5 +1026,5 @@ class TestMatrixMarket:
         path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
                         f"{len(tokens)} {len(tokens)} {len(tokens)}\n"
                         + "".join(f"{k + 1} {k + 1} {tok}\n" for k, tok in enumerate(tokens)))
-        assert read_matrix_market(path).val.tobytes() == np.array(
+        assert read_matrix_market(path).coo()[2].tobytes() == np.array(
             [float(tok) for tok in tokens]).tobytes()
