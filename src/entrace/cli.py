@@ -155,12 +155,20 @@ def _verify_psd(mat, cap):
     exact_entropy(dense_spectrum(mat, cap=cap))
 
 
-def _spectral_bound(mat, config):
+def _scaling(mat, config):
+    """The run's scaling: ``--gamma0`` as given, or from a bound on A.
+
+    G describes the matrix the run estimates, the state A / tr(A) under
+    ``--normalize``, so only a bound on A is divided by the trace.
+    """
     if config.gamma0 is not None:
-        return SpectralBound(config.gamma0 * config.x0, "user")
+        return ScalingParams.for_matrix(SpectralBound(config.gamma0 * config.x0, "user"),
+                                        mat.trace(), x0=config.x0)
     if config.bound_method == "power-iteration":
-        return power_iteration_bound(mat, seed=config.seed)
-    return gershgorin_upper_bound(mat)
+        bound = power_iteration_bound(mat, seed=config.seed)
+    else:
+        bound = gershgorin_upper_bound(mat)
+    return ScalingParams.for_matrix(bound, mat.trace(), x0=config.x0, normalize=config.normalize)
 
 
 def _emit(payload, config):
@@ -175,8 +183,7 @@ def _run_entropy(config):
     mat, source, warnings = _load_matrix(config)
     if config.verify_psd:
         _verify_psd(mat, config.cap)
-    scaling = ScalingParams.for_matrix(_spectral_bound(mat, config), mat.trace(),
-                                       x0=config.x0, normalize=config.normalize)
+    scaling = _scaling(mat, config)
     sampler = RademacherSampler(config.seed)
     threads = config.threads or default_threads()
     if config.samples is not None:
@@ -351,7 +358,8 @@ def build_parser():
     p_ent.add_argument("--samples", type=int,
                        help="fixed sample count; omit for the adaptive loop")
     p_ent.add_argument("--gamma0", type=float,
-                       help="user spectral scaling; overrides --bound")
+                       help="user spectral scaling of the matrix estimated, the state "
+                            "under --normalize; overrides --bound")
     p_ent.add_argument("--bound", dest="bound_method",
                        choices=("gershgorin", "power-iteration"),
                        help=f"how to bound lambda_max (default {RunConfig.bound_method})")

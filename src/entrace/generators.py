@@ -25,22 +25,20 @@ def fem_matrix(m):
     """Tridiagonal matrix with 2 on the diagonal and -1 off it.
 
     The 1-D second-difference (stiffness) matrix; PSD with eigenvalues
-    4 sin^2(i pi / (2m + 2)), all in (0, 4).
+    4 sin^2(i pi / (2m + 2)), all in (0, 4). It is handed over as its three
+    diagonals, so no entry list is built or sorted; the matrix is the one
+    its 3m - 2 entries would build, stored by column at m = 2.
     """
     m = int(m)
     if m < 1:
         raise ValueError("dimension must be at least 1")
-    # in storage order: entry 3i is (i, i), 3i + 1 is (i, i + 1) and 3i + 2
-    # is (i + 1, i), so row i reads (i, i - 1), (i, i), (i, i + 1)
-    i = np.arange(m)
-    rows = np.empty(3 * m - 2, dtype=np.int64)
-    cols = np.empty_like(rows)
-    rows[0::3] = cols[0::3] = i
-    rows[1::3] = cols[2::3] = i[:-1]
-    rows[2::3] = cols[1::3] = i[1:]
-    vals = np.full(rows.size, -1.0)
-    vals[0::3] = 2.0
-    return SymmetricSparseMatrix(m, rows, cols, vals)
+    # diagonal -1 has no entry in row 0, and diagonal 1 none in row m - 1
+    data = np.full((3, m), -1.0)
+    data[1] = 2.0
+    held = np.ones((3, m), dtype=bool)
+    data[0, 0] = data[2, -1] = 0.0
+    held[0, 0] = held[2, -1] = False
+    return SymmetricSparseMatrix._from_diagonals(m, (-1, 0, 1), data, held)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,10 @@ strips are the matrix's only copy of its entries: ``coo()``, ``nnz`` and
 ``to_dense()`` read them off the strips. Any other matrix keeps its entries
 in storage order, gathers its products and sums them with ``np.bincount``.
 All three add each row's products to 0.0 in ascending column order, so they
-give the same bits.
+give the same bits. A builder that has a matrix's diagonals, as
+``fem_matrix`` has, hands them over as strips, with no entries to sort or
+scatter; they pass the constructor's checks and layout rule, and the matrix
+is the one its entries would build.
 
 A product by diagonal runs one row tile at a time: it fills rows lo..hi-1
 of the result from the strips clipped to those rows, and hands the tile to
@@ -162,31 +165,64 @@ class SymmetricSparseMatrix:
             # the gather path's check, which also words the error of a
             # failed strip check
             self._check_symmetry(rows, cols, values, dim)
+        if strips is not None:
+            self._keep(dim, diag, strips=strips)
+            return
+        if ordered:
+            # copied, as the sort's permutation would copy them, so that the
+            # caller's arrays never become the matrix's
+            rows, cols, values = rows.copy(), cols.copy(), values.copy()
+        diag = np.zeros(dim)
+        on_diag = rows == cols
+        diag[rows[on_diag]] = values[on_diag]
+        # np.take and np.bincount copy a read-only index array on every call,
+        # so the indices matvec passes them, a width-1 layout's too, stay
+        # writable, though nothing writes to them; coo() hands out read-only
+        # views
+        values.setflags(write=False)
+        self._keep(dim, diag, entries=(rows, cols, values))
 
+    @classmethod
+    def _from_diagonals(cls, dim, offsets, data, held):
+        """The matrix with A[i, i + offsets[k]] = data[k, i] where held[k, i].
+
+        For builders that have a matrix's diagonals: no entries are sorted
+        or scattered. ``offsets`` ascend, and ``data`` and ``held`` are
+        (len(offsets), dim) arrays that the matrix takes over, with +0.0 and
+        False in every slot without an entry, columns outside the matrix
+        included. The result is ``cls(dim, rows, cols, values)`` of the held
+        entries, bit for bit, after the same checks. Where the constructor's
+        layout rule, read at the call, stores those entries otherwise, or
+        their mirrors disagree, the constructor builds the matrix, or words
+        the error, from the entries read off the strips.
+        """
+        if not np.all(np.isfinite(data)):
+            raise ValueError("matrix entries must be finite")
+        count = np.count_nonzero(held, axis=1)
+        if _by_diagonal(dim, int(count.sum()), int(np.count_nonzero(count))):
+            if not count.all():
+                # a diagonal without entries is no strip
+                data, held = data[count > 0], held[count > 0]
+                offsets = tuple(d for d, n in zip(offsets, count) if n)
+            strips, diag, symmetric = _frozen(data, held, offsets)
+            if symmetric:
+                mat = cls.__new__(cls)
+                mat._keep(dim, diag, strips=strips)
+                return mat
+        return cls(dim, *_Strips(data, held, offsets).entries())
+
+    def _keep(self, dim, diag, entries=None, strips=None):
+        """Keep the entries, with the gather layout of their block width, or the strips."""
         if strips is None:
-            if ordered:
-                # copied, as the sort's permutation would copy them, so that
-                # the caller's arrays never become the matrix's
-                rows, cols, values = rows.copy(), cols.copy(), values.copy()
-            diag = np.zeros(dim)
-            on_diag = rows == cols
-            diag[rows[on_diag]] = values[on_diag]
-            width = max(1, BLOCK_BYTES // (8 * max(rows.size, dim)))
-            # np.take and np.bincount copy a read-only index array on every
-            # call, so the indices matvec passes them, a width-1 layout's
-            # too, stay writable, though nothing writes to them; coo() hands
-            # out read-only views
-            values.setflags(write=False)
-            entries = rows, cols, values
-            layout = _block_layout(rows, cols, values, dim, width)
+            width = max(1, BLOCK_BYTES // (8 * max(entries[0].size, dim)))
+            layout = _block_layout(*entries, dim, width)
         else:
             # a form holds five (b, dim) arrays, the probes, t_prev, t, t_next
             # and a product's temporary; at an eighth of BLOCK_BYTES each, the
             # five fit within it on each worker. Wider blocks gain little per
             # row (by column, dim 1000: 0.48 ms at 16 rows, 0.50 ms at 26)
             width = max(1, BLOCK_BYTES // 8 // (8 * dim))
-            entries = layout = None
-
+            layout = None
         diag.setflags(write=False)
         self.dim = dim
         self._width = width
@@ -326,10 +362,7 @@ class SymmetricSparseMatrix:
         if self._strips is None:
             entries = tuple(a.view() for a in self._entries)
         else:
-            data, held, offsets = self._strips
-            rows, strip = np.nonzero(held.T)
-            cols = strip if offsets is None else rows + np.array(offsets, dtype=np.int64)[strip]
-            entries = rows, cols, data[strip, rows]
+            entries = self._strips.entries()
         for a in entries:
             a.setflags(write=False)
         return entries
@@ -373,6 +406,14 @@ class _Strips(NamedTuple):
     held: np.ndarray
     offsets: tuple | None
 
+    def entries(self):
+        """(rows, cols, values) of the held slots: row by row, and in each row
+        strip by strip, which is in ascending columns."""
+        rows, strip = np.nonzero(self.held.T)
+        cols = strip if self.offsets is None else (
+            rows + np.array(self.offsets, dtype=np.int64)[strip])
+        return rows, cols, self.data[strip, rows]
+
 
 def _strips(rows, cols, values, dim):
     """(strips, diagonal, symmetric) of a product without a gather; see ``_Strips``.
@@ -382,10 +423,8 @@ def _strips(rows, cols, values, dim):
     entries, diagonals on a tie; otherwise the result is (None, None,
     False), and the matrix gathers its products.
 
-    The entries, in storage order, are only read. Symmetry is checked on the
-    strips: the held mask must equal its mirror image, and so must the
-    entries, within ``SYMMETRY_RTOL``; see ``_mirrors_agree``. The diagonal
-    is read off the strips.
+    The entries, in storage order, are only read; the strips are checked
+    and frozen by ``_frozen``.
     """
     if rows.size and dim > DIA_FILL * rows.size:
         # even one diagonal would be too empty
@@ -394,28 +433,42 @@ def _strips(rows, cols, values, dim):
     shifted += dim - 1
     index = np.bincount(shifted, minlength=2 * dim - 1)
     present = np.flatnonzero(index)
-    if present.size > dim:
-        del shifted, index
-        if dim * dim > DIA_FILL * rows.size:
-            return None, None, False
-        # strip j holds column j as stored: its mirror, row j, may differ
-        # from it within SYMMETRY_RTOL
-        shape, offsets = (dim, dim), None
-        slot = cols * dim + rows
-    else:
-        if present.size * dim > DIA_FILL * rows.size:
-            return None, None, False
+    if _by_diagonal(dim, rows.size, present.size):
         shape, offsets = (present.size, dim), tuple((present - (dim - 1)).tolist())
         # entry (i, i + d) goes to flat slot k * dim + i of the k-th diagonal
         index[present] = np.arange(present.size) * dim
         slot = index[shifted]
         del shifted, index
         slot += rows
+    else:
+        del shifted, index
+        if present.size <= dim or dim * dim > DIA_FILL * rows.size:
+            return None, None, False
+        # strip j holds column j as stored: its mirror, row j, may differ
+        # from it within SYMMETRY_RTOL
+        shape, offsets = (dim, dim), None
+        slot = cols * dim + rows
     data = np.zeros(shape)
     held = np.zeros(shape, dtype=bool)
     data.reshape(-1)[slot] = values
     held.reshape(-1)[slot] = True
     del slot
+    return _frozen(data, held, offsets)
+
+
+def _by_diagonal(dim, nnz, ndiag):
+    """Whether nnz entries on ndiag diagonals, no more than dim, fill them
+    to within ``DIA_FILL`` and so are stored by diagonal."""
+    return ndiag <= dim and ndiag * dim <= DIA_FILL * nnz
+
+
+def _frozen(data, held, offsets):
+    """(strips, diagonal, symmetric) of filled strips, made read-only.
+
+    Symmetry is checked on the strips: the held mask must equal its mirror
+    image, and so must the entries, within ``SYMMETRY_RTOL``; see
+    ``_mirrors_agree``. The diagonal is read off the strips.
+    """
     data.setflags(write=False)
     held.setflags(write=False)
     strips = _Strips(data, held, offsets)
@@ -424,6 +477,7 @@ def _strips(rows, cols, values, dim):
     # A[i, i + d], slot i of diagonal d, faces A[i + d, i], slot i + d of
     # diagonal -d, which is as many diagonals from the last as d is from the
     # first
+    dim = data.shape[1]
     symmetric = offsets == tuple(-d for d in reversed(offsets)) and all(
         _mirrors_agree(held[k, :dim - d], held[-1 - k, d:], data[k, :dim - d], data[-1 - k, d:])
         for k, d in enumerate(offsets) if d > 0)

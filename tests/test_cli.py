@@ -76,6 +76,19 @@ class TestEntropyCommand:
         assert doc["gamma0"] == 5.0
         assert doc["method"]["bound"] == "user"
 
+    @pytest.mark.parametrize("source, gamma0", [("fem:1000", "0.004"), ("spdc:default", "1.0")])
+    def test_user_gamma0_scales_the_state(self, capsys, source, gamma0):
+        # under --normalize G bounds the state A / tr(A), whose lambda_max is
+        # about 0.002 on fem:1000 and 0.39 on spdc, and is the run's gamma0
+        code, out, _ = run_cli(capsys, "entropy", "--generate", source, "--normalize",
+                               "--gamma0", gamma0, "-n", "8", "--samples", "20")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["gamma0"] == float(gamma0) and doc["method"]["bound"] == "user"
+        code, out, _ = run_cli(capsys, "oracle", "--generate", source, "--normalize")
+        assert code == 0
+        assert abs(doc["entropy"] - json.loads(out)["entropy"]) <= doc["tau"]
+
     def test_power_iteration_bound(self, capsys):
         code, out, _ = run_cli(capsys, "entropy", "--generate", "fem:15",
                                "--bound", "power-iteration", "--threads", "1")
@@ -279,9 +292,10 @@ class TestErrorHandling:
         assert error["message"].endswith(
             "the spectrum is not inside [0, x0 * gamma0] = [0, 1e-30]")
 
-    # gamma0 is a fraction of lambda_max (3.92 on fem:10, 0.997 on the
-    # file); on spdc, a low-rank state, mu_1 = v^T B v stays far below m
-    # at 0.9 lambda_max, and the escape shows from n = 2 on
+    # gamma0 is a fraction of lambda_max (3.92 on fem:10, 0.997 on the file,
+    # 0.388 on spdc, whose run estimates the state A / tr(A)); a low-rank
+    # state keeps mu_1 = v^T B v far below m at 0.9 lambda_max, and the
+    # escape shows from n = 2 on
     @pytest.mark.parametrize("source, fraction, n", [
         *(("fem:10", 0.125, n) for n in (1, 2, 3, 14)),
         *(("random:200:0", 0.5, n) for n in (1, 2, 3, 14)),
@@ -291,8 +305,13 @@ class TestErrorHandling:
     def test_moment_escape(self, capsys, tmp_path, source, fraction, n):
         path = tmp_path / "matrix.mtx"
         assert run_cli(capsys, "generate", "--generate", source, "-o", str(path))[0] == 0
-        lam = float(np.linalg.eigvalsh(read_matrix_market(path).to_dense())[-1])
-        extra = ["--normalize"] if source.startswith("spdc") else []
+        mat = read_matrix_market(path)
+        lam = float(np.linalg.eigvalsh(mat.to_dense())[-1])
+        extra = []
+        if source.startswith("spdc"):
+            # --gamma0 scales the state the run estimates
+            lam /= mat.trace()
+            extra = ["--normalize"]
         code, out, _ = run_cli(capsys, "entropy", "--input", str(path), "-n", str(n),
                                "--gamma0", repr(fraction * lam), "--samples", "30", *extra)
         assert code == 1

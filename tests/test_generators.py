@@ -1,6 +1,7 @@
 """Matrix builders: second-difference chain, photon-pair toy model, random PSD."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from entrace.generators import (
     spdc_density_matrix,
 )
 from entrace.oracle import dense_spectrum, exact_entropy
+from entrace.sparse import SymmetricSparseMatrix
+from support import layout
 
 
 class TestFemMatrix:
@@ -37,6 +40,45 @@ class TestFemMatrix:
         lam = dense_spectrum(fem_matrix(40)).eigenvalues
         assert lam[0] > 0.0
         assert lam[-1] < 4.0
+
+    @pytest.mark.parametrize("m", [*range(1, 13), 1000, 10**5])
+    def test_diagonals_build_the_matrix_of_the_entries(self, m):
+        # handed over by diagonal, fem(m) is the matrix its 3m - 2 entries
+        # build, here unordered: one diagonal at m = 1 and by column at m = 2
+        i = np.arange(m)
+        rows = np.concatenate((i, i[:-1], i[1:]))
+        cols = np.concatenate((i, i[1:], i[:-1]))
+        vals = np.concatenate((np.full(m, 2.0), np.full(2 * (m - 1), -1.0)))
+        got, want = fem_matrix(m), SymmetricSparseMatrix(m, rows, cols, vals)
+
+        def same(a, b):
+            return (a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+                    and not a.flags.writeable)
+
+        assert layout(got) == layout(want) == ("columns" if m == 2 else "diagonals")
+        assert got._strips.offsets == want._strips.offsets
+        assert same(got._strips.data, want._strips.data)
+        assert same(got._strips.held, want._strips.held)
+        assert same(got.diagonal(), want.diagonal())
+        assert got.block_width == want.block_width
+        assert got.nnz == want.nnz == 3 * m - 2
+        for a, b in zip(got.coo(), want.coo()):
+            assert same(a, b)
+
+    def test_build_peak_memory_per_row(self):
+        # traced peak while fem(2 * 10^5) is built: its three diagonals and
+        # their held mask, 27 B a row, and the mirror check's temporaries.
+        # A list of its 3m - 2 entries, sorted and scattered by the
+        # constructor, takes the peak to about 144 B a row
+        dim = 2 * 10**5
+        fem_matrix(dim)  # numpy's lazily allocated state, once
+        tracemalloc.start()
+        try:
+            fem_matrix(dim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / dim < 64
 
 
 class TestDispersion:

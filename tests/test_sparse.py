@@ -369,12 +369,13 @@ class TestDiagonalPath:
                     entries[0] = 1
 
     @pytest.mark.parametrize("build", [
+        lambda: fem_matrix(1), lambda: fem_matrix(2),
         lambda: fem_matrix(1000), lambda: banded(300, 3, 0), signed_zeros,
         lambda: spdc_density_matrix(SpdcParams()),
         lambda: random_psd(200, 3, np.random.default_rng(3).uniform(0.0, 1.0, 200)),
         lambda: holed(30, 4),
-    ], ids=["fem-1000", "banded-300", "signed-zeros", "columns-spdc", "columns-random-200",
-            "columns-holed"])
+    ], ids=["fem-1", "fem-2", "fem-1000", "banded-300", "signed-zeros", "columns-spdc",
+            "columns-random-200", "columns-holed"])
     def test_strips_answer_as_the_gather_path(self, monkeypatch, tmp_path, build):
         # the same entries built again with the strips turned off: whatever
         # a strip matrix reads off its strips, the gathered one reads off the
@@ -524,7 +525,10 @@ class TestTiles:
 
 
 class TestSymmetryCheck:
-    """Strip layouts check symmetry on their strips, and agree with the sort."""
+    """Strip layouts check symmetry on their strips, and agree with the sort.
+
+    So does a matrix handed over by diagonal, whatever layout it then takes.
+    """
 
     @staticmethod
     def entries(rng, kind):
@@ -584,6 +588,16 @@ class TestSymmetryCheck:
         return ("columns" if strips.offsets is None else "diagonals"), symmetric
 
     @staticmethod
+    def by_diagonal(m, rows, cols, vals):
+        """The matrix of the entries, handed over as each diagonal they touch."""
+        offsets, k = np.unique(cols - rows, return_inverse=True)
+        data = np.zeros((offsets.size, m))
+        held = np.zeros((offsets.size, m), dtype=bool)
+        data[k, rows] = vals
+        held[k, rows] = True
+        return SymmetricSparseMatrix._from_diagonals(m, tuple(offsets.tolist()), data, held)
+
+    @staticmethod
     def stored(mat):
         v = np.random.default_rng(mat.dim).normal(size=(2, mat.dim))
         return ([a.tobytes() for a in mat.coo()], layout(mat), mat.matvec(v).tobytes(),
@@ -613,11 +627,27 @@ class TestSymmetryCheck:
                     with pytest.raises(ValueError) as err:
                         SymmetricSparseMatrix(*args)
                     assert str(err.value) == want
-            if builds:
-                assert builds[0] == builds[1]
+            # by diagonal, checked on the strips or, for the layouts of the
+            # other kinds, handed to the constructor
+            if want is None:
+                builds.append(self.stored(self.by_diagonal(m, rows, cols, vals)))
+                assert builds[0] == builds[1] == builds[2]
+            else:
+                with pytest.raises(ValueError) as err:
+                    self.by_diagonal(m, rows, cols, vals)
+                assert str(err.value) == want
         for path in ("diagonals", "columns", "gather"):
             assert {(path, "none", True), (path, "missing", False), (path, "value", True),
                     (path, "value", False), (path, "zero", False)} <= seen
+
+    def test_diagonals_must_be_finite(self):
+        # checked before the layout or the mirrors, as the constructor does
+        for bad in (np.nan, np.inf):
+            data = np.array([[0.0, 1.0], [2.0, 2.0], [1.0, 0.0]])
+            data[1, 0] = bad
+            held = np.array([[False, True], [True, True], [True, False]])
+            with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+                SymmetricSparseMatrix._from_diagonals(2, (-1, 0, 1), data, held)
 
     def test_the_smaller_entry_sets_the_tolerance(self):
         # a - b, 5000 ulps of 1.0, is above SYMMETRY_RTOL * b but not above
