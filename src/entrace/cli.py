@@ -27,7 +27,6 @@ from .estimator import (
 from .generators import SpdcParams, fem_matrix, random_psd, spdc_density_matrix
 from .oracle import DENSE_CAP, Spectrum, dense_spectrum, exact_entropy, fem_exact_entropy
 from .sparse import (
-    SpectralBound,
     gershgorin_upper_bound,
     power_iteration_bound,
     read_matrix_market,
@@ -162,8 +161,7 @@ def _scaling(mat, config):
     ``--normalize``, so only a bound on A is divided by the trace.
     """
     if config.gamma0 is not None:
-        return ScalingParams.for_matrix(SpectralBound(config.gamma0 * config.x0, "user"),
-                                        mat.trace(), x0=config.x0)
+        return ScalingParams(float(config.x0), float(config.gamma0), "user")
     if config.bound_method == "power-iteration":
         bound = power_iteration_bound(mat, seed=config.seed)
     else:
@@ -261,9 +259,7 @@ def _run_table1(config):
     rows = []
     for m, n in zip(config.sizes, config.degrees):
         mat = fem_matrix(m)
-        scaling = ScalingParams.for_matrix(gershgorin_upper_bound(mat), mat.trace(),
-                                           x0=config.x0)
-        est = estimate_adaptive(mat, n, config.confidence, scaling, sampler,
+        est = estimate_adaptive(mat, n, config.confidence, _scaling(mat, config), sampler,
                                 n_max=config.n_max, threads=threads)
         exact = fem_exact_entropy(m)
         abs_err = abs(est.value - exact)

@@ -27,10 +27,10 @@ around the product streams the matrix and its vectors once a step. A tile
 of a block of ``block_width`` rows holds ``BLOCK_BYTES // 4`` bytes, 2^15
 rows of a single vector; a matrix of that many rows or fewer is one tile.
 
-Symmetry is checked where the entries already are: a matrix stored by
-diagonal or by column compares its strips with their mirror images, and only
-a matrix that gathers its products sorts its entries again, by (col, row).
-Either way a matrix is accepted or refused, and an error worded, alike.
+Entries come in any order: a matrix stored by diagonal or by column scatters
+them to its strips and compares those with their mirror images; only one that
+gathers its products, or strips that fail a check, sort them, by (row, col)
+and then by (col, row). Either way a matrix is accepted or refused alike.
 """
 
 from __future__ import annotations
@@ -99,16 +99,17 @@ class SpectralBound:
 class SymmetricSparseMatrix:
     """Real symmetric matrix with both triangles stored explicitly.
 
-    Entries are validated, sorted by (row, column) with one stable sort on
-    the fused key row * dim + col (none if they arrive so), and frozen at
-    construction, so instances can be shared across threads without locking.
-    The key must fit in an int64, so dim is at most ``_KEY_DIM_MAX`` =
-    3037000499; a larger dim is refused before anything is allocated.
-    Each entry must have a mirror that equals it within ``SYMMETRY_RTOL``;
-    a matrix stored by diagonal or column checks this there, any other by a
-    sort on (column, row). Positive semidefiniteness is the caller's
-    contract and is not checked here; use the dense oracle to verify it for
-    matrices of modest size.
+    Entries, in any order, are validated and frozen at construction, so
+    instances can be shared across threads without locking. Strips take
+    them as they come; the gather path, or a refused strip matrix, sorts
+    them by the key row * dim + col (none if they arrive so), which must
+    fit in an int64: dim is at most ``_KEY_DIM_MAX`` = 3037000499, and a
+    larger dim is refused before anything is allocated. Entries must not
+    repeat, and each must have a mirror that equals it within
+    ``SYMMETRY_RTOL``; a matrix stored by diagonal or column checks this
+    there, any other by a sort on (column, row). Positive semidefiniteness
+    is the caller's contract and is not checked here; use the dense oracle
+    to verify it for matrices of modest size.
 
     The matrix keeps either its entries or its strips, never both (see
     ``_Strips``). When the stored entries fill few diagonals, padded
@@ -144,34 +145,29 @@ class SymmetricSparseMatrix:
         if not np.all(np.isfinite(values)):
             raise ValueError("matrix entries must be finite")
 
-        key = rows * dim + cols
-        ordered = bool(np.all(key[1:] > key[:-1]))
-        order = None if ordered else np.argsort(key, kind="stable")
-        del key
-        if not ordered:
-            rows, cols, values = rows[order], cols[order], values[order]
-            del order
-            if rows.size > 1:
-                same = (np.diff(rows) == 0) & (np.diff(cols) == 0)
-                if same.any():
-                    k = int(np.flatnonzero(same)[0])
-                    raise ValueError(f"duplicate entry at ({rows[k]}, {cols[k]})")
-
-        # entries in storage order and free of repeats; ordered input is
-        # still the caller's, and only read: the strips are new arrays, and
-        # the gather path copies it below
+        # the caller's arrays are only read; strips and sorted entries are new
         strips, diag, symmetric = _strips(rows, cols, values, dim)
-        if not symmetric:
-            # the gather path's check, which also words the error of a
-            # failed strip check
-            self._check_symmetry(rows, cols, values, dim)
-        if strips is not None:
+        if symmetric:
             self._keep(dim, diag, strips=strips)
             return
-        if ordered:
-            # copied, as the sort's permutation would copy them, so that the
-            # caller's arrays never become the matrix's
+        # the gather path, or strips that a repeat or a mirror refused: the
+        # sorted entries word the error of the first check they fail
+        key = rows * dim + cols
+        if np.all(key[1:] > key[:-1]):
+            # sorted already, so free of repeats; copied, as a permutation
+            # would be, so that the caller's arrays never become the matrix's
+            del key
             rows, cols, values = rows.copy(), cols.copy(), values.copy()
+        else:
+            order = np.argsort(key, kind="stable")
+            del key
+            rows, cols, values = rows[order], cols[order], values[order]
+            del order
+            same = (np.diff(rows) == 0) & (np.diff(cols) == 0)
+            if same.any():
+                k = int(np.flatnonzero(same)[0])
+                raise ValueError(f"duplicate entry at ({rows[k]}, {cols[k]})")
+        self._check_symmetry(rows, cols, values, dim)
         diag = np.zeros(dim)
         on_diag = rows == cols
         diag[rows[on_diag]] = values[on_diag]
@@ -423,8 +419,8 @@ def _strips(rows, cols, values, dim):
     entries, diagonals on a tie; otherwise the result is (None, None,
     False), and the matrix gathers its products.
 
-    The entries, in storage order, are only read; the strips are checked
-    and frozen by ``_frozen``.
+    The entries, in any order, are scattered to their slots, and ``_frozen``
+    checks and freezes the strips; a repeat, which leaves a slot short, fails.
     """
     if rows.size and dim > DIA_FILL * rows.size:
         # even one diagonal would be too empty
@@ -453,7 +449,8 @@ def _strips(rows, cols, values, dim):
     data.reshape(-1)[slot] = values
     held.reshape(-1)[slot] = True
     del slot
-    return _frozen(data, held, offsets)
+    strips, diag, symmetric = _frozen(data, held, offsets)
+    return strips, diag, symmetric and np.count_nonzero(held) == rows.size
 
 
 def _by_diagonal(dim, nnz, ndiag):

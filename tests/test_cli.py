@@ -76,6 +76,16 @@ class TestEntropyCommand:
         assert doc["gamma0"] == 5.0
         assert doc["method"]["bound"] == "user"
 
+    @pytest.mark.parametrize("gamma0, x0", [("1.4", "3"), ("1.4", "6"), ("6.3", "0.7")])
+    def test_user_gamma0_is_exact_under_any_x0(self, capsys, gamma0, x0):
+        # pairs for which (G * x0) / x0 is not G in floating point
+        assert float(gamma0) * float(x0) / float(x0) != float(gamma0)
+        code, out, _ = run_cli(capsys, "entropy", "--generate", "fem:100", "--gamma0", gamma0,
+                               "--x0", x0, "-n", "4", "--samples", "4", "--threads", "1")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["gamma0"], doc["x0"]) == (float(gamma0), float(x0))
+
     @pytest.mark.parametrize("source, gamma0", [("fem:1000", "0.004"), ("spdc:default", "1.0")])
     def test_user_gamma0_scales_the_state(self, capsys, source, gamma0):
         # under --normalize G bounds the state A / tr(A), whose lambda_max is

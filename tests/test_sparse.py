@@ -177,17 +177,45 @@ class TestConstruction:
         strips = np.unique(cols - rows).size if layout(mat) == "diagonals" else mat.dim
         assert kept <= (8 + 1) * strips * mat.dim + 8 * mat.dim + 2**14
 
-    def test_ordered_and_shuffled_entries_build_the_same_matrix(self):
-        rows, cols, vals = fem_matrix(500).coo()
-        order = np.random.default_rng(4).permutation(rows.size)
-        shuffled = SymmetricSparseMatrix(500, rows[order], cols[order], vals[order])
-        ordered = SymmetricSparseMatrix(500, rows.copy(), cols.copy(), vals.copy())
-        for a, b in zip(ordered.coo(), shuffled.coo()):
-            assert a.tobytes() == b.tobytes()
+    @pytest.mark.parametrize("build, path", [
+        (lambda: fem_matrix(500), "diagonals"),
+        (lambda: random_psd(60, 0, np.linspace(0.0, 1.0, 60)), "columns"),
+        (lambda: random_symmetric(60, 0)[0], "gather")], ids=["diagonals", "columns", "gather"])
+    def test_ordered_and_shuffled_entries_build_the_same_matrix(self, build, path):
+        mat = build()
+        rows, cols, vals = mat.coo()
+        v = np.random.default_rng(5).normal(size=(2, mat.dim))
+        built = []
+        for order in (np.arange(rows.size), np.random.default_rng(4).permutation(rows.size)):
+            got = SymmetricSparseMatrix(mat.dim, rows[order], cols[order], vals[order])
+            built.append(([a.tobytes() for a in got.coo()], layout(got),
+                          got.diagonal().tobytes(), got.block_width, got.matvec(v).tobytes()))
+        assert built[0] == built[1] and built[0][1] == path
+
+    @pytest.mark.parametrize("build", [
+        lambda: fem_matrix(500), lambda: random_psd(60, 0, np.linspace(0.0, 1.0, 60))],
+        ids=["diagonals", "columns"])
+    def test_shuffled_repeat_on_strips_is_a_duplicate(self, build):
+        # two entries repeated with other values, so that their mirrors
+        # disagree as well: the strips are refused, and the repeat first in
+        # (row, col) order is named before any asymmetry
+        mat = build()
+        rows, cols, vals = mat.coo()
+        repeat = [rows.size - 3, rows.size // 2]
+        want = rf"^duplicate entry at \({rows[repeat[1]]}, {cols[repeat[1]]}\)$"
+        rows, cols = np.append(rows, rows[repeat]), np.append(cols, cols[repeat])
+        vals = np.append(vals, vals[repeat] + 1.0)
+        order = np.random.default_rng(6).permutation(rows.size)
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        strips, _, symmetric = _strips(rows, cols, vals, mat.dim)
+        assert strips is not None and not symmetric
+        with pytest.raises(ValueError, match=want):
+            SymmetricSparseMatrix(mat.dim, rows, cols, vals)
 
     def test_ordered_input_is_copied(self):
-        # entries already in storage order are kept without a sort, but the
-        # caller's arrays stay the caller's: writable, and not the matrix's
+        # the caller's arrays stay the caller's, writable and not the
+        # matrix's: strips are new arrays, and so are the entries that the
+        # gather path's sort permutes
         rows, cols = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
         vals = np.array([2.0, -1.0, -1.0, 2.0])
         mat = SymmetricSparseMatrix(2, rows, cols, vals)
@@ -684,6 +712,27 @@ class TestSymmetryCheck:
         finally:
             tracemalloc.stop()
         assert peak / rows.size < 48
+
+    def test_reader_order_peak_memory_per_entry(self):
+        # traced peak while a dense 300-row matrix is built from the lower
+        # triangle, row by row, and then its mirror, as read_matrix_market
+        # hands over a symmetric file. The strips and their held mask take 9 B
+        # an entry; a sort's key, permutation and permuted copies take the
+        # peak above 48
+        a = np.random.default_rng(7).normal(size=(300, 300))
+        i, j = np.tril_indices(300)
+        off = i != j
+        rows, cols = np.concatenate((i, j[off])), np.concatenate((j, i[off]))
+        vals = (a + a.T)[rows, cols]
+        SymmetricSparseMatrix(300, rows, cols, vals)  # numpy's lazily allocated state, once
+        tracemalloc.start()
+        try:
+            mat = SymmetricSparseMatrix(300, rows, cols, vals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert layout(mat) == "columns"
+        assert peak / rows.size < 40
 
 
 class TestSpectralBounds:
