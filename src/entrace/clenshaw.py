@@ -16,7 +16,10 @@ of A. A block of probe rows shares each of those products. Each step of the
 recurrence t_j+1 = 2 (c A t_j - t_j) - t_j-1, c = 2 / (x0 gamma0), is fused
 into its product: ``matvec`` hands back each row tile of A t_j, which by
 diagonal is ``sparse.BLOCK_BYTES // 4`` bytes of the block and otherwise
-all of it, and the step finishes it in place while it is in cache.
+all of it, and the step finishes it in place while it is in cache. The
+finished tile is stored over t_j-1, which the step has then read for the
+last time, so a form holds three (b, dim) vectors: the caller's probes and
+two that take the later t_j in turn.
 
 Every reduction is an ``np.einsum`` over one probe row, never BLAS: a
 threaded BLAS dot product splits its sum by thread count, and a reduction
@@ -62,8 +65,11 @@ def quadratic_form(A, v, expansion, gamma0):
     array of b forms, each bit-identical to the form of its row alone. The
     argument matrix B is never formed: each t_j+1 = 2 B t_j - t_j-1 is
     built in place on the product A t_j, one row tile at a time, as
-    2 (c A t_j - t_j) - t_j-1. The constant term a_0 enters the result only
-    through the closed form v^T (a_0/2) v = m a_0 / 2.
+    2 (c A t_j - t_j) - t_j-1, and written over t_j-1's array, except over
+    the caller's probes: t_1 and t_2 take new arrays, and from t_3 on each
+    vector reuses the array of the one two steps back. The constant term
+    a_0 enters the result only through the closed form v^T (a_0/2) v =
+    m a_0 / 2.
 
     Raises ``SpectrumEscape`` if some row has max_k |mu_k| > m (1 + 1e-10)
     + 1e-10; its message names the first such row's largest moment and its
@@ -74,8 +80,12 @@ def quadratic_form(A, v, expansion, gamma0):
     v = np.asarray(v, dtype=np.float64)
     if v.ndim not in (1, 2) or v.shape[-1] != A.dim:
         raise ValueError(f"probe vector length {v.shape} does not match dimension {A.dim}")
-    if not np.all(np.abs(v) == 1.0):
+    # boolean temporaries only; nan, +-inf, +-0.0 and any other value fail
+    sign = v == 1.0
+    sign |= v == -1.0
+    if not sign.all():
         raise ValueError("probe vector entries must be +-1")
+    del sign
     gamma0 = float(gamma0)
     if not gamma0 > 0.0:
         raise ValueError("gamma0 must be positive")
@@ -103,7 +113,7 @@ def quadratic_form(A, v, expansion, gamma0):
     with np.errstate(over="ignore", invalid="ignore"):
         # t_0 = v, t_1 = B v
         t_prev, t = None, block
-        t_prev, t = t, A.matvec(t, finish=finish)
+        t_prev, t = t, A.matvec(t, finish=finish, out=np.empty(block.shape))
         mu[:, 0] = m
         mu[:, 1] = _row_dots(block, t)
         last = (n + 1) // 2
@@ -113,7 +123,9 @@ def quadratic_form(A, v, expansion, gamma0):
             if 2 * j <= n:
                 mu[:, 2 * j] = _row_dots(t, t)
             if j < last:
-                t_prev, t = t, A.matvec(t, finish=finish)
+                # t_j+1 over t_j-1, unless that is the caller's block
+                out = np.empty(block.shape) if t_prev is block else t_prev
+                t_prev, t = t, A.matvec(t, finish=finish, out=out)
                 mu[:, 2 * j + 1] = _row_dots(t, t_prev)
         mu[:, 2::2] *= 2.0
         mu[:, 2::2] -= mu[:, :1]

@@ -48,14 +48,13 @@ class RademacherSampler:
     """
 
     seed: int
-    _key: np.ndarray = field(init=False, repr=False, compare=False)
+    _seq: np.random.SeedSequence = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
         # the seed sequence hashes a seed of any size into the 128-bit key
-        key = np.random.SeedSequence(self.seed).generate_state(2, np.uint64)
-        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_seq", np.random.SeedSequence(self.seed))
 
     def sample_vector(self, m, index, count=None):
         """Probe row ``index`` (1-based) of length m, entries +-1.
@@ -70,7 +69,9 @@ class RademacherSampler:
         if rows < 1:
             raise ValueError("count must be at least 1")
         steps = (m + _STEP_BITS - 1) // _STEP_BITS
-        stream = np.random.Philox(key=self._key)
+        # keyed by the seed sequence's first two 64-bit words, with no draw
+        # of OS entropy, which Philox(key=...) makes and then discards
+        stream = np.random.Philox(self._seq)
         stream.advance((index - 1) * steps)
         # little-endian words, so the bits do not depend on the byte order
         words = stream.random_raw(rows * 4 * steps).astype("<u8", copy=False)

@@ -26,17 +26,16 @@ def fem_matrix(m):
 
     The 1-D second-difference (stiffness) matrix; PSD with eigenvalues
     4 sin^2(i pi / (2m + 2)), all in (0, 4). It is handed over as its three
-    diagonals, so no entry list is built or sorted; the matrix is the one
-    its 3m - 2 entries would build, stored by column at m = 2.
+    diagonals, one value each, so no entry list is built or sorted and no
+    diagonal is filled; the matrix is the one its 3m - 2 entries would
+    build, stored by column at m = 2.
     """
     m = int(m)
     if m < 1:
         raise ValueError("dimension must be at least 1")
+    data = np.broadcast_to(np.array([[-1.0], [2.0], [-1.0]]), (3, m))
     # diagonal -1 has no entry in row 0, and diagonal 1 none in row m - 1
-    data = np.full((3, m), -1.0)
-    data[1] = 2.0
     held = np.ones((3, m), dtype=bool)
-    data[0, 0] = data[2, -1] = 0.0
     held[0, 0] = held[2, -1] = False
     return SymmetricSparseMatrix._from_diagonals(m, (-1, 0, 1), data, held)
 

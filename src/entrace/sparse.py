@@ -26,6 +26,9 @@ the caller's ``finish`` while it is still in cache, so that the recurrence
 around the product streams the matrix and its vectors once a step. A tile
 of a block of ``block_width`` rows holds ``BLOCK_BYTES // 4`` bytes, 2^15
 rows of a single vector; a matrix of that many rows or fewer is one tile.
+A diagonal that holds one value in every slot facing a column of the matrix,
+as each of the tridiagonal matrix's three does, is stored as that value
+once, and its product multiplies a stride-0 operand.
 
 Entries come in any order: a matrix stored by diagonal or by column scatters
 them to its strips and compares those with their mirror images; only one that
@@ -184,15 +187,18 @@ class SymmetricSparseMatrix:
 
         For builders that have a matrix's diagonals: no entries are sorted
         or scattered. ``offsets`` ascend, and ``data`` and ``held`` are
-        (len(offsets), dim) arrays that the matrix takes over, with +0.0 and
+        (len(offsets), dim) arrays that the matrix takes over; ``data`` may
+        be a read-only broadcast, such as one value a diagonal. ``held`` is
         False in every slot without an entry, columns outside the matrix
-        included. The result is ``cls(dim, rows, cols, values)`` of the held
+        included; in-range holes hold +0.0, and out-of-range slots are never
+        read. The result is ``cls(dim, rows, cols, values)`` of the held
         entries, bit for bit, after the same checks. Where the constructor's
         layout rule, read at the call, stores those entries otherwise, or
         their mirrors disagree, the constructor builds the matrix, or words
         the error, from the entries read off the strips.
         """
-        if not np.all(np.isfinite(data)):
+        if not all(np.isfinite(a[r0:r1]).all()
+                   for a, (r0, r1) in zip(data, _in_range(offsets, dim))):
             raise ValueError("matrix entries must be finite")
         count = np.count_nonzero(held, axis=1)
         if _by_diagonal(dim, int(count.sum()), int(np.count_nonzero(count))):
@@ -213,10 +219,12 @@ class SymmetricSparseMatrix:
             width = max(1, BLOCK_BYTES // (8 * max(entries[0].size, dim)))
             layout = _block_layout(*entries, dim, width)
         else:
-            # a form holds five (b, dim) arrays, the probes, t_prev, t, t_next
-            # and a product's temporary; at an eighth of BLOCK_BYTES each, the
-            # five fit within it on each worker. Wider blocks gain little per
-            # row (by column, dim 1000: 0.48 ms at 16 rows, 0.50 ms at 26)
+            # each (b, dim) array of a form takes an eighth of BLOCK_BYTES:
+            # the probes, t_j-1 and t_j, the first of which t_j+1 overwrites,
+            # and a product by column's result, where one by diagonal sums a
+            # tile in a scratch; the four fit within half of it on each
+            # worker. Wider blocks gain little per row (by column, dim 1000:
+            # 0.48 ms at 16 rows, 0.50 ms at 26)
             width = max(1, BLOCK_BYTES // 8 // (8 * dim))
             layout = None
         diag.setflags(write=False)
@@ -261,11 +269,12 @@ class SymmetricSparseMatrix:
 
         On the gather path, as many as keep the gathered products and the
         probe rows each within ``BLOCK_BYTES``; otherwise as many as keep
-        the five (b, dim) arrays of one form within it. At least one.
+        each (b, dim) array of one form within an eighth of it. At least
+        one.
         """
         return self._width
 
-    def matvec(self, v, finish=None):
+    def matvec(self, v, finish=None, out=None):
         """Return A @ v, or for a (b, dim) block v the block with rows A @ v[i].
 
         Each row adds its products A[i, j] * v[j] to 0.0 in storage order
@@ -289,25 +298,38 @@ class SymmetricSparseMatrix:
         tile is still in cache when ``finish`` works on it; a product by
         column or gathered calls it once, on all rows. The bits of a row do
         not depend on the tile it lands in.
+
+        ``out``, if given, is a float64 array of v's shape, apart from v,
+        that receives the result, finished, and is returned. ``finish`` may
+        read its rows lo..hi-1, which keep their old values until the call
+        returns: by diagonal each tile is summed in one tile-sized scratch
+        and then stored, so a recurrence can write each step over a vector
+        it no longer needs.
         """
         v = np.asarray(v, dtype=np.float64)
         if v.ndim not in (1, 2) or v.shape[-1] != self.dim:
             raise ValueError(f"vector length {v.shape} does not match dimension {self.dim}")
+        if out is not None and out.shape != v.shape:
+            raise ValueError(f"out shape {out.shape} does not match the vector's {v.shape}")
         strips = self._strips
         if strips is None or strips.offsets is None:
             y = self._gathered(v) if strips is None else np.einsum(
                 "bj,ji->bi" if v.ndim == 2 else "j,ji->i", v, strips.data)
             if finish is not None:
                 finish(y, 0, self.dim)
-            return y
+            if out is None:
+                return y
+            out[...] = y
+            return out
         dim = self.dim
         # a (block_width, height) tile of each array a product step touches
         # stays in a core's L2 cache
         height = max(1, BLOCK_BYTES // 4 // (8 * self._width))
-        y = np.empty(v.shape)
+        y = np.empty(v.shape) if out is None else out
+        scratch = None if out is None else np.empty(v.shape[:-1] + (min(height, dim),))
         for lo in range(0, dim, height):
             hi = min(lo + height, dim)
-            tile = y[..., lo:hi]
+            tile = y[..., lo:hi] if scratch is None else scratch[..., :hi - lo]
             tile.fill(0.0)
             for a, d in zip(strips.data, strips.offsets):
                 # the rows of diagonal d within lo..hi-1, and the columns they face
@@ -316,6 +338,8 @@ class SymmetricSparseMatrix:
                     tile[..., r0 - lo:r1 - lo] += a[r0:r1] * v[..., r0 + d:r1 + d]
             if finish is not None:
                 finish(tile, lo, hi)
+            if scratch is not None:
+                y[..., lo:hi] = tile
         return y
 
     def _gathered(self, v):
@@ -396,6 +420,12 @@ class _Strips(NamedTuple):
     None and data[s, i] = A[i, s], column s as stored. ``held`` marks the
     slots that hold an entry, so that a stored +-0.0 stays apart from a
     hole, which holds +0.0. Both arrays are (nstrips, dim) and read-only.
+
+    A diagonal's slots whose column i + offsets[s] lies outside the matrix
+    hold no entry and are never read. Where every diagonal holds one value,
+    the same bits, in all its other slots, ``data`` is a broadcast of an
+    (nstrips, 1) column, one value a diagonal with stride 0 along the rows,
+    and its out-of-range slots hold that value too.
     """
 
     data: np.ndarray
@@ -459,18 +489,25 @@ def _by_diagonal(dim, nnz, ndiag):
     return ndiag <= dim and ndiag * dim <= DIA_FILL * nnz
 
 
+def _in_range(offsets, dim):
+    """(r0, r1) of each diagonal: its rows r0..r1-1 face a column of the matrix."""
+    return [(max(0, -d), min(dim, dim - d)) for d in offsets]
+
+
 def _frozen(data, held, offsets):
     """(strips, diagonal, symmetric) of filled strips, made read-only.
 
     Symmetry is checked on the strips: the held mask must equal its mirror
     image, and so must the entries, within ``SYMMETRY_RTOL``; see
-    ``_mirrors_agree``. The diagonal is read off the strips.
+    ``_mirrors_agree``. Symmetric diagonals that each hold one value in
+    every in-range slot keep it once (see ``_Strips``). The diagonal is read
+    off the strips.
     """
     data.setflags(write=False)
     held.setflags(write=False)
-    strips = _Strips(data, held, offsets)
     if offsets is None:
-        return strips, np.diagonal(data).copy(), _mirrors_agree(held, held.T, data, data.T)
+        return (_Strips(data, held, offsets), np.diagonal(data).copy(),
+                _mirrors_agree(held, held.T, data, data.T))
     # A[i, i + d], slot i of diagonal d, faces A[i + d, i], slot i + d of
     # diagonal -d, which is as many diagonals from the last as d is from the
     # first
@@ -478,7 +515,22 @@ def _frozen(data, held, offsets):
     symmetric = offsets == tuple(-d for d in reversed(offsets)) and all(
         _mirrors_agree(held[k, :dim - d], held[-1 - k, d:], data[k, :dim - d], data[-1 - k, d:])
         for k, d in enumerate(offsets) if d > 0)
-    return strips, data[offsets.index(0)] if 0 in offsets else np.zeros(dim), symmetric
+    if symmetric:
+        data = _stored_once(data, held, offsets)
+    diag = data[offsets.index(0)] if 0 in offsets else np.zeros(dim)
+    return _Strips(data, held, offsets), diag, symmetric
+
+
+def _stored_once(data, held, offsets):
+    """data as a read-only broadcast of one value a diagonal, if each holds
+    that value, bit for bit, in every in-range slot; otherwise data."""
+    column = np.empty((len(offsets), 1))
+    for k, (r0, r1) in enumerate(_in_range(offsets, data.shape[1])):
+        bits = data[k, r0:r1].view(np.uint64)
+        if not (held[k, r0:r1].all() and np.all(bits == bits[0])):
+            return data
+        column[k] = data[k, r0]
+    return np.broadcast_to(column, data.shape)
 
 
 def _mirrors_agree(held, held_mirror, a, b):
@@ -535,16 +587,23 @@ def gershgorin_upper_bound(A):
     """Largest eigenvalue bound max_i (a_ii + sum_{j != i} |a_ij|), clamped at 0.
 
     Cost is one pass over the stored entries, or over the strips of a matrix
-    stored by diagonal or by column; for a PSD matrix the bound is never
-    below the true lambda_max.
+    stored by diagonal or by column, in-range slots only; for a PSD matrix
+    the bound is never below the true lambda_max.
     """
-    if A._strips is None:
+    strips = A._strips
+    if strips is None:
         rows, _, vals = A.coo()
         radius = np.bincount(rows, weights=np.abs(vals), minlength=A.dim)
-    else:
+    elif strips.offsets is None:
         # row i's entries strip by strip, in ascending columns as bincount
         # adds them; a hole adds +0.0, which changes no sum
-        radius = np.abs(A._strips.data).sum(axis=0)
+        radius = np.abs(strips.data).sum(axis=0)
+    else:
+        # the same sums from 0.0, each diagonal added to the rows it faces:
+        # the out-of-range slots of a diagonal stored once hold its value
+        radius = np.zeros(A.dim)
+        for a, (r0, r1) in zip(strips.data, _in_range(strips.offsets, A.dim)):
+            radius[r0:r1] += np.abs(a[r0:r1])
     diag = A.diagonal()
     bound = float(np.max(diag + (radius - np.abs(diag)))) if A.dim else 0.0
     return SpectralBound(max(bound, 0.0), "gershgorin")

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,40 @@ class TestCost:
             forms = quadratic_form(A, probes[:b], exp, gamma0)
             assert forms.tobytes() == single[:b].tobytes()
         assert calls == []
+
+
+class TestMemory:
+    def test_form_peak_memory_per_row(self):
+        # traced peak of one form on a fem(2 * 10^5) row at n = 8: the two
+        # vectors that take t_j in turn, 16 B a row, and a tile's scratch and
+        # temporary. A new product vector each step, beside t_j-1 and t_j,
+        # takes it to 25 B a row
+        dim = 2 * 10**5
+        A, v, exp = fem_matrix(dim), signs(dim, 0), coefficients(8, 1.0)
+        want = quadratic_form(A, v, exp, 4.3)  # numpy's lazily allocated state, once
+        tracemalloc.start()
+        try:
+            got = quadratic_form(A, v, exp, 4.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak / dim < 21
+
+    @pytest.mark.parametrize("build", [
+        functools.partial(fem_matrix, 1000), functools.partial(wide_band, 100, 12),
+        functools.partial(random_psd, 30, 2, np.linspace(0.0, 1.0, 30)),
+        functools.partial(scattered_psd, 60, 1)], ids=["fem", "offsets-12", "columns", "gather"])
+    def test_probes_stay_as_given(self, build):
+        # each t_j+1 is written over t_j-1, never over the caller's block
+        A = build()
+        gamma0 = 1.075 * gershgorin_upper_bound(A).lambda_max_upper
+        probes = np.array([signs(A.dim, 90 + i) for i in range(3)])
+        given = probes.copy()
+        for n in (1, 2, 3, 4, 9):
+            quadratic_form(A, probes, coefficients(n, 1.0), gamma0)
+            quadratic_form(A, probes[1], coefficients(n, 1.0), gamma0)
+            assert probes.tobytes() == given.tobytes() and probes.flags.writeable
 
 
 class TestTiles:
@@ -267,6 +302,20 @@ class TestValidation:
         exp = coefficients(2, 1.0)
         with pytest.raises(ValueError):
             quadratic_form(A, np.array([1.0, 1.0, 1.0, 0.5]), exp, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.0, 2.0, -2.0])
+    def test_rejects_each_entry_that_is_not_a_sign(self, bad):
+        # in a lone vector and in any row of a block
+        A = fem_matrix(6)
+        exp = coefficients(2, 1.0)
+        probes = np.array([signs(6, 1), signs(6, 2)])
+        for row in (None, 0, 1):
+            v = probes[0].copy() if row is None else probes.copy()
+            v[..., 3] = bad
+            if row is not None:
+                v[1 - row, 3] = 1.0
+            with pytest.raises(ValueError, match=r"^probe vector entries must be \+-1$"):
+                quadratic_form(A, v, exp, 4.3)
 
     def test_rejects_nonpositive_gamma(self):
         A = random_psd(4, 0, np.ones(4))

@@ -86,6 +86,29 @@ class TestSampler:
             total += float(np.sum(s.sample_vector(1000, i)))
         assert abs(total / (1000 * 1000)) < 0.01
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**70])
+    def test_stream_is_keyed_by_the_seed_sequence(self, seed):
+        # the key is the seed sequence's first two 64-bit words, so rows are
+        # those of a stream given that key explicitly
+        key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+        stream = np.random.Philox(key=key)
+        stream.advance(2 * 4)
+        bits = np.unpackbits(stream.random_raw(3 * 4 * 4).astype("<u8").view(np.uint8)
+                             .reshape(3, -1), axis=1, count=1000, bitorder="little")
+        got = RademacherSampler(seed).sample_vector(1000, 3, 3)
+        assert got.tobytes() == (2.0 * bits - 1.0).tobytes()
+
+    def test_threads_share_one_sampler(self):
+        # eight threads on two cores draw interleaved rows of one sampler,
+        # and each row is the one a lone caller draws
+        from concurrent.futures import ThreadPoolExecutor
+
+        s = RademacherSampler(12)
+        want = [RademacherSampler(12).sample_vector(300, i) for i in range(1, 401)]
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            rows = list(pool.map(lambda i: s.sample_vector(300, i), range(1, 401), timeout=60))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(rows, want))
+
     def test_seed_validation(self):
         with pytest.raises(ValueError):
             RademacherSampler(-1)

@@ -66,10 +66,11 @@ class TestFemMatrix:
             assert same(a, b)
 
     def test_build_peak_memory_per_row(self):
-        # traced peak while fem(2 * 10^5) is built: its three diagonals and
-        # their held mask, 27 B a row, and the mirror check's temporaries.
-        # A list of its 3m - 2 entries, sorted and scattered by the
-        # constructor, takes the peak to about 144 B a row
+        # traced peak while fem(2 * 10^5) is built: the held mask of its
+        # three diagonals, 3 B a row, beside the mirror check's temporaries,
+        # 17 B a row; its diagonals are one value each. Filled (3, m)
+        # diagonals take the peak to 44 B a row, and a list of its 3m - 2
+        # entries, sorted and scattered by the constructor, to about 144
         dim = 2 * 10**5
         fem_matrix(dim)  # numpy's lazily allocated state, once
         tracemalloc.start()
@@ -78,7 +79,7 @@ class TestFemMatrix:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / dim < 64
+        assert peak / dim < 32
 
 
 class TestDispersion:

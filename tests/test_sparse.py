@@ -1,5 +1,6 @@
 """Sparse storage, matvec, spectral bounds, and Matrix Market round-trips."""
 
+import functools
 import math
 import os
 import random
@@ -13,6 +14,8 @@ import numpy as np
 import pytest
 
 import entrace
+from entrace.chebyshev import coefficients
+from entrace.clenshaw import quadratic_form
 from entrace.generators import SpdcParams, fem_matrix, random_psd, spdc_density_matrix
 from entrace.sparse import (
     DIA_FILL,
@@ -550,6 +553,149 @@ class TestTiles:
         got = mat.matvec(v, finish=finish)
         assert seen == [((2, 50), 0, 50)]
         assert got.tobytes() == (2.0 * mat.matvec(v)).tobytes()
+
+    @pytest.mark.parametrize("build", [
+        lambda: banded(29, 2, 0, holes=0.0), lambda: wide_band(100, 12),
+        lambda: holed(30, 4), lambda: random_symmetric(50, 3)[0]],
+        ids=["diagonals", "offsets-12", "columns", "gather"])
+    def test_out_keeps_its_rows_until_finished(self, monkeypatch, build):
+        # finish reads out's old rows of its tile, as a recurrence reads
+        # t_j-1 before t_j+1 is written over it; out receives the finished
+        # product, with the bits of one written to a new array
+        mat = self.tiled(monkeypatch, build)
+        rng = np.random.default_rng(mat.dim)
+        for shape in ((mat.dim,), (2, mat.dim)):
+            v, old = rng.normal(size=shape), rng.normal(size=shape)
+
+            def finish(y, lo, hi):
+                assert out[..., lo:hi].tobytes() == old[..., lo:hi].tobytes()
+                y -= out[..., lo:hi]
+
+            out = old.copy()
+            assert mat.matvec(v, finish=finish, out=out) is out
+            assert out.tobytes() == (mat.matvec(v) - old).tobytes()
+            with pytest.raises(ValueError, match="out shape"):
+                mat.matvec(v, out=np.empty(shape[:-1] + (mat.dim + 1,)))
+
+
+def toeplitz(m, band):
+    """Symmetric band with band[d] on diagonals d and -d, built from its entries."""
+    rows, cols, vals = [np.arange(m)], [np.arange(m)], [np.full(m, band[0])]
+    for d, x in enumerate(band[1:], start=1):
+        i = np.arange(m - d)
+        rows += [i, i + d]
+        cols += [i + d, i]
+        vals += [np.full(m - d, x)] * 2
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def stored_once(mat):
+    """Whether a matrix is stored by diagonal, each diagonal as one value."""
+    strips = mat._strips
+    return (layout(mat) == "diagonals" and strips.data.shape == (len(strips.offsets), mat.dim)
+            and strips.data.strides[1] == 0 and not strips.data.flags.writeable)
+
+
+BAND = (2.5, -0.75, 0.25)
+
+
+def broken_band(how):
+    """toeplitz(40, BAND) with one pair changed: a hole in diagonal +-1 or a
+    differing value there, or, on diagonals +-2 of stored +0.0, a hole, which
+    holds +0.0 as well, or a stored -0.0."""
+    band = (2.5, -0.75, 0.0) if how in ("zero-hole", "signed-zero") else BAND
+    rows, cols, vals = toeplitz(40, band)
+    pair = (np.minimum(rows, cols) == 17) & (np.abs(rows - cols) == (2 if band[2] == 0 else 1))
+    if how.endswith("hole"):
+        rows, cols, vals = rows[~pair], cols[~pair], vals[~pair]
+    else:
+        vals[pair] = -0.0 if how == "signed-zero" else -0.5
+    return SymmetricSparseMatrix(40, rows, cols, vals)
+
+
+class TestConstantDiagonals:
+    """A diagonal of one value in every in-range slot is stored as that value once."""
+
+    @staticmethod
+    def written_and_read(tmp_path, mat):
+        write_matrix_market(mat, tmp_path / "a.mtx")
+        return read_matrix_market(tmp_path / "a.mtx")
+
+    def test_constant_bands_are_stored_once(self, tmp_path):
+        # generated, built from entries in any order, or read from a file
+        for m in (3, 4, 1000):
+            fem = fem_matrix(m)
+            rows, cols, vals = toeplitz(m, (2.0, -1.0))
+            order = np.random.default_rng(m).permutation(rows.size)
+            for mat in (fem, SymmetricSparseMatrix(m, rows[order], cols[order], vals[order]),
+                        self.written_and_read(tmp_path, fem)):
+                assert stored_once(mat)
+                assert mat.diagonal().tobytes() == np.full(m, 2.0).tobytes()
+        assert stored_once(SymmetricSparseMatrix(300, *toeplitz(300, BAND)))
+        assert layout(fem_matrix(2)) == "columns"
+
+    @pytest.mark.parametrize("how", ["hole", "zero-hole", "value", "signed-zero"])
+    def test_one_break_keeps_full_strips(self, tmp_path, how):
+        for mat in (broken_band(how), self.written_and_read(tmp_path, broken_band(how))):
+            assert layout(mat) == "diagonals" and mat._strips.data.strides[1] == 8
+
+    @pytest.mark.parametrize("build", [
+        lambda: fem_matrix(1000), lambda: fem_matrix(3),
+        lambda: SymmetricSparseMatrix(300, *toeplitz(300, BAND)),
+        *(functools.partial(broken_band, how)
+          for how in ("hole", "zero-hole", "value", "signed-zero"))],
+        ids=["fem-1000", "fem-3", "band-300", "hole", "zero-hole", "value", "signed-zero"])
+    def test_answers_as_full_strips(self, monkeypatch, build):
+        # products equal the ordered pass byte for byte, and so does all
+        # that a matrix of the same entries answers with every strip filled
+        import entrace.sparse as sparse
+
+        mat = build()
+        rng = np.random.default_rng(mat.dim)
+        blocks = [rng.normal(size=shape) for shape in
+                  ((mat.dim,), (mat.block_width, mat.dim), (max(1, mat.block_width - 1), mat.dim))]
+        for v in blocks:
+            assert mat.matvec(v).tobytes() == ordered_pass(mat, v).tobytes()
+        monkeypatch.setattr(sparse, "_stored_once", lambda data, held, offsets: data)
+        full = SymmetricSparseMatrix(mat.dim, *mat.coo())
+        assert layout(full) == "diagonals" and full._strips.data.strides[1] == 8
+        for a, b in zip(mat.coo(), full.coo()):
+            assert a.tobytes() == b.tobytes()
+        assert mat.diagonal().tobytes() == full.diagonal().tobytes()
+        assert mat.trace().hex() == full.trace().hex()
+        assert (gershgorin_upper_bound(mat).lambda_max_upper.hex()
+                == gershgorin_upper_bound(full).lambda_max_upper.hex())
+        for v in blocks:
+            assert mat.matvec(v).tobytes() == full.matvec(v).tobytes()
+        gamma0 = 1.075 * gershgorin_upper_bound(mat).lambda_max_upper
+        probes = np.sign(rng.normal(size=(3, mat.dim)))
+        for n in (1, 8, 9):
+            exp = coefficients(n, 1.0)
+            assert (quadratic_form(mat, probes, exp, gamma0).tobytes()
+                    == quadratic_form(full, probes, exp, gamma0).tobytes())
+
+    @pytest.mark.parametrize("m, band, fill", [
+        (1000, (2.0, -1.0), None), (9, (2.5, -0.75, 0.25), None),
+        (40, (-3.5, 0.5, -0.125, 1.75), None), (17, (0.0, -1.5), None),
+        # diagonals +-3 alone, stored by diagonal under a looser fill: no
+        # row faces both, so an out-of-range slot would double every radius
+        (5, (0.0, 0.0, 0.0, 1.25), 3.0), (6, (0.0, 0.0, 0.0, -0.5), 3.0)])
+    def test_gershgorin_equals_the_dense_bound(self, monkeypatch, m, band, fill):
+        # exact binary fractions, so that every row's sum is exact in any order
+        import entrace.sparse as sparse
+
+        if fill is not None:
+            monkeypatch.setattr(sparse, "DIA_FILL", fill)
+        rows, cols, vals = toeplitz(m, band)
+        keep = vals != 0.0
+        mat = SymmetricSparseMatrix(m, rows[keep], cols[keep], vals[keep])
+        assert stored_once(mat)
+        dense = np.zeros((m, m))
+        for d, x in enumerate(band):
+            dense += x * (np.eye(m, k=d) + (np.eye(m, k=-d) if d else 0.0))
+        diag = np.diagonal(dense)
+        want = max(0.0, float(np.max(diag + np.abs(dense).sum(axis=1) - np.abs(diag))))
+        assert gershgorin_upper_bound(mat).lambda_max_upper == want
 
 
 class TestSymmetryCheck:
