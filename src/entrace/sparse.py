@@ -291,20 +291,20 @@ class SymmetricSparseMatrix:
         that width with zero rows, and a taller one is cut into pieces of that
         width.
 
-        ``finish(y, lo, hi)``, if given, is called in place on y[..., lo:hi]
-        once its products are summed, for row tiles that cover every row once
-        in ascending order. A product by diagonal sums one tile of
-        ``BLOCK_BYTES // 4`` bytes of ``block_width`` rows at a time, so the
-        tile is still in cache when ``finish`` works on it; a product by
-        column or gathered calls it once, on all rows. The bits of a row do
-        not depend on the tile it lands in.
+        ``finish(tile, lo, hi)``, if given, is called on rows lo..hi-1 of
+        the result once their products are summed, and may change them in
+        place, for row tiles that cover every row once in ascending order. A
+        product by diagonal sums one tile of ``BLOCK_BYTES // 4`` bytes of
+        ``block_width`` rows at a time in one tile-sized scratch, so the tile
+        is still in cache when ``finish`` works on it, and then stores it; a
+        product by column or gathered calls it once, on all rows. The bits of
+        a row do not depend on the tile it lands in.
 
         ``out``, if given, is a float64 array of v's shape, apart from v,
         that receives the result, finished, and is returned. ``finish`` may
         read its rows lo..hi-1, which keep their old values until the call
-        returns: by diagonal each tile is summed in one tile-sized scratch
-        and then stored, so a recurrence can write each step over a vector
-        it no longer needs.
+        returns, so a recurrence can write each step over a vector it no
+        longer needs.
         """
         v = np.asarray(v, dtype=np.float64)
         if v.ndim not in (1, 2) or v.shape[-1] != self.dim:
@@ -326,10 +326,10 @@ class SymmetricSparseMatrix:
         # stays in a core's L2 cache
         height = max(1, BLOCK_BYTES // 4 // (8 * self._width))
         y = np.empty(v.shape) if out is None else out
-        scratch = None if out is None else np.empty(v.shape[:-1] + (min(height, dim),))
+        scratch = np.empty(v.shape[:-1] + (min(height, dim),))
         for lo in range(0, dim, height):
             hi = min(lo + height, dim)
-            tile = y[..., lo:hi] if scratch is None else scratch[..., :hi - lo]
+            tile = scratch[..., :hi - lo]
             tile.fill(0.0)
             for a, d in zip(strips.data, strips.offsets):
                 # the rows of diagonal d within lo..hi-1, and the columns they face
@@ -338,8 +338,7 @@ class SymmetricSparseMatrix:
                     tile[..., r0 - lo:r1 - lo] += a[r0:r1] * v[..., r0 + d:r1 + d]
             if finish is not None:
                 finish(tile, lo, hi)
-            if scratch is not None:
-                y[..., lo:hi] = tile
+            y[..., lo:hi] = tile
         return y
 
     def _gathered(self, v):
@@ -524,6 +523,9 @@ def _frozen(data, held, offsets):
 def _stored_once(data, held, offsets):
     """data as a read-only broadcast of one value a diagonal, if each holds
     that value, bit for bit, in every in-range slot; otherwise data."""
+    if data.strides[1] == 0:
+        # handed over as a broadcast, such as fem_matrix's: kept as it is
+        return data
     column = np.empty((len(offsets), 1))
     for k, (r0, r1) in enumerate(_in_range(offsets, data.shape[1])):
         bits = data[k, r0:r1].view(np.uint64)
