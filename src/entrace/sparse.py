@@ -31,15 +31,26 @@ as each of the tridiagonal matrix's three does, is stored as that value
 once, and its product multiplies a stride-0 operand.
 
 Entries come in any order: a matrix stored by diagonal or by column scatters
-them to its strips and compares those with their mirror images; only one that
-gathers its products, or strips that fail a check, sort them, by (row, col)
-and then by (col, row). Either way a matrix is accepted or refused alike.
+them to its strips and compares those with their mirror images, a chunk of
+slots at a time; only one that gathers its products, or strips that fail a
+check, sort them, by (row, col) and then by (col, row). Either way a matrix
+is accepted or refused alike.
+
+A build by column holds, beside the caller's entries (24 B an entry as
+int64 rows and columns and float64 values) and the strips with their mask
+(9 B a slot), one index array of 8 B an entry, the slot each entry is
+scattered to (by diagonal, two for a moment), and the mirror check's
+temporaries of one chunk. So reading a dense symmetric Matrix Market file
+peaks at about 41 B an entry, when the parsed records, 24 B a line, are
+already freed (tracemalloc, dim 1000), and a general file at about 48,
+while its records are copied out.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -464,15 +475,16 @@ def _strips(rows, cols, values, dim):
         index[present] = np.arange(present.size) * dim
         slot = index[shifted]
         del shifted, index
-        slot += rows
     else:
-        del shifted, index
+        del index
         if present.size <= dim or dim * dim > DIA_FILL * rows.size:
             return None, None, False
         # strip j holds column j as stored: its mirror, row j, may differ
         # from it within SYMMETRY_RTOL
         shape, offsets = (dim, dim), None
-        slot = cols * dim + rows
+        slot = np.multiply(cols, dim, out=shifted)
+        del shifted
+    slot += rows
     data = np.zeros(shape)
     held = np.zeros(shape, dtype=bool)
     data.reshape(-1)[slot] = values
@@ -542,16 +554,31 @@ def _mirrors_agree(held, held_mirror, a, b):
     must satisfy |a - b| <= SYMMETRY_RTOL * max(1, min(|a|, |b|)): the
     test of ``SymmetricSparseMatrix._check_symmetry``, applied to both
     entries of the pair. A hole holds 0.0, and passes against a hole.
+
+    The arrays are compared a chunk of ``BLOCK_BYTES // 32`` slots at a
+    time, the row tile of a single vector, in whole rows of a 2-D array, so
+    the temporaries take about 26 B a slot of one chunk, not of the arrays;
+    the first chunk that fails decides. Two stride-0 broadcasts, such as
+    constant diagonals, hold one value in every slot, so their first slots
+    decide for all the rest; their masks are compared in full.
     """
-    if not np.array_equal(held, held_mirror):
-        return False
-    tol = np.abs(a)
-    np.minimum(tol, np.abs(b), out=tol)
-    np.maximum(tol, 1.0, out=tol)
-    tol *= SYMMETRY_RTOL
-    diff = a - b
-    np.abs(diff, out=diff)
-    return not np.any(diff > tol)
+    if not any(a.strides + b.strides):
+        a, b = a[:1], b[:1]
+    step = max(1, BLOCK_BYTES // 32 // math.prod(held.shape[1:]))
+    for lo in range(0, len(held), step):
+        part = slice(lo, lo + step)
+        if not np.array_equal(held[part], held_mirror[part]):
+            return False
+        x, y = a[part], b[part]
+        tol = np.abs(x)
+        np.minimum(tol, np.abs(y), out=tol)
+        np.maximum(tol, 1.0, out=tol)
+        tol *= SYMMETRY_RTOL
+        diff = x - y
+        np.abs(diff, out=diff)
+        if np.any(diff > tol):
+            return False
+    return True
 
 
 def _indices(x, name):
@@ -688,9 +715,14 @@ def _raise_at_first_bad_entry(path, nrows, nnz, symmetric, cause):
     mirror is missing or differs from it by more than ``SYMMETRY_RTOL``
     times max(1, |entry|). ``cause`` is reported if every check passes.
     """
-    # a symmetric file needs only the entries' keys; a general file's mirror
-    # check also needs each entry's line and value
+    # entry (i, j) is keyed by the int i * (nrows + 1) + j. A symmetric file
+    # needs only the keys; a general file's mirror check also needs each
+    # entry's line and value, kept in flat arrays at the index its key maps
+    # to. Traced, that is about 91 B a line of a symmetric file of 2 * 10^5
+    # lines, and 148 of a general file of 5 * 10^4
+    width = nrows + 1
     seen = set() if symmetric else {}
+    linenos, values = array("q"), array("d")
     with _open_text(path) as fh:
         lines = ((lineno, raw) for lineno, raw in enumerate(fh, start=1)
                  if lineno > 1 and raw.partition("%")[0].strip())
@@ -698,41 +730,65 @@ def _raise_at_first_bad_entry(path, nrows, nnz, symmetric, cause):
         for lineno, raw in lines:
             if len(seen) == nnz:
                 _header_error(lineno, f"unexpected extra entry, header declared {nnz}")
-            body = raw.partition("%")[0]
-            tok = body.split()
-            if len(tok) != 3:
-                _header_error(lineno, "entry must be 'row col value'")
-            try:
-                # np.loadtxt, unlike int() and float(), takes no digit separators
-                if "_" in body:
-                    raise ValueError
-                i, j, v = int(tok[0]), int(tok[1]), float(tok[2])
-            except ValueError:
-                _header_error(lineno, f"cannot parse entry {raw.strip()!r}")
-            if not math.isfinite(v):
-                _header_error(lineno, f"value must be finite in entry {raw.strip()!r}")
-            if not (1 <= i <= nrows and 1 <= j <= nrows):
-                _header_error(lineno, f"index ({i}, {j}) outside 1..{nrows}")
+            i, j, v = _parsed_entry(lineno, raw, nrows)
             if symmetric and i < j:
                 _header_error(lineno, "symmetric files must store the lower triangle (row >= col)")
-            if (i, j) in seen:
+            key = i * width + j
+            if key in seen:
                 _header_error(lineno, f"duplicate entry for ({i}, {j})")
             if symmetric:
-                seen.add((i, j))
+                seen.add(key)
             else:
-                seen[i, j] = lineno, v
+                seen[key] = len(linenos)
+                linenos.append(lineno)
+                values.append(v)
         if len(seen) < nnz:
             fh.seek(0)
             _header_error(sum(1 for _ in fh), f"header declared {nnz} entries, found {len(seen)}")
     if not symmetric:
-        for (i, j), (lineno, v) in seen.items():
-            if (j, i) not in seen:
-                _header_error(lineno, f"entry ({i}, {j}) has no mirrored ({j}, {i}) entry")
-            mirror_line, vm = seen[j, i]
-            if abs(v - vm) > SYMMETRY_RTOL * max(1.0, abs(v)):
-                _header_error(lineno, f"entry ({i}, {j}) = {v!r} does not match "
-                                      f"({j}, {i}) = {vm!r} from line {mirror_line}")
+        _raise_at_first_bad_mirror(seen, width, linenos, values)
     raise MatrixMarketError(f"cannot read the entries: {cause}")
+
+
+def _parsed_entry(lineno, raw, nrows):
+    """(row, col, value) of an entry line, or the error of the first check it
+    fails: the token count, the parse, a finite value and the index range."""
+    body = raw.partition("%")[0]
+    tok = body.split()
+    if len(tok) != 3:
+        _header_error(lineno, "entry must be 'row col value'")
+    try:
+        # np.loadtxt, unlike int() and float(), takes no digit separators
+        if "_" in body:
+            raise ValueError
+        i, j, v = int(tok[0]), int(tok[1]), float(tok[2])
+    except ValueError:
+        _header_error(lineno, f"cannot parse entry {raw.strip()!r}")
+    if not math.isfinite(v):
+        _header_error(lineno, f"value must be finite in entry {raw.strip()!r}")
+    if not (1 <= i <= nrows and 1 <= j <= nrows):
+        _header_error(lineno, f"index ({i}, {j}) outside 1..{nrows}")
+    return i, j, v
+
+
+def _raise_at_first_bad_mirror(seen, width, linenos, values):
+    """Raise the error of a general file's first entry, in file order, whose
+    mirror is missing or differs from it by more than ``SYMMETRY_RTOL`` times
+    max(1, |entry|), if there is one.
+
+    ``seen`` maps each entry's key i * width + j to the index of its line and
+    value in ``linenos`` and ``values``, in file order.
+    """
+    for key, k in seen.items():
+        i, j = divmod(key, width)
+        lineno, v = linenos[k], values[k]
+        mirror = seen.get(j * width + i)
+        if mirror is None:
+            _header_error(lineno, f"entry ({i}, {j}) has no mirrored ({j}, {i}) entry")
+        vm = values[mirror]
+        if abs(v - vm) > SYMMETRY_RTOL * max(1.0, abs(v)):
+            _header_error(lineno, f"entry ({i}, {j}) = {v!r} does not match "
+                                  f"({j}, {i}) = {vm!r} from line {linenos[mirror]}")
 
 
 def read_matrix_market(path):
@@ -752,6 +808,13 @@ def read_matrix_market(path):
     rest, index range, repeats and mirrors among them. Any failure is worded
     by a second, line-by-line reading of the file, so that the message
     names the offending line.
+
+    The parsed records take 24 B a line. They are freed before the
+    constructor runs, once the entries are copied out of them, 24 B an
+    entry: a symmetric file's lower triangle and its mirror, or a general
+    file's lines as they come. A dense symmetric file then peaks at about
+    41 B an entry, in the build (see the module notes), and a general file
+    at about 48, while its records are copied.
     """
     with _open_text(path) as fh:
         first = fh.readline()
@@ -799,8 +862,13 @@ def read_matrix_market(path):
 def _entries_matrix(fh, nrows, nnz, symmetric):
     """The matrix of the entry lines left in fh, or why it cannot be built.
 
-    The reason is returned as a string, so that no parsed array, and no
-    traceback holding one, stays alive while the file is scanned again.
+    The constructor gets contiguous int64 rows and columns and float64
+    values, which it takes without a copy: a symmetric file's lower triangle
+    followed by the mirror of its off-diagonal entries, or a general file's
+    entries copied out of the records. The records are freed first, so the
+    build never holds them. The reason is returned as a string, so that no
+    parsed array, and no traceback holding one, stays alive while the file
+    is scanned again.
     """
     try:
         with warnings.catch_warnings():
@@ -817,6 +885,10 @@ def _entries_matrix(fh, nrows, nnz, symmetric):
         off = i != j
         i, j, v = (np.concatenate((i, j[off])), np.concatenate((j, i[off])),
                    np.concatenate((v, v[off])))
+        del off
+    else:
+        i, j, v = i.copy(), j.copy(), v.copy()
+    del entries
     i -= 1
     j -= 1
     try:

@@ -67,10 +67,12 @@ class TestFemMatrix:
 
     def test_build_peak_memory_per_row(self):
         # traced peak while fem(2 * 10^5) is built: the held mask of its
-        # three diagonals, 3 B a row, beside the mirror check's temporaries,
-        # 17 B a row; its diagonals are one value each. Filled (3, m)
-        # diagonals take the peak to 44 B a row, and a list of its 3m - 2
-        # entries, sorted and scattered by the constructor, to about 144
+        # three diagonals, 3 B a row, and about 1 B a row of the mirror
+        # check, which compares the masks a chunk at a time and, the
+        # diagonals being one value each, one slot of each. Mirror
+        # temporaries as long as the diagonals take the peak to 20 B a row,
+        # and a list of its 3m - 2 entries, sorted and scattered by the
+        # constructor, to about 144
         dim = 2 * 10**5
         fem_matrix(dim)  # numpy's lazily allocated state, once
         tracemalloc.start()
@@ -79,7 +81,7 @@ class TestFemMatrix:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / dim < 32
+        assert peak / dim < 6
 
 
 class TestDispersion:

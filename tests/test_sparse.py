@@ -18,6 +18,7 @@ from entrace.chebyshev import coefficients
 from entrace.clenshaw import quadratic_form
 from entrace.generators import SpdcParams, fem_matrix, random_psd, spdc_density_matrix
 from entrace.sparse import (
+    BLOCK_BYTES,
     DIA_FILL,
     SYMMETRY_RTOL,
     MatrixMarketError,
@@ -844,6 +845,78 @@ class TestSymmetryCheck:
                 SymmetricSparseMatrix(dense.shape[0], rows, cols, vals)
             assert str(err.value) == want
 
+    @pytest.mark.parametrize("step, refused", [(0.0, False), (0.5, False), (3.0, True)])
+    def test_constant_diagonal_pairs_compare_one_value(self, step, refused):
+        # diagonals -1 and 1 handed over as one value each, stride-0
+        # broadcasts, whose mirror check reads one slot of each: a pair
+        # within SYMMETRY_RTOL builds the matrix of its entries, and one
+        # beyond it is refused as the constructor words it
+        m = 50
+        upper = -1.0 - step * SYMMETRY_RTOL
+        data = np.broadcast_to(np.array([[-1.0], [2.0], [upper]]), (3, m))
+        held = np.ones((3, m), dtype=bool)
+        held[0, 0] = held[2, -1] = False
+        dense = 2.0 * np.eye(m) - np.eye(m, k=-1) + upper * np.eye(m, k=1)
+        rows, cols = np.nonzero(dense)
+        vals = dense[rows, cols]
+        want = symmetry_error(rows, cols, vals)
+        if refused:
+            assert want.startswith("asymmetric values at (0, 1): ")
+            with pytest.raises(ValueError) as err:
+                SymmetricSparseMatrix._from_diagonals(m, (-1, 0, 1), data, held)
+            assert str(err.value) == want
+        else:
+            assert want is None
+            mat = SymmetricSparseMatrix._from_diagonals(m, (-1, 0, 1), data, held)
+            assert stored_once(mat)
+            assert self.stored(mat) == self.stored(SymmetricSparseMatrix(m, rows, cols, vals))
+
+    @pytest.mark.parametrize("how", ["value", "missing", "zero"])
+    @pytest.mark.parametrize("kind", ["diagonals", "columns"])
+    def test_refusals_past_the_first_chunk(self, kind, how):
+        # mirrors are compared BLOCK_BYTES // 32 slots at a time, in whole
+        # rows of a (dim, dim) array: a pair whose two slots both lie past
+        # the first chunk, on a diagonal longer than a chunk or in columns
+        # whose dim does not divide the chunk, is refused as the sorted
+        # entries word it, whether built from entries or handed over by
+        # diagonal. A stored 0.0 facing a hole differs only in the masks
+        chunk = BLOCK_BYTES // 32
+        rng = np.random.default_rng(4)
+        if kind == "diagonals":
+            m = chunk + 100
+            i = np.arange(m - 1)
+            rows = np.concatenate((np.arange(m), i, i + 1))
+            cols = np.concatenate((np.arange(m), i + 1, i))
+            band = rng.normal(size=m - 1)
+            vals = np.concatenate((rng.normal(size=m), band, band))
+            # entry (chunk, chunk + 1), slot chunk of diagonal 1, and its mirror
+            k, mirror = m + chunk, 2 * m - 1 + chunk
+        else:
+            m = 300
+            height = chunk // m
+            assert chunk % m and m % height
+            a = rng.normal(size=(m, m))
+            rows, cols = (x.reshape(-1) for x in np.indices((m, m)))
+            vals = (a + a.T)[rows, cols]
+            # entry (height, height + 1): strip height + 1, slot height, and
+            # its mirror, strip height, slot height + 1, both in rows of the
+            # second chunk
+            k, mirror = height * m + height + 1, (height + 1) * m + height
+        assert (rows[k], cols[k]) == (rows[mirror], cols[mirror])[::-1]
+        if how == "value":
+            vals[k] += 1e-9
+        else:
+            if how == "zero":
+                vals[k] = 0.0
+            rows, cols, vals = (np.delete(x, mirror) for x in (rows, cols, vals))
+        assert self.route(m, rows, cols, vals) == (kind, False)
+        want = symmetry_error(rows, cols, vals)
+        assert want is not None
+        for build in (SymmetricSparseMatrix, self.by_diagonal):
+            with pytest.raises(ValueError) as err:
+                build(m, rows, cols, vals)
+            assert str(err.value) == want
+
     def test_build_peak_memory_per_entry(self):
         # traced peak while fem(2 * 10^5) is built from ordered entries; the
         # matrix it keeps is 9 B an entry: three diagonals and their held
@@ -863,8 +936,10 @@ class TestSymmetryCheck:
         # traced peak while a dense 300-row matrix is built from the lower
         # triangle, row by row, and then its mirror, as read_matrix_market
         # hands over a symmetric file. The strips and their held mask take 9 B
-        # an entry; a sort's key, permutation and permuted copies take the
-        # peak above 48
+        # an entry and the slots they are scattered to 8, about 19 in all; a
+        # second index array beside the slots, or the mirror check's (dim,
+        # dim) temporaries, take the peak to 26, and a sort's key, permutation
+        # and permuted copies above 48
         a = np.random.default_rng(7).normal(size=(300, 300))
         i, j = np.tril_indices(300)
         off = i != j
@@ -878,7 +953,7 @@ class TestSymmetryCheck:
         finally:
             tracemalloc.stop()
         assert layout(mat) == "columns"
-        assert peak / rows.size < 40
+        assert peak / rows.size < 22
 
 
 class TestSpectralBounds:
@@ -1174,10 +1249,10 @@ class TestMatrixMarket:
 
     def test_refused_symmetric_file_peak_memory_per_line(self, tmp_path):
         # traced peak of reading a symmetric file whose last line repeats an
-        # entry: the line scan keeps one (row, col) key per entry, about
-        # 155 B a line once the refused matrix's arrays are released; with
-        # those arrays still alive it is about 230, and a (line, value) pair
-        # beside each key takes it above 340
+        # entry: the line scan keeps one int key per entry, about 91 B a line
+        # once the refused matrix's arrays are released; a (row, col) tuple
+        # a key takes it to about 155, and those arrays kept alive beside
+        # the keys add about 75
         n = 2 * 10**5
         path = tmp_path / "repeat.mtx"
         path.write_text(f"%%MatrixMarket matrix coordinate real symmetric\n{n} {n} {n}\n"
@@ -1191,7 +1266,46 @@ class TestMatrixMarket:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / n < 192
+        assert peak / n < 112
+
+    def test_refused_general_file_peak_memory_per_line(self, tmp_path):
+        # traced peak of reading a general file whose last line has no
+        # mirror: the line scan keeps an int key and an index per entry, and
+        # the entry's line and value in flat arrays, about 148 B a line; a
+        # (row, col) key and a (line, value) tuple per entry take it to 270
+        n = 5 * 10**4
+        path = tmp_path / "unmirrored.mtx"
+        path.write_text(f"%%MatrixMarket matrix coordinate real general\n{n} {n} {n}\n"
+                        + "".join(f"{k} {k} 1.5\n" for k in range(1, n)) + "2 1 0.5\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(MatrixMarketError,
+                               match=rf"^line {n + 2}: entry \(2, 1\) has no mirrored \(1, 2\) entry$"):
+                read_matrix_market(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 176
+
+    def test_read_peak_memory_per_entry(self, tmp_path):
+        # traced peak of reading a dense symmetric file: the lower triangle
+        # and then its mirror as rows, columns and values, 24 B an entry,
+        # beside the strips and their held mask, 9 B, and the slots they are
+        # scattered to, 8 B, about 43 in all. The loadtxt records kept beside
+        # them, a second index array or the mirror check's (dim, dim)
+        # temporaries take the peak to about 63
+        dim = 300
+        path = tmp_path / "dense.mtx"
+        write_matrix_market(random_psd(dim, 0, np.linspace(0.0, 1.0, dim)), path)
+        read_matrix_market(path)  # numpy's lazily allocated state, once
+        tracemalloc.start()
+        try:
+            mat = read_matrix_market(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert layout(mat) == "columns"
+        assert peak / mat.nnz < 48
 
     def test_refuses_dimensions_beyond_the_key(self, tmp_path):
         path = tmp_path / "huge.mtx"
