@@ -12,7 +12,6 @@ from .sparse import (
     SpectralBound,
     SymmetricSparseMatrix,
     gershgorin_upper_bound,
-    power_iteration_bound,
     read_matrix_market,
     write_matrix_market,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "fem_matrix",
     "gershgorin_upper_bound",
     "main",
-    "power_iteration_bound",
     "run",
     "quadratic_form",
     "random_psd",

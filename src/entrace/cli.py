@@ -26,12 +26,7 @@ from .estimator import (
 )
 from .generators import SpdcParams, fem_matrix, random_psd, spdc_density_matrix
 from .oracle import DENSE_CAP, Spectrum, dense_spectrum, exact_entropy, fem_exact_entropy
-from .sparse import (
-    gershgorin_upper_bound,
-    power_iteration_bound,
-    read_matrix_market,
-    write_matrix_market,
-)
+from .sparse import gershgorin_upper_bound, read_matrix_market, write_matrix_market
 
 TABLE1_SIZES = (10, 50, 100, 500, 1000, 5000)
 TABLE1_DEGREES = (2, 3, 3, 4, 6, 8)
@@ -50,7 +45,6 @@ class RunConfig:
     seed: int = 0
     x0: float = 1.0
     gamma0: float | None = None
-    bound_method: str = "gershgorin"
     normalize: bool = False
     n_max: int = DEFAULT_N_MAX
     verify_psd: bool = False
@@ -155,18 +149,15 @@ def _verify_psd(mat, cap):
 
 
 def _scaling(mat, config):
-    """The run's scaling: ``--gamma0`` as given, or from a bound on A.
+    """The run's scaling: ``--gamma0`` as given, or from Gershgorin's bound on A.
 
     G describes the matrix the run estimates, the state A / tr(A) under
-    ``--normalize``, so only a bound on A is divided by the trace.
+    ``--normalize``, so only the Gershgorin bound on A is divided by the trace.
     """
     if config.gamma0 is not None:
         return ScalingParams(float(config.x0), float(config.gamma0), "user")
-    if config.bound_method == "power-iteration":
-        bound = power_iteration_bound(mat, seed=config.seed)
-    else:
-        bound = gershgorin_upper_bound(mat)
-    return ScalingParams.for_matrix(bound, mat.trace(), x0=config.x0, normalize=config.normalize)
+    return ScalingParams.for_matrix(gershgorin_upper_bound(mat), mat.trace(), x0=config.x0,
+                                    normalize=config.normalize)
 
 
 def _emit(payload, config):
@@ -355,10 +346,7 @@ def build_parser():
                        help="fixed sample count; omit for the adaptive loop")
     p_ent.add_argument("--gamma0", type=float,
                        help="user spectral scaling of the matrix estimated, the state "
-                            "under --normalize; overrides --bound")
-    p_ent.add_argument("--bound", dest="bound_method",
-                       choices=("gershgorin", "power-iteration"),
-                       help=f"how to bound lambda_max (default {RunConfig.bound_method})")
+                            "under --normalize; overrides the Gershgorin bound")
     p_ent.add_argument("--normalize", action="store_true",
                        help="estimate the entropy of A / tr(A)")
     p_ent.add_argument("--verify-psd", action="store_true",

@@ -1,4 +1,4 @@
-"""Sparse symmetric storage, Matrix Market I/O, and spectral upper bounds.
+"""Sparse symmetric storage, Matrix Market I/O, and the Gershgorin spectral bound.
 
 The estimator touches a matrix only through ``trace``, ``block_width`` and
 ``matvec``. Everything in this module exists to make its products cheap,
@@ -36,14 +36,13 @@ slots at a time; only one that gathers its products, or strips that fail a
 check, sort them, by (row, col) and then by (col, row). Either way a matrix
 is accepted or refused alike.
 
-A build by column holds, beside the caller's entries (24 B an entry as
-int64 rows and columns and float64 values) and the strips with their mask
-(9 B a slot), one index array of 8 B an entry, the slot each entry is
-scattered to (by diagonal, two for a moment), and the mirror check's
-temporaries of one chunk. So reading a dense symmetric Matrix Market file
-peaks at about 41 B an entry, when the parsed records, 24 B a line, are
-already freed (tracemalloc, dim 1000), and a general file at about 48,
-while its records are copied out.
+A build by column or by diagonal holds, beside the caller's entries (24 B
+an entry as int64 rows and columns and float64 values) and the strips with
+their mask (9 B a slot), one index array of 8 B an entry, the slot each
+entry is scattered to, and the mirror check's temporaries of one chunk. So
+reading a dense symmetric Matrix Market file peaks at about 41 B an entry,
+when the parsed records, 24 B a line, are already freed (tracemalloc, dim
+1000), and a general file at about 48, while its records are copied out.
 """
 
 from __future__ import annotations
@@ -89,7 +88,7 @@ _KEY_DIM_MAX = math.isqrt(np.iinfo(np.int64).max)
 # entries write_matrix_market formats per write
 _WRITE_CHUNK = 2**16
 
-_BOUND_METHODS = ("gershgorin", "power-iteration", "user")
+_BOUND_METHODS = ("gershgorin", "user")
 
 
 class MatrixMarketError(ValueError):
@@ -473,7 +472,9 @@ def _strips(rows, cols, values, dim):
         shape, offsets = (present.size, dim), tuple((present - (dim - 1)).tolist())
         # entry (i, i + d) goes to flat slot k * dim + i of the k-th diagonal
         index[present] = np.arange(present.size) * dim
-        slot = index[shifted]
+        # each entry's slot is written over its shifted offset; every offset
+        # is in range, and "wrap" unlike "raise" takes no buffered copy
+        slot = np.take(index, shifted, out=shifted, mode="wrap")
         del shifted, index
     else:
         del index
@@ -636,42 +637,6 @@ def gershgorin_upper_bound(A):
     diag = A.diagonal()
     bound = float(np.max(diag + (radius - np.abs(diag)))) if A.dim else 0.0
     return SpectralBound(max(bound, 0.0), "gershgorin")
-
-
-def power_iteration_bound(A, max_iters=1000, rel_tol=1e-8, safety=1.05, seed=0):
-    """Estimate lambda_max by power iteration and inflate it by ``safety``.
-
-    The Rayleigh quotient of the iterate approaches lambda_max from below for
-    PSD input, so the multiplicative safety margin (default 5%) is what makes
-    the result usable as an upper bound. Iteration stops when the quotient's
-    relative change drops below ``rel_tol`` or after ``max_iters`` products.
-    Norms and quotients are summed by ``np.einsum``, not BLAS, so the bound
-    does not depend on the BLAS thread count.
-    """
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be positive")
-    if safety < 1.0:
-        raise ValueError("safety factor must be at least 1")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(A.dim)
-    v /= np.sqrt(np.einsum("i,i->", v, v))
-    rho_prev = None
-    rho = 0.0
-    for _ in range(max_iters):
-        w = A.matvec(v)
-        norm_w = np.sqrt(np.einsum("i,i->", w, w))
-        if norm_w == 0.0:
-            # v is in the kernel; for PSD A a random restart would land here
-            # again only if A = 0
-            return SpectralBound(0.0, "power-iteration")
-        rho = float(np.einsum("i,i->", v, w))
-        if rho_prev is not None and abs(rho - rho_prev) <= rel_tol * max(abs(rho), 1e-300):
-            break
-        rho_prev = rho
-        v = w / norm_w
-    return SpectralBound(safety * max(rho, 0.0), "power-iteration")
 
 
 def write_matrix_market(A, path):

@@ -99,12 +99,6 @@ class TestEntropyCommand:
         assert code == 0
         assert abs(doc["entropy"] - json.loads(out)["entropy"]) <= doc["tau"]
 
-    def test_power_iteration_bound(self, capsys):
-        code, out, _ = run_cli(capsys, "entropy", "--generate", "fem:15",
-                               "--bound", "power-iteration", "--threads", "1")
-        assert code == 0
-        assert json.loads(out)["method"]["bound"] == "power-iteration"
-
     def test_zero_matrix(self, capsys, tmp_path):
         path = tmp_path / "zero.mtx"
         write_matrix_market(SymmetricSparseMatrix(3, [0], [0], [0.0]), path)
@@ -231,6 +225,13 @@ class TestErrorHandling:
             main(["entropy"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_bound_option_is_gone(self, capsys):
+        # gamma0 is Gershgorin's bound or --gamma0; no option picks another
+        with pytest.raises(SystemExit) as exc:
+            main(["entropy", "--generate", "fem:10", "--bound", "gershgorin"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bound" in capsys.readouterr().err
 
     def test_confidence_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "entropy", "--generate", "fem:5", "-p", "1.5")

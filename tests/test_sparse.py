@@ -2,18 +2,13 @@
 
 import functools
 import math
-import os
 import random
-import subprocess
-import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import entrace
 from entrace.chebyshev import coefficients
 from entrace.clenshaw import quadratic_form
 from entrace.generators import SpdcParams, fem_matrix, random_psd, spdc_density_matrix
@@ -25,7 +20,6 @@ from entrace.sparse import (
     SpectralBound,
     SymmetricSparseMatrix,
     gershgorin_upper_bound,
-    power_iteration_bound,
     read_matrix_market,
     write_matrix_market,
     _raise_at_first_bad_entry,
@@ -920,8 +914,9 @@ class TestSymmetryCheck:
     def test_build_peak_memory_per_entry(self):
         # traced peak while fem(2 * 10^5) is built from ordered entries; the
         # matrix it keeps is 9 B an entry: three diagonals and their held
-        # mask. A mirror sort, or a copy of the entries kept beside the
-        # strips, takes the peak above 48
+        # mask, and the slots they are scattered to take 8, about 17 in all.
+        # A second index array beside the slots takes the peak to 21, and a
+        # mirror sort, or a copy of the entries kept beside the strips, above 48
         dim = 2 * 10**5
         rows, cols, vals = (a.copy() for a in fem_matrix(dim).coo())
         tracemalloc.start()
@@ -930,7 +925,7 @@ class TestSymmetryCheck:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / rows.size < 48
+        assert peak / rows.size < 20
 
     def test_reader_order_peak_memory_per_entry(self):
         # traced peak while a dense 300-row matrix is built from the lower
@@ -973,40 +968,6 @@ class TestSpectralBounds:
     def test_gershgorin_never_negative(self):
         mat = SymmetricSparseMatrix(2, [0, 1], [0, 1], [-3.0, -1.0])
         assert gershgorin_upper_bound(mat).lambda_max_upper == 0.0
-
-    def test_power_iteration_brackets_lambda_max(self):
-        for seed in range(5):
-            _, a = random_symmetric(20, seed)
-            a = a @ a.T
-            mat = SymmetricSparseMatrix.from_dense(a)
-            lam_max = float(np.linalg.eigvalsh(a)[-1])
-            bound = power_iteration_bound(mat, seed=seed)
-            assert bound.method == "power-iteration"
-            assert lam_max - 1e-6 * lam_max <= bound.lambda_max_upper <= 1.10 * lam_max
-
-    def test_power_iteration_does_not_depend_on_blas_threads(self):
-        # a threaded BLAS dot product splits its sum by thread count, so the
-        # norms and quotients must not go through BLAS
-        code = (
-            "from entrace.generators import fem_matrix\n"
-            "from entrace.sparse import power_iteration_bound\n"
-            "print(power_iteration_bound(fem_matrix(200000)).lambda_max_upper.hex())\n"
-        )
-        src = str(Path(entrace.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        bounds = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
-                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
-            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                                 text=True, timeout=120)
-            assert run.returncode == 0, run.stderr
-            bounds.append(run.stdout)
-        assert bounds[0] == bounds[1]
-
-    def test_power_iteration_zero_matrix(self):
-        mat = SymmetricSparseMatrix(4, [], [], [])
-        assert power_iteration_bound(mat).lambda_max_upper == 0.0
 
     def test_spectral_bound_validation(self):
         with pytest.raises(ValueError):
