@@ -24,7 +24,7 @@ from .estimator import (
     estimate_adaptive,
     estimate_fixed,
 )
-from .generators import SpdcParams, fem_matrix, random_psd, spdc_density_matrix
+from .generators import SpdcParams, fem_matrix, random_psd, spdc_density_matrix, spdc_warnings
 from .oracle import DENSE_CAP, Spectrum, dense_spectrum, exact_entropy, fem_exact_entropy
 from .sparse import gershgorin_upper_bound, read_matrix_market, write_matrix_market
 
@@ -121,8 +121,7 @@ def _load_matrix(config):
         return fem_matrix(m), spec, []
     if kind == "spdc":
         params = SpdcParams() if rest in ("", "default") else SpdcParams.from_config(rest)
-        mat = spdc_density_matrix(params)
-        return mat, spec, list(mat.build_warnings)
+        return spdc_density_matrix(params), spec, spdc_warnings(params)
     if kind == "random":
         parts = rest.split(":")
         if len(parts) != 2:

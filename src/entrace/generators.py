@@ -191,23 +191,26 @@ def spdc_density_matrix(params):
     """Single-photon reduced density matrix A(w_a, w_b) of the SPDC state.
 
     A is the Gram-type contraction sum_c f(w_a, w_c) f(w_b, w_c) dw over the
-    partner photon's grid, hence symmetric PSD by construction. The result
-    carries ``build_warnings``: a pump envelope narrower than about eight
-    grid steps is flagged as under-resolved rather than rejected.
+    partner photon's grid, hence symmetric PSD by construction. A pump
+    envelope too narrow for the grid is built all the same; see
+    ``spdc_warnings``.
     """
     f = joint_spectral_amplitude(params)
     a = f @ f.T
     a = (a + a.T) / 2.0
     a *= params.grid_step()
-    out = SymmetricSparseMatrix.from_dense(a, droptol=params.droptol)
+    return SymmetricSparseMatrix.from_dense(a, droptol=params.droptol)
+
+
+def spdc_warnings(params):
+    """Warnings on a parameter set that ``spdc_density_matrix`` still builds:
+    a pump envelope narrower than eight grid steps is under-resolved."""
     fwhm = 2.0 * math.sqrt(8.0) * _LOG2 / params.tau_p
     points_across = fwhm / params.grid_step()
     if points_across < 8.0:
-        out.build_warnings.append(
-            f"pump envelope under-resolved: {points_across:.2f} grid points across "
-            "its full width at half maximum, want at least 8"
-        )
-    return out
+        return [f"pump envelope under-resolved: {points_across:.2f} grid points across "
+                "its full width at half maximum, want at least 8"]
+    return []
 
 
 def random_psd(m, seed, spectrum):

@@ -137,7 +137,7 @@ class SymmetricSparseMatrix:
     order, so repeated products, and the three layouts, agree bit for bit.
     """
 
-    __slots__ = ("dim", "_width", "_entries", "_layout", "_strips", "_diag", "build_warnings")
+    __slots__ = ("dim", "_width", "_entries", "_layout", "_strips", "_diag")
 
     def __init__(self, dim, rows, cols, values):
         dim = int(dim)
@@ -244,7 +244,6 @@ class SymmetricSparseMatrix:
         self._layout = layout
         self._strips = strips
         self._diag = diag
-        self.build_warnings = []
 
     @staticmethod
     def _check_symmetry(rows, cols, values, dim):
@@ -415,6 +414,9 @@ class SymmetricSparseMatrix:
         if droptol < 0:
             raise ValueError("droptol must be nonnegative")
         scale = np.abs(arr).max() if arr.size else 0.0
+        if not np.isfinite(scale):
+            # a nan or inf would make the drop mask drop every entry
+            raise ValueError("matrix entries must be finite")
         thresh = droptol * scale
         mask = (np.abs(arr) > thresh) | (np.abs(arr.T) > thresh)
         rows, cols = np.nonzero(mask)
@@ -478,7 +480,7 @@ def _strips(rows, cols, values, dim):
         del shifted, index
     else:
         del index
-        if present.size <= dim or dim * dim > DIA_FILL * rows.size:
+        if dim * dim > DIA_FILL * rows.size:
             return None, None, False
         # strip j holds column j as stored: its mirror, row j, may differ
         # from it within SYMMETRY_RTOL
@@ -770,9 +772,11 @@ def read_matrix_market(path):
 
     The entries are parsed in one np.loadtxt pass; the reader checks their
     count and triangle as arrays, and the matrix's constructor checks the
-    rest, index range, repeats and mirrors among them. Any failure is worded
-    by a second, line-by-line reading of the file, so that the message
-    names the offending line.
+    rest, index range, repeats and mirrors among them. Any failure, a
+    ``ValueError`` of which only the text is kept, is worded by a second,
+    line-by-line reading of the file, so that the message names the
+    offending line; no parsed array, and no traceback holding one, is alive
+    during it.
 
     The parsed records take 24 B a line. They are freed before the
     constructor runs, once the entries are copied out of them, 24 B an
@@ -818,34 +822,31 @@ def read_matrix_market(path):
             _header_error(lineno, "size line entries out of range")
 
         symmetric = symmetry == "symmetric"
-        matrix = _entries_matrix(fh, nrows, nnz, symmetric)
-    if isinstance(matrix, str):
-        _raise_at_first_bad_entry(path, nrows, nnz, symmetric, matrix)
-    return matrix
+        try:
+            return _entries_matrix(fh, nrows, nnz, symmetric)
+        except ValueError as exc:
+            cause = str(exc)
+    _raise_at_first_bad_entry(path, nrows, nnz, symmetric, cause)
 
 
 def _entries_matrix(fh, nrows, nnz, symmetric):
-    """The matrix of the entry lines left in fh, or why it cannot be built.
+    """The matrix of the entry lines left in fh; a ``ValueError`` if it cannot be built.
 
     The constructor gets contiguous int64 rows and columns and float64
     values, which it takes without a copy: a symmetric file's lower triangle
     followed by the mirror of its off-diagonal entries, or a general file's
     entries copied out of the records. The records are freed first, so the
-    build never holds them. The reason is returned as a string, so that no
-    parsed array, and no traceback holding one, stays alive while the file
-    is scanned again.
+    build never holds them. A wrong count or triangle, which np.loadtxt and
+    the constructor let pass, raises "no line fails its checks".
     """
-    try:
-        with warnings.catch_warnings():
-            # a file without entries is checked below, like any other
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            entries = np.loadtxt(fh, comments="%", ndmin=1, dtype=[
-                ("i", np.int64), ("j", np.int64), ("v", np.float64)])
-    except ValueError as exc:
-        return str(exc)
+    with warnings.catch_warnings():
+        # a file without entries is checked below, like any other
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        entries = np.loadtxt(fh, comments="%", ndmin=1, dtype=[
+            ("i", np.int64), ("j", np.int64), ("v", np.float64)])
     i, j, v = entries["i"], entries["j"], entries["v"]
     if entries.size != nnz or (symmetric and (i < j).any()):
-        return "no line fails its checks"
+        raise ValueError("no line fails its checks")
     if symmetric:
         off = i != j
         i, j, v = (np.concatenate((i, j[off])), np.concatenate((j, i[off])),
@@ -856,7 +857,4 @@ def _entries_matrix(fh, nrows, nnz, symmetric):
     del entries
     i -= 1
     j -= 1
-    try:
-        return SymmetricSparseMatrix(nrows, i, j, v)
-    except ValueError as exc:
-        return str(exc)
+    return SymmetricSparseMatrix(nrows, i, j, v)

@@ -187,6 +187,26 @@ class TestGenerateCommand:
             assert "usage error" in err
 
 
+class TestRunWarnings:
+    """A run reports its input's warnings; the matrix carries none."""
+
+    @pytest.mark.parametrize("argv, where", [
+        (["entropy", "-n", "4", "--samples", "8", "--threads", "1"], ("method", "warnings")),
+        (["oracle"], ("method", "warnings")),
+        (["generate", "-o", "spdc.mtx"], ("warnings",)),
+    ])
+    def test_under_resolved_pump(self, capsys, tmp_path, monkeypatch, argv, where):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "narrow.cfg").write_text("tau_p = 2e-13\n")
+        code, out, _ = run_cli(capsys, *argv, "--generate", "spdc:narrow.cfg")
+        assert code == 0
+        doc = json.loads(out)
+        for key in where:
+            doc = doc[key]
+        assert doc == ["pump envelope under-resolved: 6.18 grid points across its full "
+                       "width at half maximum, want at least 8"]
+
+
 class TestTable1Command:
     def test_small_subset(self, capsys):
         code, out, err = run_cli(capsys, "table1", "--sizes", "10,50",
@@ -232,6 +252,16 @@ class TestErrorHandling:
             main(["entropy", "--generate", "fem:10", "--bound", "gershgorin"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --bound" in capsys.readouterr().err
+
+    def test_non_finite_spdc_amplitude(self, capsys, tmp_path):
+        # the nan matrix used to lose every entry and report entropy 0 +- 0
+        path = tmp_path / "nan.cfg"
+        path.write_text("amplitude_scale = nan\n")
+        code, out, _ = run_cli(capsys, "entropy", "--generate", f"spdc:{path}",
+                               "--threads", "1")
+        assert code == 1
+        assert json.loads(out)["error"] == {"type": "ValueError",
+                                            "message": "matrix entries must be finite"}
 
     def test_confidence_out_of_range(self, capsys):
         code, _, err = run_cli(capsys, "entropy", "--generate", "fem:5", "-p", "1.5")

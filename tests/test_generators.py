@@ -13,6 +13,7 @@ from entrace.generators import (
     joint_spectral_amplitude,
     random_psd,
     spdc_density_matrix,
+    spdc_warnings,
 )
 from entrace.oracle import dense_spectrum, exact_entropy
 from entrace.sparse import SymmetricSparseMatrix
@@ -96,7 +97,9 @@ class TestSpdcMatrix:
     def test_default_shape_and_psd(self):
         A = spdc_density_matrix(SpdcParams())
         assert A.dim == 64
-        assert A.build_warnings == []
+        # warnings belong to the run, not to the matrix
+        assert not hasattr(A, "build_warnings")
+        assert spdc_warnings(SpdcParams()) == []
         lam = dense_spectrum(A).eigenvalues
         assert lam[0] >= -1e-9 * lam[-1]
         assert exact_entropy(dense_spectrum(A)) != 0.0
@@ -134,8 +137,11 @@ class TestSpdcMatrix:
         assert widths[0] > widths[1] > widths[2]
 
     def test_under_resolved_pump_warns(self):
-        A = spdc_density_matrix(SpdcParams(tau_p=2e-13))
-        assert any("under-resolved" in w for w in A.build_warnings)
+        params = SpdcParams(tau_p=2e-13)
+        (warning,) = spdc_warnings(params)
+        assert warning.startswith("pump envelope under-resolved: 6.18 grid points")
+        # the matrix is built all the same
+        assert spdc_density_matrix(params).dim == params.grid_points
 
     def test_amplitude_grid_shape(self):
         f = joint_spectral_amplitude(SpdcParams(grid_points=10))

@@ -239,6 +239,18 @@ class TestConstruction:
         mat = SymmetricSparseMatrix.from_dense(a, droptol=0.0)
         assert mat.nnz == 4
 
+    def test_from_dense_refuses_nan(self):
+        # max|a| is nan, and no entry compares above a nan threshold
+        a = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            SymmetricSparseMatrix.from_dense(a, droptol=1e-12)
+
+    def test_from_dense_refuses_inf(self):
+        # an inf makes the threshold 0 * inf = nan, which would drop every entry
+        a = np.array([[np.inf, 0.5], [0.5, 1.0]])
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            SymmetricSparseMatrix.from_dense(a)
+
 
 class TestMatvec:
     def test_matches_dense_products(self):
