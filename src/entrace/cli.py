@@ -2,7 +2,7 @@
 
 Structured JSON goes to stdout, a one-line human summary to stderr. Exit
 codes: 0 success, 1 computation error (with a machine-readable error object
-on stdout), 2 usage error.
+on stdout) or a stdout closed before it is written, 2 usage error.
 """
 
 from __future__ import annotations
@@ -237,7 +237,7 @@ def _run_generate(config):
         "source": source,
         "warnings": warnings,
     }
-    print(json.dumps(payload, indent=2))
+    _emit(payload, config)
     print(f"wrote {source} ({mat.dim} x {mat.dim}, {mat.nnz} entries) to {config.output}",
           file=sys.stderr)
     return 0
@@ -284,13 +284,19 @@ _RUNNERS = {
 
 
 def run(config):
-    """Execute a validated RunConfig; returns the process exit code."""
+    """Execute a validated RunConfig; returns the process exit code.
+
+    A ``BrokenPipeError`` from a closed stdout propagates, for ``main``.
+    """
     try:
         config.validate()
         return _RUNNERS[config.subcommand](config)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stdout's reader is gone: there is nowhere to report to
+        raise
     except Exception as exc:  # noqa: BLE001 - boundary: report and exit nonzero
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         print(f"error: {exc}", file=sys.stderr)
@@ -372,8 +378,16 @@ def build_parser():
 
 
 def main(argv=None):
+    """Parse argv and run; a closed stdout ends the run quietly with exit 1."""
     args = build_parser().parse_args(argv)
-    return run(RunConfig(**vars(args)))
+    try:
+        code = run(RunConfig(**vars(args)))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # point stdout at devnull, so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -296,9 +296,8 @@ class SymmetricSparseMatrix:
         strides of v. A hole adds a +-0 product, which leaves a sum that
         starts at +0.0 unchanged, so the bits are those of the ordered pass
         for any finite v. A gathered vector or block of ``block_width`` rows
-        reads a layout kept since construction; a narrower block is padded to
-        that width with zero rows, and a taller one is cut into pieces of that
-        width.
+        reads a layout kept since construction; a block of any other height
+        is the stack of its rows' own products, so it costs what its rows do.
 
         ``finish(tile, lo, hi)``, if given, is called on rows lo..hi-1 of
         the result once their products are summed, and may change them in
@@ -352,27 +351,20 @@ class SymmetricSparseMatrix:
 
     def _gathered(self, v):
         """The product of ``matvec`` on the gather path."""
-        b = height = 1 if v.ndim == 1 else v.shape[0]
-        if b > self._width:
-            return np.concatenate([self._gathered(v[k:k + self._width])
-                                   for k in range(0, b, self._width)])
+        if v.ndim == 2 and v.shape[0] != self._width:
+            # a block of any other height is the stack of its rows' products
+            return np.array([self._gathered(row) for row in v]).reshape(v.shape)
         # products in storage order, the b products of entry k side by side:
         # product (k, j) = val[k] * v[j, col[k]] is added to bin
         # j * dim + row[k], so every bin sums its products in storage order
         # and the bins already form the (b, dim) result
-        if 1 < b < self._width:
-            # gathered as a full block with zero rows below it: each row's bins
-            # hold only its own products, so its bits are those of the row alone
-            v = np.concatenate((v, np.zeros((self._width - b, self.dim))))
-            b = self._width
         rows, cols, values = self._entries
-        gather, bins, scale = self._layout if b == self._width else (cols, rows, values)
+        gather, bins, scale = self._layout if v.ndim == 2 else (cols, rows, values)
         # the indices were checked at construction, so "wrap" never wraps;
         # take gathers faster in this mode than in "raise" or by fancy indexing
         w = np.take(v.reshape(-1), gather, mode="wrap")
         w *= scale
-        y = np.bincount(bins, weights=w, minlength=self.dim * b)
-        return y if v.ndim == 1 else y.reshape(b, self.dim)[:height]
+        return np.bincount(bins, weights=w, minlength=v.size).reshape(v.shape)
 
     def trace(self):
         return float(self._diag.sum())

@@ -85,7 +85,7 @@ class TestCost:
 
     def test_blocks_up_to_the_width_build_no_layout(self, monkeypatch):
         # on the gather path, every product of a full block reuses the layout
-        # built with the matrix, and a partial block is padded to a full one
+        # built with the matrix, and a partial block gathers row by row
         import entrace.sparse as sparse
 
         A = scattered_psd(280, 3)

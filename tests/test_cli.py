@@ -390,11 +390,14 @@ class TestModuleEntryPoint:
     """``python -m entrace`` is the command line."""
 
     @staticmethod
-    def run_module(*argv):
+    def module_env():
         src = str(Path(entrace.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        return subprocess.run([sys.executable, "-m", "entrace", *argv],
-                              env=dict(os.environ, PYTHONPATH=path),
+        return dict(os.environ, PYTHONPATH=path)
+
+    @classmethod
+    def run_module(cls, *argv):
+        return subprocess.run([sys.executable, "-m", "entrace", *argv], env=cls.module_env(),
                               capture_output=True, text=True, timeout=120)
 
     def test_matches_main(self, capsys):
@@ -405,6 +408,32 @@ class TestModuleEntryPoint:
 
     def test_no_arguments_is_a_usage_error(self):
         assert self.run_module().returncode == 2
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [
+        ["entropy", "--generate", "fem:20", "--samples", "2"],
+        ["oracle", "--generate", "fem:20"],
+        ["generate", "--generate", "fem:20", "-o", "a.mtx"],
+        ["table1", "--sizes", "10", "--degrees", "2"],
+    ], ids=["entropy", "oracle", "generate", "table1"])
+    def test_closed_stdout_exits_one_quietly(self, tmp_path, argv, unbuffered):
+        # stdout is a pipe whose read end is closed before the child starts:
+        # buffered, the report fails at the final flush, unbuffered at print
+        env = self.module_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            child = subprocess.run([sys.executable, "-m", "entrace", *argv], cwd=tmp_path,
+                                   env=env, stdout=write, stderr=subprocess.PIPE, text=True,
+                                   timeout=120)
+        finally:
+            os.close(write)
+        assert child.returncode == 1, child.stderr
+        assert "Traceback" not in child.stderr
+        assert "Exception ignored" not in child.stderr
 
 
 class TestPinnedOutput:

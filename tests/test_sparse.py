@@ -275,23 +275,52 @@ class TestMatvec:
     @pytest.mark.parametrize("mat", [random_symmetric(50, 3)[0], tridiag(8000),
                                      tridiag(30000)], ids=["dense-ish", "width-2", "width-1"])
     def test_block_rows_match_single_products(self, mat):
-        # at b = 1, at the full block width and for a partial block, every
-        # row of a block product is bit-identical to that row's own product
+        # at b = 1 and 2, at the full block width, for a partial block and
+        # for blocks taller than the width, every row of a block product is
+        # bit-identical to that row's own product
         width = mat.block_width
-        block = np.random.default_rng(8).normal(size=(width + 1, mat.dim))
+        block = np.random.default_rng(8).normal(size=(max(2, 2 * width), mat.dim))
         single = np.array([mat.matvec(v) for v in block])
-        for b in sorted({1, width, max(1, width - 1), width + 1}):
+        for b in sorted({1, 2, width, max(1, width - 1), width + 1, 2 * width}):
             got = mat.matvec(block[:b])
             assert got.shape == (b, mat.dim) and got.flags.c_contiguous
             np.testing.assert_array_equal(got, single[:b])
 
     def test_tall_block_matches_single_products(self):
-        # a gathered block taller than the width is cut into width-row pieces
+        # a gathered block taller than the width is the stack of its rows' products
         mat, _ = random_symmetric(50, 3)
         block = np.random.default_rng(9).normal(size=(2 * mat.block_width + 1, mat.dim))
         got = mat.matvec(block)
         assert got.shape == block.shape
         np.testing.assert_array_equal(got, np.array([mat.matvec(v) for v in block]))
+
+    def test_short_gathered_block_costs_its_rows(self, monkeypatch):
+        # a 2-row block is not padded to the block width: no bincount sums
+        # more than the products of its two rows
+        mat, _ = random_symmetric(600, 2, density=0.02)
+        assert layout(mat) == "gather" and mat.block_width >= 3
+        block = np.random.default_rng(10).normal(size=(2, mat.dim))
+        single = np.array([mat.matvec(v) for v in block])
+        bincount = np.bincount
+        weights = []
+
+        def counting(x, *args, **kwargs):
+            weights.append(x.size)
+            return bincount(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", counting)
+        got = mat.matvec(block)
+        assert weights and max(weights) <= 2 * mat.nnz
+        assert got.tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("build, kind", [
+        (lambda: banded(29, 2, 0, holes=0.0), "diagonals"), (lambda: holed(30, 4), "columns"),
+        (lambda: random_symmetric(50, 3)[0], "gather")], ids=["diagonals", "columns", "gather"])
+    def test_empty_block(self, build, kind):
+        mat = build()
+        assert layout(mat) == kind
+        got = mat.matvec(np.empty((0, mat.dim)))
+        assert got.shape == (0, mat.dim) and got.dtype == np.float64
 
     def test_block_width_from_entries_and_dimension(self):
         # gathered: about 1 MiB of gathered products, and of probe rows when
