@@ -1,8 +1,9 @@
 """Command-line entry point: reproducible entropy runs as JSON reports.
 
-Structured JSON goes to stdout, a one-line human summary to stderr. Exit
-codes: 0 success, 1 computation error (with a machine-readable error object
-on stdout) or a stdout closed before it is written, 2 usage error.
+Each run prints one JSON document to stdout, its report or an error object,
+and a one-line summary to stderr; only ``generate`` writes a file. Exit codes:
+0 success, 1 computation error (error object on stdout) or a stdout closed
+before it is written, 2 usage error (stdout empty).
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ class RunConfig:
     normalize: bool = False
     n_max: int = DEFAULT_N_MAX
     verify_psd: bool = False
-    cap: int = DENSE_CAP
     threads: int = 0
     sizes: tuple = TABLE1_SIZES
     degrees: tuple = TABLE1_DEGREES
@@ -58,6 +58,11 @@ class RunConfig:
         if self.subcommand in ("entropy", "oracle"):
             if (self.input_path is None) == (self.generate_spec is None):
                 raise UsageError("exactly one of --input or --generate is required")
+        if self.subcommand == "generate" and not self.output:
+            raise UsageError("generate requires --output for the Matrix Market file")
+        if self.subcommand != "generate" and self.output is not None:
+            raise UsageError(f"output is generate's Matrix Market target; {self.subcommand} "
+                             "reports on stdout only")
         if not 0.0 < self.confidence < 1.0:
             raise UsageError("confidence must lie strictly between 0 and 1")
         if self.degree < 1:
@@ -83,8 +88,6 @@ class RunConfig:
             raise UsageError(f"--sizes must all be at least 1, got {min(self.sizes)}")
         if min(self.degrees, default=1) < 1:
             raise UsageError(f"--degrees must all be at least 1, got {min(self.degrees)}")
-        if self.cap < 1:
-            raise UsageError(f"--cap must be at least 1, got {self.cap}")
 
 
 class UsageError(Exception):
@@ -130,21 +133,23 @@ def _load_matrix(config):
             m, seed = int(parts[0]), int(parts[1])
         except ValueError:
             raise UsageError(f"random spec is random:<m>:<seed>, got {spec!r}")
-        if m < 1:
-            raise UsageError(f"random size must be at least 1, got {spec!r}")
+        if not 1 <= m <= DENSE_CAP:
+            raise UsageError(f"random size must lie in 1..{DENSE_CAP}, got {spec!r}")
+        if seed < 0:
+            raise UsageError(f"random seed must be nonnegative, got {spec!r}")
         spectrum = np.random.default_rng(seed).uniform(0.0, 1.0, size=m)
         return random_psd(m, seed, spectrum), spec, []
     raise UsageError(f"unknown generator kind {kind!r}; use fem:, spdc:, or random:")
 
 
-def _verify_psd(mat, cap):
-    if mat.dim > cap:
+def _verify_psd(mat):
+    if mat.dim > DENSE_CAP:
         raise ValueError(
-            f"--verify-psd needs the dense oracle, which is capped at {cap}; "
+            f"--verify-psd needs the dense oracle, which is capped at {DENSE_CAP}; "
             f"matrix has dimension {mat.dim}"
         )
     # exact_entropy rejects eigenvalues negative beyond rounding
-    exact_entropy(dense_spectrum(mat, cap=cap))
+    exact_entropy(dense_spectrum(mat))
 
 
 def _scaling(mat, config):
@@ -159,18 +164,14 @@ def _scaling(mat, config):
                                     normalize=config.normalize)
 
 
-def _emit(payload, config):
-    text = json.dumps(payload, indent=2)
-    print(text)
-    if config.output and config.subcommand != "generate":
-        with open(config.output, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
+def _emit(payload):
+    print(json.dumps(payload, indent=2))
 
 
 def _run_entropy(config):
     mat, source, warnings = _load_matrix(config)
     if config.verify_psd:
-        _verify_psd(mat, config.cap)
+        _verify_psd(mat)
     scaling = _scaling(mat, config)
     sampler = RademacherSampler(config.seed)
     threads = config.threads or default_threads()
@@ -187,7 +188,7 @@ def _run_entropy(config):
     payload["method"]["dim"] = mat.dim
     payload["method"]["threads"] = threads
     payload["method"]["warnings"] = warnings
-    _emit(payload, config)
+    _emit(payload)
     print(
         f"entropy = {est.value:.6g} +- {est.tau:.4g} "
         f"(p={est.confidence}, N={est.samples_used}, n={est.degree}, m={mat.dim})",
@@ -198,7 +199,7 @@ def _run_entropy(config):
 
 def _run_oracle(config):
     mat, source, warnings = _load_matrix(config)
-    spec = dense_spectrum(mat, cap=config.cap)
+    spec = dense_spectrum(mat)
     lam = spec.eigenvalues
     if config.normalize:
         tr = mat.trace()
@@ -220,14 +221,12 @@ def _run_oracle(config):
             "warnings": warnings,
         },
     }
-    _emit(payload, config)
+    _emit(payload)
     print(f"exact entropy = {value:.8g} (m={mat.dim})", file=sys.stderr)
     return 0
 
 
 def _run_generate(config):
-    if not config.output:
-        raise UsageError("generate requires --output for the Matrix Market file")
     mat, source, warnings = _load_matrix(config)
     write_matrix_market(mat, config.output)
     payload = {
@@ -237,7 +236,7 @@ def _run_generate(config):
         "source": source,
         "warnings": warnings,
     }
-    _emit(payload, config)
+    _emit(payload)
     print(f"wrote {source} ({mat.dim} x {mat.dim}, {mat.nnz} entries) to {config.output}",
           file=sys.stderr)
     return 0
@@ -271,7 +270,7 @@ def _run_table1(config):
             file=sys.stderr,
         )
     payload = {"confidence": config.confidence, "seed": config.seed, "rows": rows}
-    _emit(payload, config)
+    _emit(payload)
     return 0
 
 
@@ -327,7 +326,7 @@ def build_parser():
             dest="generate_spec",
             metavar="SPEC",
             help="synthesize the input: fem:<m>, spdc:default, spdc:<config>, "
-            "random:<m>:<seed>",
+            f"random:<m>:<seed> (m at most {DENSE_CAP})",
         )
 
     def add_sampling(p):
@@ -341,7 +340,6 @@ def build_parser():
                        help=f"adaptive sample cap (default {RunConfig.n_max})")
         p.add_argument("--threads", type=int,
                        help=f"worker threads (default: ${THREADS_ENV} or all cores)")
-        p.add_argument("-o", "--output", help="also write the JSON here")
 
     p_ent = command("entropy", "estimate -tr(A log A) by sampling")
     add_input(p_ent)
@@ -355,15 +353,15 @@ def build_parser():
     p_ent.add_argument("--normalize", action="store_true",
                        help="estimate the entropy of A / tr(A)")
     p_ent.add_argument("--verify-psd", action="store_true",
-                       help="check PSD via the dense oracle first (small matrices only)")
+                       help=f"check PSD via the dense oracle first (dimension at most "
+                            f"{DENSE_CAP})")
     add_sampling(p_ent)
 
-    p_or = command("oracle", "exact entropy via dense eigendecomposition")
+    p_or = command("oracle", f"exact entropy via dense eigendecomposition (dimension at "
+                             f"most {DENSE_CAP})")
     add_input(p_or)
-    p_or.add_argument("--cap", type=int, help=f"dense size cap (default {RunConfig.cap})")
     p_or.add_argument("--normalize", action="store_true",
                       help="entropy of A / tr(A) instead of A")
-    p_or.add_argument("-o", "--output", help="also write the JSON here")
 
     p_gen = command("generate", "write a generated matrix as Matrix Market")
     add_input(p_gen)

@@ -6,7 +6,7 @@ parametric down-conversion (SPDC) on a frequency grid, and random PSD
 matrices with a prescribed spectrum. All are deterministic in their inputs.
 
 The SPDC and random builders materialize a dense m x m intermediate, so they
-are desk-scale tools; the estimator itself has no such limit.
+are desk-scale tools capped at ``oracle.DENSE_CAP``; the estimator is not.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from .oracle import DENSE_CAP
 from .sparse import SymmetricSparseMatrix
 
 _LOG2 = math.log(2.0)
@@ -101,8 +102,9 @@ class SpdcParams:
             raise ValueError("crystal_length must be nonnegative")
         if not self.poling_period > 0.0:
             raise ValueError("poling_period must be positive")
-        if self.grid_points < 2:
-            raise ValueError("grid needs at least 2 points")
+        if not 2 <= self.grid_points <= DENSE_CAP:
+            # the builder forms grid_points^2 arrays and an O(grid_points^3) product
+            raise ValueError(f"grid_points must lie in 2..{DENSE_CAP}, got {self.grid_points}")
         if not self.omega_max > self.omega_min:
             raise ValueError("omega_max must exceed omega_min")
         if self.droptol < 0.0:
@@ -224,8 +226,8 @@ def random_psd(m, seed, spectrum):
     m = int(m)
     if m < 1:
         raise ValueError("dimension must be at least 1")
-    if m > 2000:
-        raise ValueError("random_psd is a desk-scale dense builder, dimension capped at 2000")
+    if m > DENSE_CAP:
+        raise ValueError(f"random_psd is a dense builder, dimension capped at {DENSE_CAP}")
     spectrum = np.asarray(spectrum, dtype=np.float64)
     if spectrum.shape != (m,):
         raise ValueError("spectrum must have exactly m entries")

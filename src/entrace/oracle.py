@@ -16,6 +16,7 @@ import numpy as np
 
 from .chebyshev import entropy_function
 
+# the one dimension limit of every dense route: this oracle and the builders
 DENSE_CAP = 2000
 
 # eigenvalues more negative than -NEG_EIG_RTOL * max|lambda| break the PSD
@@ -39,18 +40,16 @@ class Spectrum:
         object.__setattr__(self, "eigenvalues", arr)
 
 
-def dense_spectrum(A, cap=DENSE_CAP):
-    """Eigenvalues of A, ascending, for matrices of dimension at most ``cap``.
+def dense_spectrum(A):
+    """Eigenvalues of A, ascending, for matrices of dimension at most ``DENSE_CAP``.
 
-    Refuses larger matrices: the dense transform costs O(m^3) time and
-    O(m^2) memory, which is the regime the stochastic estimator exists to
-    avoid.
+    Refuses larger matrices before allocating: the dense transform costs
+    O(m^3) time and O(m^2) memory, which is the regime the stochastic
+    estimator exists to avoid.
     """
-    if A.dim > cap:
-        raise ValueError(
-            f"dimension {A.dim} exceeds the dense oracle cap {cap}; "
-            "use the stochastic estimator for matrices this large"
-        )
+    if A.dim > DENSE_CAP:
+        raise ValueError(f"dimension {A.dim} exceeds the dense oracle cap {DENSE_CAP}; "
+                         "use the stochastic estimator for matrices this large")
     return Spectrum(eigenvalues=np.linalg.eigvalsh(A.to_dense()))
 
 

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -117,13 +118,6 @@ class TestEntropyCommand:
         assert code == 1
         assert "not PSD" in json.loads(out)["error"]["message"]
 
-    def test_output_file(self, capsys, tmp_path):
-        target = tmp_path / "report.json"
-        code, out, _ = run_cli(capsys, "entropy", "--generate", "fem:10",
-                               "-o", str(target), "--threads", "1")
-        assert code == 0
-        assert json.loads(target.read_text()) == json.loads(out)
-
 
 class TestOracleCommand:
     def test_report_keys(self, capsys):
@@ -140,10 +134,25 @@ class TestOracleCommand:
         assert code == 0
         assert json.loads(out)["entropy"] <= math.log(16)
 
-    def test_cap_exceeded(self, capsys):
-        code, out, _ = run_cli(capsys, "oracle", "--generate", "fem:30", "--cap", "10")
+    def test_cap_option_is_gone(self, capsys):
+        # oracle.DENSE_CAP is the dense route's only limit
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--generate", "fem:30", "--cap", "10"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: --cap" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["oracle"], "dimension 2001 exceeds the dense oracle cap 2000; "),
+        (["entropy", "--verify-psd"], "--verify-psd needs the dense oracle, which is "
+                                      "capped at 2000; "),
+    ], ids=["oracle", "verify-psd"])
+    def test_dense_cap(self, capsys, argv, message):
+        # one past the cap is refused with exactly one JSON document
+        code, out, _ = run_cli(capsys, *argv, "--generate", "fem:2001")
         assert code == 1
-        assert "error" in json.loads(out)
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValueError" and error["message"].startswith(message)
 
 
 class TestGenerateCommand:
@@ -180,11 +189,42 @@ class TestGenerateCommand:
                                "-o", str(tmp_path / "x.mtx"))
         assert code == 2
         assert "usage error" in err
-        for spec in ("nope:1", "fem:0", "random:0:1"):
+        # a random size lies in 1..oracle.DENSE_CAP and its seed is nonnegative
+        for spec in ("nope:1", "fem:0", "random:0:1", "random:2001:0", "random:3000:0",
+                     "random:10:-1"):
             code, out, err = run_cli(capsys, "generate", "--generate", spec,
                                      "-o", str(tmp_path / "x.mtx"))
             assert code == 2 and out == ""
             assert "usage error" in err
+            assert spec == "nope:1" or repr(spec) in err
+        assert not (tmp_path / "x.mtx").exists()
+
+    def test_output_required(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--generate", "fem:3"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        # and from a library config, which skips the parser
+        assert run(RunConfig(subcommand="generate", generate_spec="fem:3")) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "generate requires --output" in err
+
+    def test_spdc_grid_beyond_the_dense_cap(self, capsys, tmp_path):
+        # refused before the builder forms 2001 x 2001 arrays (32 MB each)
+        path = tmp_path / "wide.cfg"
+        path.write_text("grid_points = 2001\n")
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, "generate", "--generate", f"spdc:{path}",
+                                   "-o", str(tmp_path / "x.mtx"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert json.loads(out)["error"] == {"type": "ValueError",
+                                            "message": "grid_points must lie in 2..2000, "
+                                                       "got 2001"}
+        assert peak < 2**20
 
 
 class TestRunWarnings:
@@ -246,6 +286,26 @@ class TestErrorHandling:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["entropy", "--generate", "fem:10"],
+        ["oracle", "--generate", "fem:10"],
+        ["table1", "--sizes", "10", "--degrees", "2"],
+    ], ids=["entropy", "oracle", "table1"])
+    def test_report_copy_option_is_gone(self, capsys, tmp_path, argv):
+        # stdout holds the one report; only generate writes a file
+        target = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "-o", str(target)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: -o" in err
+        # a library config, which skips the parser, is refused the same way
+        config = RunConfig(**vars(build_parser().parse_args(argv)), output=str(target))
+        assert run(config) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "usage error" in err and "stdout only" in err
+        assert not target.exists()
+
     def test_bound_option_is_gone(self, capsys):
         # gamma0 is Gershgorin's bound or --gamma0; no option picks another
         with pytest.raises(SystemExit) as exc:
@@ -300,9 +360,7 @@ class TestErrorHandling:
         (["table1", "--sizes", "0", "--degrees", "2"], "--sizes"),
         (["table1", "--sizes", "10,-5", "--degrees", "2,2"], "--sizes"),
         (["table1", "--sizes", "10", "--degrees", "0"], "--degrees"),
-        (["oracle", "--generate", "fem:10", "--cap", "0"], "--cap"),
-        (["oracle", "--generate", "fem:10", "--cap", "-1"], "--cap"),
-    ], ids=["size-0", "size-negative", "degree-0", "cap-0", "cap-negative"])
+    ], ids=["size-0", "size-negative", "degree-0"])
     def test_counts_below_one(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2

@@ -15,7 +15,7 @@ from entrace.generators import (
     spdc_density_matrix,
     spdc_warnings,
 )
-from entrace.oracle import dense_spectrum, exact_entropy
+from entrace.oracle import DENSE_CAP, dense_spectrum, exact_entropy
 from entrace.sparse import SymmetricSparseMatrix
 from support import layout
 
@@ -191,6 +191,9 @@ class TestSpdcConfig:
             SpdcParams(omega_min=2.0, omega_max=1.0)
         with pytest.raises(ValueError):
             SpdcParams(grid_points=1)
+        # the builder forms grid_points^2 arrays and an O(grid_points^3) product
+        with pytest.raises(ValueError, match=f"got {DENSE_CAP + 1}$"):
+            SpdcParams(grid_points=DENSE_CAP + 1)
 
 
 class TestRandomPsd:

@@ -21,8 +21,8 @@ def test_entropy_flag_list_names_only_entropy_options():
     # the bullet list that follows the heading, up to its first blank line
     text = README.read_text()
     flag_list = text[text.index("Useful flags for `entropy`:\n\n"):].split("\n\n")[1]
-    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", flag_list))
+    documented = set(re.findall(r"(?<![\w-])--?[a-z][a-z0-9-]*", flag_list))
     (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     options = {s for a in sub.choices["entropy"]._actions for s in a.option_strings}
-    assert {"--degree", "--gamma0", "--threads"} <= documented
+    assert {"-n", "--degree", "--gamma0", "--threads"} <= documented
     assert documented <= options, documented - options
