@@ -134,8 +134,8 @@ class TestOracleCommand:
         assert code == 0
         assert json.loads(out)["entropy"] <= math.log(16)
 
-    def test_cap_option_is_gone(self, capsys):
-        # oracle.DENSE_CAP is the dense route's only limit
+    def test_cap_exceeded(self, capsys):
+        # oracle.DENSE_CAP is the dense route's only limit; no --cap lowers it
         with pytest.raises(SystemExit) as exc:
             main(["oracle", "--generate", "fem:30", "--cap", "10"])
         assert exc.value.code == 2
@@ -360,11 +360,20 @@ class TestErrorHandling:
         (["table1", "--sizes", "0", "--degrees", "2"], "--sizes"),
         (["table1", "--sizes", "10,-5", "--degrees", "2,2"], "--sizes"),
         (["table1", "--sizes", "10", "--degrees", "0"], "--degrees"),
-    ], ids=["size-0", "size-negative", "degree-0"])
+        (["oracle", "--generate", "fem:10", "--cap", "0"], "--cap"),
+        (["oracle", "--generate", "fem:10", "--cap", "-1"], "--cap"),
+    ], ids=["size-0", "size-negative", "degree-0", "cap-0", "cap-negative"])
     def test_counts_below_one(self, capsys, argv, flag):
-        code, out, err = run_cli(capsys, *argv)
+        if flag == "--cap":
+            # --cap is gone, so the parser refuses any value of it
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            code, (out, err) = exc.value.code, capsys.readouterr()
+            assert f"unrecognized arguments: {flag}" in err
+        else:
+            code, out, err = run_cli(capsys, *argv)
+            assert "usage error" in err and flag in err
         assert code == 2
-        assert "usage error" in err and flag in err
         assert out == ""
 
     @pytest.mark.parametrize("sub", [["entropy", "--generate", "fem:10", "--samples", "4"],
