@@ -26,7 +26,8 @@ from .estimator import (
     estimate_fixed,
 )
 from .generators import SpdcParams, fem_matrix, random_psd, spdc_density_matrix, spdc_warnings
-from .oracle import DENSE_CAP, Spectrum, dense_spectrum, exact_entropy, fem_exact_entropy
+from .oracle import (DENSE_CAP, FEM_BYTES, FEM_ROW_BYTES, Spectrum, dense_spectrum,
+                     exact_entropy, fem_exact_entropy)
 from .sparse import gershgorin_upper_bound, read_matrix_market, write_matrix_market
 
 TABLE1_SIZES = (10, 50, 100, 500, 1000, 5000)
@@ -49,7 +50,6 @@ class RunConfig:
     normalize: bool = False
     n_max: int = DEFAULT_N_MAX
     verify_psd: bool = False
-    threads: int = 0
     sizes: tuple = TABLE1_SIZES
     degrees: tuple = TABLE1_DEGREES
     output: str | None = None
@@ -78,10 +78,6 @@ class RunConfig:
         if self.n_max < MIN_N_MAX:
             raise UsageError(f"--n-max must be at least {MIN_N_MAX}, the zero-spread "
                              f"sample count, got {self.n_max}")
-        if self.threads < 0:
-            raise UsageError(
-                f"--threads must be nonnegative (0 picks the default), got {self.threads}"
-            )
         if len(self.sizes) != len(self.degrees):
             raise UsageError("--sizes and --degrees must have the same length")
         if min(self.sizes, default=1) < 1:
@@ -95,6 +91,7 @@ class UsageError(Exception):
 
 
 def default_threads():
+    """The worker count: ``ENTRACE_THREADS``, otherwise all cores."""
     env = os.environ.get(THREADS_ENV)
     if env:
         try:
@@ -119,8 +116,10 @@ def _load_matrix(config):
             m = int(rest)
         except ValueError:
             raise UsageError(f"fem spec needs a size, e.g. fem:100, got {spec!r}")
-        if m < 1:
-            raise UsageError(f"fem size must be at least 1, got {spec!r}")
+        if not 1 <= m <= FEM_BYTES // FEM_ROW_BYTES:
+            # refused before fem_matrix allocates its (3, m) mask
+            raise UsageError(f"fem size must lie in 1..{FEM_BYTES // FEM_ROW_BYTES} "
+                             f"({FEM_ROW_BYTES} B a row within {FEM_BYTES} B), got {spec!r}")
         return fem_matrix(m), spec, []
     if kind == "spdc":
         params = SpdcParams() if rest in ("", "default") else SpdcParams.from_config(rest)
@@ -169,12 +168,12 @@ def _emit(payload):
 
 
 def _run_entropy(config):
+    threads = default_threads()
     mat, source, warnings = _load_matrix(config)
     if config.verify_psd:
         _verify_psd(mat)
     scaling = _scaling(mat, config)
     sampler = RademacherSampler(config.seed)
-    threads = config.threads or default_threads()
     if config.samples is not None:
         est = estimate_fixed(mat, config.degree, config.samples, scaling, sampler,
                              p=config.confidence, normalize=config.normalize,
@@ -244,7 +243,7 @@ def _run_generate(config):
 
 def _run_table1(config):
     sampler = RademacherSampler(config.seed)
-    threads = config.threads or default_threads()
+    threads = default_threads()
     rows = []
     for m, n in zip(config.sizes, config.degrees):
         mat = fem_matrix(m)
@@ -325,8 +324,8 @@ def build_parser():
             "--generate",
             dest="generate_spec",
             metavar="SPEC",
-            help="synthesize the input: fem:<m>, spdc:default, spdc:<config>, "
-            f"random:<m>:<seed> (m at most {DENSE_CAP})",
+            help=f"synthesize the input: fem:<m> (m at most {FEM_BYTES // FEM_ROW_BYTES}), "
+            f"spdc:default, spdc:<config>, random:<m>:<seed> (m at most {DENSE_CAP})",
         )
 
     def add_sampling(p):
@@ -338,8 +337,6 @@ def build_parser():
                        help=f"approximation interval endpoint (default {RunConfig.x0:g})")
         p.add_argument("--n-max", type=int,
                        help=f"adaptive sample cap (default {RunConfig.n_max})")
-        p.add_argument("--threads", type=int,
-                       help=f"worker threads (default: ${THREADS_ENV} or all cores)")
 
     p_ent = command("entropy", "estimate -tr(A log A) by sampling")
     add_input(p_ent)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .oracle import DENSE_CAP
-from .sparse import SymmetricSparseMatrix
+from .sparse import SymmetricSparseMatrix, _checked_dim
 
 _LOG2 = math.log(2.0)
 
@@ -31,9 +31,7 @@ def fem_matrix(m):
     diagonal is filled; the matrix is the one its 3m - 2 entries would
     build, stored by column at m = 2.
     """
-    m = int(m)
-    if m < 1:
-        raise ValueError("dimension must be at least 1")
+    m = _checked_dim(m)
     data = np.broadcast_to(np.array([[-1.0], [2.0], [-1.0]]), (3, m))
     # diagonal -1 has no entry in row 0, and diagonal 1 none in row m - 1
     held = np.ones((3, m), dtype=bool)
@@ -121,14 +119,17 @@ class SpdcParams:
         """Read parameters from a flat key=value file ('#' starts a comment).
 
         Scalar keys match the field names; dispersion models use
-        '<photon>_beta0' etc. with photon in {idler, signal, pump}. Unknown
-        keys are an error, missing keys keep their defaults.
+        '<photon>_beta0' etc. with photon in {idler, signal, pump}. Each
+        value is read as its field's type (a bool as true, false, 1 or 0).
+        An unknown key or a value that does not parse is an error naming
+        'path:line'; missing keys keep their defaults.
         """
-        scalars = {}
-        dispersions = {"idler": {}, "signal": {}, "pump": {}}
-        scalar_fields = {
-            f.name for f in fields(cls) if f.name not in ("idler", "signal", "pump")
-        }
+        photons = [f.name for f in fields(cls) if f.type == "Dispersion"]
+        # each key's (photon or None, field name, field type)
+        keys = {f.name: (None, f.name, f.type) for f in fields(cls) if f.name not in photons}
+        keys.update({f"{photon}_{f.name}": (photon, f.name, f.type)
+                     for photon in photons for f in fields(Dispersion)})
+        values = {target: {} for target in (None, *photons)}
         with open(path, "r", encoding="ascii") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
@@ -136,29 +137,31 @@ class SpdcParams:
                     continue
                 if "=" not in line:
                     raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, _, text = line.partition("=")
-                key = key.strip()
-                text = text.strip()
-                photon, _, attr = key.partition("_")
-                if photon in dispersions and attr in ("beta0", "beta1", "beta2", "omega_ref"):
-                    dispersions[photon][attr] = float(text)
-                elif key in ("grid_points",):
-                    scalars[key] = int(text)
-                elif key in ("separable_test_mode",):
-                    if text.lower() not in ("true", "false", "0", "1"):
-                        raise ValueError(f"{path}:{lineno}: boolean key {key} got {text!r}")
-                    scalars[key] = text.lower() in ("true", "1")
-                elif key in scalar_fields:
-                    scalars[key] = float(text)
-                else:
+                key, _, text = (part.strip() for part in line.partition("="))
+                if key not in keys:
                     raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        params = cls(**scalars) if scalars else cls()
-        for photon, overrides in dispersions.items():
+                target, name, kind = keys[key]
+                try:
+                    values[target][name] = _CONFIG_PARSERS[kind](text)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: {kind} key {key} got {text!r}") from None
+        params = cls(**values.pop(None))
+        for photon, overrides in values.items():
             if overrides:
                 params = replace(
                     params, **{photon: replace(getattr(params, photon), **overrides)}
                 )
         return params
+
+
+def _config_bool(text):
+    if text.lower() not in ("true", "false", "0", "1"):
+        raise ValueError(text)
+    return text.lower() in ("true", "1")
+
+
+# field type, as annotated, to the parser of its config values
+_CONFIG_PARSERS = {"float": float, "int": int, "bool": _config_bool}
 
 
 def _sinc(x):

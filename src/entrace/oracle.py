@@ -19,6 +19,12 @@ from .chebyshev import entropy_function
 # the one dimension limit of every dense route: this oracle and the builders
 DENSE_CAP = 2000
 
+# the memory a fem: run may hold, at what it holds a row with one worker:
+# 27.6 B traced at m = 10^6, the matrix's 4 B and a probe form's three 8 B
+# vectors (each further worker adds a form, 24 B a row)
+FEM_BYTES = 2**30
+FEM_ROW_BYTES = 28
+
 # eigenvalues more negative than -NEG_EIG_RTOL * max|lambda| break the PSD
 # contract; anything closer to zero is treated as rounding and clamped
 NEG_EIG_RTOL = 1e-9

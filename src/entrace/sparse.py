@@ -140,12 +140,7 @@ class SymmetricSparseMatrix:
     __slots__ = ("dim", "_width", "_entries", "_layout", "_strips", "_diag")
 
     def __init__(self, dim, rows, cols, values):
-        dim = int(dim)
-        if dim < 1:
-            raise ValueError("dimension must be at least 1")
-        if dim > _KEY_DIM_MAX:
-            raise ValueError(f"dimension must be at most {_KEY_DIM_MAX}, the largest whose "
-                             "keys row * dim + col fit in an int64")
+        dim = _checked_dim(dim)
         rows = _indices(rows, "row")
         cols = _indices(cols, "column")
         values = np.ascontiguousarray(values, dtype=np.float64)
@@ -207,6 +202,7 @@ class SymmetricSparseMatrix:
         their mirrors disagree, the constructor builds the matrix, or words
         the error, from the entries read off the strips.
         """
+        dim = _checked_dim(dim)
         if not all(np.isfinite(a[r0:r1]).all()
                    for a, (r0, r1) in zip(data, _in_range(offsets, dim))):
             raise ValueError("matrix entries must be finite")
@@ -413,6 +409,17 @@ class SymmetricSparseMatrix:
         mask = (np.abs(arr) > thresh) | (np.abs(arr.T) > thresh)
         rows, cols = np.nonzero(mask)
         return cls(arr.shape[0], rows, cols, arr[rows, cols])
+
+
+def _checked_dim(dim):
+    """``dim`` as an int, refused unless it lies in 1..``_KEY_DIM_MAX``."""
+    dim = int(dim)
+    if dim < 1:
+        raise ValueError("dimension must be at least 1")
+    if dim > _KEY_DIM_MAX:
+        raise ValueError(f"dimension must be at most {_KEY_DIM_MAX}, the largest whose "
+                         "keys row * dim + col fit in an int64")
+    return dim
 
 
 class _Strips(NamedTuple):

@@ -18,6 +18,9 @@ from entrace.generators import fem_matrix
 from entrace.sparse import SymmetricSparseMatrix, read_matrix_market, write_matrix_market
 
 
+MTX_HEADER = "%%MatrixMarket matrix coordinate real symmetric\n"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
@@ -27,7 +30,7 @@ def run_cli(capsys, *argv):
 class TestEntropyCommand:
     def test_generated_input_adaptive(self, capsys):
         code, out, err = run_cli(capsys, "entropy", "--generate", "fem:100",
-                                 "-n", "3", "--threads", "1")
+                                 "-n", "3")
         assert code == 0
         doc = json.loads(out)
         assert doc["degree"] == 3
@@ -39,15 +42,15 @@ class TestEntropyCommand:
 
     def test_fixed_sample_mode(self, capsys):
         code, out, _ = run_cli(capsys, "entropy", "--generate", "fem:10",
-                               "--samples", "21", "-n", "2", "--threads", "1")
+                               "--samples", "21", "-n", "2")
         assert code == 0
         doc = json.loads(out)
         assert doc["samples"] == 21
         assert doc["method"]["estimator"] == "fixed"
 
-    def test_same_invocation_byte_identical(self, capsys):
-        args = ("entropy", "--generate", "fem:50", "-n", "3", "--seed", "4",
-                "--threads", "2")
+    def test_same_invocation_byte_identical(self, capsys, monkeypatch):
+        monkeypatch.setenv("ENTRACE_THREADS", "2")
+        args = ("entropy", "--generate", "fem:50", "-n", "3", "--seed", "4")
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second
@@ -55,14 +58,13 @@ class TestEntropyCommand:
     def test_file_input_round_trip(self, capsys, tmp_path):
         path = tmp_path / "fem.mtx"
         write_matrix_market(fem_matrix(30), path)
-        code, out, _ = run_cli(capsys, "entropy", "--input", str(path),
-                               "--threads", "1")
+        code, out, _ = run_cli(capsys, "entropy", "--input", str(path))
         assert code == 0
         assert json.loads(out)["method"]["dim"] == 30
 
     def test_normalize_flag(self, capsys):
         code, out, _ = run_cli(capsys, "entropy", "--generate", "fem:20",
-                               "--normalize", "-n", "8", "--threads", "1")
+                               "--normalize", "-n", "8")
         assert code == 0
         doc = json.loads(out)
         assert doc["method"]["normalized"] is True
@@ -71,7 +73,7 @@ class TestEntropyCommand:
 
     def test_user_gamma0(self, capsys):
         code, out, _ = run_cli(capsys, "entropy", "--generate", "fem:10",
-                               "--gamma0", "5.0", "--threads", "1")
+                               "--gamma0", "5.0")
         assert code == 0
         doc = json.loads(out)
         assert doc["gamma0"] == 5.0
@@ -82,7 +84,7 @@ class TestEntropyCommand:
         # pairs for which (G * x0) / x0 is not G in floating point
         assert float(gamma0) * float(x0) / float(x0) != float(gamma0)
         code, out, _ = run_cli(capsys, "entropy", "--generate", "fem:100", "--gamma0", gamma0,
-                               "--x0", x0, "-n", "4", "--samples", "4", "--threads", "1")
+                               "--x0", x0, "-n", "4", "--samples", "4")
         assert code == 0
         doc = json.loads(out)
         assert (doc["gamma0"], doc["x0"]) == (float(gamma0), float(x0))
@@ -103,8 +105,7 @@ class TestEntropyCommand:
     def test_zero_matrix(self, capsys, tmp_path):
         path = tmp_path / "zero.mtx"
         write_matrix_market(SymmetricSparseMatrix(3, [0], [0], [0.0]), path)
-        code, out, _ = run_cli(capsys, "entropy", "--input", str(path),
-                               "--threads", "1")
+        code, out, _ = run_cli(capsys, "entropy", "--input", str(path))
         assert code == 0
         doc = json.loads(out)
         assert doc["entropy"] == 0.0 and doc["method"]["zero_trace"] is True
@@ -114,7 +115,7 @@ class TestEntropyCommand:
         write_matrix_market(
             SymmetricSparseMatrix(2, [0, 1], [1, 0], [1.0, 1.0]), path)
         code, out, _ = run_cli(capsys, "entropy", "--input", str(path),
-                               "--verify-psd", "--threads", "1")
+                               "--verify-psd")
         assert code == 1
         assert "not PSD" in json.loads(out)["error"]["message"]
 
@@ -164,8 +165,7 @@ class TestGenerateCommand:
         doc = json.loads(out)
         assert doc["written"] == str(target)
         assert doc["dim"] == 25 and doc["nnz"] == 25 + 48
-        code2, out2, _ = run_cli(capsys, "entropy", "--input", str(target),
-                                 "--threads", "1")
+        code2, out2, _ = run_cli(capsys, "entropy", "--input", str(target))
         assert code2 == 0
 
     def test_spdc_default(self, capsys, tmp_path):
@@ -209,6 +209,24 @@ class TestGenerateCommand:
         out, err = capsys.readouterr()
         assert out == "" and "generate requires --output" in err
 
+    def test_fem_beyond_the_row_limit(self, capsys):
+        # refused before fem_matrix fills its (3, m) mask, 12 GB at 4 * 10^9
+        for spec in ("fem:38347923", "fem:4000000000"):
+            tracemalloc.start()
+            try:
+                code, out, err = run_cli(capsys, "entropy", "--generate", spec)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 2 and out == ""
+            assert err == (f"usage error: fem size must lie in 1..38347922 (28 B a row "
+                           f"within 1073741824 B), got {spec!r}\n")
+            assert peak < 2**20
+        # the benchmark's size runs
+        code, out, _ = run_cli(capsys, "entropy", "--generate", "fem:1000000", "-n", "2",
+                               "--samples", "2")
+        assert code == 0 and json.loads(out)["method"]["dim"] == 10**6
+
     def test_spdc_grid_beyond_the_dense_cap(self, capsys, tmp_path):
         # refused before the builder forms 2001 x 2001 arrays (32 MB each)
         path = tmp_path / "wide.cfg"
@@ -231,7 +249,7 @@ class TestRunWarnings:
     """A run reports its input's warnings; the matrix carries none."""
 
     @pytest.mark.parametrize("argv, where", [
-        (["entropy", "-n", "4", "--samples", "8", "--threads", "1"], ("method", "warnings")),
+        (["entropy", "-n", "4", "--samples", "8"], ("method", "warnings")),
         (["oracle"], ("method", "warnings")),
         (["generate", "-o", "spdc.mtx"], ("warnings",)),
     ])
@@ -250,7 +268,7 @@ class TestRunWarnings:
 class TestTable1Command:
     def test_small_subset(self, capsys):
         code, out, err = run_cli(capsys, "table1", "--sizes", "10,50",
-                                 "--degrees", "2,3", "--threads", "1")
+                                 "--degrees", "2,3")
         assert code == 0
         doc = json.loads(out)
         assert [r["m"] for r in doc["rows"]] == [10, 50]
@@ -317,8 +335,7 @@ class TestErrorHandling:
         # the nan matrix used to lose every entry and report entropy 0 +- 0
         path = tmp_path / "nan.cfg"
         path.write_text("amplitude_scale = nan\n")
-        code, out, _ = run_cli(capsys, "entropy", "--generate", f"spdc:{path}",
-                               "--threads", "1")
+        code, out, _ = run_cli(capsys, "entropy", "--generate", f"spdc:{path}")
         assert code == 1
         assert json.loads(out)["error"] == {"type": "ValueError",
                                             "message": "matrix entries must be finite"}
@@ -351,10 +368,13 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize("sub", [["entropy", "--generate", "fem:5"], ["table1"]])
     def test_negative_threads(self, capsys, sub):
-        code, out, err = run_cli(capsys, *sub, "--threads", "-3")
-        assert code == 2
-        assert "usage error" in err and "--threads" in err
-        assert out == ""
+        # ENTRACE_THREADS is the one worker-count setting; no --threads flag
+        # sets it, so the parser refuses any value of the flag
+        with pytest.raises(SystemExit) as exc:
+            main([*sub, "--threads", "-3"])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2
+        assert out == "" and "unrecognized arguments: --threads" in err
 
     @pytest.mark.parametrize("argv, flag", [
         (["table1", "--sizes", "0", "--degrees", "2"], "--sizes"),
@@ -393,7 +413,7 @@ class TestErrorHandling:
         # gamma0 far below lambda_max: a moment far beyond m at n = 8, and
         # moments that overflow into nan at n = 14 and 30
         code, out, _ = run_cli(capsys, "entropy", "--generate", "fem:10", "--gamma0", "1e-30",
-                               "--threads", "1", *extra)
+                               *extra)
         assert code == 1
         error = json.loads(out)["error"]
         assert error["type"] == "ValueError"
@@ -430,7 +450,7 @@ class TestErrorHandling:
                             error["message"]).groups()
         assert 1 <= int(k) <= n and float(ratio) > 1.0
 
-    @pytest.mark.parametrize("matrix, threads", [("fem:10", []), ("fem:20000", ["--threads", "2"])],
+    @pytest.mark.parametrize("matrix, threads", [("fem:10", "1"), ("fem:20000", "2")],
                              ids=["one-block", "pool"])
     def test_escaped_spectrum_prints_no_numpy_warning(self, matrix, threads):
         # under Python's default filters, in a fresh process; fem(20000) has
@@ -438,12 +458,62 @@ class TestErrorHandling:
         src = str(Path(entrace.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         run = subprocess.run([sys.executable, "-m", "entrace", "entropy", "--generate", matrix,
-                              "-n", "30", "--gamma0", "1e-30", "--samples", "4", *threads],
-                             env=dict(os.environ, PYTHONPATH=path), capture_output=True,
-                             text=True, timeout=120)
+                              "-n", "30", "--gamma0", "1e-30", "--samples", "4"],
+                             env=dict(os.environ, PYTHONPATH=path, ENTRACE_THREADS=threads),
+                             capture_output=True, text=True, timeout=120)
         assert run.returncode == 1
         assert "a probe form is not finite" in json.loads(run.stdout)["error"]["message"]
         assert "RuntimeWarning" not in run.stderr
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "line 1: empty file, expected a MatrixMarket header"),
+        ("%%MatrixMarket matrix coordinate real\n2 2 1\n1 1 1.0\n",
+         "line 1: expected '%%MatrixMarket matrix coordinate real <symmetry>'"),
+        ("%%MatrixMarket matrix array real symmetric\n2 2\n",
+         "line 1: unsupported header 'matrix array real', only 'matrix coordinate real' "
+         "is accepted"),
+        ("%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 1\n2 1 1.0\n",
+         "line 1: unsupported symmetry 'skew-symmetric'"),
+        (f"{MTX_HEADER}% only comments\n\n", "line 3: missing size line"),
+        (f"{MTX_HEADER}2 2\n", "line 2: size line must be 'rows cols nnz'"),
+        (f"{MTX_HEADER}2 2 x\n", "line 2: size line is not three integers: '2 2 x'"),
+        (f"{MTX_HEADER}2 3 1\n1 1 1.0\n", "line 2: matrix must be square, got 2 x 3"),
+        (f"{MTX_HEADER}0 0 0\n", "line 2: size line entries out of range"),
+        (f"{MTX_HEADER}2 2 -1\n", "line 2: size line entries out of range"),
+    ], ids=["empty", "banner", "header", "symmetry", "no-size-line", "size-tokens",
+            "size-not-integers", "not-square", "dim-below-one", "nnz-negative"])
+    def test_matrix_market_header_errors(self, capsys, tmp_path, text, message):
+        # a malformed file is a computation error naming its line
+        path = tmp_path / "bad.mtx"
+        path.write_text(text)
+        code, out, _ = run_cli(capsys, "entropy", "--input", str(path))
+        assert code == 1
+        assert json.loads(out)["error"] == {"type": "MatrixMarketError", "message": message}
+
+    @pytest.mark.parametrize("argv, threads, code, message", [
+        (["entropy", "--generate", "fem:abc"], None, 2,
+         "usage error: fem spec needs a size, e.g. fem:100, got 'fem:abc'"),
+        (["entropy", "--generate", "random:a:b"], None, 2,
+         "usage error: random spec is random:<m>:<seed>, got 'random:a:b'"),
+        (["entropy", "--generate", "fem:10"], "0", 2,
+         "usage error: ENTRACE_THREADS must be at least 1"),
+        (["table1", "--sizes", "10", "--degrees", "2"], "0", 2,
+         "usage error: ENTRACE_THREADS must be at least 1"),
+        (["oracle", "--normalize", "--input", "zero.mtx"], None, 1,
+         "cannot normalize a matrix with zero trace"),
+    ], ids=["fem-size", "random-parts", "threads-0", "table1-threads-0", "oracle-zero-trace"])
+    def test_refusals(self, capsys, tmp_path, monkeypatch, argv, threads, code, message):
+        # usage errors leave stdout empty; a computation error prints its object
+        monkeypatch.chdir(tmp_path)
+        write_matrix_market(SymmetricSparseMatrix(3, [0], [0], [0.0]), "zero.mtx")
+        if threads is not None:
+            monkeypatch.setenv("ENTRACE_THREADS", threads)
+        got, out, err = run_cli(capsys, *argv)
+        assert got == code
+        if code == 2:
+            assert out == "" and err == message + "\n"
+        else:
+            assert json.loads(out)["error"] == {"type": "ValueError", "message": message}
 
     def test_run_config_direct(self, capsys):
         # the config object is usable without the argument parser
@@ -506,15 +576,17 @@ class TestModuleEntryPoint:
 class TestPinnedOutput:
     """stdout of runs that span several row tiles, or one, byte for byte."""
 
-    @pytest.mark.parametrize("argv, name", [
-        (["--generate", "fem:100000", "-n", "8", "--samples", "4", "--seed", "0",
-          "--threads", "1"], "entropy-fem-100000-threads-1.json"),
-        (["--generate", "fem:100000", "-n", "8", "--samples", "4", "--seed", "0",
-          "--threads", "2"], "entropy-fem-100000-threads-2.json"),
-        (["--generate", "spdc:default", "--normalize", "-n", "14", "--samples", "400",
-          "--threads", "2"], "entropy-spdc-normalize-threads-2.json"),
+    @pytest.mark.parametrize("argv, threads, name", [
+        (["--generate", "fem:100000", "-n", "8", "--samples", "4", "--seed", "0"], "1",
+         "entropy-fem-100000-threads-1.json"),
+        (["--generate", "fem:100000", "-n", "8", "--samples", "4", "--seed", "0"], "2",
+         "entropy-fem-100000-threads-2.json"),
+        (["--generate", "spdc:default", "--normalize", "-n", "14", "--samples", "400"], "2",
+         "entropy-spdc-normalize-threads-2.json"),
     ], ids=["fem-threads-1", "fem-threads-2", "spdc"])
-    def test_entropy_stdout(self, capsys, argv, name):
+    def test_entropy_stdout(self, capsys, monkeypatch, argv, threads, name):
+        # the report names its worker count, ENTRACE_THREADS
+        monkeypatch.setenv("ENTRACE_THREADS", threads)
         code, out, _ = run_cli(capsys, "entropy", *argv)
         assert code == 0
         assert out == (Path(__file__).parent / "data" / name).read_text()
@@ -533,7 +605,7 @@ class TestEstimatorDispatch:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(cli, name, recorder)
-        base = ("entropy", "--generate", "fem:10", "--threads", "1")
+        base = ("entropy", "--generate", "fem:10")
         assert run_cli(capsys, *base, "--samples", "4")[0] == 0
         assert run_cli(capsys, *base)[0] == 0
         assert calls == ["estimate_fixed", "estimate_adaptive"]
@@ -553,14 +625,21 @@ class TestThreadsDefault:
         assert "usage error" in err
 
     def test_flag_beats_env(self, capsys, monkeypatch):
+        # no flag overrides ENTRACE_THREADS: the parser refuses --threads
         monkeypatch.setenv("ENTRACE_THREADS", "2")
-        code, out, _ = run_cli(capsys, "entropy", "--generate", "fem:10",
-                               "--threads", "3")
-        assert json.loads(out)["method"]["threads"] == 3
+        for argv in (["entropy", "--generate", "fem:10"], ["table1"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--threads", "2"])
+            out, err = capsys.readouterr()
+            assert exc.value.code == 2
+            assert out == "" and "unrecognized arguments: --threads" in err
+        assert not hasattr(RunConfig, "threads")
 
-    def test_threads_do_not_change_output_values(self, capsys):
-        _, one, _ = run_cli(capsys, "entropy", "--generate", "fem:60", "--threads", "1")
-        _, four, _ = run_cli(capsys, "entropy", "--generate", "fem:60", "--threads", "4")
+    def test_threads_do_not_change_output_values(self, capsys, monkeypatch):
+        monkeypatch.setenv("ENTRACE_THREADS", "1")
+        _, one, _ = run_cli(capsys, "entropy", "--generate", "fem:60")
+        monkeypatch.setenv("ENTRACE_THREADS", "4")
+        _, four, _ = run_cli(capsys, "entropy", "--generate", "fem:60")
         a, b = json.loads(one), json.loads(four)
         a["method"].pop("threads")
         b["method"].pop("threads")

@@ -172,9 +172,17 @@ class TestSpdcConfig:
 
     def test_unknown_key_reports_location(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        path.write_text("tau_p = 1e-13\nwhatever = 3\n")
-        with pytest.raises(ValueError, match=r"bad\.cfg:2.*whatever"):
-            SpdcParams.from_config(path)
+        # an unknown key, and values that do not parse as their field's type
+        for line, message in [("whatever = 3", "unknown key 'whatever'"),
+                              ("grid_points = 2.5", "int key grid_points got '2.5'"),
+                              ("tau_p = fast", "float key tau_p got 'fast'"),
+                              ("pump_beta1 = x", "float key pump_beta1 got 'x'"),
+                              ("separable_test_mode = yes",
+                               "bool key separable_test_mode got 'yes'")]:
+            path.write_text(f"tau_p = 1e-13\n{line}\n")
+            with pytest.raises(ValueError) as exc:
+                SpdcParams.from_config(path)
+            assert str(exc.value) == f"{path}:2: {message}"
 
     def test_malformed_line_reports_location(self, tmp_path):
         path = tmp_path / "bad.cfg"

@@ -24,5 +24,5 @@ def test_entropy_flag_list_names_only_entropy_options():
     documented = set(re.findall(r"(?<![\w-])--?[a-z][a-z0-9-]*", flag_list))
     (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     options = {s for a in sub.choices["entropy"]._actions for s in a.option_strings}
-    assert {"-n", "--degree", "--gamma0", "--threads"} <= documented
+    assert {"-n", "--degree", "--gamma0"} <= documented
     assert documented <= options, documented - options

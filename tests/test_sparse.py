@@ -859,6 +859,18 @@ class TestSymmetryCheck:
             with pytest.raises(ValueError, match="^matrix entries must be finite$"):
                 SymmetricSparseMatrix._from_diagonals(2, (-1, 0, 1), data, held)
 
+    @pytest.mark.parametrize("dim, message", [
+        (0, "^dimension must be at least 1$"),
+        (3037000500, "^dimension must be at most 3037000499"),
+    ])
+    def test_diagonals_check_the_dimension(self, dim, message):
+        # as the constructor does, before any strip is read; the read-only
+        # broadcasts allocate nothing
+        data = np.broadcast_to(1.0, (1, dim))
+        held = np.broadcast_to(True, (1, dim))
+        with pytest.raises(ValueError, match=message):
+            SymmetricSparseMatrix._from_diagonals(dim, (0,), data, held)
+
     def test_the_smaller_entry_sets_the_tolerance(self):
         # a - b, 5000 ulps of 1.0, is above SYMMETRY_RTOL * b but not above
         # SYMMETRY_RTOL * a: a pair that only the smaller entry's test refuses
