@@ -21,6 +21,15 @@ finished tile is stored over t_j-1, which the step has then read for the
 last time, so a form holds three (b, dim) vectors: the caller's probes and
 two that take the later t_j in turn.
 
+Over Rademacher probes the mean of mu_k is tr T_k(B), and two of these are
+known without a product: tr T_1(B) = c tr A - m, and tr T_2(B) =
+2 tr B^2 - m with tr B^2 = c^2 ||A||_F^2 - 2 c tr A + m. Given tr A and
+||A||_F^2, a form takes mu_1 and mu_2 at those means. That is a control
+variate with a known mean: the mean of the form stays gamma0 tr p_n(A /
+gamma0), while its variance, 2 sum_{i != j} M_ij^2 for the matrix M of the
+form (Hutchinson, Commun. Stat. Simul. Comput. 19(2), 1990), becomes that
+of the terms of degree 3 and up, at no extra product.
+
 Every reduction is an ``np.einsum`` over one probe row, never BLAS: a
 threaded BLAS dot product splits its sum by thread count, and a reduction
 across rows would sum in an order set by the block height. So a form is the
@@ -29,8 +38,9 @@ same number whatever the block, the worker count or the BLAS threads.
 While the spectrum of A lies inside [0, x0 * gamma0], that of B lies inside
 [-1, 1], so every |T_k(B)| <= 1 and |mu_k| <= mu_0 = m. A moment beyond that
 bound shows that the spectrum has escaped, below 0 or above x0 * gamma0, and
-the form is refused. This detects an escape, but does not certify its
-absence: a spectrum a little beyond the bound can keep every moment within it.
+the form is refused; the check reads the sampled mu_1 and mu_2 as well.
+This detects an escape, but does not certify its absence: a spectrum a
+little beyond the bound can keep every moment within it.
 """
 
 from __future__ import annotations
@@ -58,7 +68,7 @@ def _row_dots(x, y):
                      for xi, yi in zip(x, np.broadcast_to(y, x.shape))])
 
 
-def quadratic_form(A, v, expansion, gamma0):
+def quadratic_form(A, v, expansion, gamma0, traces=None):
     """gamma0 * v^T p_n(A / gamma0) v for a +-1 probe vector v.
 
     v may also be a (b, dim) block of probe rows; the result is then an
@@ -70,6 +80,14 @@ def quadratic_form(A, v, expansion, gamma0):
     vector reuses the array of the one two steps back. The constant term
     a_0 enters the result only through the closed form v^T (a_0/2) v =
     m a_0 / 2.
+
+    With ``traces``, the pair (tr A, ||A||_F^2), the form takes mu_1 and
+    mu_2 at their means over the probes, tr T_1(B) = c tr A - m and
+    tr T_2(B) = 2 (c^2 ||A||_F^2 - 2 c tr A + m) - m with c = 2 / (x0
+    gamma0), in place of the sampled moments, once the escape check below
+    has read those. The mean of the form stays the same, and its variance
+    becomes that of its terms of degree 3 and up; at n <= 2 every probe
+    gives the same form. Without ``traces`` every moment is sampled.
 
     Raises ``SpectrumEscape`` if some row has max_k |mu_k| > m (1 + 1e-10)
     + 1e-10; its message names the first such row's largest moment and its
@@ -141,5 +159,10 @@ def quadratic_form(A, v, expansion, gamma0):
             k = int(np.abs(mu[escaped[0]]).argmax())
             raise SpectrumEscape(f"probe moment |mu_{k}| = {peak[escaped[0]] / m:.6g} m "
                                  "exceeds mu_0 = m")
+        if traces is not None:
+            tr, frob = traces
+            mu[:, 1] = c * tr - m
+            if n >= 2:
+                mu[:, 2] = 2.0 * (c * c * frob - 2.0 * c * tr + m) - m
         forms = gamma0 * (m * a[0] / 2.0 + _row_dots(mu[:, 1:], a[1:]))
     return forms if v.ndim == 2 else float(forms[0])

@@ -22,6 +22,7 @@ from .estimator import (
     MIN_N_MAX,
     RademacherSampler,
     ScalingParams,
+    core_count,
     estimate_adaptive,
     estimate_fixed,
 )
@@ -91,7 +92,8 @@ class UsageError(Exception):
 
 
 def default_threads():
-    """The worker count: ``ENTRACE_THREADS``, otherwise all cores."""
+    """The worker count: ``ENTRACE_THREADS``, otherwise every core the
+    process may run on."""
     env = os.environ.get(THREADS_ENV)
     if env:
         try:
@@ -101,7 +103,7 @@ def default_threads():
         if k < 1:
             raise UsageError(f"{THREADS_ENV} must be at least 1")
         return k
-    return os.cpu_count() or 1
+    return core_count()
 
 
 def _load_matrix(config):

@@ -7,6 +7,13 @@ confined to a computable envelope, a Hoeffding argument yields both the
 number of samples needed for a target confidence and an a-posteriori radius
 tau such that |estimate - E(A)| <= tau with probability at least p.
 
+Each form takes its degree-1 and degree-2 Chebyshev moments at their exact
+means, from tr(A) and ||A||_F^2, which a run computes once before it
+samples (see ``clenshaw``). The mean of a form is unchanged, so the
+estimate stays unbiased, but the forms spread less: the realized range
+that delta and tau read is narrower, and an adaptive run stops sooner, at
+no extra matrix-vector product. At n <= 2 every form is the same number.
+
 Every probe is a pure function of (seed, sample index, dimension): probe i
 of length m is the bits of its own counter range of one Philox stream keyed
 by the seed. A block of probes is drawn in one call, and runs are
@@ -243,11 +250,21 @@ def _check_hoeffding_args(n, p, m, x0, gamma0):
         raise ValueError("x0 and gamma0 must be positive")
 
 
-def _xi_batch(A, expansion, gamma0, sampler, first, last, threads):
+def core_count():
+    """Cores this process may run on: its CPU affinity mask, or
+    ``os.cpu_count()`` where the platform has no ``os.sched_getaffinity``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _xi_batch(A, expansion, gamma0, sampler, first, last, threads, traces):
     """Probe forms xi_first..xi_last in index order.
 
     The probes are cut into blocks of ``A.block_width`` rows; each block is
-    drawn in one sampler call and shares its matrix-vector products. With
+    drawn in one sampler call and shares its matrix-vector products, and
+    ``traces`` goes to each block's ``quadratic_form``. With
     threads it is a deterministic map over blocks: sample i never depends on
     any other sample or on the block it lands in, and the reduction below
     consumes results in index order, so the outcome is independent of the
@@ -258,9 +275,10 @@ def _xi_batch(A, expansion, gamma0, sampler, first, last, threads):
 
     def block(start):
         count = min(A.block_width, last + 1 - start)
-        return quadratic_form(A, sampler.sample_vector(A.dim, start, count), expansion, gamma0)
+        return quadratic_form(A, sampler.sample_vector(A.dim, start, count), expansion, gamma0,
+                              traces)
 
-    workers = min(threads, len(starts), os.cpu_count() or 1)
+    workers = min(threads, len(starts), core_count())
     if workers <= 1:
         forms = [block(s) for s in starts]
     else:
@@ -298,6 +316,8 @@ def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
                       xi_max=0.0, trace=0.0, capped=False, zero_trace=True)
 
     norm_scale = tr if normalize else 1.0
+    # the exact means of mu_1 and mu_2 for every probe; see quadratic_form
+    traces = (tr, A.frobenius_squared())
     expansion = coefficients(n, scaling.x0)
     floor_width = 2.0 * truncation_error_bound(n, m * scaling.x0 * scaling.gamma0)
     xi_min = math.inf
@@ -308,7 +328,7 @@ def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
     while drawn < needed:
         try:
             batch = _xi_batch(A, expansion, scaling.gamma0 * norm_scale, sampler,
-                              drawn + 1, needed, threads)
+                              drawn + 1, needed, threads, traces)
         except SpectrumEscape as exc:
             # worded with the state's interval, as every escape is
             raise _escaped(str(exc), scaling.x0, scaling.gamma0) from None

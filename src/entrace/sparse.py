@@ -1,11 +1,12 @@
 """Sparse symmetric storage, Matrix Market I/O, and the Gershgorin spectral bound.
 
-The estimator touches a matrix only through ``trace``, ``block_width`` and
-``matvec``. Everything in this module exists to make its products cheap,
-deterministic, and safe to share across threads. ``matvec`` takes one
-vector or a block of probe rows (the estimator sends ``block_width`` rows
-at most); a block shares the per-call cost of a product among its rows,
-and each row comes out bit-identical to its single-vector product.
+The estimator touches a matrix only through ``trace``,
+``frobenius_squared``, ``block_width`` and ``matvec``. Everything in this
+module exists to make its products cheap, deterministic, and safe to share
+across threads. ``matvec`` takes one vector or a block of probe rows (the
+estimator sends ``block_width`` rows at most); a block shares the per-call
+cost of a product among its rows, and each row comes out bit-identical to
+its single-vector product.
 
 A matrix is stored one way, chosen once from its sparsity pattern. Two
 layouts keep strips and need no gather: a matrix whose entries fill few
@@ -364,6 +365,43 @@ class SymmetricSparseMatrix:
 
     def trace(self):
         return float(self._diag.sum())
+
+    def frobenius_squared(self):
+        """||A||_F^2, the sum of the squares of the stored entries.
+
+        Each row adds its squares to 0.0 in ascending column order, as
+        ``matvec`` adds its products, so a hole's +0.0 changes no sum; a
+        matrix stored by column does this in one ``np.einsum`` over its
+        strips. The row sums are added a tile of ``BLOCK_BYTES // 32`` rows
+        at a time, each tile by ``np.einsum`` and the tiles in turn, so the
+        three layouts give the same bits. A matrix stored by diagonal reads
+        only the in-range slots of its strips, and holds temporaries of one
+        tile, not of the strips.
+        """
+        strips = self._strips
+        if strips is None:
+            rows, _, values = self._entries
+        elif strips.offsets is None:
+            # row i's squares column by column, one ascending sum a row
+            squares = np.einsum("ji,ji->i", strips.data, strips.data)
+        total = 0.0
+        step = BLOCK_BYTES // 32
+        for lo in range(0, self.dim, step):
+            hi = min(lo + step, self.dim)
+            if strips is None:
+                s, e = np.searchsorted(rows, (lo, hi))
+                sums = np.bincount(rows[s:e] - lo, weights=np.square(values[s:e]),
+                                   minlength=hi - lo)
+            elif strips.offsets is None:
+                sums = squares[lo:hi]
+            else:
+                sums = np.zeros(hi - lo)
+                for a, d in zip(strips.data, strips.offsets):
+                    r0, r1 = max(lo, -d), min(hi, self.dim - d)
+                    if r0 < r1:
+                        sums[r0 - lo:r1 - lo] += np.square(a[r0:r1])
+            total += float(np.einsum("i->", sums))
+        return total
 
     def diagonal(self):
         return self._diag

@@ -200,13 +200,24 @@ class TestDeterminism:
         # which any summation order gets exactly
         gamma0 = 1.075 * gershgorin_upper_bound(A).lambda_max_upper
         probes = np.array([signs(A.dim, 50 + i) for i in range(min(2 * width + 1, 65))])
-        for n in (1, 8, 9, 14):
-            exp = coefficients(n, 1.0)
-            single = np.array([quadratic_form(A, v, exp, gamma0) for v in probes])
-            for b in sorted({2, 3, 7, width}):
-                blocks = [quadratic_form(A, probes[s:s + b], exp, gamma0)
-                          for s in range(0, len(probes), b)]
-                np.testing.assert_array_equal(np.concatenate(blocks), single, err_msg=f"{n} {b}")
+        # sampled moments, and mu_1 and mu_2 at their exact means
+        for traces in (None, (A.trace(), A.frobenius_squared())):
+            for n in (1, 8, 9, 14):
+                exp = coefficients(n, 1.0)
+                single = np.array([quadratic_form(A, v, exp, gamma0, traces) for v in probes])
+                for b in sorted({2, 3, 7, width}):
+                    blocks = [quadratic_form(A, probes[s:s + b], exp, gamma0, traces)
+                              for s in range(0, len(probes), b)]
+                    np.testing.assert_array_equal(np.concatenate(blocks), single,
+                                                  err_msg=f"{n} {b} {traces}")
+
+    def test_sampled_form_is_pinned(self):
+        # without traces every moment is sampled, bit for bit as pinned here;
+        # on fem(50) at gamma0 = 4 each moment is an exact integer, so only
+        # the contraction with the coefficients rounds
+        probes = np.array([signs(50, 0), signs(50, 1)])
+        forms = quadratic_form(fem_matrix(50), probes, coefficients(5, 1.0), 4.0)
+        assert forms.tolist() == [-34.56209450057945, -45.57833661193638]
 
     def test_form_does_not_depend_on_blas_threads(self):
         # a threaded BLAS dot product splits its sum by thread count, so no

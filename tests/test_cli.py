@@ -618,6 +618,15 @@ class TestThreadsDefault:
         assert code == 0
         assert json.loads(out)["method"]["threads"] == 2
 
+    def test_default_is_the_affinity_mask(self, capsys, monkeypatch):
+        # one core in the process's mask, whatever the machine has
+        monkeypatch.delenv("ENTRACE_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        code, out, _ = run_cli(capsys, "entropy", "--generate", "fem:10")
+        assert code == 0
+        assert json.loads(out)["method"]["threads"] == 1
+
     def test_env_invalid(self, capsys, monkeypatch):
         monkeypatch.setenv("ENTRACE_THREADS", "zero")
         code, _, err = run_cli(capsys, "entropy", "--generate", "fem:10")

@@ -2,23 +2,30 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from entrace.chebyshev import coefficients, evaluate_scalar, truncation_error_bound
-from entrace.clenshaw import quadratic_form
+from entrace.chebyshev import (
+    coefficients,
+    entropy_function,
+    evaluate_scalar,
+    truncation_error_bound,
+)
+from entrace.clenshaw import SpectrumEscape, quadratic_form
 from entrace.estimator import (
     RademacherSampler,
     ScalingParams,
+    core_count,
     entropy_with_normalization,
     error_tolerance,
     estimate_adaptive,
     estimate_fixed,
     sample_count,
 )
-from entrace.generators import fem_matrix, random_psd
-from entrace.oracle import fem_exact_entropy
+from entrace.generators import SpdcParams, fem_matrix, random_psd, spdc_density_matrix
+from entrace.oracle import dense_spectrum, exact_entropy, fem_exact_entropy
 from entrace.sparse import SpectralBound, SymmetricSparseMatrix, gershgorin_upper_bound
 from support import all_sign_vectors, dense_poly_trace, layout, scattered_psd
 
@@ -317,8 +324,6 @@ class TestEstimateFixed:
         # an absurd thread count never reaches the pool: workers are capped by
         # the blocks in the batch and the core count, and the fake pool
         # starts no thread
-        import os
-
         import entrace.estimator as estimator
 
         seen = []
@@ -337,7 +342,7 @@ class TestEstimateFixed:
                 return map(fn, items)
 
         monkeypatch.setattr(estimator, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(estimator, "core_count", lambda: 4)
         A = scattered_psd(280, 3)
         assert A.block_width == 3
         sp = ScalingParams.from_bound(gershgorin_upper_bound(A))
@@ -369,10 +374,11 @@ class TestEstimateAdaptive:
         est = estimate_adaptive(A, n, p, sp, sampler)
         exp = coefficients(n, sp.x0)
         floor = 50 * sp.x0 * sp.gamma0 / (n * (n + 1))
+        traces = (A.trace(), A.frobenius_squared())
         xi_min, xi_max = math.inf, -math.inf
         requirement = 1
         for i in range(1, est.samples_used + 1):
-            xi = quadratic_form(A, sampler.sample_vector(50, i), exp, sp.gamma0)
+            xi = quadratic_form(A, sampler.sample_vector(50, i), exp, sp.gamma0, traces)
             xi_min, xi_max = min(xi_min, xi), max(xi_max, xi)
             want = sample_count((xi_max - xi_min) + floor, n, p, 50, sp.x0, sp.gamma0)
             assert max(want, requirement) >= requirement
@@ -380,13 +386,14 @@ class TestEstimateAdaptive:
         assert requirement == est.samples_used
 
     def test_cap_reported_honestly(self):
+        # degree 8 would take 38 samples
         A = fem_matrix(100)
         sp = ScalingParams.from_bound(gershgorin_upper_bound(A))
-        est = estimate_adaptive(A, 3, 0.95, sp, RademacherSampler(0), n_max=10)
+        est = estimate_adaptive(A, 8, 0.95, sp, RademacherSampler(0), n_max=10)
         assert est.capped and est.samples_used == 10
         # tau recomputed with the actual sample count, not the wish
         assert est.tau == pytest.approx(
-            error_tolerance(est.delta, 3, 10, 0.95, 100, sp.x0, sp.gamma0), rel=1e-14)
+            error_tolerance(est.delta, 8, 10, 0.95, 100, sp.x0, sp.gamma0), rel=1e-14)
 
     @pytest.mark.parametrize("normalize", [False, True])
     def test_fixed_run_at_adaptive_count_is_bit_identical(self, normalize):
@@ -450,7 +457,6 @@ class TestEstimateAdaptive:
                 gap = abs(results[i].value - results[j].value)
                 assert gap <= results[i].tau + results[j].tau
         # oracle side: the identity is exact for every scaling
-        from entrace.chebyshev import entropy_function
         exact = -float(np.sum(entropy_function(spectrum)))
         for mult in (1.0, 2.0, 10.0):
             g = mult * lam_max
@@ -511,6 +517,111 @@ class TestBruteForceExpectation:
         total = sum(quadratic_form(A, v, exp, gamma0) for v in all_sign_vectors(m))
         mean = total / 2 ** m
         assert mean == pytest.approx(dense_poly_trace(A, exp, gamma0), rel=1e-9)
+
+
+class TestExactMoments:
+    """Forms take mu_1 and mu_2 at their exact means, and stay unbiased."""
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_mean_probe_form_is_poly_trace(self, normalize):
+        # the twin of TestBruteForceExpectation: every sign vector, the form
+        # with the exact moments, and under normalize the widened gamma0 and
+        # the division by the trace that the estimator applies
+        m, n = 8, 5
+        A = random_psd(m, 3, np.random.default_rng(3).uniform(0.0, 1.0, m))
+        scale = A.trace() if normalize else 1.0
+        gamma0 = 1.0
+        exp = coefficients(n, 1.0)
+        probes = np.array(list(all_sign_vectors(m)))
+        traces = (A.trace(), A.frobenius_squared())
+        forms = quadratic_form(A, probes, exp, gamma0 * scale, traces) / scale
+        state = SymmetricSparseMatrix.from_dense(A.to_dense() / scale)
+        assert math.fsum(forms) / 2 ** m == pytest.approx(
+            dense_poly_trace(state, exp, gamma0), rel=1e-9)
+        # the sampled terms of degree 3 and up still spread, less than all of them
+        sampled = quadratic_form(A, probes, exp, gamma0 * scale) / scale
+        assert 0.0 < np.ptp(forms) < np.ptp(sampled)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_low_degrees_give_one_form(self, n, normalize):
+        # at n <= 2 no sampled moment enters a form: every probe, in any
+        # block, gives the polynomial trace, and the adaptive loop stops at
+        # N = 8
+        m = 30
+        A = random_psd(m, 4, np.random.default_rng(4).uniform(0.0, 1.0, m))
+        sp = ScalingParams.for_matrix(gershgorin_upper_bound(A), A.trace(),
+                                      normalize=normalize)
+        gamma0 = sp.gamma0 * (A.trace() if normalize else 1.0)
+        exp = coefficients(n, 1.0)
+        traces = (A.trace(), A.frobenius_squared())
+        sampler = RademacherSampler(2)
+        forms = np.concatenate([quadratic_form(A, sampler.sample_vector(m, 1, 40), exp,
+                                               gamma0, traces),
+                                [quadratic_form(A, sampler.sample_vector(m, 41), exp,
+                                                gamma0, traces)]])
+        assert len({x.hex() for x in forms.tolist()}) == 1
+        assert forms[0] == pytest.approx(dense_poly_trace(A, exp, gamma0), rel=1e-12)
+        est = estimate_adaptive(A, n, 0.95, sp, RademacherSampler(0), normalize=normalize)
+        assert est.samples_used == 8 and not est.capped
+        assert est.xi_min == est.xi_max
+
+    def test_escape_check_reads_the_sampled_moments(self):
+        # A = 0.75 J / 8 + I / 2 has eigenvalues 1.25, on the all-ones
+        # vector, and 1/2: at gamma0 = 1, B = 2A - I has 1.5 and 0. The
+        # all-ones probe has mu_1 = 12 and mu_2 = 28, beyond m = 8, while the
+        # exact means tr T_1(B) = 1.5 and tr T_2(B) = -3.5 are within it
+        m = 8
+        A = SymmetricSparseMatrix.from_dense(0.75 * np.ones((m, m)) / m + 0.5 * np.eye(m))
+        traces = (A.trace(), A.frobenius_squared())
+        with pytest.raises(SpectrumEscape, match=r"^probe moment \|mu_2\| = 3\.5 m "):
+            quadratic_form(A, np.ones(m), coefficients(2, 1.0), 1.0, traces)
+
+
+def normalized_spdc():
+    A = spdc_density_matrix(SpdcParams())
+    state = SymmetricSparseMatrix.from_dense(A.to_dense() / A.trace())
+    return A, 14, 400, True, exact_entropy(dense_spectrum(state))
+
+
+def random_by_column():
+    spectrum = np.random.default_rng(0).uniform(0.0, 1.0, 200)
+    A = random_psd(200, 0, spectrum)
+    assert layout(A) == "columns"
+    return A, 8, 30, False, -float(np.sum(entropy_function(spectrum)))
+
+
+def fem_2000():
+    return fem_matrix(2000), 8, 8, False, fem_exact_entropy(2000)
+
+
+class TestCoverage:
+    """tau covers the truth on at least 93 of 100 seeds, acceptance criterion 1's rate."""
+
+    @pytest.mark.parametrize("case", [normalized_spdc, random_by_column, fem_2000],
+                             ids=["spdc-normalized", "random-200-columns", "fem-2000"])
+    def test_tau_covers_the_truth(self, case):
+        A, n, num, normalize, truth = case()
+        sp = ScalingParams.for_matrix(gershgorin_upper_bound(A), A.trace(), normalize=normalize)
+        covered = sum(
+            abs(est.value - truth) < est.tau
+            for est in (estimate_fixed(A, n, num, sp, RademacherSampler(seed),
+                                       normalize=normalize) for seed in range(100)))
+        assert covered >= 93, covered
+
+
+class TestCoreCount:
+    def test_reads_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert core_count() == 1
+
+    def test_falls_back_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert core_count() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert core_count() == 1
 
 
 class TestJsonShape:

@@ -1004,6 +1004,78 @@ class TestSymmetryCheck:
         assert peak / rows.size < 22
 
 
+class TestFrobenius:
+    """||A||_F^2 gives the same bits by diagonal, by column and gathered."""
+
+    @staticmethod
+    def stored(monkeypatch, build, how):
+        # the layout rule forced: by diagonal, however many diagonals there
+        # are, by column, or gathered
+        import entrace.sparse as sparse
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sparse, "DIA_FILL", 0.0 if how == "gather" else 1e9)
+            if how != "gather":
+                patch.setattr(sparse, "_by_diagonal", lambda *_: how == "diagonals")
+            mat = build()
+        assert layout(mat) == how
+        return mat
+
+    @pytest.mark.parametrize("budget", [None, 2**8], ids=["one-tile", "tiles-of-8"])
+    @pytest.mark.parametrize("build", [
+        lambda: fem_matrix(1000), lambda: fem_matrix(3), lambda: banded(300, 3, 0),
+        lambda: holed(30, 4), signed_zeros, lambda: spdc_density_matrix(SpdcParams()),
+        lambda: random_psd(200, 3, np.random.default_rng(3).uniform(0.0, 1.0, 200)),
+    ], ids=["fem-1000", "fem-3", "banded-300", "holed", "signed-zeros", "spdc", "random-200"])
+    def test_layouts_give_the_same_bits(self, monkeypatch, build, budget):
+        # holes, stored +-0.0, fem's broadcast diagonals, and row tiles of 8
+        # rows under a small budget
+        import entrace.sparse as sparse
+
+        if budget is not None:
+            monkeypatch.setattr(sparse, "BLOCK_BYTES", budget)
+        mats = {how: self.stored(monkeypatch, build, how)
+                for how in ("diagonals", "columns", "gather")}
+        got = {how: mat.frobenius_squared().hex() for how, mat in mats.items()}
+        assert len(set(got.values())) == 1, got
+        values = build().coo()[2]
+        assert mats["gather"].frobenius_squared() == pytest.approx(
+            math.fsum(values * values), rel=1e-14)
+
+    def test_tridiagonal_value(self):
+        # by column at m = 2, and otherwise by broadcast diagonals
+        for m in (1, 2, 3, 1000):
+            mat = fem_matrix(m)
+            assert stored_once(mat) == (m != 2)
+            assert mat.frobenius_squared() == 6.0 * m - 2.0
+        assert SymmetricSparseMatrix(4, [], [], []).frobenius_squared() == 0.0
+
+    @pytest.mark.parametrize("dim", [2, 9000, 20000])
+    def test_column_squares_are_ordered_sums(self, dim):
+        # the einsum of a matrix stored by column adds C[j, i]^2 to row i's
+        # sum for ascending j, also past einsum's 8192-entry piece; a thin C
+        # stands in for the (dim, dim) strips
+        rng = np.random.default_rng(dim)
+        C = rng.normal(size=(dim, 3)) * 10.0 ** rng.uniform(-5.0, 5.0, size=(dim, 1))
+        want = np.zeros(3)
+        for j in range(dim):
+            want += C[j] * C[j]
+        assert np.einsum("ji,ji->i", C, C).tobytes() == want.tobytes()
+
+    def test_peak_memory_on_a_million_rows(self):
+        # temporaries of one tile of 2^15 rows, not of the 10^6-row strips
+        mat = fem_matrix(10**6)
+        mat.frobenius_squared()  # numpy's lazily allocated state, once
+        tracemalloc.start()
+        try:
+            value = mat.frobenius_squared()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 6.0 * 10**6 - 2.0
+        assert peak < 2**20
+
+
 class TestSpectralBounds:
     def test_gershgorin_dominates_lambda_max(self):
         for seed in range(8):
