@@ -12,6 +12,7 @@ from .sparse import (
     SpectralBound,
     SymmetricSparseMatrix,
     gershgorin_upper_bound,
+    lanczos_upper_bound,
     read_matrix_market,
     write_matrix_market,
 )
@@ -76,6 +77,7 @@ __all__ = [
     "fem_exact_entropy",
     "fem_matrix",
     "gershgorin_upper_bound",
+    "lanczos_upper_bound",
     "main",
     "run",
     "quadratic_form",

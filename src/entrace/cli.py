@@ -29,12 +29,17 @@ from .estimator import (
 from .generators import SpdcParams, fem_matrix, random_psd, spdc_density_matrix, spdc_warnings
 from .oracle import (DENSE_CAP, FEM_BYTES, FEM_ROW_BYTES, Spectrum, dense_spectrum,
                      exact_entropy, fem_exact_entropy)
-from .sparse import gershgorin_upper_bound, read_matrix_market, write_matrix_market
+from .sparse import (gershgorin_upper_bound, lanczos_upper_bound, read_matrix_market,
+                     write_matrix_market)
 
 TABLE1_SIZES = (10, 50, 100, 500, 1000, 5000)
 TABLE1_DEGREES = (2, 3, 3, 4, 6, 8)
 
 THREADS_ENV = "ENTRACE_THREADS"
+
+# the share of 1 - p that the Lanczos bound on lambda_max may fail with;
+# the Hoeffding term of tau is taken at the rest
+BOUND_FAILURE_SHARE = 1e-3
 
 
 @dataclass
@@ -153,15 +158,22 @@ def _verify_psd(mat):
     exact_entropy(dense_spectrum(mat))
 
 
-def _scaling(mat, config):
-    """The run's scaling: ``--gamma0`` as given, or from Gershgorin's bound on A.
+def _scaling(mat, config, sampler):
+    """The run's scaling: ``--gamma0`` as given, or from a bound on A's lambda_max.
 
-    G describes the matrix the run estimates, the state A / tr(A) under
-    ``--normalize``, so only the Gershgorin bound on A is divided by the trace.
+    The bound is Gershgorin's, tightened for a matrix stored by column by
+    ``lanczos_upper_bound`` from the sampler's start vector, at failure
+    probability ``BOUND_FAILURE_SHARE`` * (1 - p). ``--gamma0`` describes
+    the matrix the run estimates, the state A / tr(A) under ``--normalize``,
+    so only a bound on A is divided by the trace.
     """
     if config.gamma0 is not None:
         return ScalingParams(float(config.x0), float(config.gamma0), "user")
-    return ScalingParams.for_matrix(gershgorin_upper_bound(mat), mat.trace(), x0=config.x0,
+    bound = gershgorin_upper_bound(mat)
+    if mat.by_column:
+        bound = lanczos_upper_bound(mat, bound, sampler.start_vector(mat.dim),
+                                    BOUND_FAILURE_SHARE * (1.0 - config.confidence))
+    return ScalingParams.for_matrix(bound, mat.trace(), x0=config.x0,
                                     normalize=config.normalize)
 
 
@@ -174,8 +186,8 @@ def _run_entropy(config):
     mat, source, warnings = _load_matrix(config)
     if config.verify_psd:
         _verify_psd(mat)
-    scaling = _scaling(mat, config)
     sampler = RademacherSampler(config.seed)
+    scaling = _scaling(mat, config, sampler)
     if config.samples is not None:
         est = estimate_fixed(mat, config.degree, config.samples, scaling, sampler,
                              p=config.confidence, normalize=config.normalize,
@@ -249,8 +261,8 @@ def _run_table1(config):
     rows = []
     for m, n in zip(config.sizes, config.degrees):
         mat = fem_matrix(m)
-        est = estimate_adaptive(mat, n, config.confidence, _scaling(mat, config), sampler,
-                                n_max=config.n_max, threads=threads)
+        est = estimate_adaptive(mat, n, config.confidence, _scaling(mat, config, sampler),
+                                sampler, n_max=config.n_max, threads=threads)
         exact = fem_exact_entropy(m)
         abs_err = abs(est.value - exact)
         rows.append({
@@ -348,7 +360,8 @@ def build_parser():
                        help="fixed sample count; omit for the adaptive loop")
     p_ent.add_argument("--gamma0", type=float,
                        help="user spectral scaling of the matrix estimated, the state "
-                            "under --normalize; overrides the Gershgorin bound")
+                            "under --normalize; overrides the bound on lambda_max "
+                            "(Lanczos on a matrix stored by column, else Gershgorin)")
     p_ent.add_argument("--normalize", action="store_true",
                        help="estimate the entropy of A / tr(A)")
     p_ent.add_argument("--verify-psd", action="store_true",

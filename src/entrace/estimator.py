@@ -14,6 +14,11 @@ estimate stays unbiased, but the forms spread less: the realized range
 that delta and tau read is narrower, and an adaptive run stops sooner, at
 no extra matrix-vector product. At n <= 2 every form is the same number.
 
+gamma0 may come from a bound that fails with a stated probability, the
+Lanczos bound's eps (``ScalingParams.failure``); the Hoeffding term is
+then taken at (1 - p) - eps, so that by a union bound tau still holds
+with probability at least p.
+
 Every probe is a pure function of (seed, sample index, dimension): probe i
 of length m is the bits of its own counter range of one Philox stream keyed
 by the seed. A block of probes is drawn in one call, and runs are
@@ -91,6 +96,25 @@ class RademacherSampler:
         block -= 1.0
         return block[0] if count is None else block
 
+    def start_vector(self, m):
+        """A Gaussian vector of length m, the start of the Lanczos bound.
+
+        It comes from its own Philox stream, keyed by the seed sequence's
+        first child, so the probe rows keep their bits. Each pair of raw
+        words gives two entries by the Box-Muller transform, through
+        ``math``'s log, cos and sin, so that neither numpy's version nor its
+        SIMD loops change the vector.
+        """
+        child = np.random.SeedSequence(self.seed, spawn_key=(0,))
+        words = np.random.Philox(child).random_raw(2 * ((m + 1) // 2))
+        # 53-bit uniforms u in [0, 1), exact in float64
+        u = ((words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53).tolist()
+        out = []
+        for a, b in zip(u[0::2], u[1::2]):
+            r = math.sqrt(-2.0 * math.log(1.0 - a))
+            out += (r * math.cos(2.0 * math.pi * b), r * math.sin(2.0 * math.pi * b))
+        return np.array(out[:m])
+
 
 @dataclass(frozen=True)
 class ScalingParams:
@@ -98,12 +122,16 @@ class ScalingParams:
 
     x0 is the approximation interval of the Chebyshev series and gamma0 the
     matrix prefactor in the identity
-    E(A) = -gamma0 tr(L(A / gamma0)) - log(gamma0) tr(A).
+    E(A) = -gamma0 tr(L(A / gamma0)) - log(gamma0) tr(A). ``failure`` is the
+    probability that x0 * gamma0 does not bound the spectrum, that of the
+    bound it came from; tau's Hoeffding term is taken at (1 - p) - failure,
+    so that tau holds with probability at least p.
     """
 
     x0: float
     gamma0: float
     provenance: str = "user"
+    failure: float = 0.0
 
     def __post_init__(self):
         if not self.x0 > 0.0:
@@ -112,6 +140,8 @@ class ScalingParams:
             raise ValueError("gamma0 must be positive")
         if self.provenance not in _BOUND_METHODS:
             raise ValueError(f"unknown provenance {self.provenance!r}")
+        if not 0.0 <= self.failure < 1.0:
+            raise ValueError(f"failure probability must lie in [0, 1), got {self.failure!r}")
 
     @classmethod
     def from_bound(cls, bound: SpectralBound, x0=1.0):
@@ -143,7 +173,7 @@ class ScalingParams:
         if lam <= 0.0 and trace != 0.0:
             raise ValueError("spectral bound is zero but the trace is not; matrix is not PSD")
         return cls(x0=float(x0), gamma0=lam / float(x0) if lam > 0.0 else 1.0,
-                   provenance=bound.method)
+                   provenance=bound.method, failure=bound.failure)
 
 
 @dataclass(frozen=True)
@@ -151,8 +181,9 @@ class EntropyEstimate:
     """Result of a sampling run, with enough metadata to audit or replay it.
 
     ``value`` estimates the entropy -tr(A log A) in nats; |value - truth| <=
-    ``tau`` with probability at least ``confidence`` (over the probe draw,
-    conditional on the scaling bound actually containing the spectrum).
+    ``tau`` with probability at least ``confidence`` over the probe draw and,
+    for a Lanczos bound, its start vector. A scaling that cannot fail,
+    Gershgorin's or ``--gamma0``, must contain the spectrum.
     """
 
     value: float
@@ -197,40 +228,48 @@ class EntropyEstimate:
         }
 
 
-def sample_count(delta, n, p, m, x0, gamma0):
+def sample_count(delta, n, p, m, x0, gamma0, failure=0.0):
     """Samples needed so the confidence radius hits the truncation floor.
 
-    N = ceil( (delta / floor)^2 log(2 / (1-p)) / 2 ), at least 1, the count
-    at which the Hoeffding half of tau meets floor =
-    truncation_error_bound(n, m x0 gamma0). delta is the Hoeffding range of
-    a single probe form, including the polynomial-error widening. A count
-    too large for a float means forms that no spectrum inside
-    [0, x0 gamma0] gives, and raises ValueError.
+    N = ceil( (delta / floor)^2 log(2 / ((1-p) - failure)) / 2 ), at least
+    1, the count at which the Hoeffding half of tau meets floor =
+    truncation_error_bound(n, m x0 gamma0); ``failure`` is the scaling's
+    (see ``ScalingParams``). delta is the Hoeffding range of a single probe
+    form, including the polynomial-error widening. A count too large for a
+    float means forms that no spectrum inside [0, x0 gamma0] gives, and
+    raises ValueError.
     """
-    _check_hoeffding_args(n, p, m, x0, gamma0)
+    _check_hoeffding_args(n, p, m, x0, gamma0, failure)
     if delta < 0.0:
         raise ValueError("delta must be nonnegative")
     floor = truncation_error_bound(n, m * x0 * gamma0)
     try:
-        return max(1, math.ceil((delta / floor) ** 2 * math.log(2.0 / (1.0 - p)) / 2.0))
+        return max(1, math.ceil((delta / floor) ** 2 * _log_term(p, failure) / 2.0))
     except (OverflowError, ValueError):
         # a count beyond float range, or of a nan delta
         raise _escaped(f"the probe forms spread over delta = {delta!r}", x0, gamma0) from None
 
 
-def error_tolerance(delta, n, num_samples, p, m, x0, gamma0):
+def error_tolerance(delta, n, num_samples, p, m, x0, gamma0, failure=0.0):
     """A-posteriori radius tau: truncation floor plus the Hoeffding deviation.
 
-    tau = floor + delta * sqrt(log(2/(1-p)) / (2 N)), with floor =
-    truncation_error_bound(n, m x0 gamma0) = m x0 gamma0 / (2 n (n+1)).
+    tau = floor + delta * sqrt(log(2/((1-p) - failure)) / (2 N)), with floor =
+    truncation_error_bound(n, m x0 gamma0) = m x0 gamma0 / (2 n (n+1)). By a
+    union bound with the scaling's ``failure``, tau holds with probability
+    at least p.
     """
-    _check_hoeffding_args(n, p, m, x0, gamma0)
+    _check_hoeffding_args(n, p, m, x0, gamma0, failure)
     if delta < 0.0:
         raise ValueError("delta must be nonnegative")
     if num_samples < 1:
         raise ValueError("need at least one sample")
     floor = truncation_error_bound(n, m * x0 * gamma0)
-    return floor + delta * math.sqrt(math.log(2.0 / (1.0 - p)) / (2.0 * num_samples))
+    return floor + delta * math.sqrt(_log_term(p, failure) / (2.0 * num_samples))
+
+
+def _log_term(p, failure):
+    """log(2 / ((1 - p) - failure)), Hoeffding's at the probes' share of 1 - p."""
+    return math.log(2.0 / ((1.0 - p) - failure))
 
 
 def _escaped(what, x0, gamma0):
@@ -239,11 +278,14 @@ def _escaped(what, x0, gamma0):
                       f"[0, {x0 * gamma0!r}]")
 
 
-def _check_hoeffding_args(n, p, m, x0, gamma0):
+def _check_hoeffding_args(n, p, m, x0, gamma0, failure):
     if n < 1:
         raise ValueError("degree must be at least 1")
     if not 0.0 < p < 1.0:
         raise ValueError("confidence must lie strictly between 0 and 1")
+    if not 0.0 <= failure < 1.0 - p:
+        raise ValueError(f"the scaling's failure probability {failure!r} leaves the probes "
+                         f"none of 1 - p = {1.0 - p!r}")
     if m < 1:
         raise ValueError("dimension must be at least 1")
     if not (x0 > 0.0 and gamma0 > 0.0):
@@ -304,7 +346,7 @@ def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
     use the state's own (x0, gamma0) unchanged.
     """
     m = A.dim
-    _check_hoeffding_args(n, p, m, scaling.x0, scaling.gamma0)
+    _check_hoeffding_args(n, p, m, scaling.x0, scaling.gamma0, scaling.failure)
     tr = A.trace()
     if normalize and tr == 0.0:
         raise ValueError("cannot normalize a matrix with zero trace")
@@ -344,7 +386,8 @@ def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
                 xi_max = xi
             delta = (xi_max - xi_min) + floor_width
             if n_max is not None:
-                want = sample_count(delta, n, p, m, scaling.x0, scaling.gamma0)
+                want = sample_count(delta, n, p, m, scaling.x0, scaling.gamma0,
+                                    scaling.failure)
                 if want > n_max:
                     capped = True
                 # the requirement is nondecreasing in delta, so never below drawn
@@ -352,7 +395,8 @@ def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
 
     trace_eff = 1.0 if normalize else tr
     value = -xi_sum / needed - math.log(scaling.gamma0) * trace_eff
-    tau = error_tolerance(delta, n, needed, p, m, scaling.x0, scaling.gamma0)
+    tau = error_tolerance(delta, n, needed, p, m, scaling.x0, scaling.gamma0,
+                          scaling.failure)
     return result(value=value, tau=tau, samples_used=needed, delta=delta, xi_min=xi_min,
                   xi_max=xi_max, trace=tr, capped=capped)
 

@@ -102,6 +102,39 @@ class TestEntropyCommand:
         assert code == 0
         assert abs(doc["entropy"] - json.loads(out)["entropy"]) <= doc["tau"]
 
+    @pytest.mark.parametrize("argv, bound, entropy, tau", [
+        (["--generate", "random:300:0", "--gamma0", "1.0005", "-n", "8", "--samples", "30"],
+         "user", 70.06833460512927, 3.592348577449408),
+        (["--generate", "spdc:default", "--normalize", "--gamma0", "0.39", "-n", "14",
+          "--samples", "400"], "user", 1.5975946280130826, 0.1206196802070606),
+        (["--generate", "fem:1000", "-n", "8", "--samples", "8"],
+         "gershgorin", -2002.632738095238, 58.89147405559771),
+    ], ids=["random-gamma0", "spdc-gamma0", "fem"])
+    def test_runs_without_lanczos_keep_their_numbers(self, capsys, argv, bound, entropy, tau):
+        # --gamma0 runs, and runs on a matrix stored by diagonal, take no
+        # Lanczos bound and charge no failure probability: the numbers of
+        # the Gershgorin-only release, pinned
+        code, out, _ = run_cli(capsys, "entropy", *argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["method"]["bound"], doc["entropy"], doc["tau"]) == (bound, entropy, tau)
+
+    @pytest.mark.parametrize("source", ["random:300:0", "spdc:default"])
+    def test_lanczos_bound_reruns_bit_for_bit(self, capsys, source):
+        # a matrix stored by column takes the Lanczos bound from a start
+        # vector keyed by --seed: a rerun is byte-identical, and another seed
+        # may move gamma0, here in its last digits
+        argv = ["entropy", "--generate", source, "--normalize", "-n", "8", "--samples", "30"]
+        runs = [run_cli(capsys, *argv, "--seed", seed)[1] for seed in ("3", "3", "4")]
+        assert runs[0] == runs[1]
+        docs = [json.loads(out) for out in runs]
+        assert all(doc["method"]["bound"] == "lanczos" for doc in docs)
+        assert docs[0]["gamma0"] != docs[2]["gamma0"]
+        code, out, _ = run_cli(capsys, "oracle", "--generate", source, "--normalize")
+        assert code == 0
+        lam_max = json.loads(out)["max_eig"] / json.loads(out)["trace"]
+        assert all(lam_max <= doc["gamma0"] < 1.1 * lam_max for doc in docs)
+
     def test_zero_matrix(self, capsys, tmp_path):
         path = tmp_path / "zero.mtx"
         write_matrix_market(SymmetricSparseMatrix(3, [0], [0], [0.0]), path)

@@ -1,5 +1,6 @@
 """Probe sampling, Hoeffding bookkeeping, and the entropy estimators."""
 
+import functools
 import json
 import math
 import os
@@ -13,6 +14,7 @@ from entrace.chebyshev import (
     evaluate_scalar,
     truncation_error_bound,
 )
+from entrace.cli import RunConfig, _scaling
 from entrace.clenshaw import SpectrumEscape, quadratic_form
 from entrace.estimator import (
     RademacherSampler,
@@ -62,6 +64,19 @@ class TestSampler:
             s.sample_vector(8, 2), [-1.0, 1.0, 1.0, -1.0, 1.0, -1.0, -1.0, 1.0])
         np.testing.assert_array_equal(
             s.sample_vector(300, 3)[-8:], [-1.0, 1.0, 1.0, -1.0, 1.0, 1.0, 1.0, -1.0])
+
+    def test_start_vector_is_pinned_and_gaussian(self):
+        # the Lanczos start vector: Box-Muller pairs from the seed sequence's
+        # first child, pinned bit for bit, a prefix of any longer vector,
+        # and standard normal in its first two moments
+        v = RademacherSampler(0).start_vector(5)
+        assert [x.hex() for x in v] == [
+            "0x1.93517e4f5be7cp+0", "0x1.138fd698b7640p-2", "0x1.c014fa233960dp-2",
+            "-0x1.d4e12951a3396p-1", "0x1.23b9f6ef1493cp-3"]
+        w = RademacherSampler(0).start_vector(10001)
+        assert w.shape == (10001,) and w[:5].tobytes() == v.tobytes()
+        assert abs(w.mean()) < 0.03 and abs(w.var() - 1.0) < 0.05
+        assert not np.array_equal(RademacherSampler(1).start_vector(5), v)
 
     @pytest.mark.parametrize("m", [1, 63, 64, 65, 256, 257, 1000])
     def test_block_split_does_not_change_rows(self, m):
@@ -149,12 +164,15 @@ class TestSampleCount:
             n, m = int(rng.integers(1, 60)), int(rng.integers(1, 10**6))
             x0, gamma0 = rng.uniform(0.1, 5.0), 10.0 ** rng.uniform(-150.0, 150.0)
             p = rng.uniform(0.01, 0.999)
+            # a scaling that may fail, with half of 1 - p at most
+            fail = (1.0 - p) * rng.uniform(0.0, 0.5)
             floor = truncation_error_bound(n, m * x0 * gamma0)
             delta = floor * 10.0 ** rng.uniform(0.0, 2.0)
-            want = sample_count(delta, n, p, m, x0, gamma0)
-            assert error_tolerance(delta, n, want, p, m, x0, gamma0) <= 2.0 * floor * (1 + 1e-12)
+            want = sample_count(delta, n, p, m, x0, gamma0, fail)
+            assert (error_tolerance(delta, n, want, p, m, x0, gamma0, fail)
+                    <= 2.0 * floor * (1 + 1e-12))
             if want > 1:
-                assert error_tolerance(delta, n, want - 1, p, m, x0, gamma0) > 2.0 * floor
+                assert error_tolerance(delta, n, want - 1, p, m, x0, gamma0, fail) > 2.0 * floor
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -195,6 +213,25 @@ class TestErrorTolerance:
         tau = error_tolerance(delta, n, pre, p, m, x0, gamma0)
         assert tau == pytest.approx(2.0 * floor, rel=1e-13)
 
+    def test_failure_is_charged_to_the_confidence(self):
+        # the Hoeffding term at (1 - p) - failure, so that with the scaling's
+        # failure probability tau holds with probability p; no failure
+        # leaves the bits of the plain term
+        floor = 40.0 / 12.0
+        for fail in (0.0, 5e-5, 0.025):
+            tau = error_tolerance(12.0, 2, 21, 0.95, 10, 1.0, 4.0, fail)
+            expect = floor + 12.0 * math.sqrt(math.log(2.0 / ((1.0 - 0.95) - fail)) / 42.0)
+            assert tau == expect
+            assert sample_count(12.0, 2, 0.95, 10, 1.0, 4.0, fail) == math.ceil(
+                (12.0 / floor) ** 2 * math.log(2.0 / ((1.0 - 0.95) - fail)) / 2.0)
+        assert (error_tolerance(12.0, 2, 21, 0.95, 10, 1.0, 4.0, 0.0)
+                == error_tolerance(12.0, 2, 21, 0.95, 10, 1.0, 4.0))
+        for fail in (-1e-3, 0.06, 0.5, math.nan):
+            with pytest.raises(ValueError, match="failure probability"):
+                error_tolerance(12.0, 2, 21, 0.95, 10, 1.0, 4.0, fail)
+            with pytest.raises(ValueError, match="failure probability"):
+                sample_count(12.0, 2, 0.95, 10, 1.0, 4.0, fail)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             error_tolerance(1.0, 2, 0, 0.95, 10, 1.0, 4.0)
@@ -221,6 +258,11 @@ class TestScalingParams:
         assert sp == ScalingParams(x0=2.0, gamma0=4.0 / 20.0 / 2.0, provenance="gershgorin")
         user = ScalingParams.for_matrix(SpectralBound(3.0, "user"), 1.0)
         assert user.provenance == "user" and user.gamma0 == 3.0
+        # a bound that may fail hands its failure probability on
+        lanczos = ScalingParams.for_matrix(SpectralBound(2.0, "lanczos", failure=5e-5), 4.0,
+                                           normalize=True)
+        assert lanczos == ScalingParams(x0=1.0, gamma0=0.5, provenance="lanczos", failure=5e-5)
+        assert bound.failure == 0.0 and sp.failure == 0.0
 
     def test_for_matrix_zero_bound(self):
         # a zero matrix gets gamma0 = 1, which its estimate never reads; a
@@ -241,6 +283,8 @@ class TestScalingParams:
             ScalingParams(x0=0.0, gamma0=1.0, provenance="user")
         with pytest.raises(ValueError):
             ScalingParams(x0=1.0, gamma0=1.0, provenance="unknown")
+        with pytest.raises(ValueError):
+            ScalingParams(x0=1.0, gamma0=1.0, provenance="lanczos", failure=1.0)
 
 
 class TestEstimateFixed:
@@ -584,9 +628,9 @@ def normalized_spdc():
     return A, 14, 400, True, exact_entropy(dense_spectrum(state))
 
 
-def random_by_column():
-    spectrum = np.random.default_rng(0).uniform(0.0, 1.0, 200)
-    A = random_psd(200, 0, spectrum)
+def random_by_column(m):
+    spectrum = np.random.default_rng(0).uniform(0.0, 1.0, m)
+    A = random_psd(m, 0, spectrum)
     assert layout(A) == "columns"
     return A, 8, 30, False, -float(np.sum(entropy_function(spectrum)))
 
@@ -596,17 +640,26 @@ def fem_2000():
 
 
 class TestCoverage:
-    """tau covers the truth on at least 93 of 100 seeds, acceptance criterion 1's rate."""
+    """tau covers the truth on at least 93 of 100 seeds, acceptance criterion 1's rate.
 
-    @pytest.mark.parametrize("case", [normalized_spdc, random_by_column, fem_2000],
-                             ids=["spdc-normalized", "random-200-columns", "fem-2000"])
-    def test_tau_covers_the_truth(self, case):
+    Each seed's run takes the scaling a command takes: the Lanczos bound,
+    from that seed's start vector, on a matrix stored by column, and
+    Gershgorin's on fem.
+    """
+
+    @pytest.mark.parametrize("case, bound", [
+        (normalized_spdc, "lanczos"), (functools.partial(random_by_column, 200), "lanczos"),
+        (functools.partial(random_by_column, 300), "lanczos"), (fem_2000, "gershgorin")],
+        ids=["spdc-normalized", "random-200-columns", "random-300-columns", "fem-2000"])
+    def test_tau_covers_the_truth(self, case, bound):
         A, n, num, normalize, truth = case()
-        sp = ScalingParams.for_matrix(gershgorin_upper_bound(A), A.trace(), normalize=normalize)
-        covered = sum(
-            abs(est.value - truth) < est.tau
-            for est in (estimate_fixed(A, n, num, sp, RademacherSampler(seed),
-                                       normalize=normalize) for seed in range(100)))
+        covered = 0
+        for seed in range(100):
+            sampler = RademacherSampler(seed)
+            sp = _scaling(A, RunConfig("entropy", normalize=normalize), sampler)
+            assert sp.provenance == bound
+            est = estimate_fixed(A, n, num, sp, sampler, normalize=normalize)
+            covered += abs(est.value - truth) < est.tau
         assert covered >= 93, covered
 
 

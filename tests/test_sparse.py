@@ -11,15 +11,18 @@ import pytest
 
 from entrace.chebyshev import coefficients
 from entrace.clenshaw import quadratic_form
+from entrace.estimator import RademacherSampler
 from entrace.generators import SpdcParams, fem_matrix, random_psd, spdc_density_matrix
 from entrace.sparse import (
     BLOCK_BYTES,
     DIA_FILL,
     SYMMETRY_RTOL,
     MatrixMarketError,
+    LANCZOS_STEPS,
     SpectralBound,
     SymmetricSparseMatrix,
     gershgorin_upper_bound,
+    lanczos_upper_bound,
     read_matrix_market,
     write_matrix_market,
     _raise_at_first_bad_entry,
@@ -463,8 +466,9 @@ class TestDiagonalPath:
             files.append(tmp_path / f"{len(files)}.mtx")
             write_matrix_market(mat, files[-1])
         assert files[0].read_bytes() == files[1].read_bytes()
-        assert (gershgorin_upper_bound(strips).lambda_max_upper.hex()
-                == gershgorin_upper_bound(gathered).lambda_max_upper.hex())
+        for end in ("lambda_max_upper", "lambda_min_lower"):
+            assert (getattr(gershgorin_upper_bound(strips), end).hex()
+                    == getattr(gershgorin_upper_bound(gathered), end).hex())
 
     def test_path_follows_the_fill(self):
         # fill is the fewer padded slots, ndiag * dim or dim * dim, over nnz:
@@ -678,9 +682,12 @@ class TestConstantDiagonals:
     @pytest.mark.parametrize("build", [
         lambda: fem_matrix(1000), lambda: fem_matrix(3),
         lambda: SymmetricSparseMatrix(300, *toeplitz(300, BAND)),
+        # inexact sums, on rows that face 4 to 7 diagonals
+        lambda: SymmetricSparseMatrix(50, *toeplitz(50, (2.3, -0.1, 0.7, 0.2))),
         *(functools.partial(broken_band, how)
           for how in ("hole", "zero-hole", "value", "signed-zero"))],
-        ids=["fem-1000", "fem-3", "band-300", "hole", "zero-hole", "value", "signed-zero"])
+        ids=["fem-1000", "fem-3", "band-300", "band-50-inexact", "hole", "zero-hole", "value",
+             "signed-zero"])
     def test_answers_as_full_strips(self, monkeypatch, build):
         # products equal the ordered pass byte for byte, and so does all
         # that a matrix of the same entries answers with every strip filled
@@ -699,8 +706,10 @@ class TestConstantDiagonals:
             assert a.tobytes() == b.tobytes()
         assert mat.diagonal().tobytes() == full.diagonal().tobytes()
         assert mat.trace().hex() == full.trace().hex()
-        assert (gershgorin_upper_bound(mat).lambda_max_upper.hex()
-                == gershgorin_upper_bound(full).lambda_max_upper.hex())
+        # broadcast strips give the bits of full ones, at both ends
+        for end in ("lambda_max_upper", "lambda_min_lower"):
+            assert (getattr(gershgorin_upper_bound(mat), end).hex()
+                    == getattr(gershgorin_upper_bound(full), end).hex())
         for v in blocks:
             assert mat.matvec(v).tobytes() == full.matvec(v).tobytes()
         gamma0 = 1.075 * gershgorin_upper_bound(mat).lambda_max_upper
@@ -730,8 +739,10 @@ class TestConstantDiagonals:
         for d, x in enumerate(band):
             dense += x * (np.eye(m, k=d) + (np.eye(m, k=-d) if d else 0.0))
         diag = np.diagonal(dense)
-        want = max(0.0, float(np.max(diag + np.abs(dense).sum(axis=1) - np.abs(diag))))
-        assert gershgorin_upper_bound(mat).lambda_max_upper == want
+        radius = np.abs(dense).sum(axis=1) - np.abs(diag)
+        bound = gershgorin_upper_bound(mat)
+        assert bound.lambda_max_upper == max(0.0, float(np.max(diag + radius)))
+        assert bound.lambda_min_lower == float(np.min(diag - radius))
 
 
 class TestSymmetryCheck:
@@ -1099,6 +1110,94 @@ class TestSpectralBounds:
             SpectralBound(-1.0, "gershgorin")
         with pytest.raises(ValueError):
             SpectralBound(1.0, "made-up")
+        for failure in (-0.1, 1.0, math.nan):
+            with pytest.raises(ValueError):
+                SpectralBound(1.0, "lanczos", failure=failure)
+
+
+def lanczos_case(name):
+    """A matrix stored by column that the Lanczos bound is checked on, dim 120 > K."""
+    m = 120
+    rng = np.random.default_rng(11)
+    if name == "indefinite":
+        a = rng.normal(size=(m, m))
+        return SymmetricSparseMatrix.from_dense((a + a.T) / 2.0)
+    if name == "spdc":
+        return spdc_density_matrix(SpdcParams())
+    spectrum = {
+        "uniform": lambda: rng.uniform(0.0, 1.0, m),
+        "clustered-top": lambda: np.concatenate((1.0 - 1e-4 * rng.uniform(size=8),
+                                                 rng.uniform(0.0, 0.5, m - 8))),
+        "rank-deficient": lambda: np.concatenate((rng.uniform(0.0, 1.0, 12), np.zeros(m - 12))),
+        # the spectrum on which a power-iteration guess fell below lambda_max
+        "rotated-gap": lambda: np.concatenate(([1.0], np.full(m - 1, 0.95))),
+    }[name]()
+    return random_psd(m, 5, spectrum)
+
+
+class TestLanczosBound:
+    EPS = 0.05 / 1000
+
+    @pytest.mark.parametrize("name", ["uniform", "clustered-top", "rank-deficient",
+                                      "rotated-gap", "indefinite", "spdc"])
+    def test_bound_holds_over_seeds(self, name):
+        # no violation over 200 start vectors, never above Gershgorin, and
+        # tighter than it on each of these matrices
+        mat = lanczos_case(name)
+        assert layout(mat) == "columns"
+        lam_max = float(np.linalg.eigvalsh(mat.to_dense())[-1])
+        gershgorin = gershgorin_upper_bound(mat)
+        for seed in range(200):
+            start = RademacherSampler(seed).start_vector(mat.dim)
+            bound = lanczos_upper_bound(mat, gershgorin, start, self.EPS)
+            assert lam_max <= bound.lambda_max_upper < gershgorin.lambda_max_upper, seed
+            assert bound.method == "lanczos" and bound.failure == self.EPS
+            assert bound.lambda_min_lower == gershgorin.lambda_min_lower
+
+    def test_shift_and_slack(self):
+        # on a PSD matrix whose Gershgorin discs reach below 0, the bound
+        # is (theta + sigma) / (1 - delta) - sigma + r, with theta, the top
+        # Ritz value, within rounding of lambda_max after K steps
+        mat = lanczos_case("uniform")
+        gershgorin = gershgorin_upper_bound(mat)
+        sigma = -gershgorin.lambda_min_lower
+        assert sigma > 0.0
+        lam_max = float(np.linalg.eigvalsh(mat.to_dense())[-1])
+        delta = (math.log(1.648 * math.sqrt(mat.dim) / self.EPS) / (2 * LANCZOS_STEPS - 1)) ** 2
+        bound = lanczos_upper_bound(mat, gershgorin, RademacherSampler(0).start_vector(mat.dim),
+                                    self.EPS)
+        assert bound.lambda_max_upper == pytest.approx((lam_max + sigma) / (1.0 - delta) - sigma,
+                                                       rel=1e-12)
+
+    def test_breakdown_stops_early(self, monkeypatch):
+        # a multiple of the identity has a one-dimensional Krylov space: one
+        # product, and then the residual is zero
+        mat = SymmetricSparseMatrix.from_dense(2.0 * np.eye(100))
+        calls = []
+        monkeypatch.setattr(SymmetricSparseMatrix, "matvec",
+                            lambda self, v, _real=SymmetricSparseMatrix.matvec:
+                            calls.append(1) or _real(self, v))
+        gershgorin = gershgorin_upper_bound(mat)
+        assert gershgorin.lambda_min_lower == 2.0
+        bound = lanczos_upper_bound(mat, gershgorin, RademacherSampler(0).start_vector(100),
+                                    self.EPS)
+        assert len(calls) == 1
+        # theta = 2 exactly, which delta's slack puts above Gershgorin's exact 2
+        assert bound is gershgorin
+
+    def test_no_slack_or_zero_matrix_keeps_gershgorin(self):
+        zero = SymmetricSparseMatrix(3, [0], [0], [0.0])
+        bound = gershgorin_upper_bound(zero)
+        start = RademacherSampler(0).start_vector(3)
+        assert lanczos_upper_bound(zero, bound, start, 0.01) is bound
+        mat = lanczos_case("uniform")
+        # a failure probability so small that delta reaches 1
+        bound = gershgorin_upper_bound(mat)
+        start = RademacherSampler(0).start_vector(mat.dim)
+        assert lanczos_upper_bound(mat, bound, start, 1e-300) is bound
+        for eps in (0.0, 1.0, -1e-3):
+            with pytest.raises(ValueError):
+                lanczos_upper_bound(mat, bound, start, eps)
 
 
 # One malformed file per error kind: (symmetry, size line, entry lines, the
