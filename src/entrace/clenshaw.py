@@ -18,8 +18,10 @@ into its product: ``matvec`` hands back each row tile of A t_j, which by
 diagonal is ``sparse.BLOCK_BYTES // 4`` bytes of the block and otherwise
 all of it, and the step finishes it in place while it is in cache. The
 finished tile is stored over t_j-1, which the step has then read for the
-last time, so a form holds three (b, dim) vectors: the caller's probes and
-two that take the later t_j in turn.
+last time, so a form holds two (b, dim) vectors, which take the t_j in
+turn: t_1 goes to a work array and t_2 over the probe rows, which no moment
+reads after mu_1. A caller that keeps its probes passes no work array, and
+the form copies them.
 
 Over Rademacher probes the mean of mu_k is tr T_k(B), and two of these are
 known without a product: tr T_1(B) = c tr A - m, and tr T_2(B) =
@@ -68,18 +70,22 @@ def _row_dots(x, y):
                      for xi, yi in zip(x, np.broadcast_to(y, x.shape))])
 
 
-def quadratic_form(A, v, expansion, gamma0, traces=None):
+def quadratic_form(A, v, expansion, gamma0, traces=None, work=None):
     """gamma0 * v^T p_n(A / gamma0) v for a +-1 probe vector v.
 
     v may also be a (b, dim) block of probe rows; the result is then an
     array of b forms, each bit-identical to the form of its row alone. The
     argument matrix B is never formed: each t_j+1 = 2 B t_j - t_j-1 is
     built in place on the product A t_j, one row tile at a time, as
-    2 (c A t_j - t_j) - t_j-1, and written over t_j-1's array, except over
-    the caller's probes: t_1 and t_2 take new arrays, and from t_3 on each
-    vector reuses the array of the one two steps back. The constant term
-    a_0 enters the result only through the closed form v^T (a_0/2) v =
-    m a_0 / 2.
+    2 (c A t_j - t_j) - t_j-1, and written over t_j-1's array. The
+    constant term a_0 enters the result only through the closed form
+    v^T (a_0/2) v = m a_0 / 2.
+
+    ``work``, a float64 array of v's shape apart from it, takes t_1, and
+    t_2 is written over the probe rows of v, so that the form allocates no
+    array of v's size; the forms are the same bits. Without ``work`` the
+    form copies v and allocates one array, and the caller's probes stay as
+    given.
 
     With ``traces``, the pair (tr A, ||A||_F^2), the form takes mu_1 and
     mu_2 at their means over the probes, tr T_1(B) = c tr A - m and
@@ -104,6 +110,11 @@ def quadratic_form(A, v, expansion, gamma0, traces=None):
     if not sign.all():
         raise ValueError("probe vector entries must be +-1")
     del sign
+    if work is None:
+        v, work = v.copy(), np.empty(v.shape)
+    elif work.shape != v.shape or work.dtype != np.float64 or np.may_share_memory(work, v):
+        raise ValueError(f"work must be a float64 array of the probes' shape {v.shape}, "
+                         "apart from them")
     gamma0 = float(gamma0)
     if not gamma0 > 0.0:
         raise ValueError("gamma0 must be positive")
@@ -131,7 +142,7 @@ def quadratic_form(A, v, expansion, gamma0, traces=None):
     with np.errstate(over="ignore", invalid="ignore"):
         # t_0 = v, t_1 = B v
         t_prev, t = None, block
-        t_prev, t = t, A.matvec(t, finish=finish, out=np.empty(block.shape))
+        t_prev, t = t, A.matvec(t, finish=finish, out=work.reshape(block.shape))
         mu[:, 0] = m
         mu[:, 1] = _row_dots(block, t)
         last = (n + 1) // 2
@@ -141,9 +152,8 @@ def quadratic_form(A, v, expansion, gamma0, traces=None):
             if 2 * j <= n:
                 mu[:, 2 * j] = _row_dots(t, t)
             if j < last:
-                # t_j+1 over t_j-1, unless that is the caller's block
-                out = np.empty(block.shape) if t_prev is block else t_prev
-                t_prev, t = t, A.matvec(t, finish=finish, out=out)
+                # t_j+1 over t_j-1, the probe rows for t_2
+                t_prev, t = t, A.matvec(t, finish=finish, out=t_prev)
                 mu[:, 2 * j + 1] = _row_dots(t, t_prev)
         mu[:, 2::2] *= 2.0
         mu[:, 2::2] -= mu[:, :1]

@@ -68,10 +68,12 @@ class RademacherSampler:
         # the seed sequence hashes a seed of any size into the 128-bit key
         object.__setattr__(self, "_seq", np.random.SeedSequence(self.seed))
 
-    def sample_vector(self, m, index, count=None):
+    def sample_vector(self, m, index, count=None, out=None):
         """Probe row ``index`` (1-based) of length m, entries +-1.
 
         With ``count`` the (count, m) block of rows index .. index+count-1.
+        ``out``, a float64 array of the result's shape, receives the rows,
+        with the same bits, and is returned.
         """
         if m < 1:
             raise ValueError("dimension must be at least 1")
@@ -80,6 +82,11 @@ class RademacherSampler:
         rows = 1 if count is None else count
         if rows < 1:
             raise ValueError("count must be at least 1")
+        shape = (m,) if count is None else (rows, m)
+        if out is None:
+            out = np.empty(shape)
+        elif out.shape != shape:
+            raise ValueError(f"out shape {out.shape} does not match the rows' {shape}")
         steps = (m + _STEP_BITS - 1) // _STEP_BITS
         # keyed by the seed sequence's first two 64-bit words, with no draw
         # of OS entropy, which Philox(key=...) makes and then discards
@@ -87,14 +94,11 @@ class RademacherSampler:
         stream.advance((index - 1) * steps)
         # little-endian words, so the bits do not depend on the byte order
         words = stream.random_raw(rows * 4 * steps).astype("<u8", copy=False)
-        # the float block is allocated before the bit array: in that order a
-        # two-thread run on fem:10^6 peaks 2.7 MiB lower in RSS
-        block = np.empty((rows, m))
         bits = np.unpackbits(words.view(np.uint8).reshape(rows, -1), axis=1, count=m,
                              bitorder="little")
-        np.multiply(bits, 2.0, out=block)
-        block -= 1.0
-        return block[0] if count is None else block
+        np.multiply(bits.reshape(shape), 2.0, out=out)
+        out -= 1.0
+        return out
 
     def start_vector(self, m):
         """A Gaussian vector of length m, the start of the Lanczos bound.
@@ -312,13 +316,31 @@ def _xi_batch(A, expansion, gamma0, sampler, first, last, threads, traces):
     consumes results in index order, so the outcome is independent of the
     worker count. The pool never holds more workers than there are blocks in
     the batch or cores to run them.
+
+    A block runs in a workspace, a probe array and a work array of the
+    batch's first block's height: its probes are drawn into the first and
+    its form holds t_1 in the second (see ``quadratic_form``). A block takes
+    a free workspace, or makes one if none is free, and frees it when its
+    forms are done, so the batch makes one workspace a worker at most, in
+    whatever order the pool runs the blocks.
     """
-    starts = range(first, last + 1, A.block_width)
+    width = min(A.block_width, last + 1 - first)
+    starts = range(first, last + 1, width)
+    free = []
 
     def block(start):
-        count = min(A.block_width, last + 1 - start)
-        return quadratic_form(A, sampler.sample_vector(A.dim, start, count), expansion, gamma0,
-                              traces)
+        count = min(width, last + 1 - start)
+        # list.pop and list.append are atomic across threads
+        try:
+            probes, work = free.pop()
+        except IndexError:
+            probes, work = np.empty((width, A.dim)), np.empty((width, A.dim))
+        try:
+            return quadratic_form(A, sampler.sample_vector(A.dim, start, count,
+                                                           out=probes[:count]),
+                                  expansion, gamma0, traces, work[:count])
+        finally:
+            free.append((probes, work))
 
     workers = min(threads, len(starts), core_count())
     if workers <= 1:

@@ -248,11 +248,11 @@ class SymmetricSparseMatrix:
             layout = _block_layout(*entries, dim, width)
         else:
             # each (b, dim) array of a form takes an eighth of BLOCK_BYTES:
-            # the probes, t_j-1 and t_j, the first of which t_j+1 overwrites,
-            # and a product by column's result, where one by diagonal sums a
-            # tile in a scratch; the four fit within half of it on each
-            # worker. Wider blocks gain little per row (by column, dim 1000:
-            # 0.48 ms at 16 rows, 0.50 ms at 26)
+            # t_j-1 and t_j, the first of which t_j+1 overwrites, and a
+            # product by column's result, where one by diagonal sums a tile
+            # in a scratch; the three fit within half of it on each worker.
+            # Wider blocks gain little per row (by column, dim 1000: 0.48 ms
+            # at 16 rows, 0.50 ms at 26)
             width = max(1, BLOCK_BYTES // 8 // (8 * dim))
             layout = None
         diag.setflags(write=False)
@@ -690,9 +690,10 @@ def gershgorin_upper_bound(A):
     A diagonal stored once is read in full, dim slots, although its rows
     take few distinct sums. Reading one row of each kind cut the pass on
     ``fem_matrix(10**6)`` from 9 ms to 0.07 ms, but its sampling then
-    peaked 4 MiB higher in RSS and ran 9 % slower: the (dim,) temporaries
-    this pass frees raise glibc's mmap threshold, so that the sampling
-    loop's (b, dim) vectors come from the heap (see CHANGES.md).
+    peaked 0.4 MiB higher in RSS and ran 4 % slower: the (dim,)
+    temporaries this pass frees raise glibc's mmap threshold, which
+    changes where the sampling loop's (b, dim) arrays come from (see
+    CHANGES.md).
     """
     strips = A._strips
     if strips is None:

@@ -131,7 +131,8 @@ class TestMemory:
         functools.partial(random_psd, 30, 2, np.linspace(0.0, 1.0, 30)),
         functools.partial(scattered_psd, 60, 1)], ids=["fem", "offsets-12", "columns", "gather"])
     def test_probes_stay_as_given(self, build):
-        # each t_j+1 is written over t_j-1, never over the caller's block
+        # without a work array the form copies the caller's block, and
+        # writes t_2 over the copy
         A = build()
         gamma0 = 1.075 * gershgorin_upper_bound(A).lambda_max_upper
         probes = np.array([signs(A.dim, 90 + i) for i in range(3)])
@@ -140,6 +141,62 @@ class TestMemory:
             quadratic_form(A, probes, coefficients(n, 1.0), gamma0)
             quadratic_form(A, probes[1], coefficients(n, 1.0), gamma0)
             assert probes.tobytes() == given.tobytes() and probes.flags.writeable
+
+
+class TestWorkspace:
+    """A form in the caller's arrays: t_1 in ``work``, t_2 over the probe rows."""
+
+    BUILDS = [functools.partial(fem_matrix, 10**5),
+              functools.partial(random_psd, 30, 2, np.linspace(0.0, 1.0, 30)),
+              functools.partial(scattered_psd, 60, 1)]
+    IDS = ["fem-tiles", "columns", "gather"]
+
+    @staticmethod
+    def case(build):
+        A = build()
+        gamma0 = 1.075 * gershgorin_upper_bound(A).lambda_max_upper
+        return A, gamma0, np.array([signs(A.dim, 30 + i) for i in range(3)])
+
+    @pytest.mark.parametrize("build", BUILDS, ids=IDS)
+    def test_work_gives_the_same_forms(self, build):
+        A, gamma0, probes = self.case(build)
+        if layout(A) == "diagonals":
+            tiles = []
+            A.matvec(np.zeros(A.dim), finish=lambda y, lo, hi: tiles.append(lo))
+            assert len(tiles) > 1
+        for traces in (None, (A.trace(), A.frobenius_squared())):
+            for n in (1, 2, 3, 9):
+                exp = coefficients(n, 1.0)
+                want = quadratic_form(A, probes, exp, gamma0, traces)
+                got = quadratic_form(A, probes.copy(), exp, gamma0, traces,
+                                     work=np.empty(probes.shape))
+                assert got.tobytes() == want.tobytes()
+                one = quadratic_form(A, probes[1].copy(), exp, gamma0, traces,
+                                     work=np.empty(A.dim))
+                assert one == want[1]
+
+    @pytest.mark.parametrize("build", BUILDS, ids=IDS)
+    def test_shorter_block_reads_no_stale_rows(self, build):
+        # a workspace that served a full block serves the short last block
+        # of a batch as slices; its rows beyond the slice hold nan, which a
+        # form that read them would carry
+        A, gamma0, probes = self.case(build)
+        exp = coefficients(9, 1.0)
+        space, work = np.empty(probes.shape), np.empty(probes.shape)
+        space[...] = probes
+        full = quadratic_form(A, space, exp, gamma0, work=work)
+        assert full.tobytes() == quadratic_form(A, probes, exp, gamma0).tobytes()
+        space[1:] = np.nan
+        work[1:] = np.nan
+        space[:1] = probes[2:]
+        short = quadratic_form(A, space[:1], exp, gamma0, work=work[:1])
+        assert short.tobytes() == full[2:].tobytes()
+
+    def test_rejects_a_work_array_that_does_not_fit(self):
+        A, v, exp = fem_matrix(20), np.ones((2, 20)), coefficients(4, 1.0)
+        for work in (np.empty((1, 20)), np.empty((2, 20), dtype=np.float32), v, v[::-1]):
+            with pytest.raises(ValueError, match="work must be"):
+                quadratic_form(A, v, exp, 4.3, work=work)
 
 
 class TestTiles:

@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +89,18 @@ class TestSampler:
         for k, row in enumerate(whole):
             np.testing.assert_array_equal(s.sample_vector(m, 3 + k), row)
         np.testing.assert_array_equal(s.sample_vector(m, 5, 1), whole[2:3])
+
+    @pytest.mark.parametrize("m", [1, 257])
+    def test_out_receives_the_rows(self, m):
+        s = RademacherSampler(4)
+        space = np.full((5, m), np.nan)
+        got = s.sample_vector(m, 3, 4, out=space[:4])
+        assert got.base is space and got.tobytes() == s.sample_vector(m, 3, 4).tobytes()
+        assert np.isnan(space[4]).all()
+        assert s.sample_vector(m, 6, out=space[4]).tobytes() == s.sample_vector(m, 6).tobytes()
+        assert space[4].tobytes() == s.sample_vector(m, 6).tobytes()
+        with pytest.raises(ValueError, match="out shape"):
+            s.sample_vector(m, 3, 4, out=space)
 
     def test_seed_beyond_the_key_size(self):
         v = RademacherSampler(2**128 + 5).sample_vector(70, 1, 2)
@@ -363,6 +376,25 @@ class TestEstimateFixed:
             serial = estimate_fixed(A, 3, num, sp, RademacherSampler(3), threads=1)
             for k in (2, 4):
                 assert estimate_fixed(A, 3, num, sp, RademacherSampler(3), threads=k) == serial
+
+    @pytest.mark.parametrize("threads, most", [(1, 3.0), (2, 5.0)])
+    def test_peak_memory_per_worker(self, threads, most):
+        # traced peak of a run on fem(2 * 10^5), at block width 1, in vectors
+        # of 8 m bytes: each worker's probe and work arrays, reused for every
+        # block, plus its bits and sign check. A probe block and t_1 and t_2
+        # made afresh each block take it to 3.3 and 6.7
+        m = 2 * 10**5
+        A, sp = fem_matrix(m), ScalingParams(x0=1.0, gamma0=4.3)
+        assert A.block_width == 1
+        want = estimate_fixed(A, 8, 8, sp, RademacherSampler(0), threads=threads)
+        tracemalloc.start()
+        try:
+            got = estimate_fixed(A, 8, 8, sp, RademacherSampler(0), threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak / (8 * m) <= most
 
     def test_pool_workers_bounded(self, monkeypatch):
         # an absurd thread count never reaches the pool: workers are capped by
