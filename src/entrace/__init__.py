@@ -24,12 +24,13 @@ from .chebyshev import (
     spread_function,
     truncation_error_bound,
 )
-from .clenshaw import SpectrumEscape, quadratic_form
+from .clenshaw import SpectrumEscape, deflated_part, quadratic_form
 from .cli import RunConfig, main, run
 from .estimator import (
     EntropyEstimate,
     RademacherSampler,
     ScalingParams,
+    deflation_basis,
     entropy_with_normalization,
     error_tolerance,
     estimate_adaptive,
@@ -66,6 +67,8 @@ __all__ = [
     "Spectrum",
     "SymmetricSparseMatrix",
     "coefficients",
+    "deflated_part",
+    "deflation_basis",
     "dense_spectrum",
     "entropy_function",
     "entropy_with_normalization",

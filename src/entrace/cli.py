@@ -23,6 +23,7 @@ from .estimator import (
     RademacherSampler,
     ScalingParams,
     core_count,
+    deflation_basis,
     estimate_adaptive,
     estimate_fixed,
 )
@@ -159,22 +160,26 @@ def _verify_psd(mat):
 
 
 def _scaling(mat, config, sampler):
-    """The run's scaling: ``--gamma0`` as given, or from a bound on A's lambda_max.
+    """The run's scaling and the rows that deflate its probes, or None.
 
-    The bound is Gershgorin's, tightened for a matrix stored by column by
+    The scaling is ``--gamma0`` as given, or from a bound on A's lambda_max:
+    Gershgorin's, tightened for a matrix stored by column by
     ``lanczos_upper_bound`` from the sampler's start vector, at failure
     probability ``BOUND_FAILURE_SHARE`` * (1 - p). ``--gamma0`` describes
     the matrix the run estimates, the state A / tr(A) under ``--normalize``,
-    so only a bound on A is divided by the trace.
+    so only a bound on A is divided by the trace. A Lanczos bound passes its
+    run's basis on to ``deflation_basis`` at the run's degree.
     """
     if config.gamma0 is not None:
-        return ScalingParams(float(config.x0), float(config.gamma0), "user")
+        return ScalingParams(float(config.x0), float(config.gamma0), "user"), None
     bound = gershgorin_upper_bound(mat)
     if mat.by_column:
         bound = lanczos_upper_bound(mat, bound, sampler.start_vector(mat.dim),
                                     BOUND_FAILURE_SHARE * (1.0 - config.confidence))
-    return ScalingParams.for_matrix(bound, mat.trace(), x0=config.x0,
-                                    normalize=config.normalize)
+    scaling = ScalingParams.for_matrix(bound, mat.trace(), x0=config.x0,
+                                       normalize=config.normalize)
+    return scaling, deflation_basis(bound.krylov, config.degree, mat.trace(), scaling,
+                                    config.normalize)
 
 
 def _emit(payload):
@@ -187,15 +192,15 @@ def _run_entropy(config):
     if config.verify_psd:
         _verify_psd(mat)
     sampler = RademacherSampler(config.seed)
-    scaling = _scaling(mat, config, sampler)
+    scaling, deflation = _scaling(mat, config, sampler)
     if config.samples is not None:
         est = estimate_fixed(mat, config.degree, config.samples, scaling, sampler,
                              p=config.confidence, normalize=config.normalize,
-                             threads=threads)
+                             threads=threads, deflation=deflation)
     else:
         est = estimate_adaptive(mat, config.degree, config.confidence, scaling, sampler,
                                 n_max=config.n_max, normalize=config.normalize,
-                                threads=threads)
+                                threads=threads, deflation=deflation)
     payload = est.to_dict()
     payload["method"]["matrix"] = source
     payload["method"]["dim"] = mat.dim
@@ -261,7 +266,8 @@ def _run_table1(config):
     rows = []
     for m, n in zip(config.sizes, config.degrees):
         mat = fem_matrix(m)
-        est = estimate_adaptive(mat, n, config.confidence, _scaling(mat, config, sampler),
+        # fem is stored by diagonal: Gershgorin's scaling, and no deflation
+        est = estimate_adaptive(mat, n, config.confidence, _scaling(mat, config, sampler)[0],
                                 sampler, n_max=config.n_max, threads=threads)
         exact = fem_exact_entropy(m)
         abs_err = abs(est.value - exact)

@@ -14,6 +14,18 @@ estimate stays unbiased, but the forms spread less: the realized range
 that delta and tau read is narrower, and an adaptive run stops sooner, at
 no extra matrix-vector product. At n <= 2 every form is the same number.
 
+Given k orthonormal rows that no probe chose, the leading rows of the
+Lanczos run behind gamma0 as ``deflation_basis`` picks them, each probe is
+deflated instead: the trace on the rows' span is computed once, and each
+form samples only the rest, less a control variate of known mean (see
+``clenshaw``). On a low-rank state the rest barely varies, so the forms
+spread over far less than the floor, at the same matrix-vector products a
+probe. The forms carry the exact part, so the sampling loop, delta and tau
+read them as any other.
+
+A run allocates its workspaces once: each worker's probe array, into which
+its blocks are drawn and projected, and its work array, which holds t_1.
+
 gamma0 may come from a bound that fails with a stated probability, the
 Lanczos bound's eps (``ScalingParams.failure``); the Hoeffding term is
 then taken at (1 - p) - eps, so that by a union bound tau still holds
@@ -37,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chebyshev import coefficients, truncation_error_bound
-from .clenshaw import SpectrumEscape, quadratic_form
+from .clenshaw import SpectrumEscape, deflated_part, quadratic_form
 from .sparse import _BOUND_METHODS, SpectralBound
 
 DEFAULT_N_MAX = 10_000
@@ -180,6 +192,41 @@ class ScalingParams:
                    provenance=bound.method, failure=bound.failure)
 
 
+def deflation_basis(krylov, n, trace, scaling, normalize=False):
+    """The leading rows of a Lanczos run's basis that deflate each probe.
+
+    ``krylov`` is a ``KrylovBasis`` of A, or None, ``trace`` is tr A, and
+    ``scaling`` the run's. The rows q_1..q_k are kept for the least k with
+
+        2 L m (|r_k| + r) / s <= floor / 4,
+
+    where r_k = tr A - (alpha_1 + ... + alpha_k), the trace A keeps off the
+    span of the rows, is exact from the run and costs no product; r is the
+    run's rounding allowance; s is tr A under ``normalize`` and 1 otherwise;
+    floor = truncation_error_bound(n, m x0 gamma0); and L = 2 n^2 (|a_0| / 2
+    + sum_k |a_k|) / x0 bounds |p_n'| on [0, x0] by Markov's inequality. No
+    such k: no rows, a (0, m) array, and the probes are not deflated. No
+    run, or a trace that is not positive: None.
+
+    The rule bounds the spread of the deflated forms: for PSD A, P A P is
+    PSD with trace r_k, so x = P w has x^T A x <= m r_k, and |p_n(x) -
+    p_n(0)| <= L x on [0, x0]; each form thus lies within L m r_k / s of the
+    exact part and its constant, and the forms spread over a quarter of the
+    floor at most, against the widening's two floors. The basis comes from
+    the start vector, not the probes, so any k leaves the forms unbiased.
+    """
+    if krylov is None or not trace > 0.0:
+        return None
+    m = krylov.rows.shape[1]
+    a = coefficients(n, scaling.x0).coeffs
+    slope = 2.0 * n * n * (abs(a[0]) / 2.0 + float(np.abs(a[1:]).sum())) / scaling.x0
+    floor = truncation_error_bound(n, m * scaling.x0 * scaling.gamma0)
+    residual = np.abs(trace - np.cumsum(krylov.alpha)) + krylov.rounding
+    fits = np.flatnonzero(2.0 * slope * m * residual / (trace if normalize else 1.0)
+                          <= floor / 4.0)
+    return krylov.rows[:fits[0] + 1 if fits.size else 0].copy()
+
+
 @dataclass(frozen=True)
 class EntropyEstimate:
     """Result of a sampling run, with enough metadata to audit or replay it.
@@ -205,9 +252,21 @@ class EntropyEstimate:
     normalized: bool = False
     zero_trace: bool = False
     estimator: str = "adaptive"
+    # rows that deflated the probes; None where the run was given no basis
+    deflation: int | None = None
 
     def to_dict(self):
-        """JSON-ready dict with a stable key order."""
+        """JSON-ready dict with a stable key order.
+
+        ``method.deflation`` is there only for a run given a basis, even an
+        empty one, as a Lanczos bound's run gives.
+        """
+        method = {"estimator": self.estimator, "stream": "philox",
+                  "bound": self.scaling.provenance}
+        if self.deflation is not None:
+            method["deflation"] = self.deflation
+        method.update(normalized=self.normalized, zero_trace=self.zero_trace,
+                      xi_min=self.xi_min, xi_max=self.xi_max)
         return {
             "entropy": self.value,
             "tau": self.tau,
@@ -220,15 +279,7 @@ class EntropyEstimate:
             "trace": self.trace,
             "seed": self.seed,
             "capped": self.capped,
-            "method": {
-                "estimator": self.estimator,
-                "stream": "philox",
-                "bound": self.scaling.provenance,
-                "normalized": self.normalized,
-                "zero_trace": self.zero_trace,
-                "xi_min": self.xi_min,
-                "xi_max": self.xi_max,
-            },
+            "method": method,
         }
 
 
@@ -305,28 +356,28 @@ def core_count():
         return os.cpu_count() or 1
 
 
-def _xi_batch(A, expansion, gamma0, sampler, first, last, threads, traces):
+def _xi_batch(A, sampler, first, last, threads, form, free, height):
     """Probe forms xi_first..xi_last in index order.
 
-    The probes are cut into blocks of ``A.block_width`` rows; each block is
-    drawn in one sampler call and shares its matrix-vector products, and
-    ``traces`` goes to each block's ``quadratic_form``. With
-    threads it is a deterministic map over blocks: sample i never depends on
-    any other sample or on the block it lands in, and the reduction below
-    consumes results in index order, so the outcome is independent of the
-    worker count. The pool never holds more workers than there are blocks in
-    the batch or cores to run them.
+    The probes are cut into blocks of at most ``A.block_width`` rows; each
+    block is drawn in one sampler call, and ``form(A, probes, work=work)``
+    gives its forms, sharing its matrix-vector products. With threads it is
+    a deterministic map over blocks: sample i never depends on any other
+    sample or on the block it lands in, and the reduction below consumes
+    results in index order, so the outcome is independent of the worker
+    count. The pool never holds more workers than there are blocks in the
+    batch or cores to run them.
 
-    A block runs in a workspace, a probe array and a work array of the
-    batch's first block's height: its probes are drawn into the first and
-    its form holds t_1 in the second (see ``quadratic_form``). A block takes
-    a free workspace, or makes one if none is free, and frees it when its
-    forms are done, so the batch makes one workspace a worker at most, in
-    whatever order the pool runs the blocks.
+    A block runs in a workspace from ``free``, the run's list of them: a
+    probe array and a work array of ``height`` rows, sliced to the block's.
+    Its probes are drawn into the first, and its form projects them there,
+    if it deflates, and holds t_1 in the second (see ``quadratic_form``). A
+    block takes a free workspace, or makes one if none is free, and frees it
+    when its forms are done, so a run makes one workspace a worker at most,
+    in whatever order the pool runs the blocks.
     """
-    width = min(A.block_width, last + 1 - first)
+    width = min(height, last + 1 - first)
     starts = range(first, last + 1, width)
-    free = []
 
     def block(start):
         count = min(width, last + 1 - start)
@@ -334,11 +385,10 @@ def _xi_batch(A, expansion, gamma0, sampler, first, last, threads, traces):
         try:
             probes, work = free.pop()
         except IndexError:
-            probes, work = np.empty((width, A.dim)), np.empty((width, A.dim))
+            probes, work = np.empty((height, A.dim)), np.empty((height, A.dim))
         try:
-            return quadratic_form(A, sampler.sample_vector(A.dim, start, count,
-                                                           out=probes[:count]),
-                                  expansion, gamma0, traces, work[:count])
+            return form(A, sampler.sample_vector(A.dim, start, count, out=probes[:count]),
+                        work=work[:count])
         finally:
             free.append((probes, work))
 
@@ -351,7 +401,7 @@ def _xi_batch(A, expansion, gamma0, sampler, first, last, threads, traces):
     return np.concatenate(forms).tolist()
 
 
-def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
+def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max, deflation):
     """The sampling loop behind estimate_fixed and estimate_adaptive.
 
     Consumes probe forms in index order until ``needed`` samples are drawn.
@@ -366,6 +416,11 @@ def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
     parameter gamma0 * tr(A), because (A/t) / gamma0 = A / (gamma0 t), and
     each probe form is divided by tr(A) afterwards. All Hoeffding quantities
     use the state's own (x0, gamma0) unchanged.
+
+    With ``deflation``, k orthonormal rows Q of length m that no probe
+    chose, each form is the deflated one of ``quadratic_form``, which
+    carries the exact part gamma0 tr(Q p_n Q^T) and the control variate's
+    constant: the loop, delta, tau and the widening read it as any form.
     """
     m = A.dim
     _check_hoeffding_args(n, p, m, scaling.x0, scaling.gamma0, scaling.failure)
@@ -380,9 +435,30 @@ def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
                       xi_max=0.0, trace=0.0, capped=False, zero_trace=True)
 
     norm_scale = tr if normalize else 1.0
-    # the exact means of mu_1 and mu_2 for every probe; see quadratic_form
-    traces = (tr, A.frobenius_squared())
+    gamma0 = scaling.gamma0 * norm_scale
     expansion = coefficients(n, scaling.x0)
+    k = None
+    if deflation is not None:
+        deflation = np.asarray(deflation, dtype=np.float64)
+        if deflation.ndim != 2 or deflation.shape[1] != m:
+            raise ValueError(f"deflation rows {deflation.shape} do not match dimension {m}")
+        k = len(deflation)
+    if k:
+        try:
+            constant = deflated_part(A, deflation, expansion, gamma0)
+        except SpectrumEscape as exc:
+            raise _escaped(str(exc), scaling.x0, scaling.gamma0) from None
+        # every moment sampled: the exact means of mu_1 and mu_2 are the
+        # whole probe's, not its projection's
+        form = functools.partial(quadratic_form, expansion=expansion, gamma0=gamma0,
+                                 deflation=(deflation, constant))
+    else:
+        # the exact means of mu_1 and mu_2 for every probe
+        form = functools.partial(quadratic_form, expansion=expansion, gamma0=gamma0,
+                                 traces=(tr, A.frobenius_squared()))
+    # the run's workspaces, of the rows of its largest block
+    free = []
+    height = min(A.block_width, needed if n_max is None else n_max)
     floor_width = 2.0 * truncation_error_bound(n, m * scaling.x0 * scaling.gamma0)
     xi_min = math.inf
     xi_max = -math.inf
@@ -391,8 +467,7 @@ def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
     capped = False
     while drawn < needed:
         try:
-            batch = _xi_batch(A, expansion, scaling.gamma0 * norm_scale, sampler,
-                              drawn + 1, needed, threads, traces)
+            batch = _xi_batch(A, sampler, drawn + 1, needed, threads, form, free, height)
         except SpectrumEscape as exc:
             # worded with the state's interval, as every escape is
             raise _escaped(str(exc), scaling.x0, scaling.gamma0) from None
@@ -420,24 +495,28 @@ def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
     tau = error_tolerance(delta, n, needed, p, m, scaling.x0, scaling.gamma0,
                           scaling.failure)
     return result(value=value, tau=tau, samples_used=needed, delta=delta, xi_min=xi_min,
-                  xi_max=xi_max, trace=tr, capped=capped)
+                  xi_max=xi_max, trace=tr, capped=capped, deflation=k)
 
 
-def estimate_fixed(A, n, num_samples, scaling, sampler, p=0.95, normalize=False, threads=1):
+def estimate_fixed(A, n, num_samples, scaling, sampler, p=0.95, normalize=False, threads=1,
+                   deflation=None):
     """Entropy estimate from a fixed number of probe samples.
 
     delta and tau are computed a posteriori from the realized extreme probe
     forms, so tau is a valid radius for the estimate actually produced, at
-    confidence p. Use estimate_adaptive to choose N instead.
+    confidence p. Use estimate_adaptive to choose N instead. ``deflation``,
+    orthonormal (k, m) rows chosen apart from the probes, as
+    ``deflation_basis`` chooses them, deflates every probe; the estimate
+    records k, 0 for no rows.
     """
     if num_samples < 1:
         raise ValueError("need at least one sample")
     return _estimate(A, n, p, scaling, sampler, normalize, threads,
-                     needed=num_samples, n_max=None)
+                     needed=num_samples, n_max=None, deflation=deflation)
 
 
 def estimate_adaptive(A, n, p, scaling, sampler, n_max=DEFAULT_N_MAX,
-                      normalize=False, threads=1):
+                      normalize=False, threads=1, deflation=None):
     """Entropy estimate with the sample count chosen while sampling.
 
     Starts from N = 1 and, after every sample, re-derives the required count
@@ -448,11 +527,13 @@ def estimate_adaptive(A, n, p, scaling, sampler, n_max=DEFAULT_N_MAX,
 
     Determinism: sample i depends only on (seed, i, m), and the count update
     consumes samples in index order even when a batch was computed in
-    parallel, so the result is identical for any ``threads``.
+    parallel, so the result is identical for any ``threads``. ``deflation``
+    is as in ``estimate_fixed``.
     """
     if n_max < MIN_N_MAX:
         raise ValueError(f"n_max below {MIN_N_MAX} cannot cover the zero-spread sample count")
-    return _estimate(A, n, p, scaling, sampler, normalize, threads, needed=1, n_max=n_max)
+    return _estimate(A, n, p, scaling, sampler, normalize, threads, needed=1, n_max=n_max,
+                     deflation=deflation)
 
 
 def entropy_with_normalization(A, n, p, scaling, sampler, n_max=DEFAULT_N_MAX, threads=1):

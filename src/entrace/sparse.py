@@ -2,7 +2,10 @@
 
 Gershgorin's bounds on the spectrum take one pass over the stored entries;
 the Lanczos bound on lambda_max, for a matrix stored by column, takes
-``LANCZOS_STEPS`` products and holds with a stated failure probability.
+``LANCZOS_STEPS`` products and holds with a stated failure probability. The
+bound keeps the run's orthonormal Krylov basis and the diagonal of its
+tridiagonal matrix (``KrylovBasis``), which the estimator may deflate its
+probes with.
 
 The estimator touches a matrix only through ``trace``,
 ``frobenius_squared``, ``block_width`` and ``matvec``. Everything in this
@@ -55,7 +58,7 @@ from __future__ import annotations
 import math
 import warnings
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -95,13 +98,28 @@ _WRITE_CHUNK = 2**16
 
 _BOUND_METHODS = ("gershgorin", "lanczos", "user")
 
-# Lanczos steps of lanczos_upper_bound: at most this many products by the
-# matrix, and a (steps, dim) basis
+# Lanczos steps of krylov_basis: at most this many products by the matrix,
+# and a (steps, dim) basis
 LANCZOS_STEPS = 64
 
 # the constant of the Kuczynski-Wozniakowski bound on the Lanczos failure
 # probability, 1.648 sqrt(m) exp(-sqrt(delta) (2k - 1))
 _KW_CONSTANT = 1.648
+
+
+class KrylovBasis(NamedTuple):
+    """What a Lanczos run leaves: its basis and its tridiagonal matrix T.
+
+    ``rows`` holds the orthonormal Krylov basis q_1..q_k as (k, dim) rows,
+    ``alpha`` the diagonal of T, alpha_j = q_j^T A q_j, and ``beta`` its k - 1
+    off-diagonal entries. ``rounding`` is 16 K u (G + sigma), the run's
+    rounding allowance (see ``lanczos_upper_bound``).
+    """
+
+    rows: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    rounding: float
 
 
 class MatrixMarketError(ValueError):
@@ -121,6 +139,8 @@ class SpectralBound:
     method: str
     lambda_min_lower: float = -math.inf
     failure: float = 0.0
+    # the Lanczos run a bound of method "lanczos" came from
+    krylov: KrylovBasis | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.lambda_max_upper >= 0.0:
@@ -715,50 +735,22 @@ def gershgorin_upper_bound(A):
                          lambda_min_lower=float(np.min(diag - off)))
 
 
-def lanczos_upper_bound(A, gershgorin, start, eps):
-    """A bound on lambda_max from ``LANCZOS_STEPS`` Lanczos steps, failing with
-    probability at most eps over a start vector uniform on the sphere.
+def krylov_basis(A, start, scale):
+    """``LANCZOS_STEPS`` Lanczos steps on A from ``start``, as a ``KrylovBasis``.
 
-    ``gershgorin`` is ``gershgorin_upper_bound(A)``: its upper end G and
-    sigma = max(0, -its lower end), which makes A + sigma I PSD. ``start``
-    is a Gaussian vector, so its direction is uniform on the sphere. For PSD
-    B, k Lanczos steps from such a vector give a top Ritz value theta with
-    P(theta <= (1 - delta) lambda_max(B)) <= 1.648 sqrt(m) exp(-sqrt(delta) (2k - 1))
-    (Kuczynski and Wozniakowski, SIAM J. Matrix Anal. Appl. 13(4), 1992).
-    Lanczos is shift-invariant, so theta + sigma is that Ritz value of
-    B = A + sigma I, and with delta = (ln(1.648 sqrt(m) / eps) / (2K - 1))^2
-    the result g = min(G, (theta + sigma) / (1 - delta) - sigma + r) bounds
-    lambda_max(A) with probability at least 1 - eps. A breakdown, a residual
-    beta <= K u (G + sigma), ends the run early: the Krylov space is then
-    invariant, every later step would give the same theta, and delta(K)
-    still holds.
-
-    r = 16 K u (G + sigma), u the unit roundoff, covers rounding. Both
-    ||A|| and ||T|| are at most G + sigma. With full reorthogonalization the
-    computed basis is orthonormal to working precision, and the computed T
-    is the exact Lanczos matrix of a matrix within O(K u ||A||) of A, the
-    breakdown residual included; by Weyl's theorem that moves lambda_max by
-    no more, and ``eigvalsh`` of T errs by O(K u ||T||) more. r is far below
-    the slack delta lambda_max that the bound keeps.
+    ``scale`` bounds ||A||, as G + sigma does in ``lanczos_upper_bound``. A
+    breakdown, a residual beta <= K u scale / 2, ends the run early: the
+    Krylov space is then invariant, and the basis holds fewer rows.
 
     Each step is one ``matvec`` of a single vector; the basis is
     reorthogonalized by classical Gram-Schmidt run twice (CGS2) over
-    ``np.einsum`` contractions, never BLAS, and theta is the top eigenvalue
-    of the K x K tridiagonal T. So the bound is the same at every BLAS
-    thread count, and costs K products, a (K, dim) basis and no dense copy
-    of A. Returns a ``SpectralBound`` of method "lanczos" and failure eps
-    where g < G, otherwise ``gershgorin`` itself.
+    ``np.einsum`` contractions, never BLAS, so that it is orthonormal to
+    working precision and the same at every BLAS thread count. The run
+    costs K products and a (K, dim) basis, and makes no dense copy of A;
+    the basis lives as long as the bound that keeps it, and a command
+    copies out the k rows it deflates with.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"failure probability must lie in (0, 1), got {eps!r}")
-    big = gershgorin.lambda_max_upper
-    sigma = max(0.0, -gershgorin.lambda_min_lower)
     m, steps = A.dim, LANCZOS_STEPS
-    delta = (math.log(_KW_CONSTANT * math.sqrt(m) / eps) / (2 * steps - 1)) ** 2
-    scale = big + sigma
-    if not (delta < 1.0 and scale > 0.0):
-        # no slack left to bound, or a zero matrix
-        return gershgorin
     tiny = steps * np.finfo(np.float64).eps / 2.0 * scale
     basis = np.empty((min(steps, m), m))
     q = np.asarray(start, dtype=np.float64)
@@ -778,13 +770,58 @@ def lanczos_upper_bound(A, gershgorin, start, eps):
             break
         beta.append(b)
         q = w / b
-    tri = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+    return KrylovBasis(basis[:len(alpha)], np.array(alpha), np.array(beta), 16.0 * tiny)
+
+
+def lanczos_upper_bound(A, gershgorin, start, eps):
+    """A bound on lambda_max from ``LANCZOS_STEPS`` Lanczos steps, failing with
+    probability at most eps over a start vector uniform on the sphere.
+
+    ``gershgorin`` is ``gershgorin_upper_bound(A)``: its upper end G and
+    sigma = max(0, -its lower end), which makes A + sigma I PSD. ``start``
+    is a Gaussian vector, so its direction is uniform on the sphere. For PSD
+    B, k Lanczos steps from such a vector give a top Ritz value theta with
+    P(theta <= (1 - delta) lambda_max(B)) <= 1.648 sqrt(m) exp(-sqrt(delta) (2k - 1))
+    (Kuczynski and Wozniakowski, SIAM J. Matrix Anal. Appl. 13(4), 1992).
+    Lanczos is shift-invariant, so theta + sigma is that Ritz value of
+    B = A + sigma I, and with delta = (ln(1.648 sqrt(m) / eps) / (2K - 1))^2
+    the result g = min(G, (theta + sigma) / (1 - delta) - sigma + r) bounds
+    lambda_max(A) with probability at least 1 - eps. A breakdown (see
+    ``krylov_basis``) ends the run early: every later step would give the
+    same theta, and delta(K) still holds.
+
+    r = 16 K u (G + sigma), u the unit roundoff, covers rounding. Both
+    ||A|| and ||T|| are at most G + sigma. With full reorthogonalization the
+    computed basis is orthonormal to working precision, and the computed T
+    is the exact Lanczos matrix of a matrix within O(K u ||A||) of A, the
+    breakdown residual included; by Weyl's theorem that moves lambda_max by
+    no more, and ``eigvalsh`` of T errs by O(K u ||T||) more. r is far below
+    the slack delta lambda_max that the bound keeps.
+
+    theta is the top eigenvalue of the K x K tridiagonal T of one
+    ``krylov_basis`` run, so the bound is the same at every BLAS thread
+    count. Returns a ``SpectralBound`` of method "lanczos" and failure eps,
+    which keeps the run as its ``krylov``, where g < G, otherwise
+    ``gershgorin`` itself.
+    """
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"failure probability must lie in (0, 1), got {eps!r}")
+    big = gershgorin.lambda_max_upper
+    sigma = max(0.0, -gershgorin.lambda_min_lower)
+    delta = (math.log(_KW_CONSTANT * math.sqrt(A.dim) / eps) / (2 * LANCZOS_STEPS - 1)) ** 2
+    scale = big + sigma
+    if not (delta < 1.0 and scale > 0.0):
+        # no slack left to bound, or a zero matrix
+        return gershgorin
+    run = krylov_basis(A, start, scale)
+    tri = np.diag(run.alpha) + np.diag(run.beta, 1) + np.diag(run.beta, -1)
     theta = float(np.linalg.eigvalsh(tri)[-1])
-    bound = (theta + sigma) / (1.0 - delta) - sigma + 16.0 * tiny
+    bound = (theta + sigma) / (1.0 - delta) - sigma + run.rounding
     if not bound < big:
         return gershgorin
     return SpectralBound(max(bound, 0.0), "lanczos",
-                         lambda_min_lower=gershgorin.lambda_min_lower, failure=eps)
+                         lambda_min_lower=gershgorin.lambda_min_lower, failure=eps,
+                         krylov=run)
 
 
 def write_matrix_market(A, path):

@@ -127,6 +127,11 @@ def dense_quadratic_form(A, v, expansion, gamma0):
     return gamma0 * float(np.sum(w * w * poly_eval_cosine(expansion, lam / gamma0)))
 
 
+def orthonormal_rows(m, k, seed):
+    """k orthonormal rows of length m, from the QR factors of a Gaussian matrix."""
+    return np.linalg.qr(np.random.default_rng(seed).standard_normal((m, k)))[0].T.copy()
+
+
 def all_sign_vectors(m):
     """Every +-1 vector of length m, 2^m of them. Keep m small."""
     for signs in itertools.product((-1.0, 1.0), repeat=m):

@@ -119,6 +119,34 @@ class TestEntropyCommand:
         doc = json.loads(out)
         assert (doc["method"]["bound"], doc["entropy"], doc["tau"]) == (bound, entropy, tau)
 
+    def test_full_spectrum_keeps_its_numbers_undeflated(self, capsys):
+        # random:1000:0, the dense benchmark matrix: 64 Krylov rows hold a
+        # few percent of its trace, so the rule keeps none, and the report
+        # is the undeflated release's, pinned, with k = 0
+        code, out, _ = run_cli(capsys, "entropy", "--generate", "random:1000:0", "-n", "8",
+                               "--samples", "30")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["method"]["bound"], doc["method"]["deflation"], doc["entropy"],
+                doc["tau"], doc["samples"]) == ("lanczos", 0, 248.9264205034521,
+                                                12.345225510063564, 30)
+
+    @pytest.mark.parametrize("extra, samples", [(["--samples", "4000"], 4000), ([], 8)],
+                             ids=["fixed", "adaptive"])
+    def test_low_rank_state_is_deflated(self, capsys, extra, samples):
+        # normalized spdc: the rows kept leave the forms a spread far below
+        # the floor, so tau is the floor and the widening's Hoeffding term,
+        # and an adaptive run stops at 8 probes
+        code, out, _ = run_cli(capsys, "entropy", "--generate", "spdc:default", "--normalize",
+                               "-n", "14", *extra)
+        assert code == 0
+        doc = json.loads(out)
+        floor = 64 * doc["gamma0"] / (2 * 14 * 15)
+        assert doc["method"]["deflation"] > 0 and doc["samples"] == samples
+        assert doc["delta"] - 2.0 * floor < floor / 4.0
+        code, out, _ = run_cli(capsys, "oracle", "--generate", "spdc:default", "--normalize")
+        assert abs(doc["entropy"] - json.loads(out)["entropy"]) < doc["tau"]
+
     @pytest.mark.parametrize("source", ["random:300:0", "spdc:default"])
     def test_lanczos_bound_reruns_bit_for_bit(self, capsys, source):
         # a matrix stored by column takes the Lanczos bound from a start

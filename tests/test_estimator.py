@@ -1,5 +1,6 @@
 """Probe sampling, Hoeffding bookkeeping, and the entropy estimators."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -15,12 +16,13 @@ from entrace.chebyshev import (
     evaluate_scalar,
     truncation_error_bound,
 )
-from entrace.cli import RunConfig, _scaling
-from entrace.clenshaw import SpectrumEscape, quadratic_form
+from entrace.cli import BOUND_FAILURE_SHARE, RunConfig, _scaling
+from entrace.clenshaw import SpectrumEscape, deflated_part, quadratic_form
 from entrace.estimator import (
     RademacherSampler,
     ScalingParams,
     core_count,
+    deflation_basis,
     entropy_with_normalization,
     error_tolerance,
     estimate_adaptive,
@@ -29,8 +31,14 @@ from entrace.estimator import (
 )
 from entrace.generators import SpdcParams, fem_matrix, random_psd, spdc_density_matrix
 from entrace.oracle import dense_spectrum, exact_entropy, fem_exact_entropy
-from entrace.sparse import SpectralBound, SymmetricSparseMatrix, gershgorin_upper_bound
-from support import all_sign_vectors, dense_poly_trace, layout, scattered_psd
+from entrace.sparse import (
+    SpectralBound,
+    SymmetricSparseMatrix,
+    gershgorin_upper_bound,
+    lanczos_upper_bound,
+)
+from support import (all_sign_vectors, dense_poly_trace, layout, orthonormal_rows,
+                     scattered_psd)
 
 
 def identity(m, c=1.0):
@@ -396,6 +404,29 @@ class TestEstimateFixed:
         assert got == want
         assert peak / (8 * m) <= most
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_adaptive_run_holds_one_set_of_workspaces(self, threads):
+        # the workspaces belong to the run, not to a batch: an adaptive run
+        # on fem(2 * 10^5) that draws its probes in several batches peaks no
+        # higher, traced, than a fixed run of the same count in one batch
+        m = 2 * 10**5
+        A, sp = fem_matrix(m), ScalingParams(x0=1.0, gamma0=4.3)
+        peaks = []
+        for run in (lambda: estimate_adaptive(A, 8, 0.95, sp, RademacherSampler(0),
+                                              threads=threads),
+                    lambda: estimate_fixed(A, 8, count, sp, RademacherSampler(0),
+                                           threads=threads)):
+            count = run().samples_used
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert count > 2
+        # within a hundredth of a vector of 8 m bytes: the loop's own objects
+        assert peaks[0] <= peaks[1] + 8 * m / 100
+
     def test_pool_workers_bounded(self, monkeypatch):
         # an absurd thread count never reaches the pool: workers are capped by
         # the blocks in the batch and the core count, and the fake pool
@@ -654,6 +685,111 @@ class TestExactMoments:
             quadratic_form(A, np.ones(m), coefficients(2, 1.0), 1.0, traces)
 
 
+def low_rank(m, rank, seed):
+    """A random_psd of dimension m with ``rank`` eigenvalues in [0.2, 1), the rest 0."""
+    spectrum = np.zeros(m)
+    spectrum[:rank] = np.random.default_rng(seed).uniform(0.2, 1.0, rank)
+    return random_psd(m, seed, spectrum), spectrum
+
+
+class TestDeflation:
+    """Forms of probes deflated by k orthonormal rows, and the rule that picks k."""
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_mean_deflated_form_is_poly_trace(self, k, normalize):
+        # every sign vector at m = 10, on a rank-3 matrix, with rows that
+        # need not span its range: the deflated forms average to the
+        # polynomial trace, as the undeflated ones do
+        m, n = 10, 5
+        A, _ = low_rank(m, 3, 3)
+        scale = A.trace() if normalize else 1.0
+        exp = coefficients(n, 1.0)
+        rows = orthonormal_rows(m, k, k)
+        probes = np.array(list(all_sign_vectors(m)))
+        deflation = (rows, deflated_part(A, rows, exp, scale))
+        forms = quadratic_form(A, probes, exp, scale, deflation=deflation) / scale
+        state = SymmetricSparseMatrix.from_dense(A.to_dense() / scale)
+        assert math.fsum(forms) / 2 ** m == pytest.approx(dense_poly_trace(state, exp, 1.0),
+                                                          rel=1e-9)
+
+    def test_rows_that_span_the_range_leave_one_form(self):
+        # with the range's eigenvectors every sampled term vanishes, up to
+        # rounding: each probe gives the polynomial trace
+        m, n = 10, 5
+        A, _ = low_rank(m, 3, 3)
+        rows = np.linalg.eigh(A.to_dense())[1][:, -3:].T.copy()
+        exp = coefficients(n, 1.0)
+        deflation = (rows, deflated_part(A, rows, exp, 1.0))
+        forms = quadratic_form(A, np.array(list(all_sign_vectors(m))), exp, 1.0,
+                               deflation=deflation)
+        assert np.ptp(forms) < 1e-12
+        assert forms[0] == pytest.approx(dense_poly_trace(A, exp, 1.0), rel=1e-12)
+
+    def test_rule_takes_the_least_k_whose_spread_fits(self):
+        # normalized spdc at n = 14: the kept rows lead the Lanczos basis,
+        # and k is the first count at which 2 L m (|r_k| + r) / tr A meets a
+        # quarter of the floor
+        A = spdc_density_matrix(SpdcParams())
+        sampler = RademacherSampler(0)
+        sp, rows = _scaling(A, RunConfig("entropy", normalize=True, degree=14), sampler)
+        krylov = lanczos_upper_bound(A, gershgorin_upper_bound(A),
+                                     sampler.start_vector(A.dim),
+                                     BOUND_FAILURE_SHARE * 0.05).krylov
+        k = len(rows)
+        assert 0 < k < len(krylov.rows)
+        assert np.array_equal(rows, krylov.rows[:k])
+        a = coefficients(14, 1.0).coeffs
+        slope = 2.0 * 14 ** 2 * (abs(a[0]) / 2.0 + np.abs(a[1:]).sum())
+        floor = truncation_error_bound(14, A.dim * sp.gamma0)
+        spread = [2.0 * slope * A.dim * (abs(A.trace() - math.fsum(krylov.alpha[:j]))
+                                         + krylov.rounding) / A.trace() for j in (k - 1, k)]
+        assert spread[0] > floor / 4.0 >= spread[1]
+
+    @pytest.mark.parametrize("seed, entropy, tau", [
+        (0, 70.05981020670463, 3.7709188184194247),
+        (1, 70.29573282966543, 3.9783289520259055),
+    ])
+    def test_rule_declines_on_a_full_spectrum(self, seed, entropy, tau):
+        # random_psd(300) of a uniform spectrum: no prefix of the basis
+        # holds the trace, so no row is kept, and the estimate is the
+        # undeflated one, pinned, that reports k = 0
+        A, n, num, normalize, _ = random_by_column(300)
+        sampler = RademacherSampler(seed)
+        sp, rows = _scaling(A, RunConfig("entropy", degree=n), sampler)
+        assert rows.shape == (0, A.dim)
+        est = estimate_fixed(A, n, num, sp, sampler, deflation=rows)
+        assert (est.value, est.tau, est.deflation) == (entropy, tau, 0)
+        assert est == dataclasses.replace(estimate_fixed(A, n, num, sp, sampler), deflation=0)
+        assert est.to_dict()["method"]["deflation"] == 0
+
+    def test_no_basis_no_deflation(self):
+        # a scaling of no Lanczos run passes on no basis, and the report has
+        # no deflation key; nor has the rule a basis to read
+        A = fem_matrix(100)
+        sp, rows = _scaling(A, RunConfig("entropy"), RademacherSampler(0))
+        assert rows is None
+        assert "deflation" not in estimate_fixed(A, 3, 4, sp, RademacherSampler(0)).to_dict()[
+            "method"]
+        assert deflation_basis(None, 3, A.trace(), sp) is None
+
+    def test_escape_is_worded_with_the_state_interval(self):
+        # a gamma0 below the spectrum fails already on the exact part's rows
+        A = spdc_density_matrix(SpdcParams())
+        sampler = RademacherSampler(0)
+        _, rows = _scaling(A, RunConfig("entropy", normalize=True, degree=14), sampler)
+        sp = ScalingParams(x0=1.0, gamma0=0.1)
+        with pytest.raises(ValueError, match=r"exceeds mu_0 = \|\|v\|\|\^2: the spectrum is "
+                                             r"not inside \[0, x0 \* gamma0\] = \[0, 0\.1\]"):
+            estimate_fixed(A, 14, 10, sp, sampler, normalize=True, deflation=rows)
+
+    def test_rows_must_match_the_dimension(self):
+        A = fem_matrix(10)
+        sp = ScalingParams.from_bound(gershgorin_upper_bound(A))
+        with pytest.raises(ValueError, match="do not match dimension 10"):
+            estimate_fixed(A, 3, 4, sp, RademacherSampler(0), deflation=np.ones((2, 9)))
+
+
 def normalized_spdc():
     A = spdc_density_matrix(SpdcParams())
     state = SymmetricSparseMatrix.from_dense(A.to_dense() / A.trace())
@@ -688,11 +824,38 @@ class TestCoverage:
         covered = 0
         for seed in range(100):
             sampler = RademacherSampler(seed)
-            sp = _scaling(A, RunConfig("entropy", normalize=normalize), sampler)
+            sp, rows = _scaling(A, RunConfig("entropy", normalize=normalize, degree=n),
+                                sampler)
             assert sp.provenance == bound
-            est = estimate_fixed(A, n, num, sp, sampler, normalize=normalize)
+            est = estimate_fixed(A, n, num, sp, sampler, normalize=normalize, deflation=rows)
             covered += abs(est.value - truth) < est.tau
         assert covered >= 93, covered
+
+
+def rank5_by_column():
+    A, spectrum = low_rank(200, 5, 5)
+    assert layout(A) == "columns"
+    return A, 8, 30, False, -float(np.sum(entropy_function(spectrum)))
+
+
+class TestDeflatedCoverage:
+    """On low-rank matrices every seed's run deflates, and tau covers the
+    truth on at least p = 0.95 of 200 seeds, with the scaling and rows that
+    a command takes."""
+
+    @pytest.mark.parametrize("case", [normalized_spdc, rank5_by_column],
+                             ids=["spdc-normalized", "random-200-rank-5"])
+    def test_tau_covers_the_truth(self, case):
+        A, n, num, normalize, truth = case()
+        covered = 0
+        for seed in range(200):
+            sampler = RademacherSampler(seed)
+            sp, rows = _scaling(A, RunConfig("entropy", normalize=normalize, degree=n),
+                                sampler)
+            est = estimate_fixed(A, n, num, sp, sampler, normalize=normalize, deflation=rows)
+            assert est.deflation > 0
+            covered += abs(est.value - truth) < est.tau
+        assert covered >= 190, covered
 
 
 class TestCoreCount:
@@ -720,3 +883,11 @@ class TestJsonShape:
         assert list(d["method"].keys()) == ["estimator", "stream", "bound", "normalized",
                                             "zero_trace", "xi_min", "xi_max"]
         json.dumps(d)  # everything serializable
+        # a run given a basis, as a Lanczos bound's, reports its rows kept
+        A = spdc_density_matrix(SpdcParams())
+        sp, rows = _scaling(A, RunConfig("entropy", normalize=True), RademacherSampler(0))
+        d = estimate_fixed(A, 3, 4, sp, RademacherSampler(0), normalize=True,
+                           deflation=rows).to_dict()
+        assert list(d["method"].keys()) == ["estimator", "stream", "bound", "deflation",
+                                            "normalized", "zero_trace", "xi_min", "xi_max"]
+        assert d["method"]["deflation"] == len(rows)

@@ -22,6 +22,7 @@ from entrace.sparse import (
     SpectralBound,
     SymmetricSparseMatrix,
     gershgorin_upper_bound,
+    krylov_basis,
     lanczos_upper_bound,
     read_matrix_market,
     write_matrix_market,
@@ -1184,6 +1185,30 @@ class TestLanczosBound:
         assert len(calls) == 1
         # theta = 2 exactly, which delta's slack puts above Gershgorin's exact 2
         assert bound is gershgorin
+
+    @pytest.mark.parametrize("name", ["uniform", "rank-deficient", "spdc"])
+    def test_bound_keeps_its_run(self, name):
+        # the bound and the basis come from one run: its rows are
+        # orthonormal, alpha is the diagonal of Q A Q^T and beta the
+        # off-diagonal, and a second run from the same start is the same
+        # bits; the rank-12 matrix and the spdc state break down early
+        mat = lanczos_case(name)
+        gershgorin = gershgorin_upper_bound(mat)
+        start = RademacherSampler(0).start_vector(mat.dim)
+        bound = lanczos_upper_bound(mat, gershgorin, start, self.EPS)
+        run = bound.krylov
+        assert gershgorin.krylov is None and bound.method == "lanczos"
+        q = run.rows
+        assert (len(q) == LANCZOS_STEPS) == (name == "uniform")
+        assert len(run.alpha) == len(q) and len(run.beta) == len(q) - 1
+        np.testing.assert_allclose(q @ q.T, np.eye(len(q)), atol=1e-13)
+        projected = q @ mat.to_dense() @ q.T
+        scale = gershgorin.lambda_max_upper - gershgorin.lambda_min_lower
+        np.testing.assert_allclose(run.alpha, np.diag(projected), atol=1e-13 * scale)
+        np.testing.assert_allclose(run.beta, np.diag(projected, 1), atol=1e-12 * scale)
+        again = krylov_basis(mat, start, scale)
+        assert np.array_equal(again.rows, q) and np.array_equal(again.alpha, run.alpha)
+        assert run.rounding == 16.0 * LANCZOS_STEPS * np.finfo(float).eps / 2.0 * scale
 
     def test_no_slack_or_zero_matrix_keeps_gershgorin(self):
         zero = SymmetricSparseMatrix(3, [0], [0], [0.0])
