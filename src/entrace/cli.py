@@ -52,7 +52,6 @@ class RunConfig:
     confidence: float = 0.95
     samples: int | None = None
     seed: int = 0
-    x0: float = 1.0
     gamma0: float | None = None
     normalize: bool = False
     n_max: int = DEFAULT_N_MAX
@@ -78,8 +77,6 @@ class RunConfig:
             raise UsageError("--samples must be at least 1")
         if self.seed < 0:
             raise UsageError(f"--seed must be nonnegative, got {self.seed}")
-        if not (math.isfinite(self.x0) and self.x0 > 0.0):
-            raise UsageError(f"--x0 must be a positive finite number, got {self.x0!r}")
         if self.gamma0 is not None and not (math.isfinite(self.gamma0) and self.gamma0 > 0.0):
             raise UsageError(f"--gamma0 must be a positive finite number, got {self.gamma0!r}")
         if self.n_max < MIN_N_MAX:
@@ -87,14 +84,21 @@ class RunConfig:
                              f"sample count, got {self.n_max}")
         if len(self.sizes) != len(self.degrees):
             raise UsageError("--sizes and --degrees must have the same length")
-        if min(self.sizes, default=1) < 1:
-            raise UsageError(f"--sizes must all be at least 1, got {min(self.sizes)}")
+        for m in self.sizes:
+            _check_fem_size(m, f"{m} in --sizes")
         if min(self.degrees, default=1) < 1:
             raise UsageError(f"--degrees must all be at least 1, got {min(self.degrees)}")
 
 
 class UsageError(Exception):
     pass
+
+
+def _check_fem_size(m, got):
+    """Refuse a fem size beyond ``FEM_BYTES`` before ``fem_matrix`` allocates its mask."""
+    if not 1 <= m <= FEM_BYTES // FEM_ROW_BYTES:
+        raise UsageError(f"fem size must lie in 1..{FEM_BYTES // FEM_ROW_BYTES} "
+                         f"({FEM_ROW_BYTES} B a row within {FEM_BYTES} B), got {got}")
 
 
 def default_threads():
@@ -124,10 +128,7 @@ def _load_matrix(config):
             m = int(rest)
         except ValueError:
             raise UsageError(f"fem spec needs a size, e.g. fem:100, got {spec!r}")
-        if not 1 <= m <= FEM_BYTES // FEM_ROW_BYTES:
-            # refused before fem_matrix allocates its (3, m) mask
-            raise UsageError(f"fem size must lie in 1..{FEM_BYTES // FEM_ROW_BYTES} "
-                             f"({FEM_ROW_BYTES} B a row within {FEM_BYTES} B), got {spec!r}")
+        _check_fem_size(m, repr(spec))
         return fem_matrix(m), spec, []
     if kind == "spdc":
         params = SpdcParams() if rest in ("", "default") else SpdcParams.from_config(rest)
@@ -171,13 +172,12 @@ def _scaling(mat, config, sampler):
     run's basis on to ``deflation_basis`` at the run's degree.
     """
     if config.gamma0 is not None:
-        return ScalingParams(float(config.x0), float(config.gamma0), "user"), None
+        return ScalingParams(1.0, float(config.gamma0), "user"), None
     bound = gershgorin_upper_bound(mat)
     if mat.by_column:
         bound = lanczos_upper_bound(mat, bound, sampler.start_vector(mat.dim),
                                     BOUND_FAILURE_SHARE * (1.0 - config.confidence))
-    scaling = ScalingParams.for_matrix(bound, mat.trace(), x0=config.x0,
-                                       normalize=config.normalize)
+    scaling = ScalingParams.for_matrix(bound, mat.trace(), normalize=config.normalize)
     return scaling, deflation_basis(bound.krylov, config.degree, mat.trace(), scaling,
                                     config.normalize)
 
@@ -353,8 +353,6 @@ def build_parser():
                        help=f"confidence level in (0,1) (default {RunConfig.confidence})")
         p.add_argument("--seed", type=int,
                        help=f"probe stream seed (default {RunConfig.seed})")
-        p.add_argument("--x0", type=float,
-                       help=f"approximation interval endpoint (default {RunConfig.x0:g})")
         p.add_argument("--n-max", type=int,
                        help=f"adaptive sample cap (default {RunConfig.n_max})")
 
@@ -366,8 +364,8 @@ def build_parser():
                        help="fixed sample count; omit for the adaptive loop")
     p_ent.add_argument("--gamma0", type=float,
                        help="user spectral scaling of the matrix estimated, the state "
-                            "under --normalize; overrides the bound on lambda_max "
-                            "(Lanczos on a matrix stored by column, else Gershgorin)")
+                            "under --normalize, whose spectrum must lie in [0, gamma0]; "
+                            "overrides the Lanczos or Gershgorin bound on lambda_max")
     p_ent.add_argument("--normalize", action="store_true",
                        help="estimate the entropy of A / tr(A)")
     p_ent.add_argument("--verify-psd", action="store_true",

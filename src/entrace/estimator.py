@@ -138,10 +138,12 @@ class ScalingParams:
 
     x0 is the approximation interval of the Chebyshev series and gamma0 the
     matrix prefactor in the identity
-    E(A) = -gamma0 tr(L(A / gamma0)) - log(gamma0) tr(A). ``failure`` is the
-    probability that x0 * gamma0 does not bound the spectrum, that of the
-    bound it came from; tau's Hoeffding term is taken at (1 - p) - failure,
-    so that tau holds with probability at least p.
+    E(A) = -gamma0 tr(L(A / gamma0)) - log(gamma0) tr(A). A run depends on x0
+    only through x0 * gamma0 (log x0 enters a_0 and a_1, and mu_1 is exact),
+    so the constructors take x0 = 1, where spread_function is least.
+    ``failure`` is the probability that x0 * gamma0 does not bound the
+    spectrum, that of the bound it came from; tau's Hoeffding term is taken
+    at (1 - p) - failure, so that tau holds with probability at least p.
     """
 
     x0: float
@@ -160,22 +162,19 @@ class ScalingParams:
             raise ValueError(f"failure probability must lie in [0, 1), got {self.failure!r}")
 
     @classmethod
-    def from_bound(cls, bound: SpectralBound, x0=1.0):
-        """Split an eigenvalue upper bound into (x0, gamma0) with x0*gamma0 = bound.
-
-        x0 = 1 minimizes the sample-count constant; see spread_function.
-        """
+    def from_bound(cls, bound: SpectralBound):
+        """The scaling x0 = 1, gamma0 = the eigenvalue upper bound."""
         if not bound.lambda_max_upper > 0.0:
             raise ValueError(
                 "spectral bound must be positive to derive a scaling; "
                 "a bound of zero means the matrix is zero and its entropy is 0"
             )
-        # the bound is positive, so any nonzero trace leaves it as it is
-        return cls.for_matrix(bound, bound.lambda_max_upper, x0)
+        return cls(x0=1.0, gamma0=bound.lambda_max_upper, provenance=bound.method,
+                   failure=bound.failure)
 
     @classmethod
-    def for_matrix(cls, bound: SpectralBound, trace, x0=1.0, normalize=False):
-        """Scaling for a run on a matrix with this eigenvalue bound and trace.
+    def for_matrix(cls, bound: SpectralBound, trace, normalize=False):
+        """Scaling x0 = 1 for a run on a matrix with this eigenvalue bound and trace.
 
         With normalize the scaling describes the state A / tr(A), so the
         bound is divided by a nonzero trace. A bound that is not positive
@@ -188,7 +187,7 @@ class ScalingParams:
             lam = lam / trace
         if lam <= 0.0 and trace != 0.0:
             raise ValueError("spectral bound is zero but the trace is not; matrix is not PSD")
-        return cls(x0=float(x0), gamma0=lam / float(x0) if lam > 0.0 else 1.0,
+        return cls(x0=1.0, gamma0=lam if lam > 0.0 else 1.0,
                    provenance=bound.method, failure=bound.failure)
 
 

@@ -20,8 +20,9 @@ from .chebyshev import entropy_function
 DENSE_CAP = 2000
 
 # the memory a fem: run may hold, at what it holds a row with one worker:
-# 27.6 B traced at m = 10^6, the matrix's 4 B and a probe form's three 8 B
-# vectors (each further worker adds a form, 24 B a row)
+# 27.0 B traced at m = 10^6, gershgorin_upper_bound's three 8 B temporaries
+# beside the matrix's 3 B; sampling peaks at 21.8 B, the matrix and a probe
+# form's two 8 B vectors (each further worker adds a form, 18 B a row)
 FEM_BYTES = 2**30
 FEM_ROW_BYTES = 28
 
@@ -60,7 +61,7 @@ def dense_spectrum(A):
 
 
 def exact_entropy(spectrum):
-    """-sum_i lambda_i log(lambda_i) over the spectrum, in nats.
+    """-sum_i lambda_i log(lambda_i) over the spectrum, in nats, +0.0 for a pure state.
 
     Eigenvalues in [-tol, 0) for tol = 1e-9 * max|lambda| are rounding
     artifacts of the decomposition and are clamped to zero; anything more
@@ -73,7 +74,7 @@ def exact_entropy(spectrum):
         worst = float(lam.min())
         raise ValueError(f"eigenvalue {worst} is negative beyond rounding; matrix is not PSD")
     lam = np.maximum(lam, 0.0)
-    return float(-np.sum(entropy_function(lam)))
+    return 0.0 - float(np.sum(entropy_function(lam)))
 
 
 def fem_exact_entropy(m):

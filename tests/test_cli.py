@@ -79,15 +79,15 @@ class TestEntropyCommand:
         assert doc["gamma0"] == 5.0
         assert doc["method"]["bound"] == "user"
 
-    @pytest.mark.parametrize("gamma0, x0", [("1.4", "3"), ("1.4", "6"), ("6.3", "0.7")])
-    def test_user_gamma0_is_exact_under_any_x0(self, capsys, gamma0, x0):
-        # pairs for which (G * x0) / x0 is not G in floating point
-        assert float(gamma0) * float(x0) / float(x0) != float(gamma0)
+    @pytest.mark.parametrize("gamma0", ["4.2", "8.4", "4.41"])
+    def test_user_gamma0_is_reported_as_given(self, capsys, gamma0):
+        # x0 G for (G, x0) = (1.4, 3), (1.4, 6) and (6.3, 0.7): --gamma0 x0 G
+        # is the run at that x0, reported at x0 = 1 with the G given
         code, out, _ = run_cli(capsys, "entropy", "--generate", "fem:100", "--gamma0", gamma0,
-                               "--x0", x0, "-n", "4", "--samples", "4")
+                               "-n", "4", "--samples", "4")
         assert code == 0
         doc = json.loads(out)
-        assert (doc["gamma0"], doc["x0"]) == (float(gamma0), float(x0))
+        assert (doc["gamma0"], doc["x0"]) == (float(gamma0), 1.0)
 
     @pytest.mark.parametrize("source, gamma0", [("fem:1000", "0.004"), ("spdc:default", "1.0")])
     def test_user_gamma0_scales_the_state(self, capsys, source, gamma0):
@@ -196,6 +196,16 @@ class TestOracleCommand:
         assert code == 0
         assert json.loads(out)["entropy"] <= math.log(16)
 
+    def test_pure_state_entropy_is_positive_zero(self, capsys, tmp_path):
+        # a state with one nonzero eigenvalue: fem:1 and a file with one entry
+        path = tmp_path / "one.mtx"
+        path.write_text(MTX_HEADER + "3 3 1\n2 2 5.0\n")
+        for source in (["--generate", "fem:1"], ["--input", str(path)]):
+            code, out, _ = run_cli(capsys, "oracle", *source, "--normalize")
+            assert code == 0
+            assert '"entropy": 0.0,' in out
+            assert math.copysign(1.0, json.loads(out)["entropy"]) == 1.0
+
     def test_cap_exceeded(self, capsys):
         # oracle.DENSE_CAP is the dense route's only limit; no --cap lowers it
         with pytest.raises(SystemExit) as exc:
@@ -271,17 +281,21 @@ class TestGenerateCommand:
         assert out == "" and "generate requires --output" in err
 
     def test_fem_beyond_the_row_limit(self, capsys):
-        # refused before fem_matrix fills its (3, m) mask, 12 GB at 4 * 10^9
-        for spec in ("fem:38347923", "fem:4000000000"):
+        # refused before fem_matrix fills its (3, m) mask, 12 GB at 4 * 10^9;
+        # table1's --sizes take the same cap
+        for argv, got in ((["entropy", "--generate", "fem:38347923"], "'fem:38347923'"),
+                          (["entropy", "--generate", "fem:4000000000"], "'fem:4000000000'"),
+                          (["table1", "--sizes", "38347923", "--degrees", "2"],
+                           "38347923 in --sizes")):
             tracemalloc.start()
             try:
-                code, out, err = run_cli(capsys, "entropy", "--generate", spec)
+                code, out, err = run_cli(capsys, *argv)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert code == 2 and out == ""
             assert err == (f"usage error: fem size must lie in 1..38347922 (28 B a row "
-                           f"within 1073741824 B), got {spec!r}\n")
+                           f"within 1073741824 B), got {got}\n")
             assert peak < 2**20
         # the benchmark's size runs
         code, out, _ = run_cli(capsys, "entropy", "--generate", "fem:1000000", "-n", "2",
@@ -408,10 +422,14 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize("x0", ["0", "-1", "nan", "inf"])
     def test_bad_x0(self, capsys, x0):
-        code, out, err = run_cli(capsys, "entropy", "--generate", "fem:5", "--x0", x0)
-        assert code == 2
-        assert "usage error" in err and "--x0" in err
-        assert out == ""
+        # a run depends on x0 only through x0 * gamma0, so --x0 is gone and
+        # the parser refuses any value of it
+        for sub in (["entropy", "--generate", "fem:5"], ["table1"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*sub, "--x0", x0])
+            out, err = capsys.readouterr()
+            assert exc.value.code == 2
+            assert out == "" and "unrecognized arguments: --x0" in err
 
     @pytest.mark.parametrize("gamma0", ["0", "-1", "nan", "inf"])
     def test_bad_gamma0(self, capsys, gamma0):

@@ -274,9 +274,9 @@ class TestScalingParams:
         fem = fem_matrix(10)
         bound = gershgorin_upper_bound(fem)
         assert ScalingParams.for_matrix(bound, fem.trace()) == ScalingParams.from_bound(bound)
-        # normalized: the bound of A / tr(A), split by x0
-        sp = ScalingParams.for_matrix(bound, 20.0, x0=2.0, normalize=True)
-        assert sp == ScalingParams(x0=2.0, gamma0=4.0 / 20.0 / 2.0, provenance="gershgorin")
+        # normalized: the bound of A / tr(A)
+        sp = ScalingParams.for_matrix(bound, 20.0, normalize=True)
+        assert sp == ScalingParams(x0=1.0, gamma0=4.0 / 20.0, provenance="gershgorin")
         user = ScalingParams.for_matrix(SpectralBound(3.0, "user"), 1.0)
         assert user.provenance == "user" and user.gamma0 == 3.0
         # a bound that may fail hands its failure probability on
@@ -291,8 +291,8 @@ class TestScalingParams:
         # by, is a matrix that is not PSD
         zero = SpectralBound(0.0, "gershgorin")
         for normalize in (False, True):
-            sp = ScalingParams.for_matrix(zero, 0.0, x0=2.0, normalize=normalize)
-            assert sp == ScalingParams(x0=2.0, gamma0=1.0, provenance="gershgorin")
+            sp = ScalingParams.for_matrix(zero, 0.0, normalize=normalize)
+            assert sp == ScalingParams(x0=1.0, gamma0=1.0, provenance="gershgorin")
         for bound, trace, normalize in ((zero, 1.0, False), (zero, -1.0, True),
                                         (SpectralBound(1.0, "gershgorin"), -2.0, True)):
             with pytest.raises(ValueError, match="^spectral bound is zero but the trace is "
@@ -306,6 +306,34 @@ class TestScalingParams:
             ScalingParams(x0=1.0, gamma0=1.0, provenance="unknown")
         with pytest.raises(ValueError):
             ScalingParams(x0=1.0, gamma0=1.0, provenance="lanczos", failure=1.0)
+
+
+class TestIntervalSplit:
+    """A run depends on x0 only through x0 * gamma0, which is why the CLI
+    has no --x0 and fixes x0 = 1."""
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("family", ["fem", "random"])
+    def test_x0_moves_no_estimate(self, family, normalize):
+        if family == "fem":
+            A = fem_matrix(1000)
+        else:
+            A = random_psd(200, 1, np.random.default_rng(1).uniform(0.0, 1.0, 200))
+        base = ScalingParams.for_matrix(gershgorin_upper_bound(A), A.trace(),
+                                        normalize=normalize)
+
+        def runs(sp):
+            return (estimate_adaptive(A, 6, 0.95, sp, RademacherSampler(1),
+                                      normalize=normalize),
+                    estimate_fixed(A, 6, 16, sp, RademacherSampler(1), normalize=normalize))
+
+        want = runs(base)
+        for x0 in (0.5, 3.0, 7.0):
+            sp = ScalingParams(x0, base.gamma0 / x0, base.provenance)
+            for got, ref in zip(runs(sp), want):
+                assert got.samples_used == ref.samples_used, x0
+                assert got.value == pytest.approx(ref.value, rel=1e-12, abs=0.0), x0
+                assert got.tau == pytest.approx(ref.tau, rel=1e-12, abs=0.0), x0
 
 
 class TestEstimateFixed:

@@ -63,7 +63,9 @@ class TestExactEntropy:
                                                                          abs=1e-13)
 
     def test_pure_state_zero(self):
-        assert exact_entropy(Spectrum(eigenvalues=np.array([0.0, 0.0, 1.0]))) == 0.0
+        value = exact_entropy(Spectrum(eigenvalues=np.array([0.0, 0.0, 1.0])))
+        # +0.0, not the -0.0 that negating a zero sum gives
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     def test_clamps_rounding_negatives(self):
         lam = np.array([-1e-12, 0.5, 1.0])

@@ -1,9 +1,12 @@
-"""The README's library example runs as written against the public API, and
-its flag list names only options the CLI has."""
+"""The README's library example runs as written against the public API, its
+flag list names only options the CLI has, and its command examples parse."""
 
 import argparse
 import pathlib
 import re
+import shlex
+
+import pytest
 
 from entrace.cli import build_parser
 
@@ -26,3 +29,25 @@ def test_entropy_flag_list_names_only_entropy_options():
     options = {s for a in sub.choices["entropy"]._actions for s in a.option_strings}
     assert {"-n", "--degree", "--gamma0"} <= documented
     assert documented <= options, documented - options
+
+
+def _cli_examples(text):
+    """The ``entrace`` argument lists of the ``sh`` blocks in ``text``."""
+    blocks = re.findall(r"^```sh\n(.*?)^```$", text, flags=re.M | re.S)
+    return [shlex.split(line)[1:] for block in blocks for line in block.splitlines()
+            if line.startswith("entrace ")]
+
+
+def test_command_examples_parse():
+    # parsing opens no file: --input and -o are only strings here
+    examples = _cli_examples(README.read_text())
+    assert {argv[0] for argv in examples} == {"entropy", "oracle", "generate", "table1"}
+    for argv in examples:
+        build_parser().parse_args(argv)
+
+
+def test_an_example_with_a_gone_flag_fails(capsys):
+    (argv,) = _cli_examples("```sh\nentrace entropy --generate fem:10 --x0 2\n```\n")
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
+    assert "unrecognized arguments: --x0" in capsys.readouterr().err
