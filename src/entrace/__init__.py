@@ -30,7 +30,6 @@ from .estimator import (
     EntropyEstimate,
     RademacherSampler,
     ScalingParams,
-    deflation_basis,
     entropy_with_normalization,
     error_tolerance,
     estimate_adaptive,
@@ -68,7 +67,6 @@ __all__ = [
     "SymmetricSparseMatrix",
     "coefficients",
     "deflated_part",
-    "deflation_basis",
     "dense_spectrum",
     "entropy_function",
     "entropy_with_normalization",

@@ -23,7 +23,6 @@ from .estimator import (
     RademacherSampler,
     ScalingParams,
     core_count,
-    deflation_basis,
     estimate_adaptive,
     estimate_fixed,
 )
@@ -35,6 +34,8 @@ from .sparse import (gershgorin_upper_bound, lanczos_upper_bound, read_matrix_ma
 
 TABLE1_SIZES = (10, 50, 100, 500, 1000, 5000)
 TABLE1_DEGREES = (2, 3, 3, 4, 6, 8)
+# the largest Chebyshev degree a command takes; a block's moments grow with it
+MAX_DEGREE = 1024
 
 THREADS_ENV = "ENTRACE_THREADS"
 
@@ -71,8 +72,8 @@ class RunConfig:
                              "reports on stdout only")
         if not 0.0 < self.confidence < 1.0:
             raise UsageError("confidence must lie strictly between 0 and 1")
-        if self.degree < 1:
-            raise UsageError("degree must be at least 1")
+        if not 1 <= self.degree <= MAX_DEGREE:
+            raise UsageError(f"degree must lie in 1..{MAX_DEGREE}, got {self.degree}")
         if self.samples is not None and self.samples < 1:
             raise UsageError("--samples must be at least 1")
         if self.seed < 0:
@@ -86,8 +87,8 @@ class RunConfig:
             raise UsageError("--sizes and --degrees must have the same length")
         for m in self.sizes:
             _check_fem_size(m, f"{m} in --sizes")
-        if min(self.degrees, default=1) < 1:
-            raise UsageError(f"--degrees must all be at least 1, got {min(self.degrees)}")
+        if not all(1 <= n <= MAX_DEGREE for n in self.degrees):
+            raise UsageError(f"--degrees must all lie in 1..{MAX_DEGREE}, got {self.degrees}")
 
 
 class UsageError(Exception):
@@ -161,25 +162,22 @@ def _verify_psd(mat):
 
 
 def _scaling(mat, config, sampler):
-    """The run's scaling and the rows that deflate its probes, or None.
+    """The run's scaling: ``--gamma0`` as given, or from a bound on A's lambda_max.
 
-    The scaling is ``--gamma0`` as given, or from a bound on A's lambda_max:
-    Gershgorin's, tightened for a matrix stored by column by
+    The bound is Gershgorin's, tightened for a matrix stored by column by
     ``lanczos_upper_bound`` from the sampler's start vector, at failure
     probability ``BOUND_FAILURE_SHARE`` * (1 - p). ``--gamma0`` describes
     the matrix the run estimates, the state A / tr(A) under ``--normalize``,
-    so only a bound on A is divided by the trace. A Lanczos bound passes its
-    run's basis on to ``deflation_basis`` at the run's degree.
+    so only a bound on A is divided by the trace. A Lanczos bound's scaling
+    keeps its run, whose basis the estimators deflate the probes with.
     """
     if config.gamma0 is not None:
-        return ScalingParams(1.0, float(config.gamma0), "user"), None
+        return ScalingParams(1.0, float(config.gamma0), "user")
     bound = gershgorin_upper_bound(mat)
     if mat.by_column:
         bound = lanczos_upper_bound(mat, bound, sampler.start_vector(mat.dim),
                                     BOUND_FAILURE_SHARE * (1.0 - config.confidence))
-    scaling = ScalingParams.for_matrix(bound, mat.trace(), normalize=config.normalize)
-    return scaling, deflation_basis(bound.krylov, config.degree, mat.trace(), scaling,
-                                    config.normalize)
+    return ScalingParams.for_matrix(bound, mat.trace(), normalize=config.normalize)
 
 
 def _emit(payload):
@@ -192,15 +190,14 @@ def _run_entropy(config):
     if config.verify_psd:
         _verify_psd(mat)
     sampler = RademacherSampler(config.seed)
-    scaling, deflation = _scaling(mat, config, sampler)
+    scaling = _scaling(mat, config, sampler)
     if config.samples is not None:
         est = estimate_fixed(mat, config.degree, config.samples, scaling, sampler,
-                             p=config.confidence, normalize=config.normalize,
-                             threads=threads, deflation=deflation)
+                             p=config.confidence, normalize=config.normalize, threads=threads)
     else:
         est = estimate_adaptive(mat, config.degree, config.confidence, scaling, sampler,
                                 n_max=config.n_max, normalize=config.normalize,
-                                threads=threads, deflation=deflation)
+                                threads=threads)
     payload = est.to_dict()
     payload["method"]["matrix"] = source
     payload["method"]["dim"] = mat.dim
@@ -266,8 +263,7 @@ def _run_table1(config):
     rows = []
     for m, n in zip(config.sizes, config.degrees):
         mat = fem_matrix(m)
-        # fem is stored by diagonal: Gershgorin's scaling, and no deflation
-        est = estimate_adaptive(mat, n, config.confidence, _scaling(mat, config, sampler)[0],
+        est = estimate_adaptive(mat, n, config.confidence, _scaling(mat, config, sampler),
                                 sampler, n_max=config.n_max, threads=threads)
         exact = fem_exact_entropy(m)
         abs_err = abs(est.value - exact)
@@ -359,7 +355,7 @@ def build_parser():
     p_ent = command("entropy", "estimate -tr(A log A) by sampling")
     add_input(p_ent)
     p_ent.add_argument("-n", "--degree", type=int,
-                       help=f"Chebyshev degree (default {RunConfig.degree})")
+                       help=f"Chebyshev degree, 1..{MAX_DEGREE} (default {RunConfig.degree})")
     p_ent.add_argument("--samples", type=int,
                        help="fixed sample count; omit for the adaptive loop")
     p_ent.add_argument("--gamma0", type=float,
@@ -386,7 +382,7 @@ def build_parser():
     p_t1 = command("table1", "reference table: estimate vs closed form")
     p_t1.add_argument("--sizes", type=_int_list, help="comma-separated matrix sizes")
     p_t1.add_argument("--degrees", type=_int_list,
-                      help="comma-separated Chebyshev degrees, one per size")
+                      help=f"comma-separated Chebyshev degrees, 1..{MAX_DEGREE}, one per size")
     add_sampling(p_t1)
     return parser
 

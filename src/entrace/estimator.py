@@ -14,10 +14,10 @@ estimate stays unbiased, but the forms spread less: the realized range
 that delta and tau read is narrower, and an adaptive run stops sooner, at
 no extra matrix-vector product. At n <= 2 every form is the same number.
 
-Given k orthonormal rows that no probe chose, the leading rows of the
-Lanczos run behind gamma0 as ``deflation_basis`` picks them, each probe is
-deflated instead: the trace on the rows' span is computed once, and each
-form samples only the rest, less a control variate of known mean (see
+Where gamma0 comes from a Lanczos run, the scaling keeps it, and the run
+picks the leading rows of its basis that deflate each probe instead
+(``deflation_basis``): the trace on the rows' span is computed once, and
+each form samples only the rest, less a control variate of known mean (see
 ``clenshaw``). On a low-rank state the rest barely varies, so the forms
 spread over far less than the floor, at the same matrix-vector products a
 probe. The forms carry the exact part, so the sampling loop, delta and tau
@@ -44,19 +44,22 @@ import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .chebyshev import coefficients, truncation_error_bound
 from .clenshaw import SpectrumEscape, deflated_part, quadratic_form
-from .sparse import _BOUND_METHODS, SpectralBound
+from .sparse import _BOUND_METHODS, BLOCK_BYTES, KrylovBasis, SpectralBound
 
 DEFAULT_N_MAX = 10_000
 # the least adaptive cap: the zero-spread count ceil(2 log 40) at p = 0.95
 MIN_N_MAX = 8
 # bits in one Philox4x64 counter step
 _STEP_BITS = 256
+# probe blocks one batch covers at most, so that a run holds as many forms
+# and pool futures whatever its sample count
+BATCH_BLOCKS = 1024
 
 
 @dataclass(frozen=True)
@@ -144,12 +147,15 @@ class ScalingParams:
     ``failure`` is the probability that x0 * gamma0 does not bound the
     spectrum, that of the bound it came from; tau's Hoeffding term is taken
     at (1 - p) - failure, so that tau holds with probability at least p.
+    ``krylov`` is the Lanczos run of a bound of method "lanczos", whose
+    basis deflates the probes (see ``deflation_basis``).
     """
 
     x0: float
     gamma0: float
     provenance: str = "user"
     failure: float = 0.0
+    krylov: KrylovBasis | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.x0 > 0.0:
@@ -170,7 +176,7 @@ class ScalingParams:
                 "a bound of zero means the matrix is zero and its entropy is 0"
             )
         return cls(x0=1.0, gamma0=bound.lambda_max_upper, provenance=bound.method,
-                   failure=bound.failure)
+                   failure=bound.failure, krylov=bound.krylov)
 
     @classmethod
     def for_matrix(cls, bound: SpectralBound, trace, normalize=False):
@@ -188,14 +194,14 @@ class ScalingParams:
         if lam <= 0.0 and trace != 0.0:
             raise ValueError("spectral bound is zero but the trace is not; matrix is not PSD")
         return cls(x0=1.0, gamma0=lam if lam > 0.0 else 1.0,
-                   provenance=bound.method, failure=bound.failure)
+                   provenance=bound.method, failure=bound.failure, krylov=bound.krylov)
 
 
-def deflation_basis(krylov, n, trace, scaling, normalize=False):
-    """The leading rows of a Lanczos run's basis that deflate each probe.
+def deflation_basis(scaling, n, trace, normalize=False):
+    """The leading rows of the scaling's Lanczos run that deflate each probe.
 
-    ``krylov`` is a ``KrylovBasis`` of A, or None, ``trace`` is tr A, and
-    ``scaling`` the run's. The rows q_1..q_k are kept for the least k with
+    ``scaling.krylov`` is a ``KrylovBasis`` of A, or None, and ``trace`` is
+    tr A. The rows q_1..q_k are kept for the least k with
 
         2 L m (|r_k| + r) / s <= floor / 4,
 
@@ -204,7 +210,7 @@ def deflation_basis(krylov, n, trace, scaling, normalize=False):
     run's rounding allowance; s is tr A under ``normalize`` and 1 otherwise;
     floor = truncation_error_bound(n, m x0 gamma0); and L = 2 n^2 (|a_0| / 2
     + sum_k |a_k|) / x0 bounds |p_n'| on [0, x0] by Markov's inequality. No
-    such k: no rows, a (0, m) array, and the probes are not deflated. No
+    such k: no rows, a (0, m) view, and the probes are not deflated. No
     run, or a trace that is not positive: None.
 
     The rule bounds the spread of the deflated forms: for PSD A, P A P is
@@ -214,6 +220,7 @@ def deflation_basis(krylov, n, trace, scaling, normalize=False):
     floor at most, against the widening's two floors. The basis comes from
     the start vector, not the probes, so any k leaves the forms unbiased.
     """
+    krylov = scaling.krylov
     if krylov is None or not trace > 0.0:
         return None
     m = krylov.rows.shape[1]
@@ -223,7 +230,7 @@ def deflation_basis(krylov, n, trace, scaling, normalize=False):
     residual = np.abs(trace - np.cumsum(krylov.alpha)) + krylov.rounding
     fits = np.flatnonzero(2.0 * slope * m * residual / (trace if normalize else 1.0)
                           <= floor / 4.0)
-    return krylov.rows[:fits[0] + 1 if fits.size else 0].copy()
+    return krylov.rows[:fits[0] + 1 if fits.size else 0]
 
 
 @dataclass(frozen=True)
@@ -251,14 +258,14 @@ class EntropyEstimate:
     normalized: bool = False
     zero_trace: bool = False
     estimator: str = "adaptive"
-    # rows that deflated the probes; None where the run was given no basis
+    # rows that deflated the probes; None where the scaling kept no basis
     deflation: int | None = None
 
     def to_dict(self):
         """JSON-ready dict with a stable key order.
 
-        ``method.deflation`` is there only for a run given a basis, even an
-        empty one, as a Lanczos bound's run gives.
+        ``method.deflation`` is there only for a run whose scaling kept a
+        Lanczos run, even where the rule keeps no row of it.
         """
         method = {"estimator": self.estimator, "stream": "philox",
                   "bound": self.scaling.provenance}
@@ -358,7 +365,7 @@ def core_count():
 def _xi_batch(A, sampler, first, last, threads, form, free, height):
     """Probe forms xi_first..xi_last in index order.
 
-    The probes are cut into blocks of at most ``A.block_width`` rows; each
+    The probes are cut into blocks of at most ``height`` rows; each
     block is drawn in one sampler call, and ``form(A, probes, work=work)``
     gives its forms, sharing its matrix-vector products. With threads it is
     a deterministic map over blocks: sample i never depends on any other
@@ -400,7 +407,7 @@ def _xi_batch(A, sampler, first, last, threads, form, free, height):
     return np.concatenate(forms).tolist()
 
 
-def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max, deflation):
+def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
     """The sampling loop behind estimate_fixed and estimate_adaptive.
 
     Consumes probe forms in index order until ``needed`` samples are drawn.
@@ -416,18 +423,19 @@ def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max, defl
     each probe form is divided by tr(A) afterwards. All Hoeffding quantities
     use the state's own (x0, gamma0) unchanged.
 
-    With ``deflation``, k orthonormal rows Q of length m that no probe
-    chose, each form is the deflated one of ``quadratic_form``, which
-    carries the exact part gamma0 tr(Q p_n Q^T) and the control variate's
-    constant: the loop, delta, tau and the widening read it as any form.
+    Where ``deflation_basis`` keeps k rows Q of the scaling's Lanczos run,
+    each form is the deflated one of ``quadratic_form``, which carries the
+    exact part gamma0 tr(Q p_n Q^T) and the control variate's constant: the
+    loop, delta, tau and the widening read it as any form. The estimate's
+    scaling keeps no run, so the basis lives only as long as the run does.
     """
     m = A.dim
     _check_hoeffding_args(n, p, m, scaling.x0, scaling.gamma0, scaling.failure)
     tr = A.trace()
     if normalize and tr == 0.0:
         raise ValueError("cannot normalize a matrix with zero trace")
-    result = functools.partial(EntropyEstimate, confidence=p, degree=n, scaling=scaling,
-                               seed=sampler.seed, normalized=normalize,
+    result = functools.partial(EntropyEstimate, confidence=p, degree=n, seed=sampler.seed,
+                               scaling=replace(scaling, krylov=None), normalized=normalize,
                                estimator="fixed" if n_max is None else "adaptive")
     if tr == 0.0:
         return result(value=0.0, tau=0.0, samples_used=0, delta=0.0, xi_min=0.0,
@@ -436,28 +444,26 @@ def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max, defl
     norm_scale = tr if normalize else 1.0
     gamma0 = scaling.gamma0 * norm_scale
     expansion = coefficients(n, scaling.x0)
-    k = None
-    if deflation is not None:
-        deflation = np.asarray(deflation, dtype=np.float64)
-        if deflation.ndim != 2 or deflation.shape[1] != m:
-            raise ValueError(f"deflation rows {deflation.shape} do not match dimension {m}")
-        k = len(deflation)
+    rows = deflation_basis(scaling, n, tr, normalize)
+    k = None if rows is None else len(rows)
     if k:
         try:
-            constant = deflated_part(A, deflation, expansion, gamma0)
+            constant = deflated_part(A, rows, expansion, gamma0)
         except SpectrumEscape as exc:
             raise _escaped(str(exc), scaling.x0, scaling.gamma0) from None
         # every moment sampled: the exact means of mu_1 and mu_2 are the
         # whole probe's, not its projection's
         form = functools.partial(quadratic_form, expansion=expansion, gamma0=gamma0,
-                                 deflation=(deflation, constant))
+                                 deflation=(rows, constant))
     else:
         # the exact means of mu_1 and mu_2 for every probe
         form = functools.partial(quadratic_form, expansion=expansion, gamma0=gamma0,
                                  traces=(tr, A.frobenius_squared()))
-    # the run's workspaces, of the rows of its largest block
+    # the run's workspaces, of the rows of its largest block, whose (b, n + 1)
+    # moments stay within BLOCK_BYTES
     free = []
-    height = min(A.block_width, needed if n_max is None else n_max)
+    height = max(1, min(A.block_width, BLOCK_BYTES // (8 * (n + 1)),
+                        needed if n_max is None else n_max))
     floor_width = 2.0 * truncation_error_bound(n, m * scaling.x0 * scaling.gamma0)
     xi_min = math.inf
     xi_max = -math.inf
@@ -466,7 +472,8 @@ def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max, defl
     capped = False
     while drawn < needed:
         try:
-            batch = _xi_batch(A, sampler, drawn + 1, needed, threads, form, free, height)
+            batch = _xi_batch(A, sampler, drawn + 1, min(needed, drawn + BATCH_BLOCKS * height),
+                              threads, form, free, height)
         except SpectrumEscape as exc:
             # worded with the state's interval, as every escape is
             raise _escaped(str(exc), scaling.x0, scaling.gamma0) from None
@@ -497,25 +504,22 @@ def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max, defl
                   xi_max=xi_max, trace=tr, capped=capped, deflation=k)
 
 
-def estimate_fixed(A, n, num_samples, scaling, sampler, p=0.95, normalize=False, threads=1,
-                   deflation=None):
+def estimate_fixed(A, n, num_samples, scaling, sampler, p=0.95, normalize=False, threads=1):
     """Entropy estimate from a fixed number of probe samples.
 
     delta and tau are computed a posteriori from the realized extreme probe
     forms, so tau is a valid radius for the estimate actually produced, at
-    confidence p. Use estimate_adaptive to choose N instead. ``deflation``,
-    orthonormal (k, m) rows chosen apart from the probes, as
-    ``deflation_basis`` chooses them, deflates every probe; the estimate
-    records k, 0 for no rows.
+    confidence p. Use estimate_adaptive to choose N instead. A scaling that
+    keeps a Lanczos run, as ``ScalingParams.for_matrix`` of a Lanczos bound
+    does, deflates every probe with the rows ``deflation_basis`` keeps of
+    it; the estimate records k, 0 for no rows.
     """
     if num_samples < 1:
         raise ValueError("need at least one sample")
-    return _estimate(A, n, p, scaling, sampler, normalize, threads,
-                     needed=num_samples, n_max=None, deflation=deflation)
+    return _estimate(A, n, p, scaling, sampler, normalize, threads, num_samples, n_max=None)
 
 
-def estimate_adaptive(A, n, p, scaling, sampler, n_max=DEFAULT_N_MAX,
-                      normalize=False, threads=1, deflation=None):
+def estimate_adaptive(A, n, p, scaling, sampler, n_max=DEFAULT_N_MAX, normalize=False, threads=1):
     """Entropy estimate with the sample count chosen while sampling.
 
     Starts from N = 1 and, after every sample, re-derives the required count
@@ -526,13 +530,12 @@ def estimate_adaptive(A, n, p, scaling, sampler, n_max=DEFAULT_N_MAX,
 
     Determinism: sample i depends only on (seed, i, m), and the count update
     consumes samples in index order even when a batch was computed in
-    parallel, so the result is identical for any ``threads``. ``deflation``
-    is as in ``estimate_fixed``.
+    parallel, so the result is identical for any ``threads``. Deflation is
+    as in ``estimate_fixed``.
     """
     if n_max < MIN_N_MAX:
         raise ValueError(f"n_max below {MIN_N_MAX} cannot cover the zero-spread sample count")
-    return _estimate(A, n, p, scaling, sampler, normalize, threads, needed=1, n_max=n_max,
-                     deflation=deflation)
+    return _estimate(A, n, p, scaling, sampler, normalize, threads, needed=1, n_max=n_max)
 
 
 def entropy_with_normalization(A, n, p, scaling, sampler, n_max=DEFAULT_N_MAX, threads=1):

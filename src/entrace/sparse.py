@@ -747,8 +747,8 @@ def krylov_basis(A, start, scale):
     ``np.einsum`` contractions, never BLAS, so that it is orthonormal to
     working precision and the same at every BLAS thread count. The run
     costs K products and a (K, dim) basis, and makes no dense copy of A;
-    the basis lives as long as the bound that keeps it, and a command
-    copies out the k rows it deflates with.
+    the basis lives as long as the bound or the scaling that keeps it, and
+    a run deflates with a view of its leading rows.
     """
     m, steps = A.dim, LANCZOS_STEPS
     tiny = steps * np.finfo(np.float64).eps / 2.0 * scale

@@ -475,6 +475,38 @@ class TestErrorHandling:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["entropy", "--generate", "fem:10", "-n", "1025"], "degree"),
+        (["entropy", "--generate", "fem:10", "-n", "0"], "degree"),
+        (["table1", "--sizes", "10,50", "--degrees", "2,1025"], "--degrees"),
+    ], ids=["entropy-1025", "entropy-0", "table1-1025"])
+    def test_degree_beyond_the_cap(self, capsys, argv, flag):
+        # refused before anything is allocated: a block's moments grow with n
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert err.startswith(f"usage error: {flag} must ") and "lie in 1..1024, got " in err
+        assert peak < 2**20
+
+    def test_largest_degree_keeps_its_moments_small(self, capsys, monkeypatch):
+        # fem:1 takes 16 384 probe rows a product; at n = 1024 a block is cut
+        # to the 127 rows whose (b, n + 1) moments fit BLOCK_BYTES, where one
+        # block of all 2048 probes held two (2048, 1025) arrays, 33 MB
+        monkeypatch.setenv("ENTRACE_THREADS", "2")
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, "entropy", "--generate", "fem:1", "-n", "1024",
+                                   "--samples", "2048")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and json.loads(out)["samples"] == 2048
+        assert peak < 8 * 2**20
+
     @pytest.mark.parametrize("sub", [["entropy", "--generate", "fem:10", "--samples", "4"],
                                      ["table1", "--sizes", "10", "--degrees", "2"]],
                              ids=["entropy", "table1"])

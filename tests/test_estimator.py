@@ -5,6 +5,7 @@ import functools
 import json
 import math
 import os
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -491,6 +492,35 @@ class TestEstimateFixed:
         estimate_fixed(A, 3, 3, sp, RademacherSampler(3), threads=10**6)
         assert seen == [4, 3]
 
+    def test_memory_does_not_grow_with_the_sample_count(self, monkeypatch):
+        # a batch covers BATCH_BLOCKS blocks at most, so a run holds as many
+        # forms and pool futures whatever its count: on fem(20000), at block
+        # width 1, one batch of every block took 1.7 KB a sample more. The
+        # cap moves no bit, fixed or adaptive
+        import entrace.estimator as estimator
+
+        A = fem_matrix(20000)
+        sp = ScalingParams.from_bound(gershgorin_upper_bound(A))
+        assert A.block_width == 1
+        want = [estimate_fixed(A, 2, num, sp, RademacherSampler(0), threads=2)
+                for num in (500, 2000)]
+        adaptive = estimate_adaptive(A, 6, 0.95, sp, RademacherSampler(0), threads=2)
+        # one block a batch
+        monkeypatch.setattr(estimator, "BATCH_BLOCKS", 1)
+        assert estimate_adaptive(A, 6, 0.95, sp, RademacherSampler(0), threads=2) == adaptive
+        assert adaptive.samples_used > 2
+        monkeypatch.setattr(estimator, "BATCH_BLOCKS", 64)
+        peaks = []
+        for num, est in zip((500, 2000), want):
+            tracemalloc.start()
+            try:
+                assert estimate_fixed(A, 2, num, sp, RademacherSampler(0), threads=2) == est
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # within 1 % of the 1.7 KB a sample that the 1500 more would take
+        assert peaks[1] <= peaks[0] + 1500 * 17
+
 
 class TestEstimateAdaptive:
     def test_scaled_identity_uses_eight_samples(self):
@@ -760,13 +790,16 @@ class TestDeflation:
         # quarter of the floor
         A = spdc_density_matrix(SpdcParams())
         sampler = RademacherSampler(0)
-        sp, rows = _scaling(A, RunConfig("entropy", normalize=True, degree=14), sampler)
+        sp = _scaling(A, RunConfig("entropy", normalize=True, degree=14), sampler)
         krylov = lanczos_upper_bound(A, gershgorin_upper_bound(A),
                                      sampler.start_vector(A.dim),
                                      BOUND_FAILURE_SHARE * 0.05).krylov
+        rows = deflation_basis(sp, 14, A.trace(), normalize=True)
         k = len(rows)
         assert 0 < k < len(krylov.rows)
         assert np.array_equal(rows, krylov.rows[:k])
+        # a view of the scaling's run, not a copy
+        assert np.shares_memory(rows, sp.krylov.rows)
         a = coefficients(14, 1.0).coeffs
         slope = 2.0 * 14 ** 2 * (abs(a[0]) / 2.0 + np.abs(a[1:]).sum())
         floor = truncation_error_bound(14, A.dim * sp.gamma0)
@@ -784,38 +817,52 @@ class TestDeflation:
         # undeflated one, pinned, that reports k = 0
         A, n, num, normalize, _ = random_by_column(300)
         sampler = RademacherSampler(seed)
-        sp, rows = _scaling(A, RunConfig("entropy", degree=n), sampler)
-        assert rows.shape == (0, A.dim)
-        est = estimate_fixed(A, n, num, sp, sampler, deflation=rows)
+        sp = _scaling(A, RunConfig("entropy", degree=n), sampler)
+        assert deflation_basis(sp, n, A.trace()).shape == (0, A.dim)
+        est = estimate_fixed(A, n, num, sp, sampler)
         assert (est.value, est.tau, est.deflation) == (entropy, tau, 0)
-        assert est == dataclasses.replace(estimate_fixed(A, n, num, sp, sampler), deflation=0)
+        no_run = dataclasses.replace(sp, krylov=None)
+        assert est == dataclasses.replace(estimate_fixed(A, n, num, no_run, sampler), deflation=0)
         assert est.to_dict()["method"]["deflation"] == 0
 
     def test_no_basis_no_deflation(self):
-        # a scaling of no Lanczos run passes on no basis, and the report has
-        # no deflation key; nor has the rule a basis to read
+        # a scaling of no Lanczos run keeps no basis, and the report has no
+        # deflation key; nor has the rule a basis to read
         A = fem_matrix(100)
-        sp, rows = _scaling(A, RunConfig("entropy"), RademacherSampler(0))
-        assert rows is None
+        sp = _scaling(A, RunConfig("entropy"), RademacherSampler(0))
+        assert sp.krylov is None
         assert "deflation" not in estimate_fixed(A, 3, 4, sp, RademacherSampler(0)).to_dict()[
             "method"]
-        assert deflation_basis(None, 3, A.trace(), sp) is None
+        assert deflation_basis(sp, 3, A.trace()) is None
 
     def test_escape_is_worded_with_the_state_interval(self):
         # a gamma0 below the spectrum fails already on the exact part's rows
         A = spdc_density_matrix(SpdcParams())
         sampler = RademacherSampler(0)
-        _, rows = _scaling(A, RunConfig("entropy", normalize=True, degree=14), sampler)
-        sp = ScalingParams(x0=1.0, gamma0=0.1)
+        sp = dataclasses.replace(
+            _scaling(A, RunConfig("entropy", normalize=True, degree=14), sampler), gamma0=0.1)
+        assert len(deflation_basis(sp, 14, A.trace(), normalize=True)) > 0
         with pytest.raises(ValueError, match=r"exceeds mu_0 = \|\|v\|\|\^2: the spectrum is "
                                              r"not inside \[0, x0 \* gamma0\] = \[0, 0\.1\]"):
-            estimate_fixed(A, 14, 10, sp, sampler, normalize=True, deflation=rows)
+            estimate_fixed(A, 14, 10, sp, sampler, normalize=True)
 
-    def test_rows_must_match_the_dimension(self):
-        A = fem_matrix(10)
-        sp = ScalingParams.from_bound(gershgorin_upper_bound(A))
-        with pytest.raises(ValueError, match="do not match dimension 10"):
-            estimate_fixed(A, 3, 4, sp, RademacherSampler(0), deflation=np.ones((2, 9)))
+    def test_a_lanczos_scaling_deflates_as_the_command_does(self):
+        # a library run on the scaling of a Lanczos bound deflates by itself,
+        # and gives the pinned report's numbers bit for bit; the estimate
+        # keeps no basis
+        A = spdc_density_matrix(SpdcParams())
+        sampler = RademacherSampler(0)
+        lanczos_bound = lanczos_upper_bound(A, gershgorin_upper_bound(A),
+                                            sampler.start_vector(A.dim),
+                                            BOUND_FAILURE_SHARE * 0.05)
+        est = estimate_fixed(A, 14, 400, ScalingParams.for_matrix(
+            lanczos_bound, A.trace(), normalize=True), sampler, normalize=True)
+        pinned = json.loads((pathlib.Path(__file__).parent / "data"
+                             / "entropy-spdc-normalize-threads-2.json").read_text())
+        assert (est.value, est.tau, est.deflation) == (
+            pinned["entropy"], pinned["tau"], pinned["method"]["deflation"])
+        assert est.deflation == 18
+        assert est.scaling.krylov is None
 
 
 def normalized_spdc():
@@ -852,10 +899,9 @@ class TestCoverage:
         covered = 0
         for seed in range(100):
             sampler = RademacherSampler(seed)
-            sp, rows = _scaling(A, RunConfig("entropy", normalize=normalize, degree=n),
-                                sampler)
+            sp = _scaling(A, RunConfig("entropy", normalize=normalize, degree=n), sampler)
             assert sp.provenance == bound
-            est = estimate_fixed(A, n, num, sp, sampler, normalize=normalize, deflation=rows)
+            est = estimate_fixed(A, n, num, sp, sampler, normalize=normalize)
             covered += abs(est.value - truth) < est.tau
         assert covered >= 93, covered
 
@@ -878,9 +924,8 @@ class TestDeflatedCoverage:
         covered = 0
         for seed in range(200):
             sampler = RademacherSampler(seed)
-            sp, rows = _scaling(A, RunConfig("entropy", normalize=normalize, degree=n),
-                                sampler)
-            est = estimate_fixed(A, n, num, sp, sampler, normalize=normalize, deflation=rows)
+            sp = _scaling(A, RunConfig("entropy", normalize=normalize, degree=n), sampler)
+            est = estimate_fixed(A, n, num, sp, sampler, normalize=normalize)
             assert est.deflation > 0
             covered += abs(est.value - truth) < est.tau
         assert covered >= 190, covered
@@ -911,11 +956,10 @@ class TestJsonShape:
         assert list(d["method"].keys()) == ["estimator", "stream", "bound", "normalized",
                                             "zero_trace", "xi_min", "xi_max"]
         json.dumps(d)  # everything serializable
-        # a run given a basis, as a Lanczos bound's, reports its rows kept
+        # a run whose scaling keeps a Lanczos run reports its rows kept
         A = spdc_density_matrix(SpdcParams())
-        sp, rows = _scaling(A, RunConfig("entropy", normalize=True), RademacherSampler(0))
-        d = estimate_fixed(A, 3, 4, sp, RademacherSampler(0), normalize=True,
-                           deflation=rows).to_dict()
+        sp = _scaling(A, RunConfig("entropy", normalize=True), RademacherSampler(0))
+        d = estimate_fixed(A, 3, 4, sp, RademacherSampler(0), normalize=True).to_dict()
         assert list(d["method"].keys()) == ["estimator", "stream", "bound", "deflation",
                                             "normalized", "zero_trace", "xi_min", "xi_max"]
-        assert d["method"]["deflation"] == len(rows)
+        assert d["method"]["deflation"] == len(deflation_basis(sp, 3, A.trace(), True))
