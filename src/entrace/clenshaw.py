@@ -23,7 +23,8 @@ turn: t_1 goes to a work array and t_2 over the probe rows, which no moment
 reads after mu_1. A caller that keeps its probes passes no work array, and
 the form copies them. One kernel, ``_moments``, gives the moments of any
 block of real rows, with mu_0 = ||v||^2; a +-1 probe has mu_0 = m exactly,
-which its form passes in.
+which its form passes in, and a 0/1 colour row of exact moments (see
+``estimator``) its count.
 
 Over Rademacher probes the mean of mu_k is tr T_k(B), and two of these are
 known without a product: tr T_1(B) = c tr A - m, and tr T_2(B) =
@@ -99,7 +100,8 @@ def _moments(A, block, n, c, work, mu0=None):
     of its shape, apart from it: t_1 goes to ``work`` and t_2 over the rows
     of ``block``, whose values are then lost. mu_0 = ||v_i||^2, summed as
     ``_row_dots`` sums, unless the caller gives it: ``mu0`` = m for +-1
-    rows, which is then exact and costs no pass.
+    rows, or each 0/1 colour row's count, which is then exact and costs no
+    pass.
 
     Raises ``SpectrumEscape`` if some row has max_k |mu_k| > mu_0 (1 + 1e-10)
     + 1e-10, which no spectrum of B inside [-1, 1] gives.

@@ -169,7 +169,9 @@ def _scaling(mat, config, sampler):
     probability ``BOUND_FAILURE_SHARE`` * (1 - p). ``--gamma0`` describes
     the matrix the run estimates, the state A / tr(A) under ``--normalize``,
     so only a bound on A is divided by the trace. A Lanczos bound's scaling
-    keeps its run, whose basis the estimators deflate the probes with.
+    keeps its run, whose basis the estimators deflate the probes with, and
+    Gershgorin's may let a matrix stored by diagonal take exact moments
+    (see ``estimator.colour_count``).
     """
     if config.gamma0 is not None:
         return ScalingParams(1.0, float(config.gamma0), "user")
@@ -357,7 +359,9 @@ def build_parser():
     p_ent.add_argument("-n", "--degree", type=int,
                        help=f"Chebyshev degree, 1..{MAX_DEGREE} (default {RunConfig.degree})")
     p_ent.add_argument("--samples", type=int,
-                       help="fixed sample count; omit for the adaptive loop")
+                       help="fixed sample count; omit for the adaptive loop. A banded "
+                            "run whose scaling is certain answers with its colour rows "
+                            "instead, whatever the count")
     p_ent.add_argument("--gamma0", type=float,
                        help="user spectral scaling of the matrix estimated, the state "
                             "under --normalize, whose spectrum must lie in [0, gamma0]; "

@@ -26,6 +26,14 @@ read them as any other.
 A run allocates its workspaces once: each worker's probe array, into which
 its blocks are drawn and projected, and its work array, which holds t_1.
 
+On a matrix stored by diagonal whose scaling is certain, a bound that
+cannot fail and puts the spectrum in [0, x0 * gamma0], a run draws no probe
+(``colour_count``). Its n beta + 1 colour rows give every tr T_k(B), k <= n,
+exactly, through the same kernel and block map, and the run reports an
+interval that holds with certainty: two Gauss-Radau rules on those moments,
+met with the polynomial's trace plus and minus the floor, each end widened
+by a rounding allowance derived from the arithmetic (``_exact_estimate``).
+
 gamma0 may come from a bound that fails with a stated probability, the
 Lanczos bound's eps (``ScalingParams.failure``); the Hoeffding term is
 then taken at (1 - p) - eps, so that by a union bound tau still holds
@@ -49,8 +57,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .chebyshev import coefficients, truncation_error_bound
-from .clenshaw import SpectrumEscape, deflated_part, quadratic_form
-from .sparse import _BOUND_METHODS, BLOCK_BYTES, KrylovBasis, SpectralBound
+from .clenshaw import SpectrumEscape, _moments, deflated_part, quadratic_form
+from .sparse import _BOUND_METHODS, BLOCK_BYTES, SpectralBound
 
 DEFAULT_N_MAX = 10_000
 # the least adaptive cap: the zero-spread count ceil(2 log 40) at p = 0.95
@@ -60,6 +68,14 @@ _STEP_BITS = 256
 # probe blocks one batch covers at most, so that a run holds as many forms
 # and pool futures whatever its sample count
 BATCH_BLOCKS = 1024
+# forms one batch holds at most, as floats, so that a run on a matrix of
+# wide blocks holds no more: 2^16 forms are about 2.5 MiB as a list
+BATCH_FORMS = 2**16
+# unit roundoff of float64
+_UNIT = np.finfo(np.float64).eps / 2.0
+# free nodes of the largest Gauss-Radau rule, so moments up to degree 64
+# at most enter the rules: the rules of a run cost O(N^4), 30 ms at 32
+RADAU_NODES = 32
 
 
 @dataclass(frozen=True)
@@ -147,15 +163,18 @@ class ScalingParams:
     ``failure`` is the probability that x0 * gamma0 does not bound the
     spectrum, that of the bound it came from; tau's Hoeffding term is taken
     at (1 - p) - failure, so that tau holds with probability at least p.
-    ``krylov`` is the Lanczos run of a bound of method "lanczos", whose
-    basis deflates the probes (see ``deflation_basis``).
+    ``bound`` is the ``SpectralBound`` the scaling came from, None for a
+    user scaling. A Lanczos bound's run (``bound.krylov``) deflates the
+    probes (see ``deflation_basis``), and a bound that cannot fail and puts
+    the whole spectrum in [0, x0 * gamma0] lets a matrix stored by diagonal
+    take exact moments instead (see ``colour_count``).
     """
 
     x0: float
     gamma0: float
     provenance: str = "user"
     failure: float = 0.0
-    krylov: KrylovBasis | None = field(default=None, compare=False, repr=False)
+    bound: SpectralBound | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.x0 > 0.0:
@@ -176,7 +195,7 @@ class ScalingParams:
                 "a bound of zero means the matrix is zero and its entropy is 0"
             )
         return cls(x0=1.0, gamma0=bound.lambda_max_upper, provenance=bound.method,
-                   failure=bound.failure, krylov=bound.krylov)
+                   failure=bound.failure, bound=bound)
 
     @classmethod
     def for_matrix(cls, bound: SpectralBound, trace, normalize=False):
@@ -194,14 +213,14 @@ class ScalingParams:
         if lam <= 0.0 and trace != 0.0:
             raise ValueError("spectral bound is zero but the trace is not; matrix is not PSD")
         return cls(x0=1.0, gamma0=lam if lam > 0.0 else 1.0,
-                   provenance=bound.method, failure=bound.failure, krylov=bound.krylov)
+                   provenance=bound.method, failure=bound.failure, bound=bound)
 
 
 def deflation_basis(scaling, n, trace, normalize=False):
     """The leading rows of the scaling's Lanczos run that deflate each probe.
 
-    ``scaling.krylov`` is a ``KrylovBasis`` of A, or None, and ``trace`` is
-    tr A. The rows q_1..q_k are kept for the least k with
+    ``scaling.bound.krylov`` is a ``KrylovBasis`` of A, or None, and
+    ``trace`` is tr A. The rows q_1..q_k are kept for the least k with
 
         2 L m (|r_k| + r) / s <= floor / 4,
 
@@ -220,7 +239,7 @@ def deflation_basis(scaling, n, trace, normalize=False):
     floor at most, against the widening's two floors. The basis comes from
     the start vector, not the probes, so any k leaves the forms unbiased.
     """
-    krylov = scaling.krylov
+    krylov = None if scaling.bound is None else scaling.bound.krylov
     if krylov is None or not trace > 0.0:
         return None
     m = krylov.rows.shape[1]
@@ -233,14 +252,243 @@ def deflation_basis(scaling, n, trace, normalize=False):
     return krylov.rows[:fits[0] + 1 if fits.size else 0]
 
 
+def colour_count(A, n, scaling, normalize=False):
+    """r = min(n beta + 1, m), the colour rows of exact moments, or None.
+
+    A run takes exact moments, and draws no probe, where every condition
+    below holds; otherwise it samples:
+
+    - A is stored by diagonal, of half-bandwidth beta = ``A.bandwidth``;
+    - the scaling came from a bound (``scaling.bound``) that cannot fail
+      and proves the spectrum inside [0, x0 * gamma0]: ``failure`` 0,
+      ``lambda_min_lower`` >= 0, and x0 * gamma0 at or above its
+      ``lambda_max_upper``, divided by tr A under ``normalize``;
+    - r is at most ``DEFAULT_N_MAX``, so that no degree or bandwidth starts
+      unbounded work.
+
+    A user scaling (``--gamma0``) proves nothing of lambda_min, and a
+    Lanczos bound may fail, so neither takes the route; nor does a matrix
+    stored by column or one that gathers its products.
+    """
+    beta, bound = A.bandwidth, scaling.bound
+    if beta is None or bound is None or bound.failure != 0.0 \
+            or not bound.lambda_min_lower >= 0.0:
+        return None
+    top = bound.lambda_max_upper
+    if normalize:
+        # as ScalingParams.for_matrix divides it
+        tr = A.trace()
+        top = top / tr if tr > 0.0 else math.inf
+    if not scaling.x0 * scaling.gamma0 >= top:
+        return None
+    r = min(n * beta + 1, A.dim)
+    return r if r <= DEFAULT_N_MAX else None
+
+
+def _colour_rows(r, start, out):
+    """Colour rows start .. start + len(out) - 1 into ``out``: row j (1-based)
+    is the indicator of {i : i = j - 1 mod r}."""
+    out.fill(0.0)
+    for row, colour in zip(out, range(start - 1, start - 1 + len(out))):
+        row[colour::r] = 1.0
+    return out
+
+
+def _colour_moments(A, rows, work, n, c, r):
+    """The (b, n + 1) moments v^T T_k(B) v of colour rows, with mu_0 their counts.
+
+    A row's colour is its first nonzero entry, among its first r, and its
+    count, the number of i < m with i = colour mod r, follows from it.
+    """
+    colour = rows[:, :r].argmax(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _moments(A, rows, n, c, work, mu0=(A.dim - colour + r - 1) // r)
+
+
+def _gamma(k):
+    """gamma_k = k u / (1 - k u): k roundings, each of relative size u at most."""
+    return k * _UNIT / (1.0 - k * _UNIT)
+
+
+def _moment_rounding(n, width, m, r):
+    """D with |S_k - tr T_k(B)| <= m D for the summed moments S_k, k <= n.
+
+    Each product step t_j+1 = 2 (c A t_j - t_j) - t_j-1 sums ``width``
+    products a row and rounds four more times, so it errs by e_j with
+    ||e_j|| <= 14 gamma_(width + 3) ||v|| (c |A| has norm 2 at most, and
+    each computed t_j is within ||v|| of its exact norm, which is at most
+    ||v||). The error of t_k is sum_j U_(k-1-j)(B) e_j, and ||U_i(B)|| <= i + 1,
+    so ||t_k - T_k(B) v|| <= k (k + 1) / 2 * 14 gamma ||v||. A moment is
+    twice an inner product of t_j's, j <= J = ceil(n / 2), each summed over
+    m entries (gamma_m), less mu_0, which is exact, or mu_1. Per row of norm
+    ||v||: ||v||^2 ((4 J (J + 1) + 1) 14 gamma_(width + 3) + 10 gamma_m +
+    10 u). The rows' norms sum to m, and their moments are summed in turn
+    (gamma_r).
+    """
+    j = (n + 1) // 2
+    row = (4 * j * (j + 1) + 1) * 14.0 * _gamma(width + 3) + 10.0 * _gamma(m) + 10.0 * _UNIT
+    return row + _gamma(r) * (1.0 + row)
+
+
+def _jacobi(nu, count):
+    """alpha_0..alpha_(count-1) and beta_0..beta_count of the measure with
+    Chebyshev moments nu_k = int T_k, k <= 2 count.
+
+    Gautschi's modified Chebyshev algorithm (SIAM J. Sci. Stat. Comput.
+    3(3), 1982) on the moments of the monic Chebyshev polynomials, 2^(1-k)
+    nu_k, whose recurrence has a_k = 0, b_1 = 1/2 and b_k = 1/4. The
+    coefficients of a shorter rule are a prefix of these. Where the measure
+    has fewer support points than a step needs, the step's beta is zero or
+    not a number, and so are those after it.
+    """
+    size = 2 * count + 1
+    sig = np.asarray(nu[:size], dtype=np.float64) * 2.0 ** (1 - np.arange(size))
+    sig[0] = nu[0]
+    b = np.full(size, 0.25)
+    b[1:2] = 0.5
+    alpha, beta = np.zeros(count), np.zeros(count + 1)
+    beta[0] = sig[0]
+    prev = np.zeros(size)
+    with np.errstate(all="ignore"):
+        if count:
+            alpha[0] = sig[1] / sig[0]
+        for k in range(1, count + 1):
+            ls = np.arange(k, size - k)
+            new = np.zeros(size)
+            new[ls] = (sig[ls + 1] - alpha[k - 1] * sig[ls] - beta[k - 1] * prev[ls]
+                       + b[ls] * sig[ls - 1])
+            beta[k] = new[k] / sig[k - 1]
+            if k < count:
+                alpha[k] = new[k + 1] / new[k] - sig[k] / sig[k - 1]
+            prev, sig = sig, new
+    return alpha, beta
+
+
+def _radau_side(nu, nu_err, unit, alpha, beta, a):
+    """(Q, slack) of the Gauss-Radau rule with len(alpha) free nodes and one at a.
+
+    g(y) = f(unit (y + 1)), f(x) = x log x. For a = -1, int g dmu <= Q +
+    slack; for a at or above the top of the support, int g dmu >= Q - slack.
+    None where the rule cannot be formed or a free node is not above -1.
+
+    The rule is Golub-Welsch on the Jacobi matrix whose last diagonal entry
+    puts a node at a (Golub, SIAM Rev. 15(2), 1973). Let H be the Hermite
+    interpolant of g, of degree 2N, at a once and at the other computed
+    nodes x_i twice. Then g - H = g[a, x_1, x_1, ..., y] (y - a) prod (y -
+    x_i)^2, and g's derivative of order 2N + 1 is negative for y > -1, so
+    g <= H on the support for a = -1 and g >= H for a above it, whatever
+    the nodes. int H dmu = Q + sum_k h_k (nu_k - nu'_k), where nu'_k =
+    sum_i w_i T_k(x_i) are the rule's own moments. So the slack is ||h||_1
+    (max_k |nu_k - nu'_k| + nu_err), with h's Chebyshev coefficients from a
+    solve whose error its residual bounds, plus the rounding of Q itself:
+    Gautschi's, ``eigh``'s and the solve's errors widen the bound but
+    cannot break it.
+    """
+    count = len(alpha)
+    ratio = a - alpha[0]
+    for k in range(1, count):
+        ratio = (a - alpha[k]) - beta[k] / ratio
+    last = a - beta[count] / ratio
+    if not (np.isfinite(beta).all() and np.all(beta[1:] >= 0.0)
+            and np.isfinite(alpha).all() and math.isfinite(last)):
+        return None
+    off = np.sqrt(beta[1:count + 1])
+    nodes, vectors = np.linalg.eigh(np.diag(np.append(alpha, last)) + np.diag(off, 1)
+                                    + np.diag(off, -1))
+    weights = beta[0] * vectors[0] ** 2
+    fixed = int(np.abs(nodes - a).argmin())
+    nodes[fixed] = a
+    free = np.arange(count + 1) != fixed
+    if not nodes[free].min() > -1.0:
+        return None
+    x = unit * (nodes + 1.0)
+    logs = np.log(x)
+    g = np.where(x > 0.0, x * logs, 0.0)
+    slope = unit * (logs[free] + 1.0)
+    if not (np.isfinite(g).all() and np.isfinite(slope).all()):
+        return None
+    # T_k and U_k at the nodes, k <= 2N; T_k' = k U_(k-1)
+    size = 2 * count + 1
+    cheb, second = np.empty((size, count + 1)), np.empty((size, count + 1))
+    cheb[0], cheb[1] = 1.0, nodes
+    second[0], second[1] = 1.0, 2.0 * nodes
+    for k in range(2, size):
+        cheb[k] = 2.0 * nodes * cheb[k - 1] - cheb[k - 2]
+        second[k] = 2.0 * nodes * second[k - 1] - second[k - 2]
+    slopes = np.zeros((size, count + 1))
+    slopes[1:] = np.arange(1, size)[:, None] * second[:-1]
+    system = np.concatenate((cheb.T, slopes.T[free]))
+    values = np.concatenate((g, slope))
+    try:
+        inverse = np.linalg.inv(system)
+    except np.linalg.LinAlgError:
+        return None
+    h = np.einsum("kj,j->k", inverse, values)
+    # ||h - h~||_1 <= ||system^-1||_1 ||values - system h~||_1, and
+    # ||system^-1||_1 <= ||inverse||_1 / (1 - ||I - inverse system||_1),
+    # each product's own rounding bounded by gamma_(size + 1) of its
+    # absolute values
+    grow = _gamma(size + 1)
+    absolute = np.abs(system)
+    residual = (np.abs(values - np.einsum("jk,k->j", system, h)).sum()
+                + grow * (np.einsum("jk,k->j", absolute, np.abs(h)) + np.abs(values)).sum())
+    left = np.abs(np.eye(size) - np.einsum("ij,jk->ik", inverse, system)) + grow * np.einsum(
+        "ij,jk->ik", np.abs(inverse), absolute)
+    theta = left.sum(axis=0).max()
+    if not theta < 1.0:
+        return None
+    h_norm = (np.abs(h).sum() + np.abs(inverse).sum(axis=0).max() / (1.0 - theta) * residual)
+    # the rule's moments, each T_k within 3 k (k + 1) u of its value, and
+    # |T_k| within twice the computed one's
+    mass = np.abs(weights).sum()
+    own = np.einsum("ki,i->k", cheb, weights)
+    mismatch = (np.abs(own - nu[:size]).max() + (3 * (size - 1) * size + count + 2) * _UNIT
+                * mass * 2.0 * max(1.0, np.abs(cheb).max()))
+    q = float(np.einsum("i,i->", weights, g))
+    # each g_i within 6 u (|g_i| + x_i) of f at the node, and the sum
+    rounding = (count + 8) * _UNIT * float(np.einsum("i,i->", np.abs(weights), np.abs(g) + x))
+    slack = (1.0 + _gamma(2 * size)) * h_norm * (mismatch + nu_err) + rounding
+    return (q, slack) if math.isfinite(slack) else None
+
+
+def radau_bounds(nu, nu_err, unit, top):
+    """(lo, hi) with lo <= int f(unit (y + 1)) dmu(y) <= hi, f(x) = x log x.
+
+    ``nu`` holds the moments nu_k = int T_k dmu, k <= n, of a probability
+    measure on [-1, top], top >= -1, each within ``nu_err``. Every
+    Gauss-Radau rule with N = 1 .. min(floor(n / 2), ``RADAU_NODES``) free
+    nodes, with its fixed node at -1 for hi and at ``top`` for lo, gives a
+    bound (see ``_radau_side``); the bounds are intersected. A rule that
+    cannot be formed, as past the support points of a measure with N or
+    fewer, gives none, and with no rule the bounds are infinite.
+    """
+    count = min((len(nu) - 1) // 2, RADAU_NODES)
+    lo, hi = -math.inf, math.inf
+    alpha, beta = _jacobi(nu, count)
+    # an overflow or a division by zero in a rule ends in a number that is
+    # not finite, and the rule is refused
+    with np.errstate(all="ignore"):
+        for k in range(1, count + 1):
+            upper = _radau_side(nu, nu_err, unit, alpha[:k], beta[:k + 1], -1.0)
+            lower = _radau_side(nu, nu_err, unit, alpha[:k], beta[:k + 1], top)
+            if upper is not None:
+                hi = min(hi, upper[0] + upper[1])
+            if lower is not None:
+                lo = max(lo, lower[0] - lower[1])
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class EntropyEstimate:
-    """Result of a sampling run, with enough metadata to audit or replay it.
+    """Result of a run, with enough metadata to audit or replay it.
 
     ``value`` estimates the entropy -tr(A log A) in nats; |value - truth| <=
     ``tau`` with probability at least ``confidence`` over the probe draw and,
     for a Lanczos bound, its start vector. A scaling that cannot fail,
-    Gershgorin's or ``--gamma0``, must contain the spectrum.
+    Gershgorin's or ``--gamma0``, must contain the spectrum. A run of exact
+    moments (see ``colour_count``) draws no probe: ``interval`` is then the
+    (lo, hi) that holds the entropy with certainty, ``value`` lies in it,
+    and ``tau`` is the distance from it to the far end.
     """
 
     value: float
@@ -260,17 +508,23 @@ class EntropyEstimate:
     estimator: str = "adaptive"
     # rows that deflated the probes; None where the scaling kept no basis
     deflation: int | None = None
+    # the certain interval of a run of exact moments; None where it sampled
+    interval: tuple | None = None
 
     def to_dict(self):
         """JSON-ready dict with a stable key order.
 
         ``method.deflation`` is there only for a run whose scaling kept a
-        Lanczos run, even where the rule keeps no row of it.
+        Lanczos run, even where the rule keeps no row of it, and
+        ``method.route`` ("moments") and ``method.interval`` only for a run
+        of exact moments.
         """
         method = {"estimator": self.estimator, "stream": "philox",
                   "bound": self.scaling.provenance}
         if self.deflation is not None:
             method["deflation"] = self.deflation
+        if self.interval is not None:
+            method.update(route="moments", interval=list(self.interval))
         method.update(normalized=self.normalized, zero_trace=self.zero_trace,
                       xi_min=self.xi_min, xi_max=self.xi_max)
         return {
@@ -362,21 +616,22 @@ def core_count():
         return os.cpu_count() or 1
 
 
-def _xi_batch(A, sampler, first, last, threads, form, free, height):
-    """Probe forms xi_first..xi_last in index order.
+def _xi_batch(A, draw, first, last, threads, form, free, height):
+    """The results of rows first..last in index order, as one array.
 
-    The probes are cut into blocks of at most ``height`` rows; each
-    block is drawn in one sampler call, and ``form(A, probes, work=work)``
-    gives its forms, sharing its matrix-vector products. With threads it is
-    a deterministic map over blocks: sample i never depends on any other
-    sample or on the block it lands in, and the reduction below consumes
-    results in index order, so the outcome is independent of the worker
-    count. The pool never holds more workers than there are blocks in the
-    batch or cores to run them.
+    The rows are cut into blocks of at most ``height``; ``draw(start, out)``
+    writes a block's rows start, start + 1, ... into ``out`` and returns it,
+    and ``form(A, rows, work=work)`` gives the block's results, its probe
+    forms or its rows' moments, sharing its matrix-vector products. With
+    threads it is a deterministic map over blocks: row i never depends on
+    any other row or on the block it lands in, and the results come back in
+    index order, so the outcome is independent of the worker count. The
+    pool never holds more workers than there are blocks in the batch or
+    cores to run them.
 
     A block runs in a workspace from ``free``, the run's list of them: a
-    probe array and a work array of ``height`` rows, sliced to the block's.
-    Its probes are drawn into the first, and its form projects them there,
+    row array and a work array of ``height`` rows, sliced to the block's.
+    Its rows are drawn into the first, and its form projects them there,
     if it deflates, and holds t_1 in the second (see ``quadratic_form``). A
     block takes a free workspace, or makes one if none is free, and frees it
     when its forms are done, so a run makes one workspace a worker at most,
@@ -389,31 +644,39 @@ def _xi_batch(A, sampler, first, last, threads, form, free, height):
         count = min(width, last + 1 - start)
         # list.pop and list.append are atomic across threads
         try:
-            probes, work = free.pop()
+            rows, work = free.pop()
         except IndexError:
-            probes, work = np.empty((height, A.dim)), np.empty((height, A.dim))
+            rows, work = np.empty((height, A.dim)), np.empty((height, A.dim))
         try:
-            return form(A, sampler.sample_vector(A.dim, start, count, out=probes[:count]),
-                        work=work[:count])
+            return form(A, draw(start, rows[:count]), work=work[:count])
         finally:
-            free.append((probes, work))
+            free.append((rows, work))
 
     workers = min(threads, len(starts), core_count())
     if workers <= 1:
-        forms = [block(s) for s in starts]
+        results = [block(s) for s in starts]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            forms = list(pool.map(block, starts))
-    return np.concatenate(forms).tolist()
+            results = list(pool.map(block, starts))
+    return np.concatenate(results)
+
+
+def _batch_rows(height, size=1):
+    """Rows one ``_xi_batch`` call covers: ``BATCH_BLOCKS`` blocks of
+    ``height`` rows at most, and ``BATCH_FORMS`` results of ``size`` floats
+    a row, but one block at least."""
+    return height * max(1, min(BATCH_BLOCKS, BATCH_FORMS // (height * size)))
 
 
 def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
-    """The sampling loop behind estimate_fixed and estimate_adaptive.
+    """The loop behind estimate_fixed and estimate_adaptive.
 
-    Consumes probe forms in index order until ``needed`` samples are drawn.
+    Where ``colour_count`` gives r colour rows, the run takes exact moments
+    from them and draws no probe (see ``_exact_estimate``). Otherwise it
+    consumes probe forms in index order until ``needed`` samples are drawn.
     With ``n_max=None`` the count stays frozen; otherwise it is re-derived
     from the running extreme probe forms after every sample and capped at
-    ``n_max``.
+    ``n_max``. A batch's forms are dropped before the next is drawn.
 
     With normalize=True the estimated state is A / tr(A) (the entropy of a
     density matrix handed in unnormalized) and ``scaling`` must be valid for
@@ -427,7 +690,7 @@ def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
     each form is the deflated one of ``quadratic_form``, which carries the
     exact part gamma0 tr(Q p_n Q^T) and the control variate's constant: the
     loop, delta, tau and the widening read it as any form. The estimate's
-    scaling keeps no run, so the basis lives only as long as the run does.
+    scaling keeps no bound, so the basis lives only as long as the run does.
     """
     m = A.dim
     _check_hoeffding_args(n, p, m, scaling.x0, scaling.gamma0, scaling.failure)
@@ -435,7 +698,7 @@ def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
     if normalize and tr == 0.0:
         raise ValueError("cannot normalize a matrix with zero trace")
     result = functools.partial(EntropyEstimate, confidence=p, degree=n, seed=sampler.seed,
-                               scaling=replace(scaling, krylov=None), normalized=normalize,
+                               scaling=replace(scaling, bound=None), normalized=normalize,
                                estimator="fixed" if n_max is None else "adaptive")
     if tr == 0.0:
         return result(value=0.0, tau=0.0, samples_used=0, delta=0.0, xi_min=0.0,
@@ -444,6 +707,10 @@ def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
     norm_scale = tr if normalize else 1.0
     gamma0 = scaling.gamma0 * norm_scale
     expansion = coefficients(n, scaling.x0)
+    colours = colour_count(A, n, scaling, normalize)
+    if colours is not None:
+        return _exact_estimate(A, expansion, scaling, colours, gamma0, tr, normalize,
+                               threads, result)
     rows = deflation_basis(scaling, n, tr, normalize)
     k = None if rows is None else len(rows)
     if k:
@@ -459,11 +726,16 @@ def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
         # the exact means of mu_1 and mu_2 for every probe
         form = functools.partial(quadratic_form, expansion=expansion, gamma0=gamma0,
                                  traces=(tr, A.frobenius_squared()))
+
+    def draw(start, out):
+        return sampler.sample_vector(m, start, len(out), out=out)
+
     # the run's workspaces, of the rows of its largest block, whose (b, n + 1)
     # moments stay within BLOCK_BYTES
     free = []
     height = max(1, min(A.block_width, BLOCK_BYTES // (8 * (n + 1)),
                         needed if n_max is None else n_max))
+    span = _batch_rows(height)
     floor_width = 2.0 * truncation_error_bound(n, m * scaling.x0 * scaling.gamma0)
     xi_min = math.inf
     xi_max = -math.inf
@@ -472,8 +744,8 @@ def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
     capped = False
     while drawn < needed:
         try:
-            batch = _xi_batch(A, sampler, drawn + 1, min(needed, drawn + BATCH_BLOCKS * height),
-                              threads, form, free, height)
+            batch = _xi_batch(A, draw, drawn + 1, min(needed, drawn + span), threads, form,
+                              free, height).tolist()
         except SpectrumEscape as exc:
             # worded with the state's interval, as every escape is
             raise _escaped(str(exc), scaling.x0, scaling.gamma0) from None
@@ -495,6 +767,8 @@ def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
                     capped = True
                 # the requirement is nondecreasing in delta, so never below drawn
                 needed = min(n_max, max(want, needed))
+        # dropped before the next batch is drawn
+        del batch
 
     trace_eff = 1.0 if normalize else tr
     value = -xi_sum / needed - math.log(scaling.gamma0) * trace_eff
@@ -502,6 +776,83 @@ def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
                           scaling.failure)
     return result(value=value, tau=tau, samples_used=needed, delta=delta, xi_min=xi_min,
                   xi_max=xi_max, trace=tr, capped=capped, deflation=k)
+
+
+def _exact_estimate(A, expansion, scaling, colours, gamma0, tr, normalize, threads, result):
+    """The estimate of ``colours`` = r colour rows, whose interval holds with certainty.
+
+    Rows of one colour lie r > n beta apart, and p_n(B) has half-bandwidth
+    n beta, so no two of them meet in any T_k(B), k <= n: the rows' moments
+    sum to S_k = tr T_k(B) (Tang and Saad, Numer. Linear Algebra Appl.
+    19(3), 2012), up to rounding (``_moment_rounding``). They run through
+    ``_xi_batch`` as probes do, and are summed one row at a time in index
+    order, so S is the same at any worker count.
+
+    From S the run has E_poly = -gamma0 (m a_0 / 2 + sum_k a_k S_k) -
+    log(gamma0) tr, within the floor of the entropy, and
+    ``radau_bounds`` on nu_k = S_k / m. The interval is their
+    intersection, each end widened by its rounding allowance; the value is
+    E_poly clamped into it, which errs far less than its midpoint, and
+    tau the distance from the value to the far end.
+    """
+    m, n = A.dim, expansion.degree
+    c = 2.0 / (expansion.x0 * gamma0)
+    form = functools.partial(_colour_moments, n=n, c=c, r=colours)
+    draw = functools.partial(_colour_rows, colours)
+    free = []
+    height = max(1, min(A.block_width, BLOCK_BYTES // (8 * (n + 1)), colours))
+    span = _batch_rows(height, n + 1)
+    sums = np.zeros(n + 1)
+    try:
+        for first in range(1, colours + 1, span):
+            last = min(colours, first + span - 1)
+            for row in _xi_batch(A, draw, first, last, threads, form, free, height):
+                sums += row
+    except SpectrumEscape as exc:
+        raise _escaped(str(exc), scaling.x0, scaling.gamma0) from None
+    nu = sums / m
+    # and the division by m
+    nu_err = _moment_rounding(n, 2 * A.bandwidth + 1, m, colours) + 2.0 * _UNIT
+
+    a = expansion.coeffs
+    trace_eff = 1.0 if normalize else tr
+    log_gamma0 = math.log(scaling.gamma0)
+    poly = m * a[0] / 2.0 + float(np.einsum("k,k->", a[1:], sums[1:]))
+    e_poly = -scaling.gamma0 * poly - log_gamma0 * trace_eff
+    # the moments' rounding, the sum's over n + 1 terms with the
+    # coefficients' own, the argument's (c within 3 u, |p_n'| <= n^2
+    # sum |a_k| by Markov's inequality), and the trace's and the log's
+    a_abs = float(np.abs(a[1:]).sum())
+    poly_err = scaling.gamma0 * (
+        a_abs * m * nu_err
+        + _gamma(n + 8) * (m * abs(a[0]) / 2.0 + float(np.einsum("k,k->", np.abs(a[1:]),
+                                                                 np.abs(sums[1:]))))
+        + 6.0 * _UNIT * n * n * (abs(a[0]) / 2.0 + a_abs) * m)
+    poly_err += abs(log_gamma0) * trace_eff * (_gamma(m) + 4.0 * _UNIT) + 4.0 * _UNIT * abs(e_poly)
+    width = truncation_error_bound(n, m * scaling.x0 * scaling.gamma0) + poly_err
+    lo, hi = e_poly - width, e_poly + width
+
+    # y = c lambda - 1, so a state eigenvalue is x = unit (y + 1); the
+    # support ends at c G - 1 for the bound's G, here raised past the
+    # rounding of G's row sums, of 2 beta + 1 entries, and of c G - 1
+    unit = 1.0 / (c * (tr if normalize else 1.0))
+    top_x = c * scaling.bound.lambda_max_upper
+    top = top_x * (1.0 + _gamma(2 * A.bandwidth + 3)) - 1.0 + 8.0 * _UNIT * max(1.0, top_x)
+    g_lo, g_hi = radau_bounds(nu, nu_err, unit, top)
+    # unit is within 2 u of 1 / (c t): g moves by 2 u (|f| + x) at most
+    # where f(x) = x log x, x <= unit (top + 1)
+    x_max = unit * (top + 1.0)
+    shift = 4.0 * _UNIT * (max(1.0 / math.e, abs(x_max * math.log(x_max))) + x_max)
+    radau_lo, radau_hi = -m * (g_hi + shift), -m * (g_lo - shift)
+    if radau_lo <= hi and radau_hi >= lo:
+        lo, hi = max(lo, radau_lo), min(hi, radau_hi)
+    # the last products and differences, a few u of each end
+    lo -= 4.0 * _UNIT * abs(lo)
+    hi += 4.0 * _UNIT * abs(hi)
+    value = min(max(e_poly, lo), hi)
+    tau = max(value - lo, hi - value) * (1.0 + 4.0 * _UNIT)
+    return result(value=value, tau=tau, samples_used=colours, delta=0.0, xi_min=0.0,
+                  xi_max=0.0, trace=tr, capped=False, interval=(float(lo), float(hi)))
 
 
 def estimate_fixed(A, n, num_samples, scaling, sampler, p=0.95, normalize=False, threads=1):
@@ -512,7 +863,9 @@ def estimate_fixed(A, n, num_samples, scaling, sampler, p=0.95, normalize=False,
     confidence p. Use estimate_adaptive to choose N instead. A scaling that
     keeps a Lanczos run, as ``ScalingParams.for_matrix`` of a Lanczos bound
     does, deflates every probe with the rows ``deflation_basis`` keeps of
-    it; the estimate records k, 0 for no rows.
+    it; the estimate records k, 0 for no rows. Where ``colour_count`` gives
+    r colour rows, the run takes exact moments from them instead, draws no
+    probe whatever ``num_samples`` asks, and reports ``samples_used`` = r.
     """
     if num_samples < 1:
         raise ValueError("need at least one sample")
@@ -530,8 +883,8 @@ def estimate_adaptive(A, n, p, scaling, sampler, n_max=DEFAULT_N_MAX, normalize=
 
     Determinism: sample i depends only on (seed, i, m), and the count update
     consumes samples in index order even when a batch was computed in
-    parallel, so the result is identical for any ``threads``. Deflation is
-    as in ``estimate_fixed``.
+    parallel, so the result is identical for any ``threads``. Deflation,
+    and exact moments in place of probes, are as in ``estimate_fixed``.
     """
     if n_max < MIN_N_MAX:
         raise ValueError(f"n_max below {MIN_N_MAX} cannot cover the zero-spread sample count")

@@ -8,7 +8,9 @@ tridiagonal matrix (``KrylovBasis``), which the estimator may deflate its
 probes with.
 
 The estimator touches a matrix only through ``trace``,
-``frobenius_squared``, ``block_width`` and ``matvec``. Everything in this
+``frobenius_squared``, ``block_width``, ``bandwidth`` and ``matvec``; the
+bandwidth tells it whether exact moments from colour rows are within reach
+(see ``estimator``). Everything in this
 module exists to make its products cheap, deterministic, and safe to share
 across threads. ``matvec`` takes one vector or a block of probe rows (the
 estimator sends ``block_width`` rows at most); a block shares the per-call
@@ -325,6 +327,15 @@ class SymmetricSparseMatrix:
     def by_column(self):
         """Whether the matrix is stored one strip a column, as dense ones are."""
         return self._strips is not None and self._strips.offsets is None
+
+    @property
+    def bandwidth(self):
+        """max |offset| of the stored diagonals, for a matrix stored by
+        diagonal; None for any other layout."""
+        strips = self._strips
+        if strips is None or strips.offsets is None:
+            return None
+        return max(map(abs, strips.offsets), default=0)
 
     def matvec(self, v, finish=None, out=None):
         """Return A @ v, or for a (b, dim) block v the block with rows A @ v[i].

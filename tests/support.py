@@ -1,4 +1,4 @@
-"""Shared test oracles, a scattered test matrix, a wide band and the layout of a product.
+"""Shared test oracles, a scattered test matrix, banded ones and the layout of a product.
 
 The oracles recompute quantities through routes independent of the code
 under test: adaptive quadrature for expansion coefficients, direct cosine
@@ -50,6 +50,24 @@ def wide_band(dim, d):
     cols = np.concatenate((np.arange(dim), i, i + d))
     return SymmetricSparseMatrix(dim, rows, cols,
                                  np.concatenate((np.full(dim, 3.0), -np.ones(2 * (dim - d)))))
+
+
+def dominant_band(m, half, seed, holes=0.2):
+    """Strictly diagonally dominant symmetric matrix on diagonals -half..half.
+
+    Off-diagonal pairs are dropped at random, so the strips hold holes, and
+    each diagonal entry is its row's absolute sum plus a number in [0.1, 1):
+    Gershgorin's lower bound is positive, and the matrix, stored by
+    diagonal, is PSD. Returns it and its dense array.
+    """
+    rng = np.random.default_rng(seed)
+    a = np.zeros((m, m))
+    for d in range(1, half + 1):
+        i = np.arange(m - d)
+        i = i[rng.uniform(size=i.size) >= holes]
+        a[i, i + d] = a[i + d, i] = rng.normal(size=i.size)
+    np.fill_diagonal(a, np.abs(a).sum(axis=1) + rng.uniform(0.1, 1.0, size=m))
+    return SymmetricSparseMatrix.from_dense(a), a
 
 
 def layout(mat):

@@ -41,12 +41,34 @@ class TestEntropyCommand:
         assert "entropy =" in err
 
     def test_fixed_sample_mode(self, capsys):
+        # a user scaling, so that fem samples
         code, out, _ = run_cli(capsys, "entropy", "--generate", "fem:10",
-                               "--samples", "21", "-n", "2")
+                               "--samples", "21", "-n", "2", "--gamma0", "4")
         assert code == 0
         doc = json.loads(out)
         assert doc["samples"] == 21
         assert doc["method"]["estimator"] == "fixed"
+
+    @pytest.mark.parametrize("extra", [[], ["--normalize"]], ids=["raw", "normalized"])
+    def test_banded_run_takes_exact_moments(self, capsys, extra):
+        # fem under Gershgorin's bound answers from n + 1 colour rows,
+        # whatever --samples asks, and the oracle's entropy lies in its
+        # interval; under --gamma0 the same run samples
+        argv = ["--generate", "fem:500", *extra]
+        code, out, _ = run_cli(capsys, "entropy", *argv, "-n", "6", "--samples", "3")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["samples"] == 7 and doc["method"]["route"] == "moments"
+        lo, hi = doc["method"]["interval"]
+        code, out, _ = run_cli(capsys, "oracle", *argv)
+        assert code == 0
+        truth = json.loads(out)["entropy"]
+        assert lo <= truth <= hi and abs(doc["entropy"] - truth) <= doc["tau"]
+        gamma0 = str(doc["gamma0"])
+        code, out, _ = run_cli(capsys, "entropy", *argv, "-n", "6", "--samples", "3",
+                               "--gamma0", gamma0)
+        doc = json.loads(out)
+        assert doc["samples"] == 3 and "route" not in doc["method"]
 
     def test_same_invocation_byte_identical(self, capsys, monkeypatch):
         monkeypatch.setenv("ENTRACE_THREADS", "2")
@@ -108,12 +130,13 @@ class TestEntropyCommand:
         (["--generate", "spdc:default", "--normalize", "--gamma0", "0.39", "-n", "14",
           "--samples", "400"], "user", 1.5975946280130826, 0.1206196802070606),
         (["--generate", "fem:1000", "-n", "8", "--samples", "8"],
-         "gershgorin", -2002.632738095238, 58.89147405559771),
+         "gershgorin", -1999.2396825396822, 6.66003482180304),
     ], ids=["random-gamma0", "spdc-gamma0", "fem"])
     def test_runs_without_lanczos_keep_their_numbers(self, capsys, argv, bound, entropy, tau):
         # --gamma0 runs, and runs on a matrix stored by diagonal, take no
         # Lanczos bound and charge no failure probability: the numbers of
-        # the Gershgorin-only release, pinned
+        # the Gershgorin-only release, pinned; fem takes exact moments from
+        # 9 colour rows, so its numbers are those of that route
         code, out, _ = run_cli(capsys, "entropy", *argv)
         assert code == 0
         doc = json.loads(out)
@@ -495,12 +518,13 @@ class TestErrorHandling:
     def test_largest_degree_keeps_its_moments_small(self, capsys, monkeypatch):
         # fem:1 takes 16 384 probe rows a product; at n = 1024 a block is cut
         # to the 127 rows whose (b, n + 1) moments fit BLOCK_BYTES, where one
-        # block of all 2048 probes held two (2048, 1025) arrays, 33 MB
+        # block of all 2048 probes held two (2048, 1025) arrays, 33 MB; a
+        # user scaling, so that fem samples
         monkeypatch.setenv("ENTRACE_THREADS", "2")
         tracemalloc.start()
         try:
             code, out, _ = run_cli(capsys, "entropy", "--generate", "fem:1", "-n", "1024",
-                                   "--samples", "2048")
+                                   "--samples", "2048", "--gamma0", "4")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -756,10 +780,11 @@ class TestThreadsDefault:
         assert not hasattr(RunConfig, "threads")
 
     def test_threads_do_not_change_output_values(self, capsys, monkeypatch):
+        # a user scaling, so that fem samples
         monkeypatch.setenv("ENTRACE_THREADS", "1")
-        _, one, _ = run_cli(capsys, "entropy", "--generate", "fem:60")
+        _, one, _ = run_cli(capsys, "entropy", "--generate", "fem:60", "--gamma0", "4")
         monkeypatch.setenv("ENTRACE_THREADS", "4")
-        _, four, _ = run_cli(capsys, "entropy", "--generate", "fem:60")
+        _, four, _ = run_cli(capsys, "entropy", "--generate", "fem:60", "--gamma0", "4")
         a, b = json.loads(one), json.loads(four)
         a["method"].pop("threads")
         b["method"].pop("threads")

@@ -14,7 +14,7 @@ import pytest
 import entrace
 from entrace.cli import main
 from entrace.sparse import SymmetricSparseMatrix, read_matrix_market, write_matrix_market
-from support import layout
+from support import dominant_band, layout
 
 
 def report(capsys, *argv):
@@ -52,13 +52,14 @@ def laplacian(tmp_path_factory):
 def test_reports_do_not_depend_on_the_blas_thread_count(capsys, tmp_path, laplacian):
     # every reduction is an np.einsum, never BLAS: spdc:default and the dense
     # file are multiplied by column, fem:200000 by diagonal in several row
-    # tiles, and the Laplacian gathered, a fixed count and adaptively
+    # tiles, sampled under a user scaling, and the Laplacian gathered, a
+    # fixed count and adaptively
     random = tmp_path / "random.mtx"
     report(capsys, "generate", "--generate", "random:300:0", "-o", str(random))
     runs = [
         ["entropy", "--generate", "spdc:default", "--normalize", "-n", "14", "--samples", "400"],
         ["entropy", "--input", str(random), "-n", "8", "--samples", "30"],
-        ["entropy", "--generate", "fem:200000", "-n", "8", "--samples", "8"],
+        ["entropy", "--generate", "fem:200000", "-n", "8", "--samples", "8", "--gamma0", "4"],
         ["entropy", "--input", str(laplacian), "-n", "8", "--samples", "64"],
         ["entropy", "--input", str(laplacian), "-n", "8"],
     ]
@@ -80,6 +81,39 @@ def test_reports_do_not_depend_on_the_blas_thread_count(capsys, tmp_path, laplac
     assert outputs[0] == outputs[1]
     # the spdc run projects its probes: a deflated report
     assert outputs[0].count('"deflation": 0') == 1 and outputs[0].count('"deflation"') == 2
+
+
+def test_moment_route_does_not_depend_on_thread_counts(capsys, tmp_path):
+    # runs that take exact moments: fem by diagonal in several row tiles, a
+    # normalized one, one whose measure has three points, one with rules of
+    # up to 32 free nodes, and a band of half-width 3 with holes read from a
+    # file. Their reports are the same
+    # at one and two BLAS threads and workers, but for the worker count
+    band = tmp_path / "band.mtx"
+    write_matrix_market(dominant_band(2000, 3, 5)[0], band)
+    runs = [
+        ["entropy", "--generate", "fem:200000", "-n", "8", "--samples", "8"],
+        ["entropy", "--generate", "fem:50000", "--normalize", "-n", "17"],
+        ["entropy", "--generate", "fem:3", "-n", "64"],
+        ["entropy", "--generate", "fem:20000", "-n", "64", "--samples", "1"],
+        ["entropy", "--input", str(band), "-n", "12", "--samples", "4"],
+    ]
+    code = ("import json, sys\n"
+            "from entrace.cli import main\n"
+            "sys.exit(any(main(argv) for argv in json.loads(sys.argv[1])))\n")
+    src = str(Path(entrace.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for blas in ("1", "2"):
+        for workers in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=blas,
+                       OMP_NUM_THREADS=blas, MKL_NUM_THREADS=blas, ENTRACE_THREADS=workers)
+            child = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env,
+                                   capture_output=True, text=True, timeout=300)
+            assert child.returncode == 0, child.stderr
+            outputs.append(child.stdout.replace(f'"threads": {workers},', '"threads": -,'))
+    assert outputs[0].count('"route": "moments"') == len(runs)
+    assert all(out == outputs[0] for out in outputs[1:])
 
 
 @pytest.mark.parametrize("extra", [["--samples", "400"], []], ids=["fixed", "adaptive"])

@@ -22,12 +22,14 @@ from entrace.clenshaw import SpectrumEscape, deflated_part, quadratic_form
 from entrace.estimator import (
     RademacherSampler,
     ScalingParams,
+    colour_count,
     core_count,
     deflation_basis,
     entropy_with_normalization,
     error_tolerance,
     estimate_adaptive,
     estimate_fixed,
+    radau_bounds,
     sample_count,
 )
 from entrace.generators import SpdcParams, fem_matrix, random_psd, spdc_density_matrix
@@ -38,8 +40,8 @@ from entrace.sparse import (
     gershgorin_upper_bound,
     lanczos_upper_bound,
 )
-from support import (all_sign_vectors, dense_poly_trace, layout, orthonormal_rows,
-                     scattered_psd)
+from support import (all_sign_vectors, dense_poly_trace, dominant_band, layout,
+                     orthonormal_rows, scattered_psd, wide_band)
 
 
 def identity(m, c=1.0):
@@ -320,8 +322,9 @@ class TestIntervalSplit:
             A = fem_matrix(1000)
         else:
             A = random_psd(200, 1, np.random.default_rng(1).uniform(0.0, 1.0, 200))
-        base = ScalingParams.for_matrix(gershgorin_upper_bound(A), A.trace(),
-                                        normalize=normalize)
+        # without its bound, so that fem samples, as the scalings at other x0 do
+        base = dataclasses.replace(ScalingParams.for_matrix(
+            gershgorin_upper_bound(A), A.trace(), normalize=normalize), bound=None)
 
         def runs(sp):
             return (estimate_adaptive(A, 6, 0.95, sp, RademacherSampler(1),
@@ -361,7 +364,8 @@ class TestEstimateFixed:
         # tridiagonal m=10 at degree 2, 21 probes: the averaged estimate over
         # 100 seeds lands within 1.5% of the exact -19.232
         A = fem_matrix(10)
-        sp = ScalingParams.from_bound(gershgorin_upper_bound(A))
+        # Gershgorin's gamma0 as a user scaling, which samples
+        sp = ScalingParams(1.0, 4.0, "user")
         vals = [estimate_fixed(A, 2, 21, sp, RademacherSampler(s)).value
                 for s in range(100)]
         mean = sum(vals) / len(vals)
@@ -370,7 +374,7 @@ class TestEstimateFixed:
 
     def test_metadata_invariants(self):
         A = fem_matrix(30)
-        sp = ScalingParams.from_bound(gershgorin_upper_bound(A))
+        sp = ScalingParams(1.0, 4.0, "user")
         est = estimate_fixed(A, 3, 12, sp, RademacherSampler(5))
         m, n = 30, 3
         floor = m * sp.x0 * sp.gamma0 / (n * (n + 1))
@@ -389,7 +393,7 @@ class TestEstimateFixed:
 
     def test_determinism_bitwise(self):
         A = fem_matrix(40)
-        sp = ScalingParams.from_bound(gershgorin_upper_bound(A))
+        sp = ScalingParams(1.0, 4.0, "user")
         a = estimate_fixed(A, 4, 9, sp, RademacherSampler(2))
         b = estimate_fixed(A, 4, 9, sp, RademacherSampler(2))
         assert a == b
@@ -500,7 +504,7 @@ class TestEstimateFixed:
         import entrace.estimator as estimator
 
         A = fem_matrix(20000)
-        sp = ScalingParams.from_bound(gershgorin_upper_bound(A))
+        sp = ScalingParams(1.0, 4.0, "user")
         assert A.block_width == 1
         want = [estimate_fixed(A, 2, num, sp, RademacherSampler(0), threads=2)
                 for num in (500, 2000)]
@@ -521,6 +525,32 @@ class TestEstimateFixed:
         # within 1 % of the 1.7 KB a sample that the 1500 more would take
         assert peaks[1] <= peaks[0] + 1500 * 17
 
+    def test_forms_a_batch_holds_are_capped(self, monkeypatch):
+        # fem(10) takes 1 638 probe rows a block, so 1024 blocks were 1.7
+        # million forms held as floats, and the previous batch stayed held
+        # while the next was drawn: at the parent 5.8 MiB traced at N = 10^5
+        # and 18.9 at 4 10^5. A batch now holds BATCH_FORMS forms at most,
+        # here cut to 4096 so that a short run spans several batches; a user
+        # scaling, so that fem samples. The cap moves no bit
+        import entrace.estimator as estimator
+
+        A, sp = fem_matrix(10), ScalingParams(1.0, 4.0, "user")
+        counts = (10**4, 4 * 10**4)
+        want = [estimate_fixed(A, 3, num, sp, RademacherSampler(0), threads=2)
+                for num in counts]
+        monkeypatch.setattr(estimator, "BATCH_FORMS", 4096)
+        peaks = []
+        for num, est in zip(counts, want):
+            tracemalloc.start()
+            try:
+                assert estimate_fixed(A, 3, num, sp, RademacherSampler(0), threads=2) == est
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # 30 000 more forms would take about 1.5 MB held as one batch; the
+        # pool's own objects move the peak by up to about 70 KB
+        assert peaks[1] <= peaks[0] + 2**18
+
 
 class TestEstimateAdaptive:
     def test_scaled_identity_uses_eight_samples(self):
@@ -533,7 +563,7 @@ class TestEstimateAdaptive:
     def test_monotone_sample_requirement(self):
         # replay the loop: the recomputed requirement never decreases
         A = fem_matrix(50)
-        sp = ScalingParams.from_bound(gershgorin_upper_bound(A))
+        sp = ScalingParams(1.0, 4.0, "user")
         n, p = 3, 0.95
         sampler = RademacherSampler(0)
         est = estimate_adaptive(A, n, p, sp, sampler)
@@ -553,7 +583,7 @@ class TestEstimateAdaptive:
     def test_cap_reported_honestly(self):
         # degree 8 would take 38 samples
         A = fem_matrix(100)
-        sp = ScalingParams.from_bound(gershgorin_upper_bound(A))
+        sp = ScalingParams(1.0, 4.0, "user")
         est = estimate_adaptive(A, 8, 0.95, sp, RademacherSampler(0), n_max=10)
         assert est.capped and est.samples_used == 10
         # tau recomputed with the actual sample count, not the wish
@@ -586,7 +616,7 @@ class TestEstimateAdaptive:
 
     def test_determinism_across_threads(self):
         A = fem_matrix(80)
-        sp = ScalingParams.from_bound(gershgorin_upper_bound(A))
+        sp = ScalingParams(1.0, 4.0, "user")
         serial = estimate_adaptive(A, 3, 0.95, sp, RademacherSampler(1), threads=1)
         threaded = estimate_adaptive(A, 3, 0.95, sp, RademacherSampler(1), threads=4)
         assert serial == threaded
@@ -595,7 +625,7 @@ class TestEstimateAdaptive:
         # over 200 seeded runs the tau radius must cover the truth at a rate
         # no worse than p - 0.05
         A = fem_matrix(100)
-        sp = ScalingParams.from_bound(gershgorin_upper_bound(A))
+        sp = ScalingParams(1.0, 4.0, "user")
         exact = fem_exact_entropy(100)
         hits = 0
         for seed in range(200):
@@ -743,6 +773,171 @@ class TestExactMoments:
             quadratic_form(A, np.ones(m), coefficients(2, 1.0), 1.0, traces)
 
 
+class TestMomentRoute:
+    """A matrix stored by diagonal with a certain scaling takes exact moments
+    from colour rows, and reports an interval that holds with certainty."""
+
+    @pytest.mark.parametrize("m", [1, 3, 10, 50, 10**3, 10**5])
+    def test_interval_holds_fem_truth(self, m):
+        truth = fem_exact_entropy(m)
+        A = fem_matrix(m)
+        sp = ScalingParams.from_bound(gershgorin_upper_bound(A))
+        for n in (1, 2, 3, 8, 17, 32, 64):
+            est = estimate_fixed(A, n, 8, sp, RademacherSampler(0))
+            lo, hi = est.interval
+            assert lo <= truth <= hi, (m, n)
+            assert lo <= est.value <= hi and abs(est.value - truth) <= est.tau, (m, n)
+            assert est.tau == pytest.approx(max(est.value - lo, hi - est.value), rel=1e-15)
+            # never wider than the floor, with its rounding allowance
+            assert est.tau <= 2.0 * truncation_error_bound(n, 4.0 * m) * (1.0 + 1e-9), (m, n)
+            assert est.samples_used == min(n + 1, m)
+            assert (est.delta, est.xi_min, est.xi_max) == (0.0, 0.0, 0.0)
+
+    def test_fem_1e6_at_the_benchmark_command(self):
+        # n = 8, 8 samples asked: 9 colour rows, and an interval about an
+        # eighth of the sampled tau of 54 700 (the benchmark's fem-1e6)
+        m = 10**6
+        A = fem_matrix(m)
+        sp = ScalingParams.from_bound(gershgorin_upper_bound(A))
+        assert colour_count(A, 8, sp) == 9
+        est = estimate_fixed(A, 8, 8, sp, RademacherSampler(0), threads=2)
+        truth = fem_exact_entropy(m)
+        lo, hi = est.interval
+        assert lo <= truth <= hi
+        assert est.samples_used == 9
+        assert lo == pytest.approx(-2006666.0, abs=1.0) and hi == pytest.approx(-1994985.8, abs=1.0)
+        assert abs(est.value - truth) < 0.02 and est.tau < 6700.0
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("half, seed", [(2, 0), (3, 1), (2, 2)])
+    def test_banded_matrices_with_holes(self, half, seed, normalize):
+        # the holes leave slots of the strips empty, so the held mask and the
+        # colouring of a wider band both matter; checked against LAPACK
+        A, a = dominant_band(300, half, seed)
+        assert layout(A) == "diagonals" and A.bandwidth == half
+        assert not A._strips.held.all()
+        lam = np.linalg.eigvalsh(a / (np.trace(a) if normalize else 1.0))
+        truth = -float(np.sum(entropy_function(lam)))
+        sp = ScalingParams.for_matrix(gershgorin_upper_bound(A), A.trace(), normalize=normalize)
+        for n in (2, 5, 8, 16):
+            est = estimate_fixed(A, n, 8, sp, RademacherSampler(0), normalize=normalize)
+            assert est.samples_used == n * half + 1
+            lo, hi = est.interval
+            assert lo <= truth <= hi, (n, lo, truth, hi)
+            assert abs(est.value - truth) <= est.tau
+        # adaptive runs take the same route and numbers
+        adaptive = estimate_adaptive(A, 16, 0.95, sp, RademacherSampler(0), normalize=normalize)
+        assert (adaptive.value, adaptive.tau, adaptive.interval) == (est.value, est.tau,
+                                                                   est.interval)
+        assert adaptive.estimator == "adaptive"
+
+    def test_a_measure_of_few_points(self):
+        # fem(3) has three eigenvalues: past three free nodes no rule forms,
+        # and the rules below pin the entropy to the rounding allowance,
+        # which grows with n^2
+        A = fem_matrix(3)
+        sp = ScalingParams.from_bound(gershgorin_upper_bound(A))
+        truth = fem_exact_entropy(3)
+        for n, width in ((6, 1e-10), (8, 1e-10), (64, 1e-8)):
+            est = estimate_fixed(A, n, 8, sp, RademacherSampler(0))
+            lo, hi = est.interval
+            assert lo <= truth <= hi and hi - lo < width
+
+    def test_radau_bounds_of_a_known_measure(self):
+        # five points with weights: the bounds hold the integral and close
+        # on it once a rule has five free nodes; a rule's own error widens
+        # them but never breaks them
+        y = np.array([-0.9, -0.3, 0.1, 0.5, 0.95])
+        w = np.array([0.1, 0.3, 0.2, 0.25, 0.15])
+        unit = 1.7
+        integral = float(np.dot(w, entropy_function(unit * (y + 1.0))))
+        for n in (2, 4, 7, 10, 12, 20):
+            nu = np.array([np.dot(w, np.cos(k * np.arccos(y))) for k in range(n + 1)])
+            lo, hi = radau_bounds(nu, 1e-15, unit, 1.0)
+            assert lo <= integral <= hi, n
+            if n >= 10:
+                assert hi - lo < 1e-9
+        # moments known only to 1e-6 widen the bounds, which still hold
+        lo, hi = radau_bounds(nu + 1e-6 * np.cos(np.arange(21.0)), 2e-6, unit, 1.0)
+        assert lo <= integral <= hi and hi - lo < 1e-2
+        # no rule at n = 1: no bound
+        assert radau_bounds(nu[:2], 0.0, unit, 1.0) == (-math.inf, math.inf)
+
+    @pytest.mark.parametrize("case", ["user", "lanczos", "gathered", "indefinite-disc",
+                                      "wide-colouring"])
+    def test_route_declines(self, case):
+        # these runs sample, with the numbers of the scaling without its
+        # bound, and their reports have no route or interval
+        n = 4
+        if case == "user":
+            A, sp = fem_matrix(200), ScalingParams(1.0, 4.0, "user")
+        elif case == "lanczos":
+            # a bound that may fail, whatever its lambda_min
+            A = fem_matrix(200)
+            sp = ScalingParams.from_bound(SpectralBound(4.0, "lanczos", lambda_min_lower=0.0,
+                                                        failure=1e-4))
+        elif case == "gathered":
+            A = scattered_psd(280, 3)
+            assert layout(A) == "gather"
+            sp = ScalingParams.from_bound(gershgorin_upper_bound(A))
+        elif case == "indefinite-disc":
+            # the square of fem, PSD, but Gershgorin's discs reach -4
+            fem = fem_matrix(200).to_dense()
+            A = SymmetricSparseMatrix.from_dense(fem @ fem)
+            assert layout(A) == "diagonals"
+            bound = gershgorin_upper_bound(A)
+            assert bound.lambda_min_lower < 0.0
+            sp = ScalingParams.from_bound(bound)
+        else:
+            # n beta + 1 colours past DEFAULT_N_MAX
+            A = wide_band(30000, 2500)
+            sp = ScalingParams.from_bound(gershgorin_upper_bound(A))
+        assert colour_count(A, n, sp) is None
+        est = estimate_fixed(A, n, 6, sp, RademacherSampler(0))
+        assert est.interval is None and est.samples_used == 6
+        assert "route" not in est.to_dict()["method"]
+        assert est == estimate_fixed(A, n, 6, dataclasses.replace(sp, bound=None),
+                                     RademacherSampler(0))
+
+    def test_scaling_below_its_bound_declines(self):
+        # a scaling that keeps its bound but no longer covers it proves nothing
+        A = fem_matrix(100)
+        sp = dataclasses.replace(ScalingParams.from_bound(gershgorin_upper_bound(A)),
+                                 gamma0=4.5)
+        assert colour_count(A, 3, sp) == 4
+        assert colour_count(A, 3, dataclasses.replace(sp, gamma0=3.9)) is None
+
+    def test_report_keys(self):
+        A = fem_matrix(10)
+        sp = ScalingParams.from_bound(gershgorin_upper_bound(A))
+        d = estimate_adaptive(A, 2, 0.95, sp, RademacherSampler(0)).to_dict()
+        assert list(d["method"].keys()) == ["estimator", "stream", "bound", "route", "interval",
+                                            "normalized", "zero_trace", "xi_min", "xi_max"]
+        assert d["method"]["route"] == "moments" and d["samples"] == 3
+        assert (d["delta"], d["method"]["xi_min"], d["method"]["xi_max"]) == (0.0, 0.0, 0.0)
+        assert all(type(x) is float for x in d["method"]["interval"])
+        json.dumps(d)
+
+    def test_no_block_of_all_rows(self, monkeypatch):
+        # rows are drawn a block at a time into the run's workspaces, never
+        # as one (r, m) block: at width 1 every block holds one row
+        import entrace.estimator as estimator
+
+        heights = []
+        real = estimator._colour_rows
+
+        def recording(r, start, out):
+            heights.append(len(out))
+            return real(r, start, out)
+
+        monkeypatch.setattr(estimator, "_colour_rows", recording)
+        A = fem_matrix(50000)
+        assert A.block_width == 1
+        est = estimate_fixed(A, 16, 8, ScalingParams.from_bound(gershgorin_upper_bound(A)),
+                             RademacherSampler(0), threads=2)
+        assert est.samples_used == 17 and heights == [1] * 17
+
+
 def low_rank(m, rank, seed):
     """A random_psd of dimension m with ``rank`` eigenvalues in [0.2, 1), the rest 0."""
     spectrum = np.zeros(m)
@@ -799,7 +994,7 @@ class TestDeflation:
         assert 0 < k < len(krylov.rows)
         assert np.array_equal(rows, krylov.rows[:k])
         # a view of the scaling's run, not a copy
-        assert np.shares_memory(rows, sp.krylov.rows)
+        assert np.shares_memory(rows, sp.bound.krylov.rows)
         a = coefficients(14, 1.0).coeffs
         slope = 2.0 * 14 ** 2 * (abs(a[0]) / 2.0 + np.abs(a[1:]).sum())
         floor = truncation_error_bound(14, A.dim * sp.gamma0)
@@ -821,7 +1016,7 @@ class TestDeflation:
         assert deflation_basis(sp, n, A.trace()).shape == (0, A.dim)
         est = estimate_fixed(A, n, num, sp, sampler)
         assert (est.value, est.tau, est.deflation) == (entropy, tau, 0)
-        no_run = dataclasses.replace(sp, krylov=None)
+        no_run = dataclasses.replace(sp, bound=None)
         assert est == dataclasses.replace(estimate_fixed(A, n, num, no_run, sampler), deflation=0)
         assert est.to_dict()["method"]["deflation"] == 0
 
@@ -830,7 +1025,7 @@ class TestDeflation:
         # deflation key; nor has the rule a basis to read
         A = fem_matrix(100)
         sp = _scaling(A, RunConfig("entropy"), RademacherSampler(0))
-        assert sp.krylov is None
+        assert sp.bound.krylov is None
         assert "deflation" not in estimate_fixed(A, 3, 4, sp, RademacherSampler(0)).to_dict()[
             "method"]
         assert deflation_basis(sp, 3, A.trace()) is None
@@ -862,7 +1057,7 @@ class TestDeflation:
         assert (est.value, est.tau, est.deflation) == (
             pinned["entropy"], pinned["tau"], pinned["method"]["deflation"])
         assert est.deflation == 18
-        assert est.scaling.krylov is None
+        assert est.scaling.bound is None
 
 
 def normalized_spdc():
@@ -948,7 +1143,7 @@ class TestCoreCount:
 class TestJsonShape:
     def test_stable_key_order(self):
         A = fem_matrix(10)
-        sp = ScalingParams.from_bound(gershgorin_upper_bound(A))
+        sp = ScalingParams(1.0, 4.0, "user")
         d = estimate_adaptive(A, 2, 0.95, sp, RademacherSampler(0)).to_dict()
         assert list(d.keys()) == ["entropy", "tau", "confidence", "samples", "degree",
                                   "delta", "gamma0", "x0", "trace", "seed", "capped",
