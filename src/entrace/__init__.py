@@ -24,7 +24,7 @@ from .chebyshev import (
     spread_function,
     truncation_error_bound,
 )
-from .clenshaw import SpectrumEscape, deflated_part, quadratic_form
+from .clenshaw import SpectrumEscape, quadratic_form
 from .cli import RunConfig, main, run
 from .estimator import (
     EntropyEstimate,
@@ -66,7 +66,6 @@ __all__ = [
     "Spectrum",
     "SymmetricSparseMatrix",
     "coefficients",
-    "deflated_part",
     "dense_spectrum",
     "entropy_function",
     "entropy_with_normalization",

@@ -22,9 +22,9 @@ last time, so a form holds two (b, dim) vectors, which take the t_j in
 turn: t_1 goes to a work array and t_2 over the probe rows, which no moment
 reads after mu_1. A caller that keeps its probes passes no work array, and
 the form copies them. One kernel, ``_moments``, gives the moments of any
-block of real rows, with mu_0 = ||v||^2; a +-1 probe has mu_0 = m exactly,
-which its form passes in, and a 0/1 colour row of exact moments (see
-``estimator``) its count.
+block of real rows whose mu_0 = ||v||^2 the caller knows exactly: m for a
++-1 probe, and its count for a 0/1 colour row of exact moments (see
+``estimator``).
 
 Over Rademacher probes the mean of mu_k is tr T_k(B), and two of these are
 known without a product: tr T_1(B) = c tr A - m, and tr T_2(B) =
@@ -35,27 +35,10 @@ gamma0), while its variance, 2 sum_{i != j} M_ij^2 for the matrix M of the
 form (Hutchinson, Commun. Stat. Simul. Comput. 19(2), 1990), becomes that
 of the terms of degree 3 and up, at no extra product.
 
-A form may instead deflate its probe with k orthonormal rows Q chosen apart
-from the probes, as a Lanczos run's basis is (Hutch++; Meyer, Musco, Musco
-and Woodruff, SOSA 2021). With P = I - Q^T Q and p = p_n(A / gamma0),
-
-    tr p = tr(Q p Q^T) + E[(P w)^T p (P w) - p_n(0) (||P w||^2 - (m - k))],
-
-since E[||P w||^2] = tr P = m - k. The first part is computed once, from
-the moments of the k rows (``deflated_part``), and each form carries it;
-the probe is projected in place and all its moments are sampled. The
-p_n(0) term is a control variate with a known mean: it leaves the sampled
-part sum_k a_k (mu_k - (-1)^k mu_0), which is zero on the null space of A,
-so that on a matrix whose range Q nearly spans the forms barely spread.
-A deflated form does not take mu_1 and mu_2 at their means over the
-probes: those are the whole probe's, and beside the p_n(0) term they widen
-the spread.
-
 Every reduction is an ``np.einsum`` over one probe row, never BLAS: a
 threaded BLAS dot product splits its sum by thread count, and a reduction
-across rows would sum in an order set by the block height. The projection
-is two ``np.einsum`` contractions, each summed row by row. So a form is the
-same number whatever the block, the worker count or the BLAS threads.
+across rows would sum in an order set by the block height. So a form is
+the same number whatever the block, the worker count or the BLAS threads.
 
 While the spectrum of A lies inside [0, x0 * gamma0], that of B lies inside
 [-1, 1], so every |T_k(B)| <= 1 and |mu_k| <= mu_0, m for a probe. A moment
@@ -68,8 +51,6 @@ little beyond the bound can keep every moment within it.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 # np.einsum sums a reduction in pieces of its fixed internal buffer size. A
@@ -79,7 +60,9 @@ _EINSUM_PIECE = 8192
 
 
 class SpectrumEscape(ValueError):
-    """A probe moment |mu_k| > m, which no spectrum inside [0, x0 * gamma0] gives."""
+    """A probe moment |mu_k| > m, or a Ritz value or residual trace of a Lanczos
+    run below zero (``estimator.lanczos_interval``): what no spectrum inside
+    [0, x0 * gamma0] gives."""
 
 
 def _row_dots(x, y):
@@ -93,20 +76,18 @@ def _row_dots(x, y):
                      for xi, yi in zip(x, np.broadcast_to(y, x.shape))])
 
 
-def _moments(A, block, n, c, work, mu0=None):
+def _moments(A, block, n, c, work, mu0):
     """The (b, n+1) moments mu_k = v_i^T T_k(B) v_i of the rows v_i of ``block``.
 
     ``block`` is a (b, dim) array of real rows and ``work`` a float64 array
     of its shape, apart from it: t_1 goes to ``work`` and t_2 over the rows
-    of ``block``, whose values are then lost. mu_0 = ||v_i||^2, summed as
-    ``_row_dots`` sums, unless the caller gives it: ``mu0`` = m for +-1
-    rows, or each 0/1 colour row's count, which is then exact and costs no
-    pass.
+    of ``block``, whose values are then lost. ``mu0`` gives mu_0 = ||v_i||^2
+    exactly, at no pass over the rows: m for +-1 rows, or each 0/1 colour
+    row's count.
 
     Raises ``SpectrumEscape`` if some row has max_k |mu_k| > mu_0 (1 + 1e-10)
     + 1e-10, which no spectrum of B inside [-1, 1] gives.
     """
-    m = block.shape[1]
     mu = np.empty((block.shape[0], n + 1))
 
     def finish(y, lo, hi):
@@ -118,7 +99,7 @@ def _moments(A, block, n, c, work, mu0=None):
             y *= 2.0
             y -= t_prev[:, lo:hi]
 
-    mu[:, 0] = _row_dots(block, block) if mu0 is None else mu0
+    mu[:, 0] = mu0
     # t_0 = v, t_1 = B v
     t_prev, t = None, block
     t_prev, t = t, A.matvec(t, finish=finish, out=work)
@@ -146,53 +127,12 @@ def _moments(A, block, n, c, work, mu0=None):
     if escaped.size:
         i = escaped[0]
         k = int(np.abs(mu[i]).argmax())
-        unit = "m" if mu0 is not None else "||v||^2"
-        raise SpectrumEscape(f"probe moment |mu_{k}| = {peak[i] / mu[i, 0]:.6g} {unit} "
-                             f"exceeds mu_0 = {unit}")
+        raise SpectrumEscape(f"probe moment |mu_{k}| = {peak[i] / mu[i, 0]:.6g} m "
+                             "exceeds mu_0 = m")
     return mu
 
 
-def deflated_part(A, rows, expansion, gamma0):
-    """gamma0 (tr(Q p_n(A / gamma0) Q^T) + p_n(0) (m - k)) for Q's k orthonormal ``rows``.
-
-    The part of every deflated form that no probe changes (see
-    ``quadratic_form``): the trace of the polynomial on the span of the
-    rows, from their moments, and the known mean p_n(0) tr P of the control
-    variate, tr P = m - k. Costs ceil(n/2) products of the (k, dim) block.
-    Raises ``SpectrumEscape`` as ``quadratic_form`` does.
-    """
-    q = np.array(rows, dtype=np.float64)
-    gamma0 = float(gamma0)
-    a, n = expansion.coeffs, expansion.degree
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu = _moments(A, q, n, 2.0 / (expansion.x0 * gamma0), np.empty_like(q))
-        inside = math.fsum(a[0] / 2.0 * mu[:, 0] + _row_dots(mu[:, 1:], a[1:]))
-    at_zero = a[0] / 2.0 + float(np.einsum("k,k->", _signs(n), a[1:]))
-    return gamma0 * (inside + at_zero * (A.dim - len(q)))
-
-
-def _signs(n):
-    """T_k(-1) = (-1)^k for k = 1..n."""
-    return np.where(np.arange(1, n + 1) % 2 == 1, -1.0, 1.0)
-
-
-def _project(block, rows, scratch):
-    """Write P v_i = v_i - sum_j (q_j . v_i) q_j over each row of ``block``.
-
-    Both contractions are ``np.einsum``, never BLAS. The dots (q_j . v_i)
-    are summed as ``_row_dots`` sums one row; the sum over j is taken for
-    each entry of the row in ascending j, into ``scratch``, an array of the
-    block's shape, and subtracted from it. So a row comes out with the same
-    bits in any block.
-    """
-    if block.shape[1] <= _EINSUM_PIECE:
-        dots = np.einsum("ij,kj->ik", block, rows)
-    else:
-        dots = np.array([np.einsum("kj,j->k", rows, row) for row in block])
-    block -= np.einsum("ik,kj->ij", dots, rows, out=scratch)
-
-
-def quadratic_form(A, v, expansion, gamma0, traces=None, work=None, deflation=None):
+def quadratic_form(A, v, expansion, gamma0, traces=None, work=None):
     """gamma0 * v^T p_n(A / gamma0) v for a +-1 probe vector v.
 
     v may also be a (b, dim) block of probe rows; the result is then an
@@ -217,19 +157,9 @@ def quadratic_form(A, v, expansion, gamma0, traces=None, work=None, deflation=No
     becomes that of its terms of degree 3 and up; at n <= 2 every probe
     gives the same form. Without ``traces`` every moment is sampled.
 
-    With ``deflation``, the pair (Q, ``deflated_part(A, Q, expansion,
-    gamma0)``) for k orthonormal rows Q, the form is that of the split
-    gamma0 [tr(Q p Q^T) + (P v)^T p (P v) - p_n(0) (||P v||^2 - (m - k))],
-    p = p_n(A / gamma0) and P = I - Q^T Q. Each row is projected in place
-    with ``_project`` before its moments, which are all sampled, with
-    mu_0 = ||P v||^2; ``traces`` must then be None. Its mean is the form's,
-    and the p_n(0) term, a control variate of known mean, leaves the
-    sampled part sum_k a_k (mu_k - (-1)^k mu_0), which vanishes where A's
-    range lies in the span of Q.
-
     Raises ``SpectrumEscape`` if some row has max_k |mu_k| > mu_0 (1 + 1e-10)
     + 1e-10; its message names the first such row's largest moment and its
-    ratio to mu_0, m for the probe itself. A spectrum far outside [0, x0 *
+    ratio to mu_0 = m. A spectrum far outside [0, x0 *
     gamma0] can make the vectors overflow into nan moments instead; numpy's
     warnings of it are silenced, so the caller sees only the non-finite form
     it returns.
@@ -248,8 +178,6 @@ def quadratic_form(A, v, expansion, gamma0, traces=None, work=None, deflation=No
     elif work.shape != v.shape or work.dtype != np.float64 or np.may_share_memory(work, v):
         raise ValueError(f"work must be a float64 array of the probes' shape {v.shape}, "
                          "apart from them")
-    if traces is not None and deflation is not None:
-        raise ValueError("a deflated form samples every moment: give traces or deflation")
     gamma0 = float(gamma0)
     if not gamma0 > 0.0:
         raise ValueError("gamma0 must be positive")
@@ -264,18 +192,11 @@ def quadratic_form(A, v, expansion, gamma0, traces=None, work=None, deflation=No
     work = work.reshape(block.shape)
     # the error state is thread-local, so it is set here, on the worker
     with np.errstate(over="ignore", invalid="ignore"):
-        if deflation is not None:
-            rows, constant = deflation
-            _project(block, rows, work)
-            mu = _moments(A, block, n, c, work)
-            mu[:, 1:] -= _signs(n) * mu[:, :1]
-            forms = gamma0 * _row_dots(mu[:, 1:], a[1:]) + constant
-        else:
-            mu = _moments(A, block, n, c, work, mu0=m)
-            if traces is not None:
-                tr, frob = traces
-                mu[:, 1] = c * tr - m
-                if n >= 2:
-                    mu[:, 2] = 2.0 * (c * c * frob - 2.0 * c * tr + m) - m
-            forms = gamma0 * (m * a[0] / 2.0 + _row_dots(mu[:, 1:], a[1:]))
+        mu = _moments(A, block, n, c, work, mu0=m)
+        if traces is not None:
+            tr, frob = traces
+            mu[:, 1] = c * tr - m
+            if n >= 2:
+                mu[:, 2] = 2.0 * (c * c * frob - 2.0 * c * tr + m) - m
+        forms = gamma0 * (m * a[0] / 2.0 + _row_dots(mu[:, 1:], a[1:]))
     return forms if v.ndim == 2 else float(forms[0])

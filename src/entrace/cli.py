@@ -169,9 +169,10 @@ def _scaling(mat, config, sampler):
     probability ``BOUND_FAILURE_SHARE`` * (1 - p). ``--gamma0`` describes
     the matrix the run estimates, the state A / tr(A) under ``--normalize``,
     so only a bound on A is divided by the trace. A Lanczos bound's scaling
-    keeps its run, whose basis the estimators deflate the probes with, and
-    Gershgorin's may let a matrix stored by diagonal take exact moments
-    (see ``estimator.colour_count``).
+    keeps its run, from which the estimators bound the entropy with
+    certainty (see ``estimator.lanczos_interval``), and Gershgorin's may let
+    a matrix stored by diagonal take exact moments (see
+    ``estimator.colour_count``).
     """
     if config.gamma0 is not None:
         return ScalingParams(1.0, float(config.gamma0), "user")

@@ -15,16 +15,14 @@ that delta and tau read is narrower, and an adaptive run stops sooner, at
 no extra matrix-vector product. At n <= 2 every form is the same number.
 
 Where gamma0 comes from a Lanczos run, the scaling keeps it, and the run
-picks the leading rows of its basis that deflate each probe instead
-(``deflation_basis``): the trace on the rows' span is computed once, and
-each form samples only the rest, less a control variate of known mean (see
-``clenshaw``). On a low-rank state the rest barely varies, so the forms
-spread over far less than the floor, at the same matrix-vector products a
-probe. The forms carry the exact part, so the sampling loop, delta and tau
-read them as any other.
+bounds the entropy with certainty from that run alone, at no product
+(``lanczos_interval``): pinching above and the Fannes-Audenaert inequality
+below. A run answers from the narrower of that interval and its sampled
+one; an adaptive run whose interval is at most the floor, which no sampled
+tau beats, draws no probe.
 
 A run allocates its workspaces once: each worker's probe array, into which
-its blocks are drawn and projected, and its work array, which holds t_1.
+its blocks are drawn, and its work array, which holds t_1.
 
 On a matrix stored by diagonal whose scaling is certain, a bound that
 cannot fail and puts the spectrum in [0, x0 * gamma0], a run draws no probe
@@ -56,9 +54,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chebyshev import coefficients, truncation_error_bound
-from .clenshaw import SpectrumEscape, _moments, deflated_part, quadratic_form
-from .sparse import _BOUND_METHODS, BLOCK_BYTES, SpectralBound
+from .chebyshev import coefficients, entropy_function, truncation_error_bound
+from .clenshaw import SpectrumEscape, _moments, quadratic_form
+from .sparse import _BOUND_METHODS, BLOCK_BYTES, LANCZOS_STEPS, SpectralBound
 
 DEFAULT_N_MAX = 10_000
 # the least adaptive cap: the zero-spread count ceil(2 log 40) at p = 0.95
@@ -164,10 +162,11 @@ class ScalingParams:
     spectrum, that of the bound it came from; tau's Hoeffding term is taken
     at (1 - p) - failure, so that tau holds with probability at least p.
     ``bound`` is the ``SpectralBound`` the scaling came from, None for a
-    user scaling. A Lanczos bound's run (``bound.krylov``) deflates the
-    probes (see ``deflation_basis``), and a bound that cannot fail and puts
-    the whole spectrum in [0, x0 * gamma0] lets a matrix stored by diagonal
-    take exact moments instead (see ``colour_count``).
+    user scaling. A Lanczos bound's run (``bound.krylov``) bounds the
+    entropy with certainty (see ``lanczos_interval``), and a bound that
+    cannot fail and puts the whole spectrum in [0, x0 * gamma0] lets a
+    matrix stored by diagonal take exact moments instead (see
+    ``colour_count``).
     """
 
     x0: float
@@ -214,42 +213,6 @@ class ScalingParams:
             raise ValueError("spectral bound is zero but the trace is not; matrix is not PSD")
         return cls(x0=1.0, gamma0=lam if lam > 0.0 else 1.0,
                    provenance=bound.method, failure=bound.failure, bound=bound)
-
-
-def deflation_basis(scaling, n, trace, normalize=False):
-    """The leading rows of the scaling's Lanczos run that deflate each probe.
-
-    ``scaling.bound.krylov`` is a ``KrylovBasis`` of A, or None, and
-    ``trace`` is tr A. The rows q_1..q_k are kept for the least k with
-
-        2 L m (|r_k| + r) / s <= floor / 4,
-
-    where r_k = tr A - (alpha_1 + ... + alpha_k), the trace A keeps off the
-    span of the rows, is exact from the run and costs no product; r is the
-    run's rounding allowance; s is tr A under ``normalize`` and 1 otherwise;
-    floor = truncation_error_bound(n, m x0 gamma0); and L = 2 n^2 (|a_0| / 2
-    + sum_k |a_k|) / x0 bounds |p_n'| on [0, x0] by Markov's inequality. No
-    such k: no rows, a (0, m) view, and the probes are not deflated. No
-    run, or a trace that is not positive: None.
-
-    The rule bounds the spread of the deflated forms: for PSD A, P A P is
-    PSD with trace r_k, so x = P w has x^T A x <= m r_k, and |p_n(x) -
-    p_n(0)| <= L x on [0, x0]; each form thus lies within L m r_k / s of the
-    exact part and its constant, and the forms spread over a quarter of the
-    floor at most, against the widening's two floors. The basis comes from
-    the start vector, not the probes, so any k leaves the forms unbiased.
-    """
-    krylov = None if scaling.bound is None else scaling.bound.krylov
-    if krylov is None or not trace > 0.0:
-        return None
-    m = krylov.rows.shape[1]
-    a = coefficients(n, scaling.x0).coeffs
-    slope = 2.0 * n * n * (abs(a[0]) / 2.0 + float(np.abs(a[1:]).sum())) / scaling.x0
-    floor = truncation_error_bound(n, m * scaling.x0 * scaling.gamma0)
-    residual = np.abs(trace - np.cumsum(krylov.alpha)) + krylov.rounding
-    fits = np.flatnonzero(2.0 * slope * m * residual / (trace if normalize else 1.0)
-                          <= floor / 4.0)
-    return krylov.rows[:fits[0] + 1 if fits.size else 0]
 
 
 def colour_count(A, n, scaling, normalize=False):
@@ -478,6 +441,115 @@ def radau_bounds(nu, nu_err, unit, top):
     return lo, hi
 
 
+def lanczos_interval(krylov, trace):
+    """(lo, hi) with lo <= S(A / t) <= hi for PSD A of trace t, from its Lanczos run.
+
+    ``krylov`` is a ``KrylovBasis`` of K steps on A, of dimension m. In units
+    of the state A / t after k steps, S_T is the entropy of T_k's Ritz
+    values, rho = r_k / t with r_k = t - (alpha_1 + ... + alpha_k) the trace
+    A keeps off the rows, exact from the run, and T = beta_k / t. The
+    pinching of A onto the rows and their complement is majorized by A
+    (Bhatia, Matrix Analysis, Springer 1997, ch. II) and lies 2 beta_k from
+    it in trace norm, so by Schur concavity above and the Fannes-Audenaert
+    inequality (Audenaert, J. Phys. A 40(28), 8127, 2007) below
+
+        S_T - rho log rho - T log(m - 1) - h(T) <= S(A / t)
+                                                <= S_T + rho log((m - k) / rho),
+
+    h the binary entropy. The width rho log(m - k) + T log(m - 1) + h(T)
+    involves no Ritz value, so k is the index where it is least and one
+    ``eigvalsh`` of T_k gives the centre. beta_k is known for k < K, and at
+    k = K only after a breakdown, below its threshold, or at K = m, where
+    both terms vanish.
+
+    Rounding: as ``lanczos_upper_bound`` takes it, the run is within r =
+    ``krylov.rounding`` of an exact one on A with orthonormal rows, and
+    ``eigvalsh`` errs by r more. By Weyl's theorem each Ritz value moves by
+    2 r, so with t's own rounding each x log x moves by delta log(e /
+    delta) at most, above its modulus of continuity on [0, 1]; r_k moves by
+    k r, and the off-diagonal block, of rank k, by k r in trace norm. rho
+    and T are taken at the worse ends of their allowances, and each end is
+    widened by the rest and by its sums' rounding. A Ritz value or an r_k
+    below zero by more than its allowance proves A is not PSD, and raises
+    ``SpectrumEscape``. None where t is not positive or no k gives a finite
+    width.
+    """
+    alpha, steps = krylov.alpha, len(krylov.alpha)
+    m, t, r = krylov.rows.shape[1], float(trace), krylov.rounding
+    if not t > 0.0:
+        return None
+    g = _gamma(m + steps + 4)
+    delta = (2.0 * r / t + g) * (1.0 + 3.0 * g)
+    if not delta < 1.0 / math.e:
+        return None
+    omega = delta * math.log(math.e / delta)
+    k = np.arange(1, steps + 1)
+    rest = m - k
+    rho = (t - np.cumsum(alpha)) / t
+    rho_err = ((k * r + g * (t + np.cumsum(np.abs(alpha)))) / t + g) * (1.0 + 3.0 * g)
+    negative = np.flatnonzero(rho + rho_err < 0.0)
+    if negative.size:
+        i = negative[0]
+        raise SpectrumEscape(f"the Lanczos run leaves {rho[i]:.6g} tr A off its first "
+                             f"{i + 1} rows, below zero")
+    # beta_K: the breakdown threshold where the run stopped early, none
+    # where it stopped at LANCZOS_STEPS, and 0 at m rows
+    last = r if steps < min(LANCZOS_STEPS, m) else 0.0 if steps == m else math.inf
+    dist = (np.append(krylov.beta, last) * (1.0 + g) + k * r) / t * (1.0 + 3.0 * g)
+    # T log(m - 1) + h(T) rises up to T = 1 - 1/m, where Fannes-Audenaert stops
+    holds = dist <= 1.0 - 1.0 / m
+    dist = np.where(holds, dist, 0.0)
+    fannes = np.where(holds, dist * math.log(max(m - 1, 1)) - entropy_function(dist)
+                      - entropy_function(1.0 - dist), math.inf)
+    # rho log((m - k) / rho) rises up to rho = (m - k) / e; -rho log rho is
+    # concave, so least at an end
+    hi_rho, lo_rho = np.clip(rho + rho_err, 0.0, 1.0), np.clip(rho - rho_err, 0.0, 1.0)
+    top = np.minimum(hi_rho, rest / math.e)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        upper = np.where(top > 0.0, top * np.log(rest / top), 0.0)
+    lower = np.minimum(-entropy_function(lo_rho), -entropy_function(hi_rho))
+    full = rest == 0
+    upper[full] = lower[full] = fannes[full] = 0.0
+    width = 2.0 * k * omega + upper - lower + fannes
+    j = int(np.argmin(width))
+    if not math.isfinite(width[j]):
+        return None
+    size = j + 1
+    off = krylov.beta[:j]
+    ritz = np.linalg.eigvalsh(np.diag(alpha[:size]) + np.diag(off, 1) + np.diag(off, -1)) / t
+    if ritz[0] < -delta:
+        raise SpectrumEscape(f"a Ritz value of the Lanczos run is {ritz[0]:.6g} tr A, "
+                             "below zero")
+    x = np.clip(ritz, 0.0, 1.0)
+    f = entropy_function(x)
+    s_t = -math.fsum(f)
+    ends = (size + 16) * _UNIT * (float(np.abs(f).sum() + x.sum()) + size * omega
+                                  + upper[j] + lower[j] + fannes[j])
+    return (float(s_t - size * omega + lower[j] - fannes[j] - ends),
+            float(s_t + size * omega + upper[j] + ends))
+
+
+def _lanczos_bounds(scaling, tr, normalize):
+    """``lanczos_interval`` of the scaling's Lanczos run, or None, in the
+    estimate's units: without normalize, -tr A log A = t S(A / t) - t log t,
+    with t = tr A within gamma_m, which moves it by gamma_m t (|S| + |log t|
+    + 1) at most."""
+    krylov = None if scaling.bound is None else scaling.bound.krylov
+    if krylov is None:
+        return None
+    try:
+        interval = lanczos_interval(krylov, tr)
+    except SpectrumEscape as exc:
+        raise _escaped(str(exc), scaling.x0, scaling.gamma0) from None
+    if interval is None or normalize:
+        return interval
+    lo, hi = interval
+    log_t = math.log(tr)
+    slack = ((_gamma(krylov.rows.shape[1] + 4) + 4.0 * _UNIT) * tr
+             * (max(abs(lo), abs(hi)) + abs(log_t) + 1.0))
+    return float(tr * lo - tr * log_t - slack), float(tr * hi - tr * log_t + slack)
+
+
 @dataclass(frozen=True)
 class EntropyEstimate:
     """Result of a run, with enough metadata to audit or replay it.
@@ -485,10 +557,12 @@ class EntropyEstimate:
     ``value`` estimates the entropy -tr(A log A) in nats; |value - truth| <=
     ``tau`` with probability at least ``confidence`` over the probe draw and,
     for a Lanczos bound, its start vector. A scaling that cannot fail,
-    Gershgorin's or ``--gamma0``, must contain the spectrum. A run of exact
-    moments (see ``colour_count``) draws no probe: ``interval`` is then the
-    (lo, hi) that holds the entropy with certainty, ``value`` lies in it,
-    and ``tau`` is the distance from it to the far end.
+    Gershgorin's or ``--gamma0``, must contain the spectrum. A run answered
+    from an interval (lo, hi) that holds with certainty keeps it as
+    ``interval``, and ``route`` says whence: "moments" (``colour_count``)
+    or "lanczos" (``lanczos_interval``). ``value`` lies in it, ``tau`` is
+    the distance to its far end, and ``delta`` and the xi describe the
+    probes drawn, 0.0 where none were.
     """
 
     value: float
@@ -506,25 +580,21 @@ class EntropyEstimate:
     normalized: bool = False
     zero_trace: bool = False
     estimator: str = "adaptive"
-    # rows that deflated the probes; None where the scaling kept no basis
-    deflation: int | None = None
-    # the certain interval of a run of exact moments; None where it sampled
+    # the certain interval the run answered from, and its route; None
+    # where it answered from its probes
     interval: tuple | None = None
+    route: str | None = None
 
     def to_dict(self):
         """JSON-ready dict with a stable key order.
 
-        ``method.deflation`` is there only for a run whose scaling kept a
-        Lanczos run, even where the rule keeps no row of it, and
-        ``method.route`` ("moments") and ``method.interval`` only for a run
-        of exact moments.
+        ``method.route`` and ``method.interval`` are there only for a run
+        that answered from a certain interval.
         """
         method = {"estimator": self.estimator, "stream": "philox",
                   "bound": self.scaling.provenance}
-        if self.deflation is not None:
-            method["deflation"] = self.deflation
         if self.interval is not None:
-            method.update(route="moments", interval=list(self.interval))
+            method.update(route=self.route, interval=list(self.interval))
         method.update(normalized=self.normalized, zero_trace=self.zero_trace,
                       xi_min=self.xi_min, xi_max=self.xi_max)
         return {
@@ -631,8 +701,8 @@ def _xi_batch(A, draw, first, last, threads, form, free, height):
 
     A block runs in a workspace from ``free``, the run's list of them: a
     row array and a work array of ``height`` rows, sliced to the block's.
-    Its rows are drawn into the first, and its form projects them there,
-    if it deflates, and holds t_1 in the second (see ``quadratic_form``). A
+    Its rows are drawn into the first, and its form holds t_1 in the second
+    (see ``quadratic_form``). A
     block takes a free workspace, or makes one if none is free, and frees it
     when its forms are done, so a run makes one workspace a worker at most,
     in whatever order the pool runs the blocks.
@@ -686,11 +756,11 @@ def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
     each probe form is divided by tr(A) afterwards. All Hoeffding quantities
     use the state's own (x0, gamma0) unchanged.
 
-    Where ``deflation_basis`` keeps k rows Q of the scaling's Lanczos run,
-    each form is the deflated one of ``quadratic_form``, which carries the
-    exact part gamma0 tr(Q p_n Q^T) and the control variate's constant: the
-    loop, delta, tau and the widening read it as any form. The estimate's
-    scaling keeps no bound, so the basis lives only as long as the run does.
+    Where the scaling keeps a Lanczos run, the run has its certain interval
+    before it draws (``lanczos_interval``), and answers from it where its
+    half-width is below tau; an adaptive run whose half-width is at most
+    the floor, which no tau is below, draws no probe. The estimate's scaling
+    keeps no bound, so the run's basis lives no longer than the scaling.
     """
     m = A.dim
     _check_hoeffding_args(n, p, m, scaling.x0, scaling.gamma0, scaling.failure)
@@ -711,21 +781,18 @@ def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
     if colours is not None:
         return _exact_estimate(A, expansion, scaling, colours, gamma0, tr, normalize,
                                threads, result)
-    rows = deflation_basis(scaling, n, tr, normalize)
-    k = None if rows is None else len(rows)
-    if k:
-        try:
-            constant = deflated_part(A, rows, expansion, gamma0)
-        except SpectrumEscape as exc:
-            raise _escaped(str(exc), scaling.x0, scaling.gamma0) from None
-        # every moment sampled: the exact means of mu_1 and mu_2 are the
-        # whole probe's, not its projection's
-        form = functools.partial(quadratic_form, expansion=expansion, gamma0=gamma0,
-                                 deflation=(rows, constant))
-    else:
-        # the exact means of mu_1 and mu_2 for every probe
-        form = functools.partial(quadratic_form, expansion=expansion, gamma0=gamma0,
-                                 traces=(tr, A.frobenius_squared()))
+    floor = truncation_error_bound(n, m * scaling.x0 * scaling.gamma0)
+    certain = _lanczos_bounds(scaling, tr, normalize)
+    if certain is not None:
+        centre = (certain[0] + certain[1]) / 2.0
+        half = max(centre - certain[0], certain[1] - centre) * (1.0 + 4.0 * _UNIT)
+        lanczos = functools.partial(result, value=centre, tau=half, trace=tr,
+                                    interval=certain, route="lanczos")
+        if n_max is not None and half <= floor:
+            return lanczos(samples_used=0, delta=0.0, xi_min=0.0, xi_max=0.0, capped=False)
+    # the exact means of mu_1 and mu_2 for every probe
+    form = functools.partial(quadratic_form, expansion=expansion, gamma0=gamma0,
+                             traces=(tr, A.frobenius_squared()))
 
     def draw(start, out):
         return sampler.sample_vector(m, start, len(out), out=out)
@@ -736,7 +803,7 @@ def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
     height = max(1, min(A.block_width, BLOCK_BYTES // (8 * (n + 1)),
                         needed if n_max is None else n_max))
     span = _batch_rows(height)
-    floor_width = 2.0 * truncation_error_bound(n, m * scaling.x0 * scaling.gamma0)
+    floor_width = 2.0 * floor
     xi_min = math.inf
     xi_max = -math.inf
     xi_sum = 0.0
@@ -774,8 +841,11 @@ def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
     value = -xi_sum / needed - math.log(scaling.gamma0) * trace_eff
     tau = error_tolerance(delta, n, needed, p, m, scaling.x0, scaling.gamma0,
                           scaling.failure)
-    return result(value=value, tau=tau, samples_used=needed, delta=delta, xi_min=xi_min,
-                  xi_max=xi_max, trace=tr, capped=capped, deflation=k)
+    drew = dict(samples_used=needed, delta=delta, xi_min=xi_min, xi_max=xi_max,
+                capped=capped)
+    if certain is not None and half < tau:
+        return lanczos(**drew)
+    return result(value=value, tau=tau, trace=tr, **drew)
 
 
 def _exact_estimate(A, expansion, scaling, colours, gamma0, tr, normalize, threads, result):
@@ -852,7 +922,8 @@ def _exact_estimate(A, expansion, scaling, colours, gamma0, tr, normalize, threa
     value = min(max(e_poly, lo), hi)
     tau = max(value - lo, hi - value) * (1.0 + 4.0 * _UNIT)
     return result(value=value, tau=tau, samples_used=colours, delta=0.0, xi_min=0.0,
-                  xi_max=0.0, trace=tr, capped=False, interval=(float(lo), float(hi)))
+                  xi_max=0.0, trace=tr, capped=False, interval=(float(lo), float(hi)),
+                  route="moments")
 
 
 def estimate_fixed(A, n, num_samples, scaling, sampler, p=0.95, normalize=False, threads=1):
@@ -862,10 +933,11 @@ def estimate_fixed(A, n, num_samples, scaling, sampler, p=0.95, normalize=False,
     forms, so tau is a valid radius for the estimate actually produced, at
     confidence p. Use estimate_adaptive to choose N instead. A scaling that
     keeps a Lanczos run, as ``ScalingParams.for_matrix`` of a Lanczos bound
-    does, deflates every probe with the rows ``deflation_basis`` keeps of
-    it; the estimate records k, 0 for no rows. Where ``colour_count`` gives
-    r colour rows, the run takes exact moments from them instead, draws no
-    probe whatever ``num_samples`` asks, and reports ``samples_used`` = r.
+    does, still draws the N probes, and the run answers from
+    ``lanczos_interval`` of that run where its half-width is below tau.
+    Where ``colour_count`` gives r colour rows, the run takes exact moments
+    from them instead, draws no probe whatever ``num_samples`` asks, and
+    reports ``samples_used`` = r.
     """
     if num_samples < 1:
         raise ValueError("need at least one sample")
@@ -883,8 +955,10 @@ def estimate_adaptive(A, n, p, scaling, sampler, n_max=DEFAULT_N_MAX, normalize=
 
     Determinism: sample i depends only on (seed, i, m), and the count update
     consumes samples in index order even when a batch was computed in
-    parallel, so the result is identical for any ``threads``. Deflation,
-    and exact moments in place of probes, are as in ``estimate_fixed``.
+    parallel, so the result is identical for any ``threads``. Exact
+    moments are as in ``estimate_fixed``, and so is the Lanczos interval,
+    but a run whose interval is at most the floor answers from it at once,
+    with ``samples_used`` = 0.
     """
     if n_max < MIN_N_MAX:
         raise ValueError(f"n_max below {MIN_N_MAX} cannot cover the zero-spread sample count")

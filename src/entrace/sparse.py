@@ -3,9 +3,8 @@
 Gershgorin's bounds on the spectrum take one pass over the stored entries;
 the Lanczos bound on lambda_max, for a matrix stored by column, takes
 ``LANCZOS_STEPS`` products and holds with a stated failure probability. The
-bound keeps the run's orthonormal Krylov basis and the diagonal of its
-tridiagonal matrix (``KrylovBasis``), which the estimator may deflate its
-probes with.
+bound keeps the run's orthonormal Krylov basis and its tridiagonal matrix
+(``KrylovBasis``), from which the estimator bounds the entropy.
 
 The estimator touches a matrix only through ``trace``,
 ``frobenius_squared``, ``block_width``, ``bandwidth`` and ``matvec``; the
@@ -758,8 +757,7 @@ def krylov_basis(A, start, scale):
     ``np.einsum`` contractions, never BLAS, so that it is orthonormal to
     working precision and the same at every BLAS thread count. The run
     costs K products and a (K, dim) basis, and makes no dense copy of A;
-    the basis lives as long as the bound or the scaling that keeps it, and
-    a run deflates with a view of its leading rows.
+    the basis lives as long as the bound or the scaling that keeps it.
     """
     m, steps = A.dim, LANCZOS_STEPS
     tiny = steps * np.finfo(np.float64).eps / 2.0 * scale

@@ -145,9 +145,15 @@ def dense_quadratic_form(A, v, expansion, gamma0):
     return gamma0 * float(np.sum(w * w * poly_eval_cosine(expansion, lam / gamma0)))
 
 
-def orthonormal_rows(m, k, seed):
-    """k orthonormal rows of length m, from the QR factors of a Gaussian matrix."""
-    return np.linalg.qr(np.random.default_rng(seed).standard_normal((m, k)))[0].T.copy()
+def indefinite(m, seed):
+    """A dense symmetric matrix whose eigenvalues lie in [0.1, 1) but one, at
+    -0.1 lambda_max, with the eigenvectors of a Gaussian matrix's QR factor."""
+    rng = np.random.default_rng(seed)
+    spectrum = rng.uniform(0.1, 1.0, m)
+    spectrum[0] = -0.1 * spectrum.max()
+    q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    dense = (q * spectrum) @ q.T
+    return SymmetricSparseMatrix.from_dense((dense + dense.T) / 2.0)
 
 
 def all_sign_vectors(m):

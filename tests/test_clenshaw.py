@@ -14,10 +14,10 @@ import pytest
 
 import entrace
 from entrace.chebyshev import coefficients, evaluate_scalar
-from entrace.clenshaw import SpectrumEscape, _moments, _project, deflated_part, quadratic_form
+from entrace.clenshaw import SpectrumEscape, _moments, quadratic_form
 from entrace.generators import SpdcParams, fem_matrix, random_psd, spdc_density_matrix
 from entrace.sparse import SymmetricSparseMatrix, gershgorin_upper_bound
-from support import dense_quadratic_form, layout, orthonormal_rows, scattered_psd, wide_band
+from support import dense_quadratic_form, layout, scattered_psd, wide_band
 
 
 def signs(m, seed):
@@ -257,13 +257,11 @@ class TestDeterminism:
         # which any summation order gets exactly
         gamma0 = 1.075 * gershgorin_upper_bound(A).lambda_max_upper
         probes = np.array([signs(A.dim, 50 + i) for i in range(min(2 * width + 1, 65))])
-        rows = orthonormal_rows(A.dim, 3, 7)
-        # sampled moments, mu_1 and mu_2 at their exact means, and deflated
-        for kind in ("sampled", "traces", "deflated"):
+        # sampled moments, and mu_1 and mu_2 at their exact means
+        for kind in ("sampled", "traces"):
             for n in (1, 8, 9, 14):
                 exp = coefficients(n, 1.0)
-                extra = {"sampled": {}, "traces": {"traces": (A.trace(), A.frobenius_squared())},
-                         "deflated": {"deflation": (rows, deflated_part(A, rows, exp, gamma0))}
+                extra = {"sampled": {}, "traces": {"traces": (A.trace(), A.frobenius_squared())}
                          }[kind]
                 form = functools.partial(quadratic_form, A, expansion=exp, gamma0=gamma0,
                                          **extra)
@@ -319,10 +317,11 @@ class TestDeterminism:
 
 
 class TestRealRows:
-    """The moment kernel on real rows, and the deflated form built on it."""
+    """The moment kernel on real rows, given their mu_0."""
 
     def test_moments_match_dense_chebyshev(self):
-        # mu_0 = ||v||^2 and mu_k = v^T T_k(B) v, against a dense recurrence
+        # mu_k = v^T T_k(B) v, against a dense recurrence, with the given
+        # mu_0 = ||v||^2
         A = random_psd(30, 2, np.random.default_rng(2).uniform(0.0, 1.0, 30))
         n, c = 9, 2.0 / 1.1
         block = np.random.default_rng(3).standard_normal((4, 30))
@@ -331,17 +330,19 @@ class TestRealRows:
         for _ in range(n - 1):
             t.append(2.0 * B @ t[-1] - t[-2])
         want = np.array([[v @ tk @ v for tk in t] for v in block])
-        got = _moments(A, block.copy(), n, c, np.empty_like(block))
+        got = _moments(A, block.copy(), n, c, np.empty_like(block),
+                       mu0=np.einsum("ij,ij->i", block, block))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     def test_plus_minus_one_rows_take_m_exactly(self):
-        # given mu_0 = m, the kernel reads the rows for nothing else: the
-        # moments are those it sums itself, bit for bit
+        # given mu_0 = m, the moments are those of the rows' summed norms,
+        # m exactly, bit for bit
         A = spdc_density_matrix(SpdcParams())
         block = np.array([signs(A.dim, s) for s in range(5)])
         c = 2.0 / (1.1 * A.trace())
         given = _moments(A, block.copy(), 8, c, np.empty_like(block), mu0=A.dim)
-        summed = _moments(A, block.copy(), 8, c, np.empty_like(block))
+        summed = _moments(A, block.copy(), 8, c, np.empty_like(block),
+                          mu0=np.einsum("ij,ij->i", block, block))
         np.testing.assert_array_equal(given, summed)
 
     def test_escape_is_read_against_the_row_norm(self):
@@ -349,42 +350,8 @@ class TestRealRows:
         # where B = 2A - I is 2: mu_2 = T_2(2) ||v||^2 = 7 ||v||^2
         A = SymmetricSparseMatrix.from_dense(np.diag([0.5, 1.5, 0.2]))
         row = np.array([[0.0, 3.0, 0.0]])
-        with pytest.raises(SpectrumEscape, match=r"^probe moment \|mu_2\| = 7 \|\|v\|\|\^2 "):
-            _moments(A, row.copy(), 2, 2.0, np.empty_like(row))
-
-    @pytest.mark.parametrize("m", [64, 9000])
-    def test_projected_row_has_its_bits_in_any_block(self, m):
-        # one einsum a block up to a buffer's length, one a row beyond it;
-        # a row alone, in blocks of any height, and in a view that starts
-        # one row into its array are projected alike
-        rows = orthonormal_rows(m, 5, m)
-        probes = np.array([signs(m, s) for s in range(7)])
-
-        def project(block):
-            block = block.copy()
-            _project(block, rows, np.empty_like(block))
-            return block
-
-        alone = np.concatenate([project(v[None]) for v in probes])
-        for b in (2, 3, 7):
-            np.testing.assert_array_equal(
-                np.concatenate([project(probes[s:s + b]) for s in range(0, 7, b)]), alone)
-        padded = np.empty((8, m))
-        padded[1:] = probes
-        _project(padded[1:], rows, np.empty((7, m)))
-        np.testing.assert_array_equal(padded[1:], alone)
-        # P v is orthogonal to every row, and v - P v lies in their span
-        assert np.abs(alone @ rows.T).max() < 1e-12 * m
-        np.testing.assert_allclose((probes - alone) @ rows.T @ rows, probes - alone,
-                                   atol=1e-12 * m)
-
-    def test_deflation_takes_no_traces(self):
-        A = fem_matrix(10)
-        exp = coefficients(3, 1.0)
-        rows = orthonormal_rows(10, 2, 0)
-        with pytest.raises(ValueError, match="samples every moment"):
-            quadratic_form(A, signs(10, 0), exp, 4.0, (A.trace(), A.frobenius_squared()),
-                           deflation=(rows, 0.0))
+        with pytest.raises(SpectrumEscape, match=r"^probe moment \|mu_2\| = 7 m "):
+            _moments(A, row.copy(), 2, 2.0, np.empty_like(row), mu0=9.0)
 
 
 class TestSpectrumEscape:

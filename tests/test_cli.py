@@ -16,6 +16,7 @@ import entrace
 from entrace.cli import RunConfig, build_parser, main, run
 from entrace.generators import fem_matrix
 from entrace.sparse import SymmetricSparseMatrix, read_matrix_market, write_matrix_market
+from support import indefinite
 
 
 MTX_HEADER = "%%MatrixMarket matrix coordinate real symmetric\n"
@@ -144,31 +145,48 @@ class TestEntropyCommand:
 
     def test_full_spectrum_keeps_its_numbers_undeflated(self, capsys):
         # random:1000:0, the dense benchmark matrix: 64 Krylov rows hold a
-        # few percent of its trace, so the rule keeps none, and the report
-        # is the undeflated release's, pinned, with k = 0
+        # few percent of its trace, so the Lanczos interval is far wider
+        # than tau, and the report is the sampled release's, pinned, with
+        # no route
         code, out, _ = run_cli(capsys, "entropy", "--generate", "random:1000:0", "-n", "8",
                                "--samples", "30")
         assert code == 0
         doc = json.loads(out)
-        assert (doc["method"]["bound"], doc["method"]["deflation"], doc["entropy"],
-                doc["tau"], doc["samples"]) == ("lanczos", 0, 248.9264205034521,
-                                                12.345225510063564, 30)
+        assert (doc["method"]["bound"], doc["entropy"], doc["tau"], doc["samples"]) == (
+            "lanczos", 248.9264205034521, 12.345225510063564, 30)
+        assert "route" not in doc["method"]
 
-    @pytest.mark.parametrize("extra, samples", [(["--samples", "4000"], 4000), ([], 8)],
+    @pytest.mark.parametrize("extra, samples", [(["--samples", "4000"], 4000), ([], 0)],
                              ids=["fixed", "adaptive"])
-    def test_low_rank_state_is_deflated(self, capsys, extra, samples):
-        # normalized spdc: the rows kept leave the forms a spread far below
-        # the floor, so tau is the floor and the widening's Hoeffding term,
-        # and an adaptive run stops at 8 probes
+    def test_low_rank_state_takes_the_lanczos_interval(self, capsys, extra, samples):
+        # normalized spdc: the Lanczos interval is far below the floor, so
+        # a fixed run answers from it after its probes, and an adaptive run
+        # draws none
         code, out, _ = run_cli(capsys, "entropy", "--generate", "spdc:default", "--normalize",
                                "-n", "14", *extra)
         assert code == 0
         doc = json.loads(out)
-        floor = 64 * doc["gamma0"] / (2 * 14 * 15)
-        assert doc["method"]["deflation"] > 0 and doc["samples"] == samples
-        assert doc["delta"] - 2.0 * floor < floor / 4.0
+        assert doc["method"]["route"] == "lanczos" and doc["samples"] == samples
+        assert doc["tau"] < 1e-9
+        lo, hi = doc["method"]["interval"]
         code, out, _ = run_cli(capsys, "oracle", "--generate", "spdc:default", "--normalize")
-        assert abs(doc["entropy"] - json.loads(out)["entropy"]) < doc["tau"]
+        assert lo <= json.loads(out)["entropy"] <= hi
+
+    @pytest.mark.parametrize("extra", [["--samples", "30"], [], ["--normalize"]],
+                             ids=["fixed", "adaptive", "normalized"])
+    def test_indefinite_matrix_is_refused(self, capsys, tmp_path, extra):
+        # a dense symmetric file, stored by column, with one eigenvalue at
+        # -0.1 lambda_max: the Lanczos run's least Ritz value proves it is
+        # not PSD, and no interval is reported
+        path = tmp_path / "indefinite.mtx"
+        write_matrix_market(indefinite(40, 1), path)
+        code, out, err = run_cli(capsys, "entropy", "--input", str(path), "-n", "8", *extra)
+        assert code == 1 and "route" not in out
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValueError"
+        assert re.match(r"a Ritz value of the Lanczos run is -0\.0\d+ tr A, below zero: the "
+                        r"spectrum is not inside \[0, x0 \* gamma0\] = \[0, ", error["message"])
+        assert "error:" in err
 
     @pytest.mark.parametrize("source", ["random:300:0", "spdc:default"])
     def test_lanczos_bound_reruns_bit_for_bit(self, capsys, source):

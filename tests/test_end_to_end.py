@@ -79,8 +79,9 @@ def test_reports_do_not_depend_on_the_blas_thread_count(capsys, tmp_path, laplac
         outputs.append(child.stdout)
     assert outputs[0].count('"entropy"') == len(runs)
     assert outputs[0] == outputs[1]
-    # the spdc run projects its probes: a deflated report
-    assert outputs[0].count('"deflation": 0') == 1 and outputs[0].count('"deflation"') == 2
+    # the spdc run answers from its Lanczos interval, the dense file's from
+    # its probes
+    assert outputs[0].count('"route": "lanczos"') == 1
 
 
 def test_moment_route_does_not_depend_on_thread_counts(capsys, tmp_path):
@@ -117,16 +118,17 @@ def test_moment_route_does_not_depend_on_thread_counts(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("extra", [["--samples", "400"], []], ids=["fixed", "adaptive"])
-def test_deflated_report_does_not_depend_on_the_worker_count(capsys, monkeypatch, extra):
-    # the projected probes of normalized spdc, blocks of 256 rows on two
-    # workers or one: the same report but for the worker count it names
+def test_lanczos_report_does_not_depend_on_the_worker_count(capsys, monkeypatch, extra):
+    # normalized spdc, answered by its Lanczos interval, after probes in
+    # blocks of 256 rows on two workers or one for a fixed count: the same
+    # report but for the worker count it names
     argv = ["entropy", "--generate", "spdc:default", "--normalize", "-n", "14", *extra]
     reports = []
     for threads in ("1", "2"):
         monkeypatch.setenv("ENTRACE_THREADS", threads)
         reports.append(json.loads(report(capsys, *argv)))
         assert reports[-1]["method"].pop("threads") == int(threads)
-    assert reports[0]["method"]["deflation"] > 0
+    assert reports[0]["method"]["route"] == "lanczos"
     assert json.dumps(reports[0]) == json.dumps(reports[1])
 
 

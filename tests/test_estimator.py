@@ -18,17 +18,17 @@ from entrace.chebyshev import (
     truncation_error_bound,
 )
 from entrace.cli import BOUND_FAILURE_SHARE, RunConfig, _scaling
-from entrace.clenshaw import SpectrumEscape, deflated_part, quadratic_form
+from entrace.clenshaw import SpectrumEscape, quadratic_form
 from entrace.estimator import (
     RademacherSampler,
     ScalingParams,
     colour_count,
     core_count,
-    deflation_basis,
     entropy_with_normalization,
     error_tolerance,
     estimate_adaptive,
     estimate_fixed,
+    lanczos_interval,
     radau_bounds,
     sample_count,
 )
@@ -40,8 +40,8 @@ from entrace.sparse import (
     gershgorin_upper_bound,
     lanczos_upper_bound,
 )
-from support import (all_sign_vectors, dense_poly_trace, dominant_band, layout,
-                     orthonormal_rows, scattered_psd, wide_band)
+from support import (all_sign_vectors, dense_poly_trace, dominant_band, indefinite, layout,
+                     scattered_psd, wide_band)
 
 
 def identity(m, c=1.0):
@@ -541,14 +541,16 @@ class TestEstimateFixed:
         monkeypatch.setattr(estimator, "BATCH_FORMS", 4096)
         peaks = []
         for num, est in zip(counts, want):
+            assert estimate_fixed(A, 3, num, sp, RademacherSampler(0), threads=2) == est
+            # traced on one worker: two workers' transients overlap by
+            # chance, and their peaks with them
             tracemalloc.start()
             try:
-                assert estimate_fixed(A, 3, num, sp, RademacherSampler(0), threads=2) == est
+                assert estimate_fixed(A, 3, num, sp, RademacherSampler(0), threads=1) == est
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # 30 000 more forms would take about 1.5 MB held as one batch; the
-        # pool's own objects move the peak by up to about 70 KB
+        # 30 000 more forms would take about 1.5 MB held as one batch
         assert peaks[1] <= peaks[0] + 2**18
 
 
@@ -938,113 +940,128 @@ class TestMomentRoute:
         assert est.samples_used == 17 and heights == [1] * 17
 
 
-def low_rank(m, rank, seed):
-    """A random_psd of dimension m with ``rank`` eigenvalues in [0.2, 1), the rest 0."""
-    spectrum = np.zeros(m)
+def lanczos_scaling(A, seed, normalize):
+    """The scaling a command takes on A at this probe seed: a Lanczos bound."""
+    sampler = RademacherSampler(seed)
+    sp = _scaling(A, RunConfig("entropy", normalize=normalize), sampler)
+    assert sp.provenance == "lanczos"
+    return sp, sampler
+
+
+def spdc_from_config(tmp_path, text):
+    path = tmp_path / "spdc.cfg"
+    path.write_text(text)
+    return spdc_density_matrix(SpdcParams.from_config(path))
+
+
+def decaying(m, ratio, seed):
+    """A random_psd stored by column with the spectrum ratio^i, i < m."""
+    spectrum = ratio ** np.arange(m, dtype=np.float64)
+    return random_psd(m, seed, spectrum), spectrum
+
+
+def rank_plus_floor(m, rank, seed):
+    """A random_psd stored by column: ``rank`` eigenvalues in [0.2, 1) and
+    m - rank of 1e-9."""
+    spectrum = np.full(m, 1e-9)
     spectrum[:rank] = np.random.default_rng(seed).uniform(0.2, 1.0, rank)
     return random_psd(m, seed, spectrum), spectrum
 
 
-class TestDeflation:
-    """Forms of probes deflated by k orthonormal rows, and the rule that picks k."""
+def dense_entropy(spectrum):
+    lam = spectrum[spectrum > 0.0]
+    return -math.fsum(lam * np.log(lam))
 
-    @pytest.mark.parametrize("normalize", [False, True])
-    @pytest.mark.parametrize("k", [3, 5])
-    def test_mean_deflated_form_is_poly_trace(self, k, normalize):
-        # every sign vector at m = 10, on a rank-3 matrix, with rows that
-        # need not span its range: the deflated forms average to the
-        # polynomial trace, as the undeflated ones do
-        m, n = 10, 5
-        A, _ = low_rank(m, 3, 3)
-        scale = A.trace() if normalize else 1.0
-        exp = coefficients(n, 1.0)
-        rows = orthonormal_rows(m, k, k)
-        probes = np.array(list(all_sign_vectors(m)))
-        deflation = (rows, deflated_part(A, rows, exp, scale))
-        forms = quadratic_form(A, probes, exp, scale, deflation=deflation) / scale
-        state = SymmetricSparseMatrix.from_dense(A.to_dense() / scale)
-        assert math.fsum(forms) / 2 ** m == pytest.approx(dense_poly_trace(state, exp, 1.0),
-                                                          rel=1e-9)
 
-    def test_rows_that_span_the_range_leave_one_form(self):
-        # with the range's eigenvectors every sampled term vanishes, up to
-        # rounding: each probe gives the polynomial trace
-        m, n = 10, 5
-        A, _ = low_rank(m, 3, 3)
-        rows = np.linalg.eigh(A.to_dense())[1][:, -3:].T.copy()
-        exp = coefficients(n, 1.0)
-        deflation = (rows, deflated_part(A, rows, exp, 1.0))
-        forms = quadratic_form(A, np.array(list(all_sign_vectors(m))), exp, 1.0,
-                               deflation=deflation)
-        assert np.ptp(forms) < 1e-12
-        assert forms[0] == pytest.approx(dense_poly_trace(A, exp, 1.0), rel=1e-12)
+class TestLanczosInterval:
+    """The certain interval of the scaling's Lanczos run, and the routes it answers."""
 
-    def test_rule_takes_the_least_k_whose_spread_fits(self):
-        # normalized spdc at n = 14: the kept rows lead the Lanczos basis,
-        # and k is the first count at which 2 L m (|r_k| + r) / tr A meets a
-        # quarter of the floor
-        A = spdc_density_matrix(SpdcParams())
-        sampler = RademacherSampler(0)
-        sp = _scaling(A, RunConfig("entropy", normalize=True, degree=14), sampler)
-        krylov = lanczos_upper_bound(A, gershgorin_upper_bound(A),
-                                     sampler.start_vector(A.dim),
-                                     BOUND_FAILURE_SHARE * 0.05).krylov
-        rows = deflation_basis(sp, 14, A.trace(), normalize=True)
-        k = len(rows)
-        assert 0 < k < len(krylov.rows)
-        assert np.array_equal(rows, krylov.rows[:k])
-        # a view of the scaling's run, not a copy
-        assert np.shares_memory(rows, sp.bound.krylov.rows)
-        a = coefficients(14, 1.0).coeffs
-        slope = 2.0 * 14 ** 2 * (abs(a[0]) / 2.0 + np.abs(a[1:]).sum())
-        floor = truncation_error_bound(14, A.dim * sp.gamma0)
-        spread = [2.0 * slope * A.dim * (abs(A.trace() - math.fsum(krylov.alpha[:j]))
-                                         + krylov.rounding) / A.trace() for j in (k - 1, k)]
-        assert spread[0] > floor / 4.0 >= spread[1]
+    @pytest.mark.parametrize("case", ["spdc-default", "spdc-300-2mm", "spdc-128-short",
+                                      "decay-0.7", "rank-5-plus-floor"])
+    def test_interval_holds_the_dense_truth(self, case, tmp_path):
+        # 200 start vectors each, raw and normalized. The truth is numpy's
+        # eigvalsh, whose eigenvalues err by about 1e-16 ||A|| each, so by
+        # about 1e-13 of the state's entropy or less, far inside intervals
+        # 1e-10 to 1e-6 of it wide
+        if case.startswith("spdc"):
+            text = {"spdc-default": "",
+                    "spdc-300-2mm": "grid_points = 300\ncrystal_length = 2e-3\n",
+                    "spdc-128-short": "grid_points = 128\ntau_p = 5e-14\n"}[case]
+            A = spdc_from_config(tmp_path, text)
+            spectrum = np.linalg.eigvalsh(A.to_dense())
+        elif case == "decay-0.7":
+            A, spectrum = decaying(300, 0.7, 1)
+        else:
+            A, spectrum = rank_plus_floor(300, 5, 5)
+        assert layout(A) == "columns"
+        t = A.trace()
+        truth = {False: dense_entropy(spectrum), True: dense_entropy(spectrum / t)}
+        for seed in range(200):
+            sampler = RademacherSampler(seed)
+            bound = lanczos_upper_bound(A, gershgorin_upper_bound(A), sampler.start_vector(A.dim),
+                                        BOUND_FAILURE_SHARE * 0.05)
+            for normalize in (False, True):
+                sp = ScalingParams.for_matrix(bound, t, normalize=normalize)
+                est = estimate_adaptive(A, 8, 0.95, sp, sampler, normalize=normalize)
+                assert est.route == "lanczos" and est.samples_used == 0, (seed, normalize)
+                lo, hi = est.interval
+                assert lo <= truth[normalize] <= hi, (seed, normalize, lo, hi)
+                assert est.tau <= 1e-5 * max(1.0, abs(est.value))
 
     @pytest.mark.parametrize("seed, entropy, tau", [
         (0, 70.05981020670463, 3.7709188184194247),
         (1, 70.29573282966543, 3.9783289520259055),
-    ])
-    def test_rule_declines_on_a_full_spectrum(self, seed, entropy, tau):
-        # random_psd(300) of a uniform spectrum: no prefix of the basis
-        # holds the trace, so no row is kept, and the estimate is the
-        # undeflated one, pinned, that reports k = 0
+    ], ids=["seed-0", "seed-1"])
+    def test_full_spectrum_keeps_its_sampled_answer(self, seed, entropy, tau):
+        # random_psd(300) of a uniform spectrum: 64 Krylov rows hold a few
+        # percent of its trace, so the interval is far wider than tau, and
+        # the estimate is the sampled one, pinned, with no route
         A, n, num, normalize, _ = random_by_column(300)
         sampler = RademacherSampler(seed)
         sp = _scaling(A, RunConfig("entropy", degree=n), sampler)
-        assert deflation_basis(sp, n, A.trace()).shape == (0, A.dim)
+        lo, hi = lanczos_interval(sp.bound.krylov, A.trace())
         est = estimate_fixed(A, n, num, sp, sampler)
-        assert (est.value, est.tau, est.deflation) == (entropy, tau, 0)
-        no_run = dataclasses.replace(sp, bound=None)
-        assert est == dataclasses.replace(estimate_fixed(A, n, num, no_run, sampler), deflation=0)
-        assert est.to_dict()["method"]["deflation"] == 0
+        assert A.trace() * (hi - lo) / 2.0 > 10.0 * tau
+        assert (est.value, est.tau, est.route, est.interval) == (entropy, tau, None, None)
+        assert est == estimate_fixed(A, n, num, dataclasses.replace(sp, bound=None), sampler)
+        assert "route" not in est.to_dict()["method"]
 
-    def test_no_basis_no_deflation(self):
-        # a scaling of no Lanczos run keeps no basis, and the report has no
-        # deflation key; nor has the rule a basis to read
-        A = fem_matrix(100)
-        sp = _scaling(A, RunConfig("entropy"), RademacherSampler(0))
-        assert sp.bound.krylov is None
-        assert "deflation" not in estimate_fixed(A, 3, 4, sp, RademacherSampler(0)).to_dict()[
-            "method"]
-        assert deflation_basis(sp, 3, A.trace()) is None
+    def test_adaptive_run_at_the_floor_draws_no_probe(self, monkeypatch):
+        # normalized spdc: the interval is about 2e-10 wide, far below the
+        # floor, so the run answers at once, and never draws
+        import entrace.estimator as estimator
 
-    def test_escape_is_worded_with_the_state_interval(self):
-        # a gamma0 below the spectrum fails already on the exact part's rows
-        A = spdc_density_matrix(SpdcParams())
-        sampler = RademacherSampler(0)
-        sp = dataclasses.replace(
-            _scaling(A, RunConfig("entropy", normalize=True, degree=14), sampler), gamma0=0.1)
-        assert len(deflation_basis(sp, 14, A.trace(), normalize=True)) > 0
-        with pytest.raises(ValueError, match=r"exceeds mu_0 = \|\|v\|\|\^2: the spectrum is "
-                                             r"not inside \[0, x0 \* gamma0\] = \[0, 0\.1\]"):
-            estimate_fixed(A, 14, 10, sp, sampler, normalize=True)
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a probe was drawn")
 
-    def test_a_lanczos_scaling_deflates_as_the_command_does(self):
-        # a library run on the scaling of a Lanczos bound deflates by itself,
-        # and gives the pinned report's numbers bit for bit; the estimate
-        # keeps no basis
+        monkeypatch.setattr(estimator, "quadratic_form", no_draw)
+        A, n, _, _, truth = normalized_spdc()
+        sp, sampler = lanczos_scaling(A, 0, True)
+        est = estimate_adaptive(A, n, 0.95, sp, sampler, normalize=True)
+        lo, hi = est.interval
+        assert (est.samples_used, est.route, est.delta, est.xi_min, est.xi_max) == (
+            0, "lanczos", 0.0, 0.0, 0.0)
+        assert est.value == (lo + hi) / 2.0 and lo <= truth <= hi
+        assert est.tau < 1e-9 < truncation_error_bound(n, A.dim * sp.gamma0)
+
+    def test_fixed_run_draws_and_answers_from_the_interval(self):
+        # the same interval answers a fixed run, which still draws the N
+        # probes it asks for and reports their spread
+        A, n, num, _, truth = normalized_spdc()
+        sp, sampler = lanczos_scaling(A, 0, True)
+        est = estimate_fixed(A, n, num, sp, sampler, normalize=True)
+        adaptive = estimate_adaptive(A, n, 0.95, sp, sampler, normalize=True)
+        assert (est.value, est.tau, est.interval, est.route) == (
+            adaptive.value, adaptive.tau, adaptive.interval, "lanczos")
+        no_run = estimate_fixed(A, n, num, dataclasses.replace(sp, bound=None), sampler,
+                                normalize=True)
+        assert (est.samples_used, est.delta, est.xi_min, est.xi_max) == (
+            num, no_run.delta, no_run.xi_min, no_run.xi_max)
+        assert est.tau < 1e-9 < no_run.tau and abs(est.value - truth) <= est.tau
+
+    def test_a_lanczos_scaling_answers_as_the_command_does(self):
+        # a library run on the scaling of a Lanczos bound gives the pinned
+        # report's numbers bit for bit; the estimate keeps no run
         A = spdc_density_matrix(SpdcParams())
         sampler = RademacherSampler(0)
         lanczos_bound = lanczos_upper_bound(A, gershgorin_upper_bound(A),
@@ -1054,10 +1071,40 @@ class TestDeflation:
             lanczos_bound, A.trace(), normalize=True), sampler, normalize=True)
         pinned = json.loads((pathlib.Path(__file__).parent / "data"
                              / "entropy-spdc-normalize-threads-2.json").read_text())
-        assert (est.value, est.tau, est.deflation) == (
-            pinned["entropy"], pinned["tau"], pinned["method"]["deflation"])
-        assert est.deflation == 18
+        assert (est.value, est.tau, list(est.interval), est.route) == (
+            pinned["entropy"], pinned["tau"], pinned["method"]["interval"],
+            pinned["method"]["route"])
         assert est.scaling.bound is None
+
+    def test_escape_is_worded_with_the_state_interval(self):
+        # a gamma0 below the spectrum: the interval reads no gamma0, but the
+        # probes a fixed run still draws refuse it
+        A = spdc_density_matrix(SpdcParams())
+        sp, sampler = lanczos_scaling(A, 0, True)
+        sp = dataclasses.replace(sp, gamma0=0.1)
+        with pytest.raises(ValueError, match=r"exceeds mu_0 = m: the spectrum is not inside "
+                                             r"\[0, x0 \* gamma0\] = \[0, 0\.1\]"):
+            estimate_fixed(A, 14, 10, sp, sampler, normalize=True)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_indefinite_matrix_is_refused(self, normalize):
+        # one eigenvalue at -0.1 lambda_max: every Lanczos row is kept, the
+        # Ritz values are the eigenvalues, and the least proves A is not PSD
+        A = indefinite(40, 1)
+        assert layout(A) == "columns"
+        sp, sampler = lanczos_scaling(A, 0, normalize)
+        with pytest.raises(ValueError, match=r"^a Ritz value of the Lanczos run is -0\.0\d+ tr "
+                                             r"A, below zero: the spectrum is not inside"):
+            estimate_fixed(A, 8, 10, sp, sampler, normalize=normalize)
+
+    def test_negative_residual_trace_is_refused(self):
+        # a run whose diagonal holds more than the trace leaves a negative
+        # trace off its rows, which no PSD matrix gives
+        A, _ = decaying(100, 0.7, 0)
+        sp, _ = lanczos_scaling(A, 0, False)
+        run = sp.bound.krylov
+        with pytest.raises(SpectrumEscape, match=r"tr A off its first 1 rows, below zero"):
+            lanczos_interval(run._replace(alpha=run.alpha + A.trace()), A.trace())
 
 
 def normalized_spdc():
@@ -1101,31 +1148,6 @@ class TestCoverage:
         assert covered >= 93, covered
 
 
-def rank5_by_column():
-    A, spectrum = low_rank(200, 5, 5)
-    assert layout(A) == "columns"
-    return A, 8, 30, False, -float(np.sum(entropy_function(spectrum)))
-
-
-class TestDeflatedCoverage:
-    """On low-rank matrices every seed's run deflates, and tau covers the
-    truth on at least p = 0.95 of 200 seeds, with the scaling and rows that
-    a command takes."""
-
-    @pytest.mark.parametrize("case", [normalized_spdc, rank5_by_column],
-                             ids=["spdc-normalized", "random-200-rank-5"])
-    def test_tau_covers_the_truth(self, case):
-        A, n, num, normalize, truth = case()
-        covered = 0
-        for seed in range(200):
-            sampler = RademacherSampler(seed)
-            sp = _scaling(A, RunConfig("entropy", normalize=normalize, degree=n), sampler)
-            est = estimate_fixed(A, n, num, sp, sampler, normalize=normalize)
-            assert est.deflation > 0
-            covered += abs(est.value - truth) < est.tau
-        assert covered >= 190, covered
-
-
 class TestCoreCount:
     def test_reads_the_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -1151,10 +1173,12 @@ class TestJsonShape:
         assert list(d["method"].keys()) == ["estimator", "stream", "bound", "normalized",
                                             "zero_trace", "xi_min", "xi_max"]
         json.dumps(d)  # everything serializable
-        # a run whose scaling keeps a Lanczos run reports its rows kept
+        # a run answered by its Lanczos run's interval reports the route
         A = spdc_density_matrix(SpdcParams())
         sp = _scaling(A, RunConfig("entropy", normalize=True), RademacherSampler(0))
         d = estimate_fixed(A, 3, 4, sp, RademacherSampler(0), normalize=True).to_dict()
-        assert list(d["method"].keys()) == ["estimator", "stream", "bound", "deflation",
+        assert list(d["method"].keys()) == ["estimator", "stream", "bound", "route", "interval",
                                             "normalized", "zero_trace", "xi_min", "xi_max"]
-        assert d["method"]["deflation"] == len(deflation_basis(sp, 3, A.trace(), True))
+        assert d["method"]["route"] == "lanczos" and d["samples"] == 4
+        assert all(type(x) is float for x in d["method"]["interval"])
+        json.dumps(d)
