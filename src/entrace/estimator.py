@@ -22,12 +22,14 @@ one; an adaptive run whose interval is at most the floor, which no sampled
 tau beats, draws no probe.
 
 A run allocates its workspaces once: each worker's probe array, into which
-its blocks are drawn, and its work array, which holds t_1.
+its blocks are drawn, and, where the forms take the whole-vector path (see
+``clenshaw``), its work array, which holds t_1.
 
 On a matrix stored by diagonal whose scaling is certain, a bound that
 cannot fail and puts the spectrum in [0, x0 * gamma0], a run draws no probe
 (``colour_count``). Its n beta + 1 colour rows give every tr T_k(B), k <= n,
-exactly, through the same kernel and block map, and the run reports an
+exactly, through the tiled kernel, whose row tiles map over the pool, and
+no row is ever a (dim,) vector; the run reports an
 interval that holds with certainty: two Gauss-Radau rules on those moments,
 met with the polynomial's trace plus and minus the floor, each end widened
 by a rounding allowance derived from the arithmetic (``_exact_estimate``).
@@ -55,7 +57,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .chebyshev import coefficients, entropy_function, truncation_error_bound
-from .clenshaw import SpectrumEscape, _moments, quadratic_form
+from .clenshaw import SpectrumEscape, _tiled_moments, quadratic_form, tile_rows
 from .sparse import _BOUND_METHODS, BLOCK_BYTES, LANCZOS_STEPS, SpectralBound
 
 DEFAULT_N_MAX = 10_000
@@ -248,24 +250,13 @@ def colour_count(A, n, scaling, normalize=False):
     return r if r <= DEFAULT_N_MAX else None
 
 
-def _colour_rows(r, start, out):
-    """Colour rows start .. start + len(out) - 1 into ``out``: row j (1-based)
-    is the indicator of {i : i = j - 1 mod r}."""
+def _colour_tile(colours, r, base, out):
+    """Entries base.. of the colour rows ``colours`` into ``out``: colour k's
+    row is the indicator of {i : i = k mod r}."""
     out.fill(0.0)
-    for row, colour in zip(out, range(start - 1, start - 1 + len(out))):
-        row[colour::r] = 1.0
+    for row, colour in zip(out, colours):
+        row[(colour - base) % r::r] = 1.0
     return out
-
-
-def _colour_moments(A, rows, work, n, c, r):
-    """The (b, n + 1) moments v^T T_k(B) v of colour rows, with mu_0 their counts.
-
-    A row's colour is its first nonzero entry, among its first r, and its
-    count, the number of i < m with i = colour mod r, follows from it.
-    """
-    colour = rows[:, :r].argmax(axis=1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _moments(A, rows, n, c, work, mu0=(A.dim - colour + r - 1) // r)
 
 
 def _gamma(k):
@@ -686,56 +677,62 @@ def core_count():
         return os.cpu_count() or 1
 
 
-def _xi_batch(A, draw, first, last, threads, form, free, height):
-    """The results of rows first..last in index order, as one array.
+def _in_order(threads, task, items):
+    """[task(x) for x in items], on a pool of ``threads`` workers at most.
+
+    A deterministic map: the results come back in the items' order, so the
+    outcome is independent of the worker count, as long as no task depends
+    on another. The pool never holds more workers than there are items or
+    cores to run them.
+    """
+    workers = min(threads, len(items), core_count())
+    if workers <= 1:
+        return [task(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(task, items))
+
+
+def _xi_batch(A, draw, first, last, threads, form, free, height, work=True):
+    """The probe forms of rows first..last in index order, as one array.
 
     The rows are cut into blocks of at most ``height``; ``draw(start, out)``
     writes a block's rows start, start + 1, ... into ``out`` and returns it,
-    and ``form(A, rows, work=work)`` gives the block's results, its probe
-    forms or its rows' moments, sharing its matrix-vector products. With
-    threads it is a deterministic map over blocks: row i never depends on
-    any other row or on the block it lands in, and the results come back in
-    index order, so the outcome is independent of the worker count. The
-    pool never holds more workers than there are blocks in the batch or
-    cores to run them.
+    and ``form(A, rows, work=work)`` gives the block's forms, sharing its
+    matrix-vector products. Row i never depends on any other row or on the
+    block it lands in, and the blocks map over the pool ``_in_order``.
 
     A block runs in a workspace from ``free``, the run's list of them: a
-    row array and a work array of ``height`` rows, sliced to the block's.
-    Its rows are drawn into the first, and its form holds t_1 in the second
-    (see ``quadratic_form``). A
-    block takes a free workspace, or makes one if none is free, and frees it
-    when its forms are done, so a run makes one workspace a worker at most,
-    in whatever order the pool runs the blocks.
+    row array of ``height`` rows, sliced to the block's, into which its rows
+    are drawn, and with ``work`` a work array of its shape, in which its
+    form holds t_1 (see ``quadratic_form``); the tiled kernel reads the
+    rows and needs none. A block takes a free workspace, or makes one if
+    none is free, and frees it when its forms are done, so a run makes one
+    workspace a worker at most, in whatever order the pool runs the blocks.
     """
     width = min(height, last + 1 - first)
-    starts = range(first, last + 1, width)
 
     def block(start):
         count = min(width, last + 1 - start)
         # list.pop and list.append are atomic across threads
         try:
-            rows, work = free.pop()
+            rows, spare = free.pop()
         except IndexError:
-            rows, work = np.empty((height, A.dim)), np.empty((height, A.dim))
+            rows = np.empty((height, A.dim))
+            spare = np.empty((height, A.dim)) if work else None
         try:
-            return form(A, draw(start, rows[:count]), work=work[:count])
+            return form(A, draw(start, rows[:count]),
+                        work=None if spare is None else spare[:count])
         finally:
-            free.append((rows, work))
+            free.append((rows, spare))
 
-    workers = min(threads, len(starts), core_count())
-    if workers <= 1:
-        results = [block(s) for s in starts]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(block, starts))
-    return np.concatenate(results)
+    return np.concatenate(_in_order(threads, block, range(first, last + 1, width)))
 
 
-def _batch_rows(height, size=1):
+def _batch_rows(height):
     """Rows one ``_xi_batch`` call covers: ``BATCH_BLOCKS`` blocks of
-    ``height`` rows at most, and ``BATCH_FORMS`` results of ``size`` floats
-    a row, but one block at least."""
-    return height * max(1, min(BATCH_BLOCKS, BATCH_FORMS // (height * size)))
+    ``height`` rows at most, and ``BATCH_FORMS`` forms, but one block at
+    least."""
+    return height * max(1, min(BATCH_BLOCKS, BATCH_FORMS // height))
 
 
 def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
@@ -802,6 +799,8 @@ def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
     free = []
     height = max(1, min(A.block_width, BLOCK_BYTES // (8 * (n + 1)),
                         needed if n_max is None else n_max))
+    # the tiled kernel reads the drawn rows and holds t_j in its own tiles
+    work = tile_rows(A, n) < height
     span = _batch_rows(height)
     floor_width = 2.0 * floor
     xi_min = math.inf
@@ -812,7 +811,7 @@ def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
     while drawn < needed:
         try:
             batch = _xi_batch(A, draw, drawn + 1, min(needed, drawn + span), threads, form,
-                              free, height).tolist()
+                              free, height, work).tolist()
         except SpectrumEscape as exc:
             # worded with the state's interval, as every escape is
             raise _escaped(str(exc), scaling.x0, scaling.gamma0) from None
@@ -854,9 +853,15 @@ def _exact_estimate(A, expansion, scaling, colours, gamma0, tr, normalize, threa
     Rows of one colour lie r > n beta apart, and p_n(B) has half-bandwidth
     n beta, so no two of them meet in any T_k(B), k <= n: the rows' moments
     sum to S_k = tr T_k(B) (Tang and Saad, Numer. Linear Algebra Appl.
-    19(3), 2012), up to rounding (``_moment_rounding``). They run through
-    ``_xi_batch`` as probes do, and are summed one row at a time in index
-    order, so S is the same at any worker count.
+    19(3), 2012), up to rounding (``_moment_rounding``).
+
+    The rows run through the tiled kernel (``clenshaw._tile_dots``), which
+    builds each row tile of t_0 from the colours, so no row is ever a (dim,)
+    vector. They run as one block, in groups of as many rows as
+    ``clenshaw.tile_rows`` lets one tile's buffers hold, and each group's
+    tiles map over the pool ``_in_order``. Each row's inner products are summed
+    tile by tile and piece by piece in order, and the rows' moments one row
+    at a time in index order, so S is the same at any worker count.
 
     From S the run has E_poly = -gamma0 (m a_0 / 2 + sum_k a_k S_k) -
     log(gamma0) tr, within the floor of the entropy, and
@@ -867,16 +872,18 @@ def _exact_estimate(A, expansion, scaling, colours, gamma0, tr, normalize, threa
     """
     m, n = A.dim, expansion.degree
     c = 2.0 / (expansion.x0 * gamma0)
-    form = functools.partial(_colour_moments, n=n, c=c, r=colours)
-    draw = functools.partial(_colour_rows, colours)
-    free = []
-    height = max(1, min(A.block_width, BLOCK_BYTES // (8 * (n + 1)), colours))
-    span = _batch_rows(height, n + 1)
+    # every row whose tile buffers fit, with (rows, n + 1) moments within
+    # BLOCK_BYTES, or one row in the least tiles
+    rows = max(1, min(colours, tile_rows(A, n), BLOCK_BYTES // (8 * (n + 1))))
+    each = functools.partial(_in_order, threads)
     sums = np.zeros(n + 1)
     try:
-        for first in range(1, colours + 1, span):
-            last = min(colours, first + span - 1)
-            for row in _xi_batch(A, draw, first, last, threads, form, free, height):
+        for first in range(0, colours, rows):
+            group = np.arange(first, min(first + rows, colours))
+            source = functools.partial(_colour_tile, group, colours)
+            # each row's count, the number of i < m with i = colour mod r
+            mu0 = (m - group + colours - 1) // colours
+            for row in _tiled_moments(A, n, c, mu0, source, each):
                 sums += row
     except SpectrumEscape as exc:
         raise _escaped(str(exc), scaling.x0, scaling.gamma0) from None

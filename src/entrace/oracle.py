@@ -19,10 +19,13 @@ from .chebyshev import entropy_function
 # the one dimension limit of every dense route: this oracle and the builders
 DENSE_CAP = 2000
 
-# the memory a fem: run may hold, at what it holds a row with one worker:
-# 27.0 B traced at m = 10^6, gershgorin_upper_bound's three 8 B temporaries
-# beside the matrix's 3 B; sampling peaks at 21.8 B, the matrix and a probe
-# form's two 8 B vectors (each further worker adds a form, 18 B a row)
+# the memory a fem: run may hold, at a row's share of it with one worker.
+# Traced at m = 10^6, a run that samples (--gamma0) peaks at 13.0 B a row:
+# the matrix's 3 B, a probe block's 8 B and its bits and sign check, beside
+# the tiled kernel's buffers of one tile; each further worker adds about
+# 10 B. Exact moments, the default, peak at 5.5 B, the matrix and one tile's
+# buffers a worker, and the build at 4.0 B. The 28 B of a run whose
+# Gershgorin pass held three (dim,) temporaries is kept, and so is the cap
 FEM_BYTES = 2**30
 FEM_ROW_BYTES = 28
 

@@ -7,9 +7,10 @@ bound keeps the run's orthonormal Krylov basis and its tridiagonal matrix
 (``KrylovBasis``), from which the estimator bounds the entropy.
 
 The estimator touches a matrix only through ``trace``,
-``frobenius_squared``, ``block_width``, ``bandwidth`` and ``matvec``; the
-bandwidth tells it whether exact moments from colour rows are within reach
-(see ``estimator``). Everything in this
+``frobenius_squared``, ``block_width``, ``bandwidth``, ``matvec`` and, by
+diagonal, ``product_rows``; the bandwidth tells it whether exact moments
+from colour rows are within reach (see ``estimator``), and how far the
+tiled kernel of ``clenshaw`` must look beyond a row tile. Everything in this
 module exists to make its products cheap, deterministic, and safe to share
 across threads. ``matvec`` takes one vector or a block of probe rows (the
 estimator sends ``block_width`` rows at most); a block shares the per-call
@@ -30,11 +31,14 @@ scatter; they pass the constructor's checks and layout rule, and the matrix
 is the one its entries would build.
 
 A product by diagonal runs one row tile at a time: it fills rows lo..hi-1
-of the result from the strips clipped to those rows, and hands the tile to
-the caller's ``finish`` while it is still in cache, so that the recurrence
-around the product streams the matrix and its vectors once a step. A tile
-of a block of ``block_width`` rows holds ``BLOCK_BYTES // 4`` bytes, 2^15
-rows of a single vector; a matrix of that many rows or fewer is one tile.
+of the result from the strips clipped to those rows (``product_rows``), and
+hands the tile to the caller's ``finish`` while it is still in cache, so
+that the recurrence around the product streams the matrix and its vectors
+once a step. A tile of a block of ``block_width`` rows holds ``BLOCK_BYTES
+// 4`` bytes, 2^15 rows of a single vector; a matrix of that many rows or
+fewer is one tile. ``product_rows`` reads any window of the vector that
+holds the rows' columns, so the tiled kernel of ``clenshaw`` runs each
+product on a tile with its halo, with the bits of ``matvec``.
 A diagonal that holds one value in every slot facing a column of the matrix,
 as each of the tridiagonal matrix's three does, is stored as that value
 once, and its product multiplies a stride-0 operand.
@@ -73,7 +77,13 @@ SYMMETRY_RTOL = 1e-12
 # from it, and so does the row tile of a product by diagonal, a quarter. On a
 # 2-vCPU x86 guest (2 MiB L2 a core), fem(10^6) at b = 1 samples 8 probes
 # on two threads in 0.41 s untiled, 0.34 s in tiles of 2^14 rows, 0.29 s
-# of 2^15 and 0.28 s of 2^16 (medians of 6 benchmark runs)
+# of 2^15 and 0.28 s of 2^16 (medians of 6 benchmark runs). The tiled
+# kernel of clenshaw keeps the three buffers of a tile within twice this
+# and a tile within BLOCK_BYTES // 32 = 2^15 rows. On the same guest, in
+# process, at n = 8 on two threads (medians of 9): fem(10^6)'s 9 colour
+# rows in one group took 0.14 s, against 0.20 s in groups of 5 and 4 within
+# 1 MiB, and 8 probe rows 0.15 s in tiles of 2^15 rows, against 0.38 s of
+# 2^13 and 0.12 s of 2^16, whose buffers a row would take twice the memory
 BLOCK_BYTES = 2**20
 
 # largest fill, padded slots over stored entries, at which a matrix is also
@@ -391,16 +401,29 @@ class SymmetricSparseMatrix:
         for lo in range(0, dim, height):
             hi = min(lo + height, dim)
             tile = scratch[..., :hi - lo]
-            tile.fill(0.0)
-            for a, d in zip(strips.data, strips.offsets):
-                # the rows of diagonal d within lo..hi-1, and the columns they face
-                r0, r1 = max(lo, -d), min(hi, dim - d)
-                if r0 < r1:
-                    tile[..., r0 - lo:r1 - lo] += a[r0:r1] * v[..., r0 + d:r1 + d]
+            self.product_rows(v, lo, hi, tile)
             if finish is not None:
                 finish(tile, lo, hi)
             y[..., lo:hi] = tile
         return y
+
+    def product_rows(self, v, lo, hi, out, base=0):
+        """Rows lo..hi-1 of A @ v into ``out``, for a matrix stored by diagonal.
+
+        ``v`` holds entries base.. of a vector, or of each row of a block, so
+        that v[..., k] is entry base + k; it must hold every entry that rows
+        lo..hi-1 read, those within ``bandwidth`` of them. ``out``, of v's
+        leading shape and hi - lo columns, is filled with 0.0, and each
+        diagonal's products are added to it in ascending order of offset:
+        the bits of ``matvec``'s rows lo..hi-1.
+        """
+        strips = self._strips
+        out.fill(0.0)
+        for a, d in zip(strips.data, strips.offsets):
+            # the rows of diagonal d within lo..hi-1, and the columns they face
+            r0, r1 = max(lo, -d), min(hi, self.dim - d)
+            if r0 < r1:
+                out[..., r0 - lo:r1 - lo] += a[r0:r1] * v[..., r0 + d - base:r1 + d - base]
 
     def _gathered(self, v):
         """The product of ``matvec`` on the gather path."""
@@ -717,32 +740,47 @@ def gershgorin_upper_bound(A):
     diagonal or by column, in-range slots only. For a symmetric matrix both
     bounds hold.
 
-    A diagonal stored once is read in full, dim slots, although its rows
-    take few distinct sums. Reading one row of each kind cut the pass on
-    ``fem_matrix(10**6)`` from 9 ms to 0.07 ms, but its sampling then
-    peaked 0.4 MiB higher in RSS and ran 4 % slower: the (dim,)
-    temporaries this pass frees raise glibc's mmap threshold, which
-    changes where the sampling loop's (b, dim) arrays come from (see
-    CHANGES.md).
+    A matrix stored by diagonal is read a tile of ``BLOCK_BYTES // 32``
+    rows at a time, as ``frobenius_squared`` reads it, so the pass holds
+    temporaries of one tile, 0.8 MB traced, not 24 MB of (dim,) ones; a
+    diagonal stored once is still read in every slot. Each row's sum, and so
+    each bound, has the bits of the untiled pass, which took 8.1 ms on
+    ``fem_matrix(10**6)`` against 2.7 ms tiled (medians of 21). An O(ndiag)
+    pass once moved where glibc placed the sampling loop's (dim,) arrays
+    (see CHANGES.md); with exact moments that loop holds none.
     """
     strips = A._strips
+    if strips is not None and strips.offsets is not None:
+        # the sums from 0.0 of each tile's rows, each diagonal added to the
+        # rows it faces: the out-of-range slots of a diagonal stored once
+        # hold its value
+        upper, lower = -math.inf, math.inf
+        step = BLOCK_BYTES // 32
+        for lo in range(0, A.dim, step):
+            hi = min(lo + step, A.dim)
+            radius = np.zeros(hi - lo)
+            for a, d in zip(strips.data, strips.offsets):
+                r0, r1 = max(lo, -d), min(hi, A.dim - d)
+                if r0 < r1:
+                    radius[r0 - lo:r1 - lo] += np.abs(a[r0:r1])
+            top, bottom = _gershgorin_ends(A.diagonal()[lo:hi], radius)
+            upper, lower = max(upper, top), min(lower, bottom)
+        return SpectralBound(max(upper, 0.0), "gershgorin", lambda_min_lower=lower)
     if strips is None:
         rows, _, vals = A.coo()
         radius = np.bincount(rows, weights=np.abs(vals), minlength=A.dim)
-    elif strips.offsets is None:
+    else:
         # row i's entries strip by strip, in ascending columns as bincount
         # adds them; a hole adds +0.0, which changes no sum
         radius = np.abs(strips.data).sum(axis=0)
-    else:
-        # the same sums from 0.0, each diagonal added to the rows it faces:
-        # the out-of-range slots of a diagonal stored once hold its value
-        radius = np.zeros(A.dim)
-        for a, (r0, r1) in zip(strips.data, _in_range(strips.offsets, A.dim)):
-            radius[r0:r1] += np.abs(a[r0:r1])
-    diag = A.diagonal()
+    upper, lower = _gershgorin_ends(A.diagonal(), radius)
+    return SpectralBound(max(upper, 0.0), "gershgorin", lambda_min_lower=lower)
+
+
+def _gershgorin_ends(diag, radius):
+    """max_i (a_ii + r_i) and min_i (a_ii - r_i), r_i = radius_i - |a_ii|."""
     off = radius - np.abs(diag)
-    return SpectralBound(max(float(np.max(diag + off)), 0.0), "gershgorin",
-                         lambda_min_lower=float(np.min(diag - off)))
+    return float(np.max(diag + off)), float(np.min(diag - off))
 
 
 def krylov_basis(A, start, scale):

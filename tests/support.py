@@ -70,6 +70,28 @@ def dominant_band(m, half, seed, holes=0.2):
     return SymmetricSparseMatrix.from_dense(a), a
 
 
+def dominant_strips(m, half, seed, holes=0.2):
+    """A matrix of ``dominant_band``'s kind built from its entries, with no
+    dense array, for dimensions whose m x m array would not fit."""
+    rng = np.random.default_rng(seed)
+    rows, cols, vals = [], [], []
+    radius = np.zeros(m)
+    for d in range(1, half + 1):
+        i = np.arange(m - d)
+        i = i[rng.uniform(size=i.size) >= holes]
+        x = rng.normal(size=i.size)
+        rows += [i, i + d]
+        cols += [i + d, i]
+        vals += [x, x]
+        np.add.at(radius, i, np.abs(x))
+        np.add.at(radius, i + d, np.abs(x))
+    rows.append(np.arange(m))
+    cols.append(np.arange(m))
+    vals.append(radius + rng.uniform(0.1, 1.0, size=m))
+    return SymmetricSparseMatrix(m, np.concatenate(rows), np.concatenate(cols),
+                                 np.concatenate(vals))
+
+
 def layout(mat):
     """How the matrix's products run: "diagonals", "columns" or "gather".
 

@@ -17,7 +17,8 @@ from entrace.chebyshev import coefficients, evaluate_scalar
 from entrace.clenshaw import SpectrumEscape, _moments, quadratic_form
 from entrace.generators import SpdcParams, fem_matrix, random_psd, spdc_density_matrix
 from entrace.sparse import SymmetricSparseMatrix, gershgorin_upper_bound
-from support import dense_quadratic_form, layout, scattered_psd, wide_band
+from entrace.estimator import RademacherSampler, ScalingParams, estimate_fixed
+from support import dense_quadratic_form, dominant_strips, layout, scattered_psd, wide_band
 
 
 def signs(m, seed):
@@ -110,10 +111,10 @@ class TestCost:
 
 class TestMemory:
     def test_form_peak_memory_per_row(self):
-        # traced peak of one form on a fem(2 * 10^5) row at n = 8: the two
-        # vectors that take t_j in turn, 16 B a row, and a tile's scratch and
-        # temporary. A new product vector each step, beside t_j-1 and t_j,
-        # takes it to 25 B a row
+        # traced peak of one form on a fem(2 * 10^5) row at n = 8: the tiled
+        # kernel's three buffers of one tile of 2^15 rows and a product's
+        # temporary, 5.3 B a row, where the whole-vector path's two vectors
+        # that take t_j in turn, a tile's scratch and temporary took 18.6
         dim = 2 * 10**5
         A, v, exp = fem_matrix(dim), signs(dim, 0), coefficients(8, 1.0)
         want = quadratic_form(A, v, exp, 4.3)  # numpy's lazily allocated state, once
@@ -124,7 +125,7 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert got == want
-        assert peak / dim < 21
+        assert peak / dim < 7
 
     @pytest.mark.parametrize("build", [
         functools.partial(fem_matrix, 1000), functools.partial(wide_band, 100, 12),
@@ -233,6 +234,118 @@ class TestTiles:
         for (n, b), want in forms.items():
             got = quadratic_form(tiled, probes[:b], coefficients(n, 1.0), gamma0)
             assert got.tobytes() == want.tobytes()
+
+
+def gathered(monkeypatch, A):
+    """A's entries stored for the gather path, whose products share no code
+    with a product by diagonal."""
+    import entrace.sparse as sparse
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sparse, "DIA_FILL", 0.0)
+        G = SymmetricSparseMatrix(A.dim, *A.coo())
+    assert layout(A) == "diagonals" and layout(G) == "gather"
+    return G
+
+
+class TestTiledKernel:
+    """The moments of a matrix stored by diagonal come a row tile at a time,
+    with the bits of the same entries gathered."""
+
+    @staticmethod
+    def count_tiles(monkeypatch):
+        import entrace.clenshaw as clenshaw
+
+        tiles = []
+        real = clenshaw._tile_dots
+
+        def recording(A, n, c, lo, hi, source, space):
+            tiles.append((lo, hi))
+            return real(A, n, c, lo, hi, source, space)
+
+        monkeypatch.setattr(clenshaw, "_tile_dots", recording)
+        return tiles
+
+    @pytest.mark.parametrize("build", [
+        *(functools.partial(fem_matrix, dim) for dim in (8191, 8192, 8193, 16385, 70000)),
+        functools.partial(dominant_strips, 20000, 3, 5)],
+        ids=["fem-8191", "fem-8192", "fem-8193", "fem-16385", "fem-70000", "holes-20000"])
+    @pytest.mark.parametrize("budget", [2**20, 2**18], ids=["budget", "quarter"])
+    def test_forms_match_the_gather_path(self, monkeypatch, build, budget):
+        # at the default budget a single row's tiles are 2^15 rows and three
+        # rows' are one piece; at a quarter of it, one piece, and a block of
+        # three rows does not fit and takes the whole-vector path
+        import entrace.sparse as sparse
+
+        A = build()
+        G = gathered(monkeypatch, A)
+        gamma0 = 1.075 * gershgorin_upper_bound(A).lambda_max_upper
+        probes = np.array([signs(A.dim, 80 + i) for i in range(3)])
+        traces = (A.trace(), A.frobenius_squared())
+        want = {(n, b, t): quadratic_form(G, probes[:b], coefficients(n, 1.0), gamma0,
+                                          traces if t else None)
+                for n in (1, 2, 3, 8, 9, 14) for b in (1, 2, 3) for t in (False, True)}
+        monkeypatch.setattr(sparse, "BLOCK_BYTES", budget)
+        tiles = self.count_tiles(monkeypatch)
+        for (n, b, t), form in want.items():
+            got = quadratic_form(A, probes[:b], coefficients(n, 1.0), gamma0,
+                                 traces if t else None)
+            assert got.tobytes() == form.tobytes(), (n, b, t)
+        if A.dim > 2**15 or (budget < 2**20 and A.dim > 8192):
+            assert len({lo for lo, _ in tiles}) > 1
+            assert all(lo % 8192 == 0 for lo, _ in tiles)
+
+    def test_halo_wider_than_the_budget_takes_the_whole_vector_path(self, monkeypatch):
+        # diagonals +-20000: at n = 3 a halo of 40000 rows a side leaves no
+        # tile of one row within the budget, and at n = 1 no tile of two, so
+        # those forms run through matvec; one row at n = 1 is tiled
+        import entrace.clenshaw as clenshaw
+
+        A = wide_band(200000, 20000)
+        assert clenshaw.tile_rows(A, 3) == 0 and clenshaw.tile_rows(A, 1) == 1
+        G = gathered(monkeypatch, A)
+        gamma0 = 1.075 * gershgorin_upper_bound(A).lambda_max_upper
+        probes = np.array([signs(A.dim, 90 + i) for i in range(2)])
+        for n, b in ((3, 1), (3, 2), (1, 2), (1, 1)):
+            tiles = self.count_tiles(monkeypatch)
+            got = quadratic_form(A, probes[:b], coefficients(n, 1.0), gamma0)
+            assert got.tobytes() == quadratic_form(G, probes[:b], coefficients(n, 1.0),
+                                                   gamma0).tobytes()
+            assert bool(tiles) == (n == 1 and b == 1)
+
+    @pytest.mark.parametrize("half", [1, 2, 3])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_colour_moments_match_the_gather_path(self, monkeypatch, half, threads):
+        # the moments route builds each colour row a tile at a time; its
+        # moments equal those of the whole indicator rows on the gathered
+        # matrix, by the whole-vector path, at either worker count
+        import entrace.estimator as estimator
+
+        A = dominant_strips(20000, half, half)
+        G = gathered(monkeypatch, A)
+        sp = ScalingParams.from_bound(gershgorin_upper_bound(A))
+        seen = []
+        real = estimator._tiled_moments
+
+        def recording(*args):
+            seen.append(real(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(estimator, "_tiled_moments", recording)
+        tiles = self.count_tiles(monkeypatch)
+        for n in (1, 2, 3, 8, 9, 14):
+            seen.clear()
+            est = estimate_fixed(A, n, 4, sp, RademacherSampler(0), threads=threads)
+            r = est.samples_used
+            assert est.route == "moments" and r == n * half + 1
+            rows = np.zeros((r, A.dim))
+            for k in range(r):
+                rows[k, k::r] = 1.0
+            c = 2.0 / sp.gamma0
+            want = _moments(G, rows, n, c, np.empty_like(rows),
+                            mu0=(A.dim - np.arange(r) + r - 1) // r)
+            assert np.concatenate(seen).tobytes() == want.tobytes()
+        assert len({lo for lo, _ in tiles}) > 1
 
 
 class TestDeterminism:

@@ -418,12 +418,13 @@ class TestEstimateFixed:
             for k in (2, 4):
                 assert estimate_fixed(A, 3, num, sp, RademacherSampler(3), threads=k) == serial
 
-    @pytest.mark.parametrize("threads, most", [(1, 3.0), (2, 5.0)])
+    @pytest.mark.parametrize("threads, most", [(1, 2.0), (2, 4.0)])
     def test_peak_memory_per_worker(self, threads, most):
         # traced peak of a run on fem(2 * 10^5), at block width 1, in vectors
-        # of 8 m bytes: each worker's probe and work arrays, reused for every
-        # block, plus its bits and sign check. A probe block and t_1 and t_2
-        # made afresh each block take it to 3.3 and 6.7
+        # of 8 m bytes: each worker's probe array, reused for every block,
+        # its bits and sign check, and the tiled kernel's buffers of one tile
+        # of 2^15 rows, 1.7 and 3.3 in all. A work array for t_1 beside each
+        # probe array, as the whole-vector path holds, took it to 2.3 and 4.7
         m = 2 * 10**5
         A, sp = fem_matrix(m), ScalingParams(x0=1.0, gamma0=4.3)
         assert A.block_width == 1
@@ -441,18 +442,23 @@ class TestEstimateFixed:
     def test_adaptive_run_holds_one_set_of_workspaces(self, threads):
         # the workspaces belong to the run, not to a batch: an adaptive run
         # on fem(2 * 10^5) that draws its probes in several batches peaks no
-        # higher, traced, than a fixed run of the same count in one batch
+        # higher, traced, than a fixed run of the same count in one batch.
+        # Each run at this worker count equals the one-worker run, which is
+        # the one traced: two workers' transients overlap by chance, and
+        # their peaks with them
         m = 2 * 10**5
         A, sp = fem_matrix(m), ScalingParams(x0=1.0, gamma0=4.3)
         peaks = []
-        for run in (lambda: estimate_adaptive(A, 8, 0.95, sp, RademacherSampler(0),
-                                              threads=threads),
-                    lambda: estimate_fixed(A, 8, count, sp, RademacherSampler(0),
-                                           threads=threads)):
-            count = run().samples_used
+        for run in (lambda workers: estimate_adaptive(A, 8, 0.95, sp, RademacherSampler(0),
+                                                      threads=workers),
+                    lambda workers: estimate_fixed(A, 8, count, sp, RademacherSampler(0),
+                                                   threads=workers)):
+            want = run(1)
+            count = want.samples_used
+            assert run(threads) == want
             tracemalloc.start()
             try:
-                run()
+                run(1)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -921,23 +927,48 @@ class TestMomentRoute:
         json.dumps(d)
 
     def test_no_block_of_all_rows(self, monkeypatch):
-        # rows are drawn a block at a time into the run's workspaces, never
-        # as one (r, m) block: at width 1 every block holds one row
+        # no colour row is ever a (dim,) vector: t_0 is built a row tile at
+        # a time, for as many rows as one tile's buffers hold. On fem(50000)
+        # at n = 16, 17 rows in groups of 10 and 7, tiles of one piece of
+        # 8192 rows with a halo of 8 rows a side
         import entrace.estimator as estimator
 
-        heights = []
-        real = estimator._colour_rows
+        shapes = []
+        real = estimator._colour_tile
 
-        def recording(r, start, out):
-            heights.append(len(out))
-            return real(r, start, out)
+        def recording(colours, r, base, out):
+            shapes.append((len(colours), out.shape))
+            return real(colours, r, base, out)
 
-        monkeypatch.setattr(estimator, "_colour_rows", recording)
+        monkeypatch.setattr(estimator, "_colour_tile", recording)
         A = fem_matrix(50000)
-        assert A.block_width == 1
         est = estimate_fixed(A, 16, 8, ScalingParams.from_bound(gershgorin_upper_bound(A)),
                              RademacherSampler(0), threads=2)
-        assert est.samples_used == 17 and heights == [1] * 17
+        assert est.samples_used == 17
+        assert sorted({rows for rows, _ in shapes}) == [7, 10]
+        assert all(shape[0] == rows and shape[1] <= 8192 + 16 for rows, shape in shapes)
+        assert len(shapes) == 2 * -(-50000 // 8192)
+
+    def test_peak_memory_does_not_grow_with_the_dimension(self):
+        # one worker's tile buffers and the tiles' inner products: 2.4 MB
+        # traced at m = 10^5 and 10^6 alike, where whole colour rows and
+        # their work arrays took 16.5 MB at 10^6. The tiles' sums grow with
+        # m, 576 B a tile of 8192 rows
+        peaks = []
+        for m in (10**5, 10**6):
+            A = fem_matrix(m)
+            sp = ScalingParams.from_bound(gershgorin_upper_bound(A))
+            want = estimate_fixed(A, 8, 8, sp, RademacherSampler(0), threads=1)
+            assert want.route == "moments" and want.samples_used == 9
+            assert estimate_fixed(A, 8, 8, sp, RademacherSampler(0), threads=2) == want
+            tracemalloc.start()
+            try:
+                assert estimate_fixed(A, 8, 8, sp, RademacherSampler(0), threads=1) == want
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 2**22
+        assert peaks[1] <= peaks[0] + 2**17
 
 
 def lanczos_scaling(A, seed, normalize):

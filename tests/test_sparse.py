@@ -1106,6 +1106,36 @@ class TestSpectralBounds:
         mat = SymmetricSparseMatrix(2, [0, 1], [0, 1], [-3.0, -1.0])
         assert gershgorin_upper_bound(mat).lambda_max_upper == 0.0
 
+    @pytest.mark.parametrize("dim", [2**15 - 1, 2**15, 2**15 + 1, 70000])
+    def test_gershgorin_tiles_give_the_gathered_bits(self, monkeypatch, dim):
+        # a matrix stored by diagonal is read a tile of 2^15 rows at a time;
+        # with holes and random values every row's sum rounds, and both
+        # bounds keep the bits of the same entries gathered
+        import entrace.sparse as sparse
+
+        strips = banded(dim, 3, dim)
+        monkeypatch.setattr(sparse, "DIA_FILL", 0.0)
+        gathered = SymmetricSparseMatrix(dim, *strips.coo())
+        assert layout(strips) == "diagonals" and layout(gathered) == "gather"
+        for end in ("lambda_max_upper", "lambda_min_lower"):
+            assert (getattr(gershgorin_upper_bound(strips), end).hex()
+                    == getattr(gershgorin_upper_bound(gathered), end).hex())
+
+    def test_gershgorin_peak_memory_on_a_million_rows(self):
+        # temporaries of one tile of 2^15 rows, as frobenius_squared holds;
+        # the untiled pass held 24 MB of (dim,) temporaries here
+        mat = fem_matrix(10**6)
+        want = gershgorin_upper_bound(mat)  # numpy's lazily allocated state, once
+        tracemalloc.start()
+        try:
+            bound = gershgorin_upper_bound(mat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (bound.lambda_max_upper, bound.lambda_min_lower) == (4.0, 0.0)
+        assert bound == want
+        assert peak < 2**20
+
     def test_spectral_bound_validation(self):
         with pytest.raises(ValueError):
             SpectralBound(-1.0, "gershgorin")
