@@ -15,32 +15,26 @@ a form costs ceil(n/2) matrix-vector products and no similarity transform
 of A. A block of probe rows shares each of those products, in the
 recurrence t_j+1 = 2 (c A t_j - t_j) - t_j-1, c = 2 / (x0 gamma0).
 
-On a matrix stored by diagonal, of half-bandwidth beta, every step runs a
-row tile at a time (``_tile_dots``, the matrix-powers kernel of Demmel,
-Hoemmen, Mohiyuddin and Yelick, "Avoiding communication in sparse matrix
-computations", IPDPS 2008). With J = ceil(n/2), t_J on a tile depends only
-on t_0 within J beta rows of it, so a tile computes each t_j on its rows
-and (J - j) beta more on each side, in three buffers of at most ``2 *
-sparse.BLOCK_BYTES`` together, sized for a core's L2 cache, and no t_j is
-ever a (b, dim) array. Each entry is made with the product's and the recurrence's
-operations in their order, and each inner product is summed in np.einsum's
-pieces, which are added in order across the tiles, so a form or moment has
-the bits of the whole-vector path below. The kernel only reads its rows: a
-probe block is copied a tile at a time, and a colour row of exact moments
-is built a tile at a time from its colour (see ``estimator``).
-
-A matrix stored by column, one that gathers its products, and a band whose
-halo leaves no room in the tile budget take the whole-vector path,
-``_moments``. There each step is fused into its product: ``matvec`` hands
-back each row tile of A t_j, which by diagonal is ``sparse.BLOCK_BYTES //
-4`` bytes of the block and otherwise all of it, and the step finishes it in
-place while it is in cache. The finished tile is stored over t_j-1, which
-the step has then read for the last time, so a form holds two (b, dim)
-vectors, which take the t_j in turn: t_1 goes to a work array and t_2 over
-the probe rows, which no moment reads after mu_1. A caller that keeps its
-probes passes no work array, and the form copies them. Both paths give the
-moments of any block of real rows whose mu_0 = ||v||^2 the caller knows
-exactly: m for a +-1 probe, and its count for a 0/1 colour row.
+Every step runs a row tile at a time (``_tile_dots``, the matrix-powers
+kernel of Demmel, Hoemmen, Mohiyuddin and Yelick, "Avoiding communication
+in sparse matrix computations", IPDPS 2008). On a matrix stored by
+diagonal, of half-bandwidth beta, with J = ceil(n/2), t_J on a tile
+depends only on t_0 within J beta rows of it, so a tile computes each t_j
+on its rows and (J - j) beta more on each side, in three buffers that take
+t_0 and the t_j in turn. They hold at most ``2 * sparse.BLOCK_BYTES``
+together, sized for a core's L2 cache, unless a halo too wide for the
+budget leaves only the least tiles (``_tile_height``); past one tile no
+t_j is a (b, dim) array. A matrix without a band, stored by column or gathered,
+runs one tile of all its rows with no halo, in three (b, dim) buffers.
+Each entry is made with the product's (``SymmetricSparseMatrix.product_rows``)
+and the recurrence's operations in their order, and each inner product is
+summed in np.einsum's pieces, which are added in order across the tiles,
+so a form or moment has the same bits in any tiling and in every layout.
+The kernel only reads its rows: a probe block is copied a tile at a time,
+and a colour row of exact moments is built a tile at a time from its
+colour (see ``estimator``). It gives the moments of any block of real rows
+whose mu_0 = ||v||^2 the caller knows exactly: m for a +-1 probe, and its
+count for a 0/1 colour row.
 
 Over Rademacher probes the mean of mu_k is tr T_k(B), and two of these are
 known without a product: tr T_1(B) = c tr A - m, and tr T_2(B) =
@@ -87,56 +81,10 @@ class SpectrumEscape(ValueError):
 
 
 def _row_dots(x, y):
-    """<x_i, y_i> for each row i, each summed as np.einsum sums one vector.
-
-    y is a block of rows like x, or one row shared by all of them.
-    """
+    """<x_i, y> for each row x_i of x, each summed as np.einsum sums one vector."""
     if x.shape[1] <= _EINSUM_PIECE:
-        return np.einsum("ij,ij->i" if y.ndim == 2 else "ij,j->i", x, y)
-    return np.array([np.einsum("i,i->", xi, yi)
-                     for xi, yi in zip(x, np.broadcast_to(y, x.shape))])
-
-
-def _moments(A, block, n, c, work, mu0):
-    """The (b, n+1) moments mu_k = v_i^T T_k(B) v_i of the rows v_i of ``block``,
-    by the whole-vector path.
-
-    ``block`` is a (b, dim) array of real rows and ``work`` a float64 array
-    of its shape, apart from it: t_1 goes to ``work`` and t_2 over the rows
-    of ``block``, whose values are then lost. ``mu0`` gives mu_0 = ||v_i||^2
-    exactly, at no pass over the rows: m for +-1 rows, or each 0/1 colour
-    row's count.
-
-    Raises ``SpectrumEscape`` if some row has max_k |mu_k| > mu_0 (1 + 1e-10)
-    + 1e-10, which no spectrum of B inside [-1, 1] gives.
-    """
-    mu = np.empty((block.shape[0], n + 1))
-
-    def finish(y, lo, hi):
-        # y holds rows lo..hi-1 of A t; t and t_prev are read as matvec
-        # calls this, so they are the step's t_j and t_j-1 (None for t_1)
-        y *= c
-        y -= t[:, lo:hi]
-        if t_prev is not None:
-            y *= 2.0
-            y -= t_prev[:, lo:hi]
-
-    mu[:, 0] = mu0
-    # t_0 = v, t_1 = B v
-    t_prev, t = None, block
-    t_prev, t = t, A.matvec(t, finish=finish, out=work)
-    mu[:, 1] = _row_dots(block, t)
-    last = (n + 1) // 2
-    for j in range(1, last + 1):
-        # here t = t_j and t_prev = t_j-1; the doubling identities are
-        # applied to the stored inner products after the loop
-        if 2 * j <= n:
-            mu[:, 2 * j] = _row_dots(t, t)
-        if j < last:
-            # t_j+1 over t_j-1, the rows of block for t_2
-            t_prev, t = t, A.matvec(t, finish=finish, out=t_prev)
-            mu[:, 2 * j + 1] = _row_dots(t, t_prev)
-    return _doubled(mu)
+        return np.einsum("ij,j->i", x, y)
+    return np.array([np.einsum("i,i->", xi, y) for xi in x])
 
 
 def _doubled(mu):
@@ -164,8 +112,9 @@ def _doubled(mu):
 
 
 def _halo(A, n):
-    """Rows the tiled kernel reads beyond each side of a tile: ceil(n / 2) beta."""
-    return (n + 1) // 2 * A.bandwidth
+    """Rows the tiled kernel reads beyond each side of a tile: ceil(n / 2)
+    beta, and none without a band."""
+    return (n + 1) // 2 * (A.bandwidth or 0)
 
 
 def _tile_columns(rows):
@@ -181,23 +130,23 @@ def _least_height(A, n):
 
 
 def tile_rows(A, n):
-    """Rows of a block whose tiles fit the budget at the least height; 0
-    where one row's do not, or A is not stored by diagonal."""
-    if A.bandwidth is None:
-        return 0
+    """Rows of a block whose tiles fit the budget at the least height, on a
+    matrix stored by diagonal; 0 where one row's do not."""
     return _tile_columns(1) // min(A.dim, _least_height(A, n) + 2 * _halo(A, n))
 
 
 def _tile_height(A, n, rows):
     """The row tile of the tiled kernel on a block of ``rows`` rows.
 
-    All m rows if their buffers fit the budget and m is at most
-    ``BLOCK_BYTES // 32``, the rows of ``matvec``'s tile of one vector;
-    otherwise the most whole pieces within both, whose buffers hold the
-    halo on each side, but never fewer than ``_least_height``. A caller
-    checks ``tile_rows`` first; past it the tiles are the least ones.
+    All m rows without a band. With one, all m rows if their buffers fit
+    the budget and m is at most ``BLOCK_BYTES // 32``; otherwise the most
+    whole pieces within both, whose buffers hold the halo on each side, but
+    never fewer than ``_least_height``. Past ``tile_rows`` the tiles are the
+    least ones, and their buffers exceed the budget.
     """
     m, halo = A.dim, _halo(A, n)
+    if A.bandwidth is None:
+        return m
     columns = _tile_columns(rows)
     most = max(_EINSUM_PIECE, sparse.BLOCK_BYTES // 32 // _EINSUM_PIECE * _EINSUM_PIECE)
     if m <= min(columns, most):
@@ -223,15 +172,14 @@ def _piece_dots(x, y, out):
 def _tile_dots(A, n, c, lo, hi, source, space):
     """The (b, n, pieces) inner products of the moments 1..n on rows lo..hi-1.
 
-    The matrix-powers kernel on a matrix stored by diagonal, of
-    half-bandwidth beta: with J = ceil(n / 2), step j computes t_j on rows
-    lo - (J - j) beta .. hi + (J - j) beta - 1 of the matrix, clipped to
-    it, from t_j-1 on beta more rows each side, so t_0 is read on J beta
-    rows beyond the tile and no step reads beyond what the last one wrote.
-    Each entry is made as ``matvec`` and ``_moments`` make it: filled with
-    0.0, each diagonal's product added in ascending order (``product_rows``),
-    then times c, less t_j-1, and from t_2 on times 2 and less t_j-2. So
-    every t_j entry has the bits of the whole-vector path.
+    The matrix-powers kernel, on a matrix of half-bandwidth beta (0 without
+    a band, whose one tile is all rows): with J = ceil(n / 2), step j
+    computes t_j on rows lo - (J - j) beta .. hi + (J - j) beta - 1 of the
+    matrix, clipped to it, from t_j-1 on beta more rows each side, so t_0
+    is read on J beta rows beyond the tile and no step reads beyond what
+    the last one wrote. Each entry is the product's (``product_rows``),
+    then times c, less t_j-1, and from t_2 on times 2 and less t_j-2, so
+    its bits do not depend on the tile.
 
     ``source(base, out)`` writes the rows' t_0 on rows base.. into ``out``,
     a (b, width) array, and returns it. ``space`` is a (3, b, width') array,
@@ -241,7 +189,7 @@ def _tile_dots(A, n, c, lo, hi, source, space):
     each whole row; column k - 1 holds the inner product that gives mu_k
     (see ``_doubled``), and the pieces are added in order by ``_fold``.
     """
-    m, last, beta = A.dim, (n + 1) // 2, A.bandwidth
+    m, last, beta = A.dim, (n + 1) // 2, A.bandwidth or 0
     base, top = max(0, lo - last * beta), min(m, hi + last * beta)
     b = space.shape[1]
     free = list(space[:, :, :top - base])
@@ -317,24 +265,17 @@ def _tiled_moments(A, n, c, mu0, source, each=map):
         return _doubled(mu)
 
 
-def quadratic_form(A, v, expansion, gamma0, traces=None, work=None):
+def quadratic_form(A, v, expansion, gamma0, traces=None):
     """gamma0 * v^T p_n(A / gamma0) v for a +-1 probe vector v.
 
     v may also be a (b, dim) block of probe rows; the result is then an
     array of b forms, each bit-identical to the form of its row alone. The
     argument matrix B is never formed: each t_j+1 = 2 B t_j - t_j-1 is
     built on the product A t_j, one row tile at a time, as
-    2 (c A t_j - t_j) - t_j-1. The
+    2 (c A t_j - t_j) - t_j-1, by the tiled kernel, which only reads v and
+    allocates its tile buffers alone. The
     constant term a_0 enters the result only through the closed form
     v^T (a_0/2) v = m a_0 / 2.
-
-    A matrix stored by diagonal whose tiles fit (``tile_rows``) runs the
-    tiled kernel, which only reads v and allocates the tile buffers alone.
-    On the whole-vector path ``work``, a float64 array of v's shape apart
-    from it, takes t_1, and t_2 is written over the probe rows of v, so
-    that the form allocates no array of v's size; without ``work`` the form
-    copies v and allocates one array, and the caller's probes stay as
-    given. ``work`` is checked either way, and the forms are the same bits.
 
     With ``traces``, the pair (tr A, ||A||_F^2), the form takes mu_1 and
     mu_2 at their means over the probes, tr T_1(B) = c tr A - m and
@@ -360,10 +301,6 @@ def quadratic_form(A, v, expansion, gamma0, traces=None, work=None):
     if not sign.all():
         raise ValueError("probe vector entries must be +-1")
     del sign
-    if work is not None and (work.shape != v.shape or work.dtype != np.float64
-                             or np.may_share_memory(work, v)):
-        raise ValueError(f"work must be a float64 array of the probes' shape {v.shape}, "
-                         "apart from them")
     gamma0 = float(gamma0)
     if not gamma0 > 0.0:
         raise ValueError("gamma0 must be positive")
@@ -375,18 +312,14 @@ def quadratic_form(A, v, expansion, gamma0, traces=None, work=None):
     c = 2.0 / (expansion.x0 * gamma0)
     m = A.dim
     block = v.reshape(-1, m)
+
+    def source(base, out):
+        out[...] = block[:, base:base + out.shape[1]]
+        return out
+
+    mu = _tiled_moments(A, n, c, np.full(len(block), float(m)), source)
     # the error state is thread-local, so it is set here, on the worker
     with np.errstate(over="ignore", invalid="ignore"):
-        if tile_rows(A, n) >= len(block):
-            def source(base, out):
-                out[...] = block[:, base:base + out.shape[1]]
-                return out
-
-            mu = _tiled_moments(A, n, c, np.full(len(block), float(m)), source)
-        elif work is None:
-            mu = _moments(A, block.copy(), n, c, np.empty(block.shape), mu0=m)
-        else:
-            mu = _moments(A, block, n, c, work.reshape(block.shape), mu0=m)
         if traces is not None:
             tr, frob = traces
             mu[:, 1] = c * tr - m

@@ -21,9 +21,8 @@ below. A run answers from the narrower of that interval and its sampled
 one; an adaptive run whose interval is at most the floor, which no sampled
 tau beats, draws no probe.
 
-A run allocates its workspaces once: each worker's probe array, into which
-its blocks are drawn, and, where the forms take the whole-vector path (see
-``clenshaw``), its work array, which holds t_1.
+A run allocates each worker's probe array once, and draws its blocks into
+it; a form holds its t_j in the tiled kernel's buffers (see ``clenshaw``).
 
 On a matrix stored by diagonal whose scaling is certain, a bound that
 cannot fail and puts the spectrum in [0, x0 * gamma0], a run draws no probe
@@ -692,22 +691,20 @@ def _in_order(threads, task, items):
         return list(pool.map(task, items))
 
 
-def _xi_batch(A, draw, first, last, threads, form, free, height, work=True):
+def _xi_batch(A, draw, first, last, threads, form, free, height):
     """The probe forms of rows first..last in index order, as one array.
 
     The rows are cut into blocks of at most ``height``; ``draw(start, out)``
     writes a block's rows start, start + 1, ... into ``out`` and returns it,
-    and ``form(A, rows, work=work)`` gives the block's forms, sharing its
+    and ``form(A, rows)`` gives the block's forms, sharing its
     matrix-vector products. Row i never depends on any other row or on the
     block it lands in, and the blocks map over the pool ``_in_order``.
 
-    A block runs in a workspace from ``free``, the run's list of them: a
-    row array of ``height`` rows, sliced to the block's, into which its rows
-    are drawn, and with ``work`` a work array of its shape, in which its
-    form holds t_1 (see ``quadratic_form``); the tiled kernel reads the
-    rows and needs none. A block takes a free workspace, or makes one if
-    none is free, and frees it when its forms are done, so a run makes one
-    workspace a worker at most, in whatever order the pool runs the blocks.
+    A block is drawn into a row array from ``free``, the run's list of
+    them, of ``height`` rows, sliced to the block's. A block takes a free
+    array, or makes one if none is free, and frees it when its forms are
+    done, so a run makes one a worker at most, in whatever order the pool
+    runs the blocks.
     """
     width = min(height, last + 1 - first)
 
@@ -715,15 +712,13 @@ def _xi_batch(A, draw, first, last, threads, form, free, height, work=True):
         count = min(width, last + 1 - start)
         # list.pop and list.append are atomic across threads
         try:
-            rows, spare = free.pop()
+            rows = free.pop()
         except IndexError:
             rows = np.empty((height, A.dim))
-            spare = np.empty((height, A.dim)) if work else None
         try:
-            return form(A, draw(start, rows[:count]),
-                        work=None if spare is None else spare[:count])
+            return form(A, draw(start, rows[:count]))
         finally:
-            free.append((rows, spare))
+            free.append(rows)
 
     return np.concatenate(_in_order(threads, block, range(first, last + 1, width)))
 
@@ -794,13 +789,11 @@ def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
     def draw(start, out):
         return sampler.sample_vector(m, start, len(out), out=out)
 
-    # the run's workspaces, of the rows of its largest block, whose (b, n + 1)
+    # the run's probe arrays, of the rows of its largest block, whose (b, n + 1)
     # moments stay within BLOCK_BYTES
     free = []
     height = max(1, min(A.block_width, BLOCK_BYTES // (8 * (n + 1)),
                         needed if n_max is None else n_max))
-    # the tiled kernel reads the drawn rows and holds t_j in its own tiles
-    work = tile_rows(A, n) < height
     span = _batch_rows(height)
     floor_width = 2.0 * floor
     xi_min = math.inf
@@ -811,7 +804,7 @@ def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
     while drawn < needed:
         try:
             batch = _xi_batch(A, draw, drawn + 1, min(needed, drawn + span), threads, form,
-                              free, height, work).tolist()
+                              free, height).tolist()
         except SpectrumEscape as exc:
             # worded with the state's interval, as every escape is
             raise _escaped(str(exc), scaling.x0, scaling.gamma0) from None

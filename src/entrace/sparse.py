@@ -7,15 +7,15 @@ bound keeps the run's orthonormal Krylov basis and its tridiagonal matrix
 (``KrylovBasis``), from which the estimator bounds the entropy.
 
 The estimator touches a matrix only through ``trace``,
-``frobenius_squared``, ``block_width``, ``bandwidth``, ``matvec`` and, by
-diagonal, ``product_rows``; the bandwidth tells it whether exact moments
-from colour rows are within reach (see ``estimator``), and how far the
-tiled kernel of ``clenshaw`` must look beyond a row tile. Everything in this
-module exists to make its products cheap, deterministic, and safe to share
-across threads. ``matvec`` takes one vector or a block of probe rows (the
-estimator sends ``block_width`` rows at most); a block shares the per-call
-cost of a product among its rows, and each row comes out bit-identical to
-its single-vector product.
+``frobenius_squared``, ``block_width``, ``bandwidth`` and ``product_rows``,
+and the Lanczos run through ``matvec``, the product of all rows; the
+bandwidth tells it whether exact moments from colour rows are within reach
+(see ``estimator``), and how far the tiled kernel of ``clenshaw`` must look
+beyond a row tile. Everything in this module exists to make its products
+cheap, deterministic, and safe to share across threads. A product takes
+one vector or a block of probe rows (the estimator sends ``block_width``
+rows at most); a block shares the per-call cost of a product among its
+rows, and each row comes out bit-identical to its single-vector product.
 
 A matrix is stored one way, chosen once from its sparsity pattern. Two
 layouts keep strips and need no gather: a matrix whose entries fill few
@@ -30,15 +30,12 @@ give the same bits. A builder that has a matrix's diagonals, as
 scatter; they pass the constructor's checks and layout rule, and the matrix
 is the one its entries would build.
 
-A product by diagonal runs one row tile at a time: it fills rows lo..hi-1
-of the result from the strips clipped to those rows (``product_rows``), and
-hands the tile to the caller's ``finish`` while it is still in cache, so
-that the recurrence around the product streams the matrix and its vectors
-once a step. A tile of a block of ``block_width`` rows holds ``BLOCK_BYTES
-// 4`` bytes, 2^15 rows of a single vector; a matrix of that many rows or
-fewer is one tile. ``product_rows`` reads any window of the vector that
-holds the rows' columns, so the tiled kernel of ``clenshaw`` runs each
-product on a tile with its halo, with the bits of ``matvec``.
+A product by diagonal fills any rows lo..hi-1 of the result from the
+strips clipped to those rows (``product_rows``), and reads any window of
+the vector that holds their columns, so the tiled kernel of ``clenshaw``
+runs each product on a row tile with its halo, with the bits of
+``matvec``. A product by column or gathered is of all rows at once, one
+tile of the kernel.
 A diagonal that holds one value in every slot facing a column of the matrix,
 as each of the tridiagonal matrix's three does, is stored as that value
 once, and its product multiplies a stride-0 operand.
@@ -72,14 +69,14 @@ import numpy as np
 SYMMETRY_RTOL = 1e-12
 
 # bytes that one block product may hold: of gathered products (or of probe
-# rows, if there are more of those) on the gather path, and of all the
-# (b, dim) arrays of one form by diagonal or column; the block width follows
-# from it, and so does the row tile of a product by diagonal, a quarter. On a
-# 2-vCPU x86 guest (2 MiB L2 a core), fem(10^6) at b = 1 samples 8 probes
-# on two threads in 0.41 s untiled, 0.34 s in tiles of 2^14 rows, 0.29 s
-# of 2^15 and 0.28 s of 2^16 (medians of 6 benchmark runs). The tiled
-# kernel of clenshaw keeps the three buffers of a tile within twice this
-# and a tile within BLOCK_BYTES // 32 = 2^15 rows. On the same guest, in
+# rows, if there are more of those) on the gather path, and of each of the
+# (b, dim) arrays of one form by diagonal or column (see _keep); the block
+# width follows from it. The tiled kernel of clenshaw keeps the three
+# buffers of a tile within twice this and a tile within BLOCK_BYTES // 32 =
+# 2^15 rows: on a 2-vCPU x86 guest (2 MiB L2 a core), fem(10^6) at b = 1
+# sampled 8 probes on two threads in 0.41 s untiled, 0.34 s with products
+# in tiles of 2^14 rows, 0.29 s of 2^15 and 0.28 s of 2^16 (medians of 6
+# benchmark runs). On the same guest, in
 # process, at n = 8 on two threads (medians of 9): fem(10^6)'s 9 colour
 # rows in one group took 0.14 s, against 0.20 s in groups of 5 and 4 within
 # 1 MiB, and 8 probe rows 0.15 s in tiles of 2^15 rows, against 0.38 s of
@@ -279,11 +276,11 @@ class SymmetricSparseMatrix:
             layout = _block_layout(*entries, dim, width)
         else:
             # each (b, dim) array of a form takes an eighth of BLOCK_BYTES:
-            # t_j-1 and t_j, the first of which t_j+1 overwrites, and a
-            # product by column's result, where one by diagonal sums a tile
-            # in a scratch; the three fit within half of it on each worker.
-            # Wider blocks gain little per row (by column, dim 1000: 0.48 ms
-            # at 16 rows, 0.50 ms at 26)
+            # by column, the drawn probes and the tiled kernel's one tile of
+            # all rows, three buffers that take t_0 and the t_j in turn, fit
+            # within half of it on each worker; by diagonal the tiles keep
+            # to their own budget. Wider blocks gain little per row (by
+            # column, dim 1000: 0.48 ms at 16 rows, 0.50 ms at 26)
             width = max(1, BLOCK_BYTES // 8 // (8 * dim))
             layout = None
         diag.setflags(write=False)
@@ -346,78 +343,53 @@ class SymmetricSparseMatrix:
             return None
         return max(map(abs, strips.offsets), default=0)
 
-    def matvec(self, v, finish=None, out=None):
+    def matvec(self, v):
         """Return A @ v, or for a (b, dim) block v the block with rows A @ v[i].
 
         Each row adds its products A[i, j] * v[j] to 0.0 in storage order
         (columns ascending), so the result is identical across calls,
         processes, and thread counts, and each row of a block product equals
-        the product of that row alone. A matrix stored by diagonal adds
-        diagonal d, shifted by d, for each d in ascending order; one stored by
-        column is one ``np.einsum("bj,ji->bi", v, C)``, with no BLAS, which
-        adds v[..., j] * C[j] for each j in ascending order, whatever the
-        strides of v. A hole adds a +-0 product, which leaves a sum that
-        starts at +0.0 unchanged, so the bits are those of the ordered pass
-        for any finite v. A gathered vector or block of ``block_width`` rows
-        reads a layout kept since construction; a block of any other height
-        is the stack of its rows' own products, so it costs what its rows do.
-
-        ``finish(tile, lo, hi)``, if given, is called on rows lo..hi-1 of
-        the result once their products are summed, and may change them in
-        place, for row tiles that cover every row once in ascending order. A
-        product by diagonal sums one tile of ``BLOCK_BYTES // 4`` bytes of
-        ``block_width`` rows at a time in one tile-sized scratch, so the tile
-        is still in cache when ``finish`` works on it, and then stores it; a
-        product by column or gathered calls it once, on all rows. The bits of
-        a row do not depend on the tile it lands in.
-
-        ``out``, if given, is a float64 array of v's shape, apart from v,
-        that receives the result, finished, and is returned. ``finish`` may
-        read its rows lo..hi-1, which keep their old values until the call
-        returns, so a recurrence can write each step over a vector it no
-        longer needs.
+        the product of that row alone. It is ``product_rows`` over all rows.
         """
         v = np.asarray(v, dtype=np.float64)
         if v.ndim not in (1, 2) or v.shape[-1] != self.dim:
             raise ValueError(f"vector length {v.shape} does not match dimension {self.dim}")
-        if out is not None and out.shape != v.shape:
-            raise ValueError(f"out shape {out.shape} does not match the vector's {v.shape}")
-        strips = self._strips
-        if strips is None or strips.offsets is None:
-            y = self._gathered(v) if strips is None else np.einsum(
-                "bj,ji->bi" if v.ndim == 2 else "j,ji->i", v, strips.data)
-            if finish is not None:
-                finish(y, 0, self.dim)
-            if out is None:
-                return y
-            out[...] = y
-            return out
-        dim = self.dim
-        # a (block_width, height) tile of each array a product step touches
-        # stays in a core's L2 cache
-        height = max(1, BLOCK_BYTES // 4 // (8 * self._width))
-        y = np.empty(v.shape) if out is None else out
-        scratch = np.empty(v.shape[:-1] + (min(height, dim),))
-        for lo in range(0, dim, height):
-            hi = min(lo + height, dim)
-            tile = scratch[..., :hi - lo]
-            self.product_rows(v, lo, hi, tile)
-            if finish is not None:
-                finish(tile, lo, hi)
-            y[..., lo:hi] = tile
+        y = np.empty(v.shape)
+        self.product_rows(v, 0, self.dim, y)
         return y
 
     def product_rows(self, v, lo, hi, out, base=0):
-        """Rows lo..hi-1 of A @ v into ``out``, for a matrix stored by diagonal.
+        """Rows lo..hi-1 of A @ v into ``out``, of v's leading shape and hi - lo
+        columns.
 
-        ``v`` holds entries base.. of a vector, or of each row of a block, so
-        that v[..., k] is entry base + k; it must hold every entry that rows
-        lo..hi-1 read, those within ``bandwidth`` of them. ``out``, of v's
-        leading shape and hi - lo columns, is filled with 0.0, and each
-        diagonal's products are added to it in ascending order of offset:
-        the bits of ``matvec``'s rows lo..hi-1.
+        A matrix stored by diagonal fills ``out`` with 0.0 and adds each
+        diagonal d, shifted by d, in ascending order of offset. ``v`` holds
+        entries base.. of a vector, or of each row of a block, so that
+        v[..., k] is entry base + k; it must hold every entry that rows
+        lo..hi-1 read, those within ``bandwidth`` of them. So a row's bits
+        do not depend on the rows or the window it is computed with.
+
+        A matrix without a band takes only all rows, lo = base = 0 and hi =
+        dim. By column the product is one ``np.einsum("bj,ji->bi", v, C)``,
+        with no BLAS, which adds v[..., j] * C[j] for each j in ascending
+        order, whatever the strides of v. Gathered, a vector or a block of
+        ``block_width`` rows reads a layout kept since construction; a block
+        of any other height is the stack of its rows' own products, so it
+        costs what its rows do.
+
+        A hole adds a +-0 product, which leaves a sum that starts at +0.0
+        unchanged, so the three layouts give the bits of the ordered pass
+        for any finite v.
         """
         strips = self._strips
+        if strips is None or strips.offsets is None:
+            if (lo, hi, base) != (0, self.dim, 0):
+                raise ValueError("a matrix without a band takes the product of all its rows")
+            if strips is None:
+                out[...] = self._gathered(v)
+            else:
+                np.einsum("bj,ji->bi" if v.ndim == 2 else "j,ji->i", v, strips.data, out=out)
+            return
         out.fill(0.0)
         for a, d in zip(strips.data, strips.offsets):
             # the rows of diagonal d within lo..hi-1, and the columns they face
@@ -426,7 +398,7 @@ class SymmetricSparseMatrix:
                 out[..., r0 - lo:r1 - lo] += a[r0:r1] * v[..., r0 + d - base:r1 + d - base]
 
     def _gathered(self, v):
-        """The product of ``matvec`` on the gather path."""
+        """The product of all rows on the gather path."""
         if v.ndim == 2 and v.shape[0] != self._width:
             # a block of any other height is the stack of its rows' products
             return np.array([self._gathered(row) for row in v]).reshape(v.shape)

@@ -14,7 +14,7 @@ import pytest
 
 import entrace
 from entrace.chebyshev import coefficients, evaluate_scalar
-from entrace.clenshaw import SpectrumEscape, _moments, quadratic_form
+from entrace.clenshaw import SpectrumEscape, _tiled_moments, quadratic_form
 from entrace.generators import SpdcParams, fem_matrix, random_psd, spdc_density_matrix
 from entrace.sparse import SymmetricSparseMatrix, gershgorin_upper_bound
 from entrace.estimator import RademacherSampler, ScalingParams, estimate_fixed
@@ -24,6 +24,31 @@ from support import dense_quadratic_form, dominant_strips, layout, scattered_psd
 def signs(m, seed):
     rng = np.random.default_rng(seed)
     return rng.integers(0, 2, size=m) * 2.0 - 1.0
+
+
+def moments(A, block, n, c, mu0):
+    """The (b, n + 1) moments of the real rows of ``block`` by the tiled
+    kernel, given their b values of mu_0."""
+    def source(base, out):
+        out[...] = block[:, base:base + out.shape[1]]
+        return out
+
+    return _tiled_moments(A, n, c, mu0, source)
+
+
+def recorded_tiles(monkeypatch):
+    """The (lo, hi) row tiles that the tiled kernel runs from here on."""
+    import entrace.clenshaw as clenshaw
+
+    tiles = []
+    real = clenshaw._tile_dots
+
+    def recording(A, n, c, lo, hi, source, space):
+        tiles.append((lo, hi))
+        return real(A, n, c, lo, hi, source, space)
+
+    monkeypatch.setattr(clenshaw, "_tile_dots", recording)
+    return tiles
 
 
 class TestAgainstDenseOracle:
@@ -69,16 +94,17 @@ class TestAgainstDenseOracle:
 
 class TestCost:
     def test_matvecs_per_form(self, monkeypatch):
-        # the doubling identities need T_j(B) v only up to j = ceil(n/2)
+        # the doubling identities need T_j(B) v only up to j = ceil(n/2); a
+        # matrix stored by column is one tile, one product of all rows a step
         A = random_psd(10, 4, np.linspace(0.0, 1.0, 10))
         calls = []
-        inner = SymmetricSparseMatrix.matvec
+        inner = SymmetricSparseMatrix.product_rows
 
-        def counting(self, x, **kwargs):
+        def counting(self, *args):
             calls.append(1)
-            return inner(self, x, **kwargs)
+            return inner(self, *args)
 
-        monkeypatch.setattr(SymmetricSparseMatrix, "matvec", counting)
+        monkeypatch.setattr(SymmetricSparseMatrix, "product_rows", counting)
         for n in range(1, 10):
             calls.clear()
             quadratic_form(A, signs(10, n), coefficients(n, 1.0), 1.0)
@@ -113,8 +139,8 @@ class TestMemory:
     def test_form_peak_memory_per_row(self):
         # traced peak of one form on a fem(2 * 10^5) row at n = 8: the tiled
         # kernel's three buffers of one tile of 2^15 rows and a product's
-        # temporary, 5.3 B a row, where the whole-vector path's two vectors
-        # that take t_j in turn, a tile's scratch and temporary took 18.6
+        # temporary, 5.3 B a row, where a form on (dim,) vectors, two that
+        # took t_j in turn, a product's scratch and temporary, took 18.6
         dim = 2 * 10**5
         A, v, exp = fem_matrix(dim), signs(dim, 0), coefficients(8, 1.0)
         want = quadratic_form(A, v, exp, 4.3)  # numpy's lazily allocated state, once
@@ -132,8 +158,8 @@ class TestMemory:
         functools.partial(random_psd, 30, 2, np.linspace(0.0, 1.0, 30)),
         functools.partial(scattered_psd, 60, 1)], ids=["fem", "offsets-12", "columns", "gather"])
     def test_probes_stay_as_given(self, build):
-        # without a work array the form copies the caller's block, and
-        # writes t_2 over the copy
+        # the kernel copies the caller's rows into its buffers a tile at a
+        # time, and never writes them
         A = build()
         gamma0 = 1.075 * gershgorin_upper_bound(A).lambda_max_upper
         probes = np.array([signs(A.dim, 90 + i) for i in range(3)])
@@ -145,63 +171,32 @@ class TestMemory:
 
 
 class TestWorkspace:
-    """A form in the caller's arrays: t_1 in ``work``, t_2 over the probe rows."""
+    """A form on a slice of the caller's probe array, as a run draws a short
+    last block into the array of its full blocks."""
 
     BUILDS = [functools.partial(fem_matrix, 10**5),
               functools.partial(random_psd, 30, 2, np.linspace(0.0, 1.0, 30)),
               functools.partial(scattered_psd, 60, 1)]
     IDS = ["fem-tiles", "columns", "gather"]
 
-    @staticmethod
-    def case(build):
-        A = build()
-        gamma0 = 1.075 * gershgorin_upper_bound(A).lambda_max_upper
-        return A, gamma0, np.array([signs(A.dim, 30 + i) for i in range(3)])
-
-    @pytest.mark.parametrize("build", BUILDS, ids=IDS)
-    def test_work_gives_the_same_forms(self, build):
-        A, gamma0, probes = self.case(build)
-        if layout(A) == "diagonals":
-            tiles = []
-            A.matvec(np.zeros(A.dim), finish=lambda y, lo, hi: tiles.append(lo))
-            assert len(tiles) > 1
-        for traces in (None, (A.trace(), A.frobenius_squared())):
-            for n in (1, 2, 3, 9):
-                exp = coefficients(n, 1.0)
-                want = quadratic_form(A, probes, exp, gamma0, traces)
-                got = quadratic_form(A, probes.copy(), exp, gamma0, traces,
-                                     work=np.empty(probes.shape))
-                assert got.tobytes() == want.tobytes()
-                one = quadratic_form(A, probes[1].copy(), exp, gamma0, traces,
-                                     work=np.empty(A.dim))
-                assert one == want[1]
-
     @pytest.mark.parametrize("build", BUILDS, ids=IDS)
     def test_shorter_block_reads_no_stale_rows(self, build):
-        # a workspace that served a full block serves the short last block
-        # of a batch as slices; its rows beyond the slice hold nan, which a
-        # form that read them would carry
-        A, gamma0, probes = self.case(build)
+        # the array's rows beyond the slice hold nan, which a form that read
+        # them would carry
+        A = build()
+        gamma0 = 1.075 * gershgorin_upper_bound(A).lambda_max_upper
+        probes = np.array([signs(A.dim, 30 + i) for i in range(3)])
         exp = coefficients(9, 1.0)
-        space, work = np.empty(probes.shape), np.empty(probes.shape)
-        space[...] = probes
-        full = quadratic_form(A, space, exp, gamma0, work=work)
-        assert full.tobytes() == quadratic_form(A, probes, exp, gamma0).tobytes()
+        space = probes.copy()
+        full = quadratic_form(A, space, exp, gamma0)
         space[1:] = np.nan
-        work[1:] = np.nan
         space[:1] = probes[2:]
-        short = quadratic_form(A, space[:1], exp, gamma0, work=work[:1])
+        short = quadratic_form(A, space[:1], exp, gamma0)
         assert short.tobytes() == full[2:].tobytes()
-
-    def test_rejects_a_work_array_that_does_not_fit(self):
-        A, v, exp = fem_matrix(20), np.ones((2, 20)), coefficients(4, 1.0)
-        for work in (np.empty((1, 20)), np.empty((2, 20), dtype=np.float32), v, v[::-1]):
-            with pytest.raises(ValueError, match="work must be"):
-                quadratic_form(A, v, exp, 4.3, work=work)
 
 
 class TestTiles:
-    """Each step finishes its product one row tile at a time, with the same bits."""
+    """A matrix shorter than one piece is one tile under any budget."""
 
     @pytest.mark.parametrize("build", [
         *(functools.partial(fem_matrix, dim) for dim in (1, 7, 8, 9, 29)),
@@ -209,62 +204,44 @@ class TestTiles:
         functools.partial(random_psd, 21, 3, np.random.default_rng(3).uniform(0.0, 1.0, 21)),
     ], ids=["fem-1", "fem-7", "fem-8", "fem-9", "fem-29", "offsets-12", "columns-21"])
     def test_forms_match_one_tile(self, monkeypatch, build):
-        # tiles of 8 rows at block width 1 against the whole matrix as one
-        # tile; a matrix stored by column is never tiled, but its block width
-        # drops to 1 as well
+        # tiles start at multiples of 8192 rows, so a budget that drops the
+        # block width to 1 leaves each form one tile of all rows, with the
+        # bits of the default budget's
         import entrace.sparse as sparse
 
-        def tiles(mat):
-            seen = []
-            mat.matvec(np.zeros(mat.dim), finish=lambda y, lo, hi: seen.append((lo, hi)))
-            return len(seen)
-
         whole = build()
-        assert tiles(whole) == 1
         gamma0 = 1.075 * gershgorin_upper_bound(whole).lambda_max_upper
         probes = np.array([signs(whole.dim, 70 + i) for i in range(3)])
         forms = {(n, b): quadratic_form(whole, probes[:b], coefficients(n, 1.0), gamma0)
                  for n in (1, 2, 9) for b in (1, 2, 3)}
-        # the budget sets the block width at construction and the tile
-        # height of each product
+        # the budget sets the block width at construction and the tiles of
+        # each form
         monkeypatch.setattr(sparse, "BLOCK_BYTES", 2**8)
         tiled = build()
         assert tiled.block_width == (1 if whole.dim > 4 else 4)
-        assert tiles(tiled) == (1 if layout(whole) == "columns" else -(-whole.dim // 8))
+        tiles = recorded_tiles(monkeypatch)
         for (n, b), want in forms.items():
             got = quadratic_form(tiled, probes[:b], coefficients(n, 1.0), gamma0)
             assert got.tobytes() == want.tobytes()
+        assert set(tiles) == {(0, whole.dim)}
 
 
 def gathered(monkeypatch, A):
     """A's entries stored for the gather path, whose products share no code
-    with a product by diagonal."""
+    with a product by diagonal or by column, and which runs one tile of all
+    rows."""
     import entrace.sparse as sparse
 
     with monkeypatch.context() as patch:
         patch.setattr(sparse, "DIA_FILL", 0.0)
         G = SymmetricSparseMatrix(A.dim, *A.coo())
-    assert layout(A) == "diagonals" and layout(G) == "gather"
+    assert layout(A) != "gather" and layout(G) == "gather"
     return G
 
 
 class TestTiledKernel:
     """The moments of a matrix stored by diagonal come a row tile at a time,
-    with the bits of the same entries gathered."""
-
-    @staticmethod
-    def count_tiles(monkeypatch):
-        import entrace.clenshaw as clenshaw
-
-        tiles = []
-        real = clenshaw._tile_dots
-
-        def recording(A, n, c, lo, hi, source, space):
-            tiles.append((lo, hi))
-            return real(A, n, c, lo, hi, source, space)
-
-        monkeypatch.setattr(clenshaw, "_tile_dots", recording)
-        return tiles
+    with the bits of the same entries gathered, in one tile."""
 
     @pytest.mark.parametrize("build", [
         *(functools.partial(fem_matrix, dim) for dim in (8191, 8192, 8193, 16385, 70000)),
@@ -274,7 +251,7 @@ class TestTiledKernel:
     def test_forms_match_the_gather_path(self, monkeypatch, build, budget):
         # at the default budget a single row's tiles are 2^15 rows and three
         # rows' are one piece; at a quarter of it, one piece, and a block of
-        # three rows does not fit and takes the whole-vector path
+        # three rows does not fit and runs in the least tiles, one piece
         import entrace.sparse as sparse
 
         A = build()
@@ -286,7 +263,7 @@ class TestTiledKernel:
                                           traces if t else None)
                 for n in (1, 2, 3, 8, 9, 14) for b in (1, 2, 3) for t in (False, True)}
         monkeypatch.setattr(sparse, "BLOCK_BYTES", budget)
-        tiles = self.count_tiles(monkeypatch)
+        tiles = recorded_tiles(monkeypatch)
         for (n, b, t), form in want.items():
             got = quadratic_form(A, probes[:b], coefficients(n, 1.0), gamma0,
                                  traces if t else None)
@@ -295,10 +272,12 @@ class TestTiledKernel:
             assert len({lo for lo, _ in tiles}) > 1
             assert all(lo % 8192 == 0 for lo, _ in tiles)
 
-    def test_halo_wider_than_the_budget_takes_the_whole_vector_path(self, monkeypatch):
+    def test_halo_wider_than_the_budget_runs_in_the_least_tiles(self, monkeypatch):
         # diagonals +-20000: at n = 3 a halo of 40000 rows a side leaves no
         # tile of one row within the budget, and at n = 1 no tile of two, so
-        # those forms run through matvec; one row at n = 1 is tiled
+        # those forms run in the least tiles, whole pieces at least twice the
+        # halo, whose buffers exceed the budget; one row at n = 1 fits in
+        # tiles of that height too
         import entrace.clenshaw as clenshaw
 
         A = wide_band(200000, 20000)
@@ -307,18 +286,21 @@ class TestTiledKernel:
         gamma0 = 1.075 * gershgorin_upper_bound(A).lambda_max_upper
         probes = np.array([signs(A.dim, 90 + i) for i in range(2)])
         for n, b in ((3, 1), (3, 2), (1, 2), (1, 1)):
-            tiles = self.count_tiles(monkeypatch)
-            got = quadratic_form(A, probes[:b], coefficients(n, 1.0), gamma0)
-            assert got.tobytes() == quadratic_form(G, probes[:b], coefficients(n, 1.0),
-                                                   gamma0).tobytes()
-            assert bool(tiles) == (n == 1 and b == 1)
+            want = quadratic_form(G, probes[:b], coefficients(n, 1.0), gamma0)
+            with monkeypatch.context() as patch:
+                tiles = recorded_tiles(patch)
+                got = quadratic_form(A, probes[:b], coefficients(n, 1.0), gamma0)
+            assert got.tobytes() == want.tobytes()
+            least = clenshaw._least_height(A, n)
+            assert least == {3: 81920, 1: 40960}[n]
+            assert tiles == [(lo, min(lo + least, A.dim)) for lo in range(0, A.dim, least)]
 
     @pytest.mark.parametrize("half", [1, 2, 3])
     @pytest.mark.parametrize("threads", [1, 2])
     def test_colour_moments_match_the_gather_path(self, monkeypatch, half, threads):
         # the moments route builds each colour row a tile at a time; its
         # moments equal those of the whole indicator rows on the gathered
-        # matrix, by the whole-vector path, at either worker count
+        # matrix, in one tile, at either worker count
         import entrace.estimator as estimator
 
         A = dominant_strips(20000, half, half)
@@ -332,7 +314,7 @@ class TestTiledKernel:
             return seen[-1]
 
         monkeypatch.setattr(estimator, "_tiled_moments", recording)
-        tiles = self.count_tiles(monkeypatch)
+        tiles = recorded_tiles(monkeypatch)
         for n in (1, 2, 3, 8, 9, 14):
             seen.clear()
             est = estimate_fixed(A, n, 4, sp, RademacherSampler(0), threads=threads)
@@ -342,8 +324,7 @@ class TestTiledKernel:
             for k in range(r):
                 rows[k, k::r] = 1.0
             c = 2.0 / sp.gamma0
-            want = _moments(G, rows, n, c, np.empty_like(rows),
-                            mu0=(A.dim - np.arange(r) + r - 1) // r)
+            want = moments(G, rows, n, c, (A.dim - np.arange(r) + r - 1) // r)
             assert np.concatenate(seen).tobytes() == want.tobytes()
         assert len({lo for lo, _ in tiles}) > 1
 
@@ -430,7 +411,7 @@ class TestDeterminism:
 
 
 class TestRealRows:
-    """The moment kernel on real rows, given their mu_0."""
+    """The tiled kernel on real rows, given their mu_0."""
 
     def test_moments_match_dense_chebyshev(self):
         # mu_k = v^T T_k(B) v, against a dense recurrence, with the given
@@ -443,20 +424,19 @@ class TestRealRows:
         for _ in range(n - 1):
             t.append(2.0 * B @ t[-1] - t[-2])
         want = np.array([[v @ tk @ v for tk in t] for v in block])
-        got = _moments(A, block.copy(), n, c, np.empty_like(block),
-                       mu0=np.einsum("ij,ij->i", block, block))
+        got = moments(A, block, n, c, np.einsum("ij,ij->i", block, block))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
-    def test_plus_minus_one_rows_take_m_exactly(self):
-        # given mu_0 = m, the moments are those of the rows' summed norms,
-        # m exactly, bit for bit
+    def test_plus_minus_one_rows_take_m_exactly(self, monkeypatch):
+        # given mu_0 = m, the moments by column are those of the rows'
+        # summed norms, m exactly, on the same entries gathered, bit for bit
         A = spdc_density_matrix(SpdcParams())
+        G = gathered(monkeypatch, A)
         block = np.array([signs(A.dim, s) for s in range(5)])
         c = 2.0 / (1.1 * A.trace())
-        given = _moments(A, block.copy(), 8, c, np.empty_like(block), mu0=A.dim)
-        summed = _moments(A, block.copy(), 8, c, np.empty_like(block),
-                          mu0=np.einsum("ij,ij->i", block, block))
-        np.testing.assert_array_equal(given, summed)
+        given = moments(A, block, 8, c, np.full(5, float(A.dim)))
+        summed = moments(G, block, 8, c, np.einsum("ij,ij->i", block, block))
+        assert given.tobytes() == summed.tobytes()
 
     def test_escape_is_read_against_the_row_norm(self):
         # a row of norm 3 along the eigenvalue 1.5 of diag(0.5, 1.5, 0.2),
@@ -464,7 +444,7 @@ class TestRealRows:
         A = SymmetricSparseMatrix.from_dense(np.diag([0.5, 1.5, 0.2]))
         row = np.array([[0.0, 3.0, 0.0]])
         with pytest.raises(SpectrumEscape, match=r"^probe moment \|mu_2\| = 7 m "):
-            _moments(A, row.copy(), 2, 2.0, np.empty_like(row), mu0=9.0)
+            moments(A, row, 2, 2.0, np.array([9.0]))
 
 
 class TestSpectrumEscape:

@@ -16,7 +16,7 @@ import entrace
 from entrace.cli import RunConfig, build_parser, main, run
 from entrace.generators import fem_matrix
 from entrace.sparse import SymmetricSparseMatrix, read_matrix_market, write_matrix_market
-from support import indefinite
+from support import indefinite, layout, scattered_psd
 
 
 MTX_HEADER = "%%MatrixMarket matrix coordinate real symmetric\n"
@@ -736,13 +736,36 @@ class TestPinnedOutput:
          "entropy-fem-100000-threads-2.json"),
         (["--generate", "spdc:default", "--normalize", "-n", "14", "--samples", "400"], "2",
          "entropy-spdc-normalize-threads-2.json"),
-    ], ids=["fem-threads-1", "fem-threads-2", "spdc"])
+        # sampled: a matrix stored by column, and a band under a user scaling
+        (["--generate", "random:300:0", "-n", "8", "--samples", "30"], "1",
+         "entropy-random-300-threads-1.json"),
+        (["--generate", "random:300:0", "-n", "8", "--samples", "30"], "2",
+         "entropy-random-300-threads-2.json"),
+        (["--generate", "fem:100000", "-n", "8", "--samples", "4", "--gamma0", "4.3"], "2",
+         "entropy-fem-100000-gamma0.json"),
+    ], ids=["fem-threads-1", "fem-threads-2", "spdc", "columns-threads-1", "columns-threads-2",
+            "fem-sampled"])
     def test_entropy_stdout(self, capsys, monkeypatch, argv, threads, name):
         # the report names its worker count, ENTRACE_THREADS
         monkeypatch.setenv("ENTRACE_THREADS", threads)
         code, out, _ = run_cli(capsys, "entropy", *argv)
         assert code == 0
         assert out == (Path(__file__).parent / "data" / name).read_text()
+
+    def test_gathered_entropy_stdout(self, capsys, monkeypatch, tmp_path):
+        # a sampled run on a matrix that gathers its products, read from a
+        # file; the report names the file, which is left out
+        path = tmp_path / "scattered.mtx"
+        write_matrix_market(scattered_psd(280, 3), path)
+        assert layout(read_matrix_market(path)) == "gather"
+        monkeypatch.setenv("ENTRACE_THREADS", "2")
+        code, out, _ = run_cli(capsys, "entropy", "--input", str(path), "-n", "8",
+                               "--samples", "30")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["method"].pop("matrix") == str(path)
+        want = (Path(__file__).parent / "data" / "entropy-gathered-280.json").read_text()
+        assert json.dumps(doc, indent=2) + "\n" == want
 
 
 class TestEstimatorDispatch:

@@ -424,7 +424,8 @@ class TestEstimateFixed:
         # of 8 m bytes: each worker's probe array, reused for every block,
         # its bits and sign check, and the tiled kernel's buffers of one tile
         # of 2^15 rows, 1.7 and 3.3 in all. A work array for t_1 beside each
-        # probe array, as the whole-vector path holds, took it to 2.3 and 4.7
+        # probe array, as forms on whole vectors once held, took it to 2.3
+        # and 4.7
         m = 2 * 10**5
         A, sp = fem_matrix(m), ScalingParams(x0=1.0, gamma0=4.3)
         assert A.block_width == 1
@@ -437,6 +438,27 @@ class TestEstimateFixed:
             tracemalloc.stop()
         assert got == want
         assert peak / (8 * m) <= most
+
+    @pytest.mark.parametrize("threads, most", [(1, 4.5), (2, 9.0)])
+    def test_peak_memory_per_worker_by_column(self, threads, most):
+        # traced peak of a run on a dense matrix stored by column, at block
+        # width 16, in (b, dim) arrays: each worker's probe array and the
+        # tiled kernel's one tile of all rows, three buffers, 4.1 and 8.3 in
+        # all. Forms on whole vectors, with a work array beside each probe
+        # array, took 3.1 and 6.2
+        m = 1000
+        A = random_psd(m, 0, np.linspace(0.0, 1.0, m))
+        sp = ScalingParams(x0=1.0, gamma0=1.1)
+        assert layout(A) == "columns" and A.block_width == 16
+        want = estimate_fixed(A, 8, 64, sp, RademacherSampler(0), threads=threads)
+        tracemalloc.start()
+        try:
+            got = estimate_fixed(A, 8, 64, sp, RademacherSampler(0), threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak / (8 * A.block_width * m) <= most
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_adaptive_run_holds_one_set_of_workspaces(self, threads):
@@ -952,7 +974,7 @@ class TestMomentRoute:
     def test_peak_memory_does_not_grow_with_the_dimension(self):
         # one worker's tile buffers and the tiles' inner products: 2.4 MB
         # traced at m = 10^5 and 10^6 alike, where whole colour rows and
-        # their work arrays took 16.5 MB at 10^6. The tiles' sums grow with
+        # the work arrays of forms on whole vectors took 16.5 MB at 10^6. The tiles' sums grow with
         # m, 576 B a tile of 8192 rows
         peaks = []
         for m in (10**5, 10**6):

@@ -500,123 +500,113 @@ class TestDiagonalPath:
             assert mat.nnz == 100 - 2 * pairs and layout(mat) == want
 
 
-class TestTiles:
-    """Strip products run one row tile at a time; the bits stay the ordered pass's."""
+def kernel_tiles(monkeypatch, mat, n=2):
+    """The (lo, hi) row tiles in which the tiled kernel runs one probe row."""
+    import entrace.clenshaw as clenshaw
 
-    # tiles of 8 rows at block width 1, the width of every strip matrix of
-    # more than 4 rows at this budget
+    seen = []
+    real = clenshaw._tile_dots
+
+    def recording(A, n, c, lo, hi, *rest):
+        seen.append((lo, hi))
+        return real(A, n, c, lo, hi, *rest)
+
+    def zeros(base, out):
+        out.fill(0.0)
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(clenshaw, "_tile_dots", recording)
+        clenshaw._tiled_moments(mat, n, 1.0, np.zeros(1), zeros)
+    return seen
+
+
+class TestTiles:
+    """Products of row tiles, each from the window of the vector its rows
+    read, have the ordered pass's bits."""
+
+    # tiles of 8 rows, at the budget whose block width is 1 for every strip
+    # matrix of more than 4 rows
     SMALL = 2**8
     TILE = 8
 
     @staticmethod
     def tiled(monkeypatch, build, budget=SMALL):
-        # the budget sets the block width at construction and the tile
-        # height of each product, so it holds for the rest of the test
+        # the budget sets the block width at construction, so it holds for
+        # the rest of the test
         import entrace.sparse as sparse
 
         monkeypatch.setattr(sparse, "BLOCK_BYTES", budget)
         return build()
 
     @staticmethod
-    def check(mat, seed):
-        # a vector and blocks of 1 to 3 rows: a matrix of several tiles has
-        # block width 1, and a strip product takes a taller block whole
+    def check(mat, seed, tile=TILE):
+        # a vector and blocks of 1 to 3 rows, whole and a tile at a time
         rng = np.random.default_rng(seed)
+        beta = mat.bandwidth
         for shape in ((mat.dim,), (1, mat.dim), (2, mat.dim), (3, mat.dim)):
             v = rng.normal(size=shape)
-            seen = []
-
-            def finish(y, lo, hi):
-                assert y.shape == shape[:-1] + (hi - lo,)
-                seen.append((lo, hi))
-
-            got = mat.matvec(v, finish=finish)
-            assert got.tobytes() == ordered_pass(mat, v).tobytes()
-            assert [k for lo, hi in seen for k in range(lo, hi)] == list(range(mat.dim))
-        return seen
+            want = ordered_pass(mat, v).tobytes()
+            assert mat.matvec(v).tobytes() == want
+            got = np.full(shape, np.nan)
+            for lo in range(0, mat.dim, tile):
+                hi = min(lo + tile, mat.dim)
+                base, top = max(0, lo - beta), min(mat.dim, hi + beta)
+                mat.product_rows(v[..., base:top], lo, hi, got[..., lo:hi], base)
+            assert got.tobytes() == want
 
     @pytest.mark.parametrize("dim", [1, TILE - 1, TILE, TILE + 1, 3 * TILE + 5])
     def test_diagonals_at_tile_boundaries(self, monkeypatch, dim):
         mat = self.tiled(monkeypatch, lambda: banded(dim, 2, dim, holes=0.0))
         assert layout(mat) == "diagonals" and mat.block_width == (1 if dim > 4 else 4)
-        seen = self.check(mat, dim)
-        assert seen == [(lo, min(lo + self.TILE, dim)) for lo in range(0, dim, self.TILE)]
+        self.check(mat, dim)
 
     def test_offsets_wider_than_a_tile(self, monkeypatch):
         # diagonals 0 and +-12 over tiles of 8 rows: a tile's rows read
         # columns of other tiles, and the outer diagonals miss some tiles
         mat = self.tiled(monkeypatch, lambda: wide_band(100, 12))
-        assert layout(mat) == "diagonals"
-        seen = self.check(mat, 100)
-        assert seen == [(lo, min(lo + self.TILE, 100)) for lo in range(0, 100, self.TILE)]
+        assert layout(mat) == "diagonals" and mat.bandwidth == 12
+        self.check(mat, 100)
 
     @pytest.mark.parametrize("build", [lambda: holed(30, 4), lambda: random_psd(
         21, 3, np.random.default_rng(3).uniform(0.0, 1.0, 21))], ids=["holed", "random-psd"])
     def test_columns_finish_once_under_a_small_budget(self, monkeypatch, build):
-        # a budget that cuts a diagonal matrix of this size into tiles
-        # leaves a column product one einsum, finished once on all rows
+        # a budget that leaves one probe row a block leaves a product by
+        # column one einsum of all rows: the kernel finishes each step
+        # once, on all rows, and a tile of rows is refused
         mat = self.tiled(monkeypatch, build)
         assert layout(mat) == "columns" and mat.block_width == 1
-        assert self.check(mat, mat.dim) == [(0, mat.dim)]
+        v = np.random.default_rng(mat.dim).normal(size=(2, mat.dim))
+        assert mat.matvec(v).tobytes() == ordered_pass(mat, v).tobytes()
+        assert kernel_tiles(monkeypatch, mat) == [(0, mat.dim)]
+        with pytest.raises(ValueError, match="without a band"):
+            mat.product_rows(v, 0, mat.dim - 1, np.empty((2, mat.dim - 1)))
 
     def test_one_row_tiles(self, monkeypatch):
-        # a budget of 32 bytes leaves a tile one row
         mat = self.tiled(monkeypatch, lambda: banded(12, 3, 0, holes=0.0), budget=32)
-        assert self.check(mat, 12) == [(k, k + 1) for k in range(12)]
+        self.check(mat, 12, tile=1)
 
-    def test_tile_height_follows_the_budget(self):
-        # a (block_width, rows) tile of BLOCK_BYTES // 4 bytes: 2^15 rows at
-        # width 1, and tridiag(2^15) is one tile; the SPDC matrix and a dense
+    def test_tile_height_follows_the_budget(self, monkeypatch):
+        # the kernel's row tile of one probe row: BLOCK_BYTES // 32 = 2^15
+        # rows, and tridiag(2^15) is one tile; the SPDC matrix and a dense
         # 1000-row one are stored by column, which is never cut into tiles
-        def tiles(mat):
-            seen = []
-            mat.matvec(np.zeros(mat.dim), finish=lambda y, lo, hi: seen.append((lo, hi)))
-            return seen
-
         fem = fem_matrix(10**5)
         assert fem.block_width == 1
-        assert tiles(fem) == [
+        assert kernel_tiles(monkeypatch, fem) == [
             (0, 2**15), (2**15, 2**16), (2**16, 3 * 2**15), (3 * 2**15, 10**5)]
-        assert tiles(tridiag(2**15)) == [(0, 2**15)]
+        assert kernel_tiles(monkeypatch, tridiag(2**15)) == [(0, 2**15)]
         for mat in (spdc_density_matrix(SpdcParams()),
                     random_psd(1000, 0, np.linspace(0.0, 1.0, 1000))):
-            assert layout(mat) == "columns" and tiles(mat) == [(0, mat.dim)]
+            assert layout(mat) == "columns" and kernel_tiles(monkeypatch, mat) == [(0, mat.dim)]
 
-    def test_gathered_product_finishes_once(self):
+    def test_gathered_product_finishes_once(self, monkeypatch):
+        # a gathered product is of all rows: one tile in the kernel
         mat, _ = random_symmetric(50, 3)
         v = np.random.default_rng(4).normal(size=(2, 50))
-        seen = []
-
-        def finish(y, lo, hi):
-            seen.append((y.shape, lo, hi))
-            y *= 2.0
-
-        got = mat.matvec(v, finish=finish)
-        assert seen == [((2, 50), 0, 50)]
-        assert got.tobytes() == (2.0 * mat.matvec(v)).tobytes()
-
-    @pytest.mark.parametrize("build", [
-        lambda: banded(29, 2, 0, holes=0.0), lambda: wide_band(100, 12),
-        lambda: holed(30, 4), lambda: random_symmetric(50, 3)[0]],
-        ids=["diagonals", "offsets-12", "columns", "gather"])
-    def test_out_keeps_its_rows_until_finished(self, monkeypatch, build):
-        # finish reads out's old rows of its tile, as a recurrence reads
-        # t_j-1 before t_j+1 is written over it; out receives the finished
-        # product, with the bits of one written to a new array
-        mat = self.tiled(monkeypatch, build)
-        rng = np.random.default_rng(mat.dim)
-        for shape in ((mat.dim,), (2, mat.dim)):
-            v, old = rng.normal(size=shape), rng.normal(size=shape)
-
-            def finish(y, lo, hi):
-                assert out[..., lo:hi].tobytes() == old[..., lo:hi].tobytes()
-                y -= out[..., lo:hi]
-
-            out = old.copy()
-            assert mat.matvec(v, finish=finish, out=out) is out
-            assert out.tobytes() == (mat.matvec(v) - old).tobytes()
-            with pytest.raises(ValueError, match="out shape"):
-                mat.matvec(v, out=np.empty(shape[:-1] + (mat.dim + 1,)))
+        assert mat.matvec(v).tobytes() == ordered_pass(mat, v).tobytes()
+        assert kernel_tiles(monkeypatch, mat) == [(0, 50)]
+        with pytest.raises(ValueError, match="without a band"):
+            mat.product_rows(v[:, 10:], 10, 50, np.empty((2, 40)), 10)
 
 
 def toeplitz(m, band):
