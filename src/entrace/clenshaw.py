@@ -30,11 +30,11 @@ Each entry is made with the product's (``SymmetricSparseMatrix.product_rows``)
 and the recurrence's operations in their order, and each inner product is
 summed in np.einsum's pieces, which are added in order across the tiles,
 so a form or moment has the same bits in any tiling and in every layout.
-The kernel only reads its rows: a probe block is copied a tile at a time,
-and a colour row of exact moments is built a tile at a time from its
-colour (see ``estimator``). It gives the moments of any block of real rows
-whose mu_0 = ||v||^2 the caller knows exactly: m for a +-1 probe, and its
-count for a 0/1 colour row.
+The kernel only reads its rows, a tile at a time: a probe's are drawn
+into the tile's buffer, a colour row's built from its colour (see
+``estimator``), and a caller's block copied. It gives the moments of any
+block of real rows whose mu_0 = ||v||^2 the caller knows exactly: m for a
++-1 probe, and its count for a 0/1 colour row.
 
 Over Rademacher probes the mean of mu_k is tr T_k(B), and two of these are
 known without a product: tr T_1(B) = c tr A - m, and tr T_2(B) =
@@ -223,46 +223,69 @@ def _fold(total, dots):
         total += dots[:, :, k]
 
 
-def _tiled_moments(A, n, c, mu0, source, each=map):
-    """The (b, n + 1) moments of b rows by ``_tile_dots``, in tiles of
-    ``_tile_height`` rows, with ``mu0`` their b values of mu_0.
+def _tiled_moments(A, n, c, blocks, each=map):
+    """The (b, n + 1) moments of each block by ``_tile_dots``, yielded in order.
 
-    ``source`` gives the rows' t_0 a tile at a time (see ``_tile_dots``).
-    ``each(task, starts)`` runs task on each tile's first row and returns
-    the results in order: ``map``, or a pool's map, which is handed as many
-    tiles at a time as keep their inner products within ``BLOCK_BYTES``.
-    Each task takes a (3, b, width) space from the call's spares, or makes
-    one if none is free, so a call makes one space for each task that runs
-    at once. Numpy's warnings of overflow are silenced, as in
-    ``quadratic_form``, and a non-finite moment is left to the caller.
+    ``blocks`` holds (mu0, source) pairs: a block's b values of mu_0, and
+    its rows' t_0 a tile at a time (see ``_tile_dots``). The (block, tile)
+    tasks, in tiles of ``_tile_height`` rows, go to ``each(task, items)``:
+    ``map``, or a pool's map, which is handed as many at a time as keep
+    their inner products within ``BLOCK_BYTES``. Each task takes a space
+    for any block's (3, b, width) buffers from the call's spares, or makes
+    one if none is free, so a call makes one for each task that runs at
+    once. Numpy's warnings of overflow are silenced, and a non-finite
+    moment is left to the caller.
     """
-    m, b = A.dim, len(mu0)
-    height = _tile_height(A, n, b)
-    width = min(m, height + 2 * _halo(A, n))
+    m, halo = A.dim, _halo(A, n)
+    plans = [(mu0, source, _tile_height(A, n, len(mu0))) for mu0, source in blocks]
+    tasks = [(plan, lo) for plan in plans for lo in range(0, m, plan[2])]
+    size = max(3 * len(mu0) * min(m, height + 2 * halo) for mu0, _, height in plans)
+    span = max(1, sparse.BLOCK_BYTES // max(8 * len(mu0) * n * -(-height // _EINSUM_PIECE)
+                                            for mu0, _, height in plans))
     free = []
 
-    def task(lo):
+    def task(item):
+        (mu0, source, height), lo = item
+        b, width = len(mu0), min(m, height + 2 * halo)
         # list.pop and list.append are atomic across threads
         try:
             space = free.pop()
         except IndexError:
-            space = np.empty((3, b, width))
+            space = np.empty(size)
         try:
             # the error state is thread-local, so it is set on the worker
             with np.errstate(over="ignore", invalid="ignore"):
-                return _tile_dots(A, n, c, lo, min(lo + height, m), source, space)
+                return _tile_dots(A, n, c, lo, min(lo + height, m), source,
+                                  space[:3 * b * width].reshape(3, b, width))
         finally:
             free.append(space)
 
-    starts = range(0, m, height)
-    span = max(1, sparse.BLOCK_BYTES // (8 * b * n * -(-height // _EINSUM_PIECE)))
-    mu = np.zeros((b, n + 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(0, len(starts), span):
-            for dots in each(task, starts[k:k + span]):
+    for k in range(0, len(tasks), span):
+        chunk, done = tasks[k:k + span], []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for ((mu0, _, height), lo), dots in zip(chunk, each(task, chunk)):
+                if lo == 0:
+                    mu = np.zeros((len(mu0), n + 1))
                 _fold(mu[:, 1:], dots)
-        mu[:, 0] = mu0
-        return _doubled(mu)
+                if lo + height >= m:
+                    mu[:, 0] = mu0
+                    done.append(_doubled(mu))
+        yield from done
+
+
+def _forms(mu, m, expansion, gamma0, traces=None):
+    """The forms of +-1 probe rows of length m from their (b, n + 1) moments
+    ``mu``, which take mu_1 and mu_2 at their means under ``traces`` (see
+    ``quadratic_form``)."""
+    a = expansion.coeffs
+    with np.errstate(over="ignore", invalid="ignore"):
+        if traces is not None:
+            c = 2.0 / (expansion.x0 * gamma0)
+            tr, frob = traces
+            mu[:, 1] = c * tr - m
+            if expansion.degree >= 2:
+                mu[:, 2] = 2.0 * (c * c * frob - 2.0 * c * tr + m) - m
+        return gamma0 * (m * a[0] / 2.0 + _row_dots(mu[:, 1:], a[1:]))
 
 
 def quadratic_form(A, v, expansion, gamma0, traces=None):
@@ -273,9 +296,8 @@ def quadratic_form(A, v, expansion, gamma0, traces=None):
     argument matrix B is never formed: each t_j+1 = 2 B t_j - t_j-1 is
     built on the product A t_j, one row tile at a time, as
     2 (c A t_j - t_j) - t_j-1, by the tiled kernel, which only reads v and
-    allocates its tile buffers alone. The
-    constant term a_0 enters the result only through the closed form
-    v^T (a_0/2) v = m a_0 / 2.
+    allocates its tile buffers alone. The constant term a_0 enters the
+    result only through the closed form v^T (a_0/2) v = m a_0 / 2.
 
     With ``traces``, the pair (tr A, ||A||_F^2), the form takes mu_1 and
     mu_2 at their means over the probes, tr T_1(B) = c tr A - m and
@@ -308,8 +330,6 @@ def quadratic_form(A, v, expansion, gamma0, traces=None):
     if n < 1:
         raise ValueError("Chebyshev moments require degree >= 1")
 
-    a = expansion.coeffs
-    c = 2.0 / (expansion.x0 * gamma0)
     m = A.dim
     block = v.reshape(-1, m)
 
@@ -317,13 +337,7 @@ def quadratic_form(A, v, expansion, gamma0, traces=None):
         out[...] = block[:, base:base + out.shape[1]]
         return out
 
-    mu = _tiled_moments(A, n, c, np.full(len(block), float(m)), source)
-    # the error state is thread-local, so it is set here, on the worker
-    with np.errstate(over="ignore", invalid="ignore"):
-        if traces is not None:
-            tr, frob = traces
-            mu[:, 1] = c * tr - m
-            if n >= 2:
-                mu[:, 2] = 2.0 * (c * c * frob - 2.0 * c * tr + m) - m
-        forms = gamma0 * (m * a[0] / 2.0 + _row_dots(mu[:, 1:], a[1:]))
+    mu, = _tiled_moments(A, n, 2.0 / (expansion.x0 * gamma0),
+                         [(np.full(len(block), float(m)), source)])
+    forms = _forms(mu, m, expansion, gamma0, traces)
     return forms if v.ndim == 2 else float(forms[0])

@@ -21,8 +21,8 @@ below. A run answers from the narrower of that interval and its sampled
 one; an adaptive run whose interval is at most the floor, which no sampled
 tau beats, draws no probe.
 
-A run allocates each worker's probe array once, and draws its blocks into
-it; a form holds its t_j in the tiled kernel's buffers (see ``clenshaw``).
+A run holds no probe array: each tile's window of a probe block is drawn
+into the buffer of the tiled kernel (``clenshaw._tiled_moments``).
 
 On a matrix stored by diagonal whose scaling is certain, a bound that
 cannot fail and puts the spectrum in [0, x0 * gamma0], a run draws no probe
@@ -40,9 +40,9 @@ with probability at least p.
 
 Every probe is a pure function of (seed, sample index, dimension): probe i
 of length m is the bits of its own counter range of one Philox stream keyed
-by the seed. A block of probes is drawn in one call, and runs are
-reproducible regardless of thread count, probe block width or early
-stopping.
+by the seed. Any window of entries of a block of probes can be drawn
+alone, with its bits in the whole rows, and runs are reproducible
+regardless of thread count, probe block width, row tile or early stopping.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .chebyshev import coefficients, entropy_function, truncation_error_bound
-from .clenshaw import SpectrumEscape, _tiled_moments, quadratic_form, tile_rows
+# quadratic_form, which no run calls, stays an attribute that traced runs wrap
+from .clenshaw import SpectrumEscape, _forms, _tiled_moments, quadratic_form, tile_rows
 from .sparse import _BOUND_METHODS, BLOCK_BYTES, LANCZOS_STEPS, SpectralBound
 
 DEFAULT_N_MAX = 10_000
@@ -98,12 +99,16 @@ class RademacherSampler:
         # the seed sequence hashes a seed of any size into the 128-bit key
         object.__setattr__(self, "_seq", np.random.SeedSequence(self.seed))
 
-    def sample_vector(self, m, index, count=None, out=None):
+    def sample_vector(self, m, index, count=None, out=None, lo=0):
         """Probe row ``index`` (1-based) of length m, entries +-1.
 
         With ``count`` the (count, m) block of rows index .. index+count-1.
         ``out``, a float64 array of the result's shape, receives the rows,
-        with the same bits, and is returned.
+        with the same bits, and is returned. With ``lo`` only the entries
+        lo.. of each row, as many as ``out`` has columns, or to the row's
+        end, with their bits in the whole rows: the window of a row tile. It
+        draws only the counter steps it covers, in one draw where those are
+        all of a row's, and otherwise a row at a time.
         """
         if m < 1:
             raise ValueError("dimension must be at least 1")
@@ -112,21 +117,33 @@ class RademacherSampler:
         rows = 1 if count is None else count
         if rows < 1:
             raise ValueError("count must be at least 1")
-        shape = (m,) if count is None else (rows, m)
+        hi = m if out is None else lo + out.shape[-1]
+        if not 0 <= lo < hi <= m:
+            raise ValueError(f"window {lo}..{hi} is not within a row of {m} entries")
+        shape = (hi - lo,) if count is None else (rows, hi - lo)
         if out is None:
             out = np.empty(shape)
         elif out.shape != shape:
             raise ValueError(f"out shape {out.shape} does not match the rows' {shape}")
         steps = (m + _STEP_BITS - 1) // _STEP_BITS
+        first, last = lo // _STEP_BITS, (hi - 1) // _STEP_BITS + 1
         # keyed by the seed sequence's first two 64-bit words, with no draw
         # of OS entropy, which Philox(key=...) makes and then discards
         stream = np.random.Philox(self._seq)
-        stream.advance((index - 1) * steps)
-        # little-endian words, so the bits do not depend on the byte order
-        words = stream.random_raw(rows * 4 * steps).astype("<u8", copy=False)
-        bits = np.unpackbits(words.view(np.uint8).reshape(rows, -1), axis=1, count=m,
-                             bitorder="little")
-        np.multiply(bits.reshape(shape), 2.0, out=out)
+        stream.advance((index - 1) * steps + first)
+        if last - first == steps:
+            words = stream.random_raw(rows * 4 * steps).reshape(rows, -1)
+        else:
+            words = np.empty((rows, 4 * (last - first)), dtype=np.uint64)
+            for row in words:
+                row[...] = stream.random_raw(len(row))
+                stream.advance(steps - (last - first))
+        # little-endian words, so the bits do not depend on the byte order;
+        # the window's first entry is bit ``skip`` of its first step
+        skip = lo - first * _STEP_BITS
+        octets = words.astype("<u8", copy=False).view(np.uint8)[:, skip // 8:]
+        bits = np.unpackbits(octets, axis=1, count=hi - lo + skip % 8, bitorder="little")
+        np.multiply(bits[:, skip % 8:].reshape(shape), 2.0, out=out)
         out -= 1.0
         return out
 
@@ -465,7 +482,7 @@ def lanczos_interval(krylov, trace):
     width.
     """
     alpha, steps = krylov.alpha, len(krylov.alpha)
-    m, t, r = krylov.rows.shape[1], float(trace), krylov.rounding
+    m, t, r = krylov.dim, float(trace), krylov.rounding
     if not t > 0.0:
         return None
     g = _gamma(m + steps + 4)
@@ -535,7 +552,7 @@ def _lanczos_bounds(scaling, tr, normalize):
         return interval
     lo, hi = interval
     log_t = math.log(tr)
-    slack = ((_gamma(krylov.rows.shape[1] + 4) + 4.0 * _UNIT) * tr
+    slack = ((_gamma(krylov.dim + 4) + 4.0 * _UNIT) * tr
              * (max(abs(lo), abs(hi)) + abs(log_t) + 1.0))
     return float(tr * lo - tr * log_t - slack), float(tr * hi - tr * log_t + slack)
 
@@ -691,45 +708,6 @@ def _in_order(threads, task, items):
         return list(pool.map(task, items))
 
 
-def _xi_batch(A, draw, first, last, threads, form, free, height):
-    """The probe forms of rows first..last in index order, as one array.
-
-    The rows are cut into blocks of at most ``height``; ``draw(start, out)``
-    writes a block's rows start, start + 1, ... into ``out`` and returns it,
-    and ``form(A, rows)`` gives the block's forms, sharing its
-    matrix-vector products. Row i never depends on any other row or on the
-    block it lands in, and the blocks map over the pool ``_in_order``.
-
-    A block is drawn into a row array from ``free``, the run's list of
-    them, of ``height`` rows, sliced to the block's. A block takes a free
-    array, or makes one if none is free, and frees it when its forms are
-    done, so a run makes one a worker at most, in whatever order the pool
-    runs the blocks.
-    """
-    width = min(height, last + 1 - first)
-
-    def block(start):
-        count = min(width, last + 1 - start)
-        # list.pop and list.append are atomic across threads
-        try:
-            rows = free.pop()
-        except IndexError:
-            rows = np.empty((height, A.dim))
-        try:
-            return form(A, draw(start, rows[:count]))
-        finally:
-            free.append(rows)
-
-    return np.concatenate(_in_order(threads, block, range(first, last + 1, width)))
-
-
-def _batch_rows(height):
-    """Rows one ``_xi_batch`` call covers: ``BATCH_BLOCKS`` blocks of
-    ``height`` rows at most, and ``BATCH_FORMS`` forms, but one block at
-    least."""
-    return height * max(1, min(BATCH_BLOCKS, BATCH_FORMS // height))
-
-
 def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
     """The loop behind estimate_fixed and estimate_adaptive.
 
@@ -739,6 +717,10 @@ def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
     With ``n_max=None`` the count stays frozen; otherwise it is re-derived
     from the running extreme probe forms after every sample and capped at
     ``n_max``. A batch's forms are dropped before the next is drawn.
+
+    A batch's blocks of at most ``height`` rows map their tiles over the
+    pool in one kernel call; row i depends on no other row, block or tile,
+    so the forms are the same at any worker count.
 
     With normalize=True the estimated state is A / tr(A) (the entropy of a
     density matrix handed in unnormalized) and ``scaling`` must be valid for
@@ -752,7 +734,7 @@ def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
     before it draws (``lanczos_interval``), and answers from it where its
     half-width is below tau; an adaptive run whose half-width is at most
     the floor, which no tau is below, draws no probe. The estimate's scaling
-    keeps no bound, so the run's basis lives no longer than the scaling.
+    keeps no bound, so the run lives no longer than the scaling.
     """
     m = A.dim
     _check_hoeffding_args(n, p, m, scaling.x0, scaling.gamma0, scaling.failure)
@@ -783,18 +765,15 @@ def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
         if n_max is not None and half <= floor:
             return lanczos(samples_used=0, delta=0.0, xi_min=0.0, xi_max=0.0, capped=False)
     # the exact means of mu_1 and mu_2 for every probe
-    form = functools.partial(quadratic_form, expansion=expansion, gamma0=gamma0,
-                             traces=(tr, A.frobenius_squared()))
-
-    def draw(start, out):
-        return sampler.sample_vector(m, start, len(out), out=out)
-
-    # the run's probe arrays, of the rows of its largest block, whose (b, n + 1)
-    # moments stay within BLOCK_BYTES
-    free = []
+    traces = (tr, A.frobenius_squared())
+    c = 2.0 / (expansion.x0 * gamma0)
+    each = functools.partial(_in_order, threads)
+    # the rows of the largest block, whose (b, n + 1) moments stay within
+    # BLOCK_BYTES
     height = max(1, min(A.block_width, BLOCK_BYTES // (8 * (n + 1)),
                         needed if n_max is None else n_max))
-    span = _batch_rows(height)
+    # rows a batch covers: BATCH_BLOCKS blocks and BATCH_FORMS forms at most
+    span = height * max(1, min(BATCH_BLOCKS, BATCH_FORMS // height))
     floor_width = 2.0 * floor
     xi_min = math.inf
     xi_max = -math.inf
@@ -802,9 +781,15 @@ def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
     drawn = 0
     capped = False
     while drawn < needed:
+        first, last = drawn + 1, min(needed, drawn + span)
+        width = min(height, last + 1 - first)
+        # each tile's window of a block is drawn into the kernel's buffer
+        blocks = [(np.full(min(width, last + 1 - start), float(m)),
+                   lambda base, out, i=start: sampler.sample_vector(m, i, len(out), out, base))
+                  for start in range(first, last + 1, width)]
         try:
-            batch = _xi_batch(A, draw, drawn + 1, min(needed, drawn + span), threads, form,
-                              free, height).tolist()
+            batch = np.concatenate([_forms(mu, m, expansion, gamma0, traces)
+                                    for mu in _tiled_moments(A, n, c, blocks, each)]).tolist()
         except SpectrumEscape as exc:
             # worded with the state's interval, as every escape is
             raise _escaped(str(exc), scaling.x0, scaling.gamma0) from None
@@ -850,9 +835,9 @@ def _exact_estimate(A, expansion, scaling, colours, gamma0, tr, normalize, threa
 
     The rows run through the tiled kernel (``clenshaw._tile_dots``), which
     builds each row tile of t_0 from the colours, so no row is ever a (dim,)
-    vector. They run as one block, in groups of as many rows as
-    ``clenshaw.tile_rows`` lets one tile's buffers hold, and each group's
-    tiles map over the pool ``_in_order``. Each row's inner products are summed
+    vector. They run in blocks of as many rows as ``clenshaw.tile_rows``
+    lets one tile's buffers hold, in one call of ``clenshaw._tiled_moments``,
+    whose tiles map over the pool ``_in_order``. Each row's inner products are summed
     tile by tile and piece by piece in order, and the rows' moments one row
     at a time in index order, so S is the same at any worker count.
 
@@ -868,15 +853,14 @@ def _exact_estimate(A, expansion, scaling, colours, gamma0, tr, normalize, threa
     # every row whose tile buffers fit, with (rows, n + 1) moments within
     # BLOCK_BYTES, or one row in the least tiles
     rows = max(1, min(colours, tile_rows(A, n), BLOCK_BYTES // (8 * (n + 1))))
-    each = functools.partial(_in_order, threads)
+    groups = [np.arange(first, min(first + rows, colours)) for first in range(0, colours, rows)]
+    # each row's mu_0 is its count, the number of i < m with i = colour mod r
+    blocks = [((m - group + colours - 1) // colours,
+               functools.partial(_colour_tile, group, colours)) for group in groups]
     sums = np.zeros(n + 1)
     try:
-        for first in range(0, colours, rows):
-            group = np.arange(first, min(first + rows, colours))
-            source = functools.partial(_colour_tile, group, colours)
-            # each row's count, the number of i < m with i = colour mod r
-            mu0 = (m - group + colours - 1) // colours
-            for row in _tiled_moments(A, n, c, mu0, source, each):
+        for mu in _tiled_moments(A, n, c, blocks, functools.partial(_in_order, threads)):
+            for row in mu:
                 sums += row
     except SpectrumEscape as exc:
         raise _escaped(str(exc), scaling.x0, scaling.gamma0) from None

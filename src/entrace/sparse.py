@@ -3,8 +3,8 @@
 Gershgorin's bounds on the spectrum take one pass over the stored entries;
 the Lanczos bound on lambda_max, for a matrix stored by column, takes
 ``LANCZOS_STEPS`` products and holds with a stated failure probability. The
-bound keeps the run's orthonormal Krylov basis and its tridiagonal matrix
-(``KrylovBasis``), from which the estimator bounds the entropy.
+bound keeps the run's tridiagonal matrix (``KrylovBasis``), from which the
+estimator bounds the entropy.
 
 The estimator touches a matrix only through ``trace``,
 ``frobenius_squared``, ``block_width``, ``bandwidth`` and ``product_rows``,
@@ -116,15 +116,15 @@ _KW_CONSTANT = 1.648
 
 
 class KrylovBasis(NamedTuple):
-    """What a Lanczos run leaves: its basis and its tridiagonal matrix T.
+    """What a Lanczos run leaves: its tridiagonal matrix T.
 
-    ``rows`` holds the orthonormal Krylov basis q_1..q_k as (k, dim) rows,
-    ``alpha`` the diagonal of T, alpha_j = q_j^T A q_j, and ``beta`` its k - 1
-    off-diagonal entries. ``rounding`` is 16 K u (G + sigma), the run's
-    rounding allowance (see ``lanczos_upper_bound``).
+    ``dim`` is the dimension of A, ``alpha`` the diagonal of T, alpha_j =
+    q_j^T A q_j, and ``beta`` its k - 1 off-diagonal entries. ``rounding``
+    is 16 K u (G + sigma), the run's rounding allowance (see
+    ``lanczos_upper_bound``).
     """
 
-    rows: np.ndarray
+    dim: int
     alpha: np.ndarray
     beta: np.ndarray
     rounding: float
@@ -276,10 +276,10 @@ class SymmetricSparseMatrix:
             layout = _block_layout(*entries, dim, width)
         else:
             # each (b, dim) array of a form takes an eighth of BLOCK_BYTES:
-            # by column, the drawn probes and the tiled kernel's one tile of
-            # all rows, three buffers that take t_0 and the t_j in turn, fit
-            # within half of it on each worker; by diagonal the tiles keep
-            # to their own budget. Wider blocks gain little per row (by
+            # by column, the tiled kernel's one tile of all rows, three
+            # buffers that take the drawn probes, t_0, and the t_j in turn,
+            # fit within half of it on each worker; by diagonal the tiles
+            # keep to their own budget. Wider blocks gain little per row (by
             # column, dim 1000: 0.48 ms at 16 rows, 0.50 ms at 26)
             width = max(1, BLOCK_BYTES // 8 // (8 * dim))
             layout = None
@@ -766,8 +766,8 @@ def krylov_basis(A, start, scale):
     reorthogonalized by classical Gram-Schmidt run twice (CGS2) over
     ``np.einsum`` contractions, never BLAS, so that it is orthonormal to
     working precision and the same at every BLAS thread count. The run
-    costs K products and a (K, dim) basis, and makes no dense copy of A;
-    the basis lives as long as the bound or the scaling that keeps it.
+    costs K products and a (K, dim) basis, dropped on return, and makes no
+    dense copy of A.
     """
     m, steps = A.dim, LANCZOS_STEPS
     tiny = steps * np.finfo(np.float64).eps / 2.0 * scale
@@ -789,7 +789,7 @@ def krylov_basis(A, start, scale):
             break
         beta.append(b)
         q = w / b
-    return KrylovBasis(basis[:len(alpha)], np.array(alpha), np.array(beta), 16.0 * tiny)
+    return KrylovBasis(m, np.array(alpha), np.array(beta), 16.0 * tiny)
 
 
 def lanczos_upper_bound(A, gershgorin, start, eps):

@@ -33,7 +33,8 @@ def moments(A, block, n, c, mu0):
         out[...] = block[:, base:base + out.shape[1]]
         return out
 
-    return _tiled_moments(A, n, c, mu0, source)
+    moments, = _tiled_moments(A, n, c, [(mu0, source)])
+    return moments
 
 
 def recorded_tiles(monkeypatch):
@@ -171,8 +172,7 @@ class TestMemory:
 
 
 class TestWorkspace:
-    """A form on a slice of the caller's probe array, as a run draws a short
-    last block into the array of its full blocks."""
+    """A form on a slice of the caller's probe array reads only the slice."""
 
     BUILDS = [functools.partial(fem_matrix, 10**5),
               functools.partial(random_psd, 30, 2, np.linspace(0.0, 1.0, 30)),
@@ -194,6 +194,32 @@ class TestWorkspace:
         short = quadratic_form(A, space[:1], exp, gamma0)
         assert short.tobytes() == full[2:].tobytes()
 
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("build", BUILDS, ids=IDS)
+    def test_blocks_of_one_call_share_the_tile_space(self, build, threads):
+        # blocks of 3, 1 and 2 rows in one kernel call reuse each worker's
+        # tile space, sized for the largest; each block's moments have the
+        # bits of that block alone
+        from entrace.estimator import _in_order
+
+        A = build()
+        c = 2.0 / (1.075 * gershgorin_upper_bound(A).lambda_max_upper)
+        probes = np.array([signs(A.dim, 40 + i) for i in range(6)])
+        parts = (probes[:3], probes[3:4], probes[4:])
+
+        def copied(rows):
+            def source(base, out):
+                out[...] = rows[:, base:base + out.shape[1]]
+                return out
+            return source
+
+        mu0 = [np.full(len(rows), float(A.dim)) for rows in parts]
+        together = list(_tiled_moments(A, 9, c, [(m0, copied(rows)) for m0, rows in
+                                                 zip(mu0, parts)],
+                                       functools.partial(_in_order, threads)))
+        alone = [moments(A, rows, 9, c, m0) for m0, rows in zip(mu0, parts)]
+        assert [mu.tobytes() for mu in together] == [mu.tobytes() for mu in alone]
 
 class TestTiles:
     """A matrix shorter than one piece is one tile under any budget."""
@@ -310,8 +336,9 @@ class TestTiledKernel:
         real = estimator._tiled_moments
 
         def recording(*args):
-            seen.append(real(*args))
-            return seen[-1]
+            moments = list(real(*args))
+            seen.extend(moments)
+            return moments
 
         monkeypatch.setattr(estimator, "_tiled_moments", recording)
         tiles = recorded_tiles(monkeypatch)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import json
 import math
 import os
@@ -112,6 +113,38 @@ class TestSampler:
         assert space[4].tobytes() == s.sample_vector(m, 6).tobytes()
         with pytest.raises(ValueError, match="out shape"):
             s.sample_vector(m, 3, 4, out=space)
+
+    @pytest.mark.parametrize("m, lo, hi", [
+        (1000, 200, 300),   # across the counter step at entry 256
+        (1000, 255, 769),   # across three steps, from a step's last bit
+        (1000, 700, 1000),  # to the last entry
+        (1000, 999, 1000),  # one entry, the last
+        (1000, 256, 257),   # one entry, a step's first
+        (1000, 0, 1000),    # whole rows
+        (300, 3, 299),      # every step of a row, but not whole rows
+        (1, 0, 1)])
+    def test_window_is_a_slice_of_the_rows(self, m, lo, hi):
+        # entries lo..hi-1 drawn alone into out, of one row or a block, and
+        # entries lo.. without out, have the bits of those entries of the
+        # whole rows
+        s = RademacherSampler(4)
+        whole = s.sample_vector(m, 3, 5)
+        space = np.full((5, m + 1), np.nan)
+        got = s.sample_vector(m, 3, 5, space[:, lo:hi], lo)
+        assert got.base is space and got.tobytes() == whole[:, lo:hi].tobytes()
+        assert np.isnan(space[:, :lo]).all() and np.isnan(space[:, hi:]).all()
+        row = s.sample_vector(m, 4, out=np.empty(hi - lo), lo=lo)
+        assert row.tobytes() == whole[1, lo:hi].tobytes()
+        assert s.sample_vector(m, 3, 5, lo=lo).tobytes() == whole[:, lo:].tobytes()
+        assert s.sample_vector(m, 5, lo=lo).tobytes() == whole[2, lo:].tobytes()
+
+    def test_window_validation(self):
+        s = RademacherSampler(0)
+        for lo, width in ((-1, 4), (0, 11), (5, 0), (10, 1), (9, 2)):
+            with pytest.raises(ValueError, match="window"):
+                s.sample_vector(10, 1, 2, np.empty((2, width)), lo)
+        with pytest.raises(ValueError, match="window"):
+            s.sample_vector(10, 1, lo=10)
 
     def test_seed_beyond_the_key_size(self):
         v = RademacherSampler(2**128 + 5).sample_vector(70, 1, 2)
@@ -418,14 +451,14 @@ class TestEstimateFixed:
             for k in (2, 4):
                 assert estimate_fixed(A, 3, num, sp, RademacherSampler(3), threads=k) == serial
 
-    @pytest.mark.parametrize("threads, most", [(1, 2.0), (2, 4.0)])
+    @pytest.mark.parametrize("threads, most", [(1, 0.8), (2, 1.6)])
     def test_peak_memory_per_worker(self, threads, most):
         # traced peak of a run on fem(2 * 10^5), at block width 1, in vectors
-        # of 8 m bytes: each worker's probe array, reused for every block,
-        # its bits and sign check, and the tiled kernel's buffers of one tile
-        # of 2^15 rows, 1.7 and 3.3 in all. A work array for t_1 beside each
-        # probe array, as forms on whole vectors once held, took it to 2.3
-        # and 4.7
+        # of 8 m bytes: each worker's tile buffers of one tile of 2^15 rows
+        # with its halo, reused for every tile of every block and drawn into
+        # a window at a time, and one product's temporary, 0.68 and 1.39 in
+        # all. A probe array for each worker, with its bits and its sign
+        # check, as whole rows were once drawn, took it to 1.7 and 3.3
         m = 2 * 10**5
         A, sp = fem_matrix(m), ScalingParams(x0=1.0, gamma0=4.3)
         assert A.block_width == 1
@@ -439,13 +472,38 @@ class TestEstimateFixed:
         assert got == want
         assert peak / (8 * m) <= most
 
-    @pytest.mark.parametrize("threads, most", [(1, 4.5), (2, 9.0)])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_sampled_banded_moments_keep_their_bits(self, monkeypatch, threads):
+        # each tile's window of a probe row is drawn into the tiled kernel's
+        # buffer: on fem(2 * 10^5), at block width 1 in 7 tiles of 2^15 rows,
+        # the 8 probes' sampled moments and the estimate have the bits that
+        # whole drawn rows gave, pinned here, at either worker count
+        import entrace.estimator as estimator
+
+        seen = []
+        real = estimator._tiled_moments
+
+        def recording(*args):
+            for mu in real(*args):
+                seen.append(mu.copy())
+                yield mu
+
+        monkeypatch.setattr(estimator, "_tiled_moments", recording)
+        est = estimate_fixed(fem_matrix(2 * 10**5), 8, 8, ScalingParams(x0=1.0, gamma0=4.3),
+                             RademacherSampler(0), threads=threads)
+        assert len(seen) == 8
+        assert hashlib.sha256(np.concatenate(seen).tobytes()).hexdigest() == (
+            "cafa8a74b9f12c392244b0dba72a81d4244703b552928dd24078f65ec5cfc2a6")
+        assert [x.hex() for x in (est.value, est.tau, est.xi_min, est.xi_max)] == [
+            "-0x1.86a791908efe0p+18", "0x1.715fb136cdbc6p+13", "-0x1.668072c32636dp+17",
+            "-0x1.660b52a8c8e95p+17"]
+
+    @pytest.mark.parametrize("threads, most", [(1, 4.2), (2, 8.0)])
     def test_peak_memory_per_worker_by_column(self, threads, most):
         # traced peak of a run on a dense matrix stored by column, at block
-        # width 16, in (b, dim) arrays: each worker's probe array and the
-        # tiled kernel's one tile of all rows, three buffers, 4.1 and 8.3 in
-        # all. Forms on whole vectors, with a work array beside each probe
-        # array, took 3.1 and 6.2
+        # width 16, in (b, dim) arrays: each worker's one tile of all rows,
+        # three buffers, into which its probes are drawn, 3.8 and 6.9 in
+        # all. A probe array beside them took it to 4.1 and 8.3
         m = 1000
         A = random_psd(m, 0, np.linspace(0.0, 1.0, m))
         sp = ScalingParams(x0=1.0, gamma0=1.1)
@@ -1081,21 +1139,27 @@ class TestLanczosInterval:
 
     def test_adaptive_run_at_the_floor_draws_no_probe(self, monkeypatch):
         # normalized spdc: the interval is about 2e-10 wide, far below the
-        # floor, so the run answers at once, and never draws
-        import entrace.estimator as estimator
+        # floor, so the run answers at once, and never draws; a fixed run
+        # on the same scaling draws its probe through the same spy
+        drawn = []
+        real = RademacherSampler.sample_vector
 
-        def no_draw(*args, **kwargs):
-            raise AssertionError("a probe was drawn")
+        def spy(self, *args, **kwargs):
+            drawn.append(args)
+            return real(self, *args, **kwargs)
 
-        monkeypatch.setattr(estimator, "quadratic_form", no_draw)
+        monkeypatch.setattr(RademacherSampler, "sample_vector", spy)
         A, n, _, _, truth = normalized_spdc()
         sp, sampler = lanczos_scaling(A, 0, True)
         est = estimate_adaptive(A, n, 0.95, sp, sampler, normalize=True)
         lo, hi = est.interval
+        assert not drawn
         assert (est.samples_used, est.route, est.delta, est.xi_min, est.xi_max) == (
             0, "lanczos", 0.0, 0.0, 0.0)
         assert est.value == (lo + hi) / 2.0 and lo <= truth <= hi
         assert est.tau < 1e-9 < truncation_error_bound(n, A.dim * sp.gamma0)
+        assert estimate_fixed(A, n, 1, sp, sampler, normalize=True).samples_used == 1
+        assert drawn
 
     def test_fixed_run_draws_and_answers_from_the_interval(self):
         # the same interval answers a fixed run, which still draws the N

@@ -517,7 +517,7 @@ def kernel_tiles(monkeypatch, mat, n=2):
 
     with monkeypatch.context() as patch:
         patch.setattr(clenshaw, "_tile_dots", recording)
-        clenshaw._tiled_moments(mat, n, 1.0, np.zeros(1), zeros)
+        list(clenshaw._tiled_moments(mat, n, 1.0, [(np.zeros(1), zeros)]))
     return seen
 
 
@@ -1207,18 +1207,28 @@ class TestLanczosBound:
         assert bound is gershgorin
 
     @pytest.mark.parametrize("name", ["uniform", "rank-deficient", "spdc"])
-    def test_bound_keeps_its_run(self, name):
-        # the bound and the basis come from one run: its rows are
-        # orthonormal, alpha is the diagonal of Q A Q^T and beta the
-        # off-diagonal, and a second run from the same start is the same
-        # bits; the rank-12 matrix and the spdc state break down early
+    def test_bound_keeps_its_run(self, monkeypatch, name):
+        # the bound and T come from one run: its rows q, the vectors it
+        # multiplies, are orthonormal, alpha is the diagonal of Q A Q^T and
+        # beta the off-diagonal, and a second run from the same start is
+        # the same bits; the rank-12 matrix and the spdc state break down
+        # early. The run keeps the dimension, not q
         mat = lanczos_case(name)
         gershgorin = gershgorin_upper_bound(mat)
         start = RademacherSampler(0).start_vector(mat.dim)
-        bound = lanczos_upper_bound(mat, gershgorin, start, self.EPS)
+
+        def multiplied(run):
+            seen = []
+            with monkeypatch.context() as patch:
+                patch.setattr(SymmetricSparseMatrix, "matvec",
+                              lambda self, v, _real=SymmetricSparseMatrix.matvec:
+                              seen.append(v.copy()) or _real(self, v))
+                return run(), np.array(seen)
+
+        bound, q = multiplied(lambda: lanczos_upper_bound(mat, gershgorin, start, self.EPS))
         run = bound.krylov
         assert gershgorin.krylov is None and bound.method == "lanczos"
-        q = run.rows
+        assert run.dim == mat.dim and q.shape[1] == mat.dim
         assert (len(q) == LANCZOS_STEPS) == (name == "uniform")
         assert len(run.alpha) == len(q) and len(run.beta) == len(q) - 1
         np.testing.assert_allclose(q @ q.T, np.eye(len(q)), atol=1e-13)
@@ -1226,8 +1236,8 @@ class TestLanczosBound:
         scale = gershgorin.lambda_max_upper - gershgorin.lambda_min_lower
         np.testing.assert_allclose(run.alpha, np.diag(projected), atol=1e-13 * scale)
         np.testing.assert_allclose(run.beta, np.diag(projected, 1), atol=1e-12 * scale)
-        again = krylov_basis(mat, start, scale)
-        assert np.array_equal(again.rows, q) and np.array_equal(again.alpha, run.alpha)
+        again, q_again = multiplied(lambda: krylov_basis(mat, start, scale))
+        assert np.array_equal(q_again, q) and np.array_equal(again.alpha, run.alpha)
         assert run.rounding == 16.0 * LANCZOS_STEPS * np.finfo(float).eps / 2.0 * scale
 
     def test_no_slack_or_zero_matrix_keeps_gershgorin(self):
