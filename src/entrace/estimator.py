@@ -770,8 +770,7 @@ def _estimate(A, n, p, scaling, sampler, normalize, threads, needed, n_max):
     each = functools.partial(_in_order, threads)
     # the rows of the largest block, whose (b, n + 1) moments stay within
     # BLOCK_BYTES
-    height = max(1, min(A.block_width, BLOCK_BYTES // (8 * (n + 1)),
-                        needed if n_max is None else n_max))
+    height = max(1, min(A.block_width, BLOCK_BYTES // (8 * (n + 1))))
     # rows a batch covers: BATCH_BLOCKS blocks and BATCH_FORMS forms at most
     span = height * max(1, min(BATCH_BLOCKS, BATCH_FORMS // height))
     floor_width = 2.0 * floor

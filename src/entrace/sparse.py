@@ -35,7 +35,11 @@ strips clipped to those rows (``product_rows``), and reads any window of
 the vector that holds their columns, so the tiled kernel of ``clenshaw``
 runs each product on a row tile with its halo, with the bits of
 ``matvec``. A product by column or gathered is of all rows at once, one
-tile of the kernel.
+tile of the kernel. The per-row sums behind Gershgorin's bounds and
+||A||_F^2 come from one walk over row tiles (``_row_sums``), the only
+reduction that branches on the layout: it adds f of each row's entries
+with the bits of the ordered pass, and holds temporaries of one tile in
+every layout, by column too, where it reads one strip at a time.
 A diagonal that holds one value in every slot facing a column of the matrix,
 as each of the tridiagonal matrix's three does, is stored as that value
 once, and its product multiplies a stride-0 operand.
@@ -80,7 +84,8 @@ SYMMETRY_RTOL = 1e-12
 # process, at n = 8 on two threads (medians of 9): fem(10^6)'s 9 colour
 # rows in one group took 0.14 s, against 0.20 s in groups of 5 and 4 within
 # 1 MiB, and 8 probe rows 0.15 s in tiles of 2^15 rows, against 0.38 s of
-# 2^13 and 0.12 s of 2^16, whose buffers a row would take twice the memory
+# 2^13 and 0.12 s of 2^16, whose buffers a row would take twice the memory.
+# The row walk behind Gershgorin's bound and ||A||_F^2 takes the same tiles
 BLOCK_BYTES = 2**20
 
 # largest fill, padded slots over stored entries, at which a matrix is also
@@ -253,8 +258,8 @@ class SymmetricSparseMatrix:
         the error, from the entries read off the strips.
         """
         dim = _checked_dim(dim)
-        if not all(np.isfinite(a[r0:r1]).all()
-                   for a, (r0, r1) in zip(data, _in_range(offsets, dim))):
+        if not all(np.isfinite(data[k, r0:r1]).all()
+                   for k, r0, r1 in _facing(offsets, 0, dim, dim)):
             raise ValueError("matrix entries must be finite")
         count = np.count_nonzero(held, axis=1)
         if _by_diagonal(dim, int(count.sum()), int(np.count_nonzero(count))):
@@ -391,11 +396,10 @@ class SymmetricSparseMatrix:
                 np.einsum("bj,ji->bi" if v.ndim == 2 else "j,ji->i", v, strips.data, out=out)
             return
         out.fill(0.0)
-        for a, d in zip(strips.data, strips.offsets):
-            # the rows of diagonal d within lo..hi-1, and the columns they face
-            r0, r1 = max(lo, -d), min(hi, self.dim - d)
-            if r0 < r1:
-                out[..., r0 - lo:r1 - lo] += a[r0:r1] * v[..., r0 + d - base:r1 + d - base]
+        for k, r0, r1 in _facing(strips.offsets, lo, hi, self.dim):
+            # row i faces column i + offset, entry i + shift of v
+            shift = strips.offsets[k] - base
+            out[..., r0 - lo:r1 - lo] += strips.data[k, r0:r1] * v[..., r0 + shift:r1 + shift]
 
     def _gathered(self, v):
         """The product of all rows on the gather path."""
@@ -420,39 +424,43 @@ class SymmetricSparseMatrix:
     def frobenius_squared(self):
         """||A||_F^2, the sum of the squares of the stored entries.
 
-        Each row adds its squares to 0.0 in ascending column order, as
-        ``matvec`` adds its products, so a hole's +0.0 changes no sum; a
-        matrix stored by column does this in one ``np.einsum`` over its
-        strips. The row sums are added a tile of ``BLOCK_BYTES // 32`` rows
-        at a time, each tile by ``np.einsum`` and the tiles in turn, so the
-        three layouts give the same bits. A matrix stored by diagonal reads
-        only the in-range slots of its strips, and holds temporaries of one
-        tile, not of the strips.
+        Each row's squares are summed by the row walk (``_row_sums``), and
+        the row sums are added a tile at a time, each tile by ``np.einsum``
+        and the tiles in turn, so the three layouts give the same bits.
         """
-        strips = self._strips
-        if strips is None:
-            rows, _, values = self._entries
-        elif strips.offsets is None:
-            # row i's squares column by column, one ascending sum a row
-            squares = np.einsum("ji,ji->i", strips.data, strips.data)
         total = 0.0
-        step = BLOCK_BYTES // 32
+        for _, _, sums in self._row_sums(np.square):
+            total += float(np.einsum("i->", sums))
+        return total
+
+    def _row_sums(self, f):
+        """(lo, hi, sums) of each tile of ``BLOCK_BYTES // 32`` rows, in turn.
+
+        sums[i - lo] adds f of row i's stored entries to 0.0 in ascending
+        column order, as ``matvec`` adds its products. f is elementwise and
+        maps +-0.0 to +0.0, as np.abs and np.square do, so the +0.0 that a
+        hole adds changes no sum, and the three layouts give the same bits.
+        Gathered, a tile's entries are found by ``np.searchsorted`` and summed
+        by ``np.bincount``. Stored by diagonal or by column, f is taken of
+        one strip's slots that face the tile at a time, never of the strips,
+        so the walk holds temporaries of one tile.
+        """
+        strips, step = self._strips, BLOCK_BYTES // 32
         for lo in range(0, self.dim, step):
             hi = min(lo + step, self.dim)
             if strips is None:
+                rows, _, values = self._entries
                 s, e = np.searchsorted(rows, (lo, hi))
-                sums = np.bincount(rows[s:e] - lo, weights=np.square(values[s:e]),
-                                   minlength=hi - lo)
+                sums = np.bincount(rows[s:e] - lo, weights=f(values[s:e]), minlength=hi - lo)
             elif strips.offsets is None:
-                sums = squares[lo:hi]
+                sums = np.zeros(hi - lo)
+                for column in strips.data[:, lo:hi]:
+                    sums += f(column)
             else:
                 sums = np.zeros(hi - lo)
-                for a, d in zip(strips.data, strips.offsets):
-                    r0, r1 = max(lo, -d), min(hi, self.dim - d)
-                    if r0 < r1:
-                        sums[r0 - lo:r1 - lo] += np.square(a[r0:r1])
-            total += float(np.einsum("i->", sums))
-        return total
+                for k, r0, r1 in _facing(strips.offsets, lo, hi, self.dim):
+                    sums[r0 - lo:r1 - lo] += f(strips.data[k, r0:r1])
+            yield lo, hi, sums
 
     def diagonal(self):
         return self._diag
@@ -591,9 +599,14 @@ def _by_diagonal(dim, nnz, ndiag):
     return ndiag <= dim and ndiag * dim <= DIA_FILL * nnz
 
 
-def _in_range(offsets, dim):
-    """(r0, r1) of each diagonal: its rows r0..r1-1 face a column of the matrix."""
-    return [(max(0, -d), min(dim, dim - d)) for d in offsets]
+def _facing(offsets, lo, hi, dim):
+    """(k, r0, r1) of each diagonal k, in turn, whose slots r0..r1-1 are those
+    of rows lo..hi-1 that face a column of the matrix, 0 <= i + offsets[k] <
+    dim; a diagonal with no such slot is passed over."""
+    for k, d in enumerate(offsets):
+        r0, r1 = max(lo, -d), min(hi, dim - d)
+        if r0 < r1:
+            yield k, r0, r1
 
 
 def _frozen(data, held, offsets):
@@ -630,7 +643,7 @@ def _stored_once(data, held, offsets):
         # handed over as a broadcast, such as fem_matrix's: kept as it is
         return data
     column = np.empty((len(offsets), 1))
-    for k, (r0, r1) in enumerate(_in_range(offsets, data.shape[1])):
+    for k, r0, r1 in _facing(offsets, 0, data.shape[1], data.shape[1]):
         bits = data[k, r0:r1].view(np.uint64)
         if not (held[k, r0:r1].all() and np.all(bits == bits[0])):
             return data
@@ -707,45 +720,17 @@ def gershgorin_upper_bound(A):
     """Largest eigenvalue bound max_i (a_ii + r_i), r_i = sum_{j != i} |a_ij|, clamped at 0.
 
     The same pass gives Gershgorin's bound on the smallest eigenvalue,
-    min_i (a_ii - r_i), unclamped, as ``lambda_min_lower``. Cost is one pass
-    over the stored entries, or over the strips of a matrix stored by
-    diagonal or by column, in-range slots only. For a symmetric matrix both
-    bounds hold.
-
-    A matrix stored by diagonal is read a tile of ``BLOCK_BYTES // 32``
-    rows at a time, as ``frobenius_squared`` reads it, so the pass holds
-    temporaries of one tile, 0.8 MB traced, not 24 MB of (dim,) ones; a
-    diagonal stored once is still read in every slot. Each row's sum, and so
-    each bound, has the bits of the untiled pass, which took 8.1 ms on
-    ``fem_matrix(10**6)`` against 2.7 ms tiled (medians of 21). An O(ndiag)
-    pass once moved where glibc placed the sampling loop's (dim,) arrays
-    (see CHANGES.md); with exact moments that loop holds none.
+    min_i (a_ii - r_i), unclamped, as ``lambda_min_lower``. For a symmetric
+    matrix both bounds hold. The pass is the matrix's row walk of |a_ij|, a
+    tile of ``BLOCK_BYTES // 32`` rows at a time, as ``frobenius_squared``
+    takes it: it reads the stored entries, or the in-range slots of the
+    strips, and holds temporaries of one tile. Each row's sum, and so each
+    bound, has the same bits in every layout and at every tile size.
     """
-    strips = A._strips
-    if strips is not None and strips.offsets is not None:
-        # the sums from 0.0 of each tile's rows, each diagonal added to the
-        # rows it faces: the out-of-range slots of a diagonal stored once
-        # hold its value
-        upper, lower = -math.inf, math.inf
-        step = BLOCK_BYTES // 32
-        for lo in range(0, A.dim, step):
-            hi = min(lo + step, A.dim)
-            radius = np.zeros(hi - lo)
-            for a, d in zip(strips.data, strips.offsets):
-                r0, r1 = max(lo, -d), min(hi, A.dim - d)
-                if r0 < r1:
-                    radius[r0 - lo:r1 - lo] += np.abs(a[r0:r1])
-            top, bottom = _gershgorin_ends(A.diagonal()[lo:hi], radius)
-            upper, lower = max(upper, top), min(lower, bottom)
-        return SpectralBound(max(upper, 0.0), "gershgorin", lambda_min_lower=lower)
-    if strips is None:
-        rows, _, vals = A.coo()
-        radius = np.bincount(rows, weights=np.abs(vals), minlength=A.dim)
-    else:
-        # row i's entries strip by strip, in ascending columns as bincount
-        # adds them; a hole adds +0.0, which changes no sum
-        radius = np.abs(strips.data).sum(axis=0)
-    upper, lower = _gershgorin_ends(A.diagonal(), radius)
+    upper, lower = -math.inf, math.inf
+    for lo, hi, radius in A._row_sums(np.abs):
+        top, bottom = _gershgorin_ends(A.diagonal()[lo:hi], radius)
+        upper, lower = max(upper, top), min(lower, bottom)
     return SpectralBound(max(upper, 0.0), "gershgorin", lambda_min_lower=lower)
 
 

@@ -1031,7 +1031,8 @@ class TestFrobenius:
     ], ids=["fem-1000", "fem-3", "banded-300", "holed", "signed-zeros", "spdc", "random-200"])
     def test_layouts_give_the_same_bits(self, monkeypatch, build, budget):
         # holes, stored +-0.0, fem's broadcast diagonals, and row tiles of 8
-        # rows under a small budget
+        # rows under a small budget; Gershgorin's two ends come from the
+        # same row walk as ||A||_F^2
         import entrace.sparse as sparse
 
         if budget is not None:
@@ -1040,9 +1041,21 @@ class TestFrobenius:
                 for how in ("diagonals", "columns", "gather")}
         got = {how: mat.frobenius_squared().hex() for how, mat in mats.items()}
         assert len(set(got.values())) == 1, got
+        for end in ("lambda_max_upper", "lambda_min_lower"):
+            got = {how: getattr(gershgorin_upper_bound(mat), end).hex()
+                   for how, mat in mats.items()}
+            assert len(set(got.values())) == 1, (end, got)
         values = build().coo()[2]
         assert mats["gather"].frobenius_squared() == pytest.approx(
             math.fsum(values * values), rel=1e-14)
+        # and every tile counts: the ends of the dense rows' sums, in any order
+        dense = build().to_dense()
+        diag, sums = np.diagonal(dense), np.abs(dense).sum(axis=1)
+        radius, near = sums - np.abs(diag), 1e-12 * sums.max()
+        bound = gershgorin_upper_bound(mats["gather"])
+        assert bound.lambda_max_upper == pytest.approx(
+            max(0.0, np.max(diag + radius)), rel=0, abs=near)
+        assert bound.lambda_min_lower == pytest.approx(np.min(diag - radius), rel=0, abs=near)
 
     def test_tridiagonal_value(self):
         # by column at m = 2, and otherwise by broadcast diagonals
@@ -1051,18 +1064,6 @@ class TestFrobenius:
             assert stored_once(mat) == (m != 2)
             assert mat.frobenius_squared() == 6.0 * m - 2.0
         assert SymmetricSparseMatrix(4, [], [], []).frobenius_squared() == 0.0
-
-    @pytest.mark.parametrize("dim", [2, 9000, 20000])
-    def test_column_squares_are_ordered_sums(self, dim):
-        # the einsum of a matrix stored by column adds C[j, i]^2 to row i's
-        # sum for ascending j, also past einsum's 8192-entry piece; a thin C
-        # stands in for the (dim, dim) strips
-        rng = np.random.default_rng(dim)
-        C = rng.normal(size=(dim, 3)) * 10.0 ** rng.uniform(-5.0, 5.0, size=(dim, 1))
-        want = np.zeros(3)
-        for j in range(dim):
-            want += C[j] * C[j]
-        assert np.einsum("ji,ji->i", C, C).tobytes() == want.tobytes()
 
     def test_peak_memory_on_a_million_rows(self):
         # temporaries of one tile of 2^15 rows, not of the 10^6-row strips
@@ -1125,6 +1126,22 @@ class TestSpectralBounds:
         assert (bound.lambda_max_upper, bound.lambda_min_lower) == (4.0, 0.0)
         assert bound == want
         assert peak < 2**20
+
+    def test_gershgorin_peak_memory_by_column(self):
+        # f of one strip's slots at a time: (dim,) temporaries, 26 kB, not
+        # the 8 MB that |C| of the (dim, dim) strips took
+        m = 1000
+        mat = random_psd(m, 0, np.linspace(0.0, 1.0, m))
+        assert layout(mat) == "columns"
+        want = gershgorin_upper_bound(mat)  # numpy's lazily allocated state, once
+        tracemalloc.start()
+        try:
+            bound = gershgorin_upper_bound(mat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bound == want
+        assert peak < 8 * 8 * m
 
     def test_spectral_bound_validation(self):
         with pytest.raises(ValueError):
